@@ -35,7 +35,7 @@ from .manifold import (
     _same_model,
     direction_to_boundary,
 )
-from .numerics import gauss_legendre
+from .numerics import gauss_legendre, orthonormal_complement, tensor_rule
 
 __all__ = [
     "BusemannField",
@@ -324,12 +324,7 @@ def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
     else:
         half = f.radius * 1.02
         rules = [gauss_legendre(x_nodes, -half, half) for _ in range(m.dim - 1)]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    wg = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    plane = np.stack([g.ravel() for g in grids], axis=-1)
-    plane_w = np.ones(plane.shape[0])
-    for w in wg:
-        plane_w = plane_w * w.ravel()
+    plane = tensor_rule(rules)
 
     base_offset = float(field._raw_value(field.basepoint.coords))
     total = 0.0
@@ -337,33 +332,15 @@ def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
         if m.is_hyperbolic:
             # level b = t is the plane z = exp(-(t + offset)); induced density z^-(n-1)
             z = math.exp(-(t + base_offset))
-            pts = np.concatenate([plane, np.full((plane.shape[0], 1), z)], axis=-1)
-            slice_val = float(np.dot(plane_w, f(pts))) * z ** (-(m.dim - 1))
+            pts = np.concatenate([plane.nodes, np.full((plane.weights.size, 1), z)], axis=-1)
+            slice_val = plane.integrate(f(pts)) * z ** (-(m.dim - 1))
         else:
             # the level set is the hyperplane -(x - base).u = t; quadrature
             # runs in an orthonormal frame of it around the projected center
             u = field.xi.data
-            basis = _plane_basis(u)
+            basis = orthonormal_complement(u)
             origin = f.center.coords + (center_level - t) * u
-            pts = origin + plane @ basis
-            slice_val = float(np.dot(plane_w, f(pts)))
+            slice_val = plane.integrate(f(origin + plane.nodes @ basis))
         total += wt * slice_val
     return total
 
-
-def _plane_basis(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to u (rows)."""
-    n = u.size
-    basis = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        w = e - np.dot(e, u) * u
-        for b in basis:
-            w = w - np.dot(w, b) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-10:
-            basis.append(w / nrm)
-        if len(basis) == n - 1:
-            break
-    return np.stack(basis, axis=0)

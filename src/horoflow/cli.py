@@ -7,9 +7,7 @@
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 configuration error. Reports are JSON (one record per check); sweeps are CSV
-with a stable column order and 17-significant-digit decimals. The
-environment variable HOROFLOW_THREADS caps how many checks run concurrently;
-results do not depend on it.
+with a stable column order and 17-significant-digit decimals.
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ from .manifold import (
     boundary_infinity,
     normalize_pair,
 )
-from .numerics import ConvergenceError, MCEstimate, gauss_legendre, mc_integrate_box, sphere_rule
+from .numerics import (ConvergenceError, MCEstimate, gauss_legendre, mc_integrate_box,
+                       orthonormal_complement, sphere_rule)
 
 __all__ = [
     "VisibilityError",
@@ -239,34 +240,15 @@ class IntersectionLocus:
 
         out = np.empty(self.sphere_nodes.shape[0])
         for i, omega in enumerate(self.sphere_nodes):
-            frame = _sphere_tangent_frame(omega)
             base = embed(omega)
             vecs = []
-            for tau in frame:
+            for tau in orthonormal_complement(omega):
                 plus = embed(np.cos(step) * omega + np.sin(step) * tau)
                 minus = embed(np.cos(step) * omega - np.sin(step) * tau)
                 vecs.append((plus - minus) / (2.0 * step))
             gram = np.array([[m.inner(base, a, b) for b in vecs] for a in vecs])
             out[i] = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
         return out
-
-
-def _sphere_tangent_frame(omega: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal tangent frame of the unit sphere at omega."""
-    n = omega.size
-    frame = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        w = e - np.dot(e, omega) * omega
-        for b in frame:
-            w = w - np.dot(w, b) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            frame.append(w / nrm)
-        if len(frame) == n - 1:
-            break
-    return frame
 
 
 def parametrize_locus(cfg: PairConfig, s: float, t: float, *, nodes: int | None = None) -> IntersectionLocus:

@@ -8,18 +8,19 @@ elsewhere. They deliberately avoid the closed forms they are used to verify.
 Monte Carlo reproducibility: samples come from a counter-based generator
 (Philox) keyed by (seed, block index) with a fixed block size, so sample i is
 a pure function of (seed, i). Partial sums are combined with a fixed-order
-pairwise tree, which makes results bit-identical across runs and across any
-parallel scheduling of blocks.
+pairwise tree, which makes results bit-identical across runs.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import ModelSpace, Point
+from .manifold import GeometryError, ModelSpace, Point
 
 __all__ = [
     "ConvergenceError",
@@ -27,10 +28,12 @@ __all__ = [
     "fd_hessian",
     "fd_jacobian",
     "fd_directional",
+    "orthonormal_complement",
     "ode_integrate",
     "QuadratureRule",
     "periodic_trapezoid",
     "gauss_legendre",
+    "tensor_rule",
     "sphere_rule",
     "unit_sphere_area",
     "MCEstimate",
@@ -48,91 +51,107 @@ class ConvergenceError(RuntimeError):
 # Finite differences
 # --------------------------------------------------------------------------
 
-# Default steps: 1e-5 for first-order quantities, 1e-4 for second-order,
-# Richardson extrapolation on by default (error O(step^4)).
+# Default steps: 1e-5 for first-order quantities, 1e-4 for second-order.
+# Every operator below uses the same Richardson-extrapolated central-difference
+# stencil, whose error is O(step^4).
 FD_STEP_GRAD = 1e-5
 FD_STEP_HESS = 1e-4
 
-
-def _central_gradient(fn, x, h):
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
+# offsets of the stencil along each direction, in units of the step
+_STENCIL_SCALES = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def fd_gradient(fn, x, step: float = FD_STEP_GRAD, richardson: bool = True):
+def _stencil(x, directions, step: float) -> np.ndarray:
+    """The center x, then x + c*step*d for c in _STENCIL_SCALES and each row d
+    of directions: shape (1 + 4k, n)."""
+    offsets = (_STENCIL_SCALES[:, None, None] * step) * directions[None, :, :]
+    return np.concatenate([x[None, :], (x + offsets).reshape(-1, x.size)])
+
+
+def _richardson_first(values, step: float) -> np.ndarray:
+    """First derivatives along each stencil direction (leading axis)."""
+    plus, minus, half_plus, half_minus = values[1:].reshape(4, -1, *values.shape[1:])
+    return (4.0 * (half_plus - half_minus) / step - (plus - minus) / (2.0 * step)) / 3.0
+
+
+def _richardson_second(values, step: float) -> np.ndarray:
+    """Second derivatives along each stencil direction (leading axis)."""
+    plus, minus, half_plus, half_minus = values[1:].reshape(4, -1, *values.shape[1:])
+    center = values[0]
+    coarse = (plus - 2.0 * center + minus) / (step * step)
+    fine = (half_plus - 2.0 * center + half_minus) / (0.25 * step * step)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _scalar_on_stencil(fn, x, directions, step: float) -> np.ndarray:
+    return np.array([fn(p) for p in _stencil(x, directions, step)], dtype=float)
+
+
+def fd_gradient(fn, x, step: float = FD_STEP_GRAD):
     """Central-difference gradient of a scalar function on R^n."""
-    if not richardson:
-        return _central_gradient(fn, x, step)
-    d1 = _central_gradient(fn, x, step)
-    d2 = _central_gradient(fn, x, step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _central_jacobian(fn, x, h):
     x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return _richardson_first(_scalar_on_stencil(fn, x, np.eye(x.size), step), step)
 
 
-def fd_jacobian(fn, x, step: float = FD_STEP_GRAD, richardson: bool = True):
-    """Central-difference Jacobian of a map R^n -> R^m (shape (m, n))."""
-    if not richardson:
-        return _central_jacobian(fn, x, step)
-    d1 = _central_jacobian(fn, x, step)
-    d2 = _central_jacobian(fn, x, step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+def fd_jacobian(fn, x, step: float = FD_STEP_GRAD):
+    """Central-difference Jacobian of a vectorized map R^n -> R^m.
+
+    ``fn`` maps an (N, n) array to (N, m); the whole stencil, center
+    included, is one call. Returns ``(J, fn(x))`` with J of shape (m, n).
+    """
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(fn(_stencil(x, np.eye(x.size), step)), dtype=float)
+    return _richardson_first(values, step).T, values[0]
 
 
-def _central_hessian(fn, x, h):
+def fd_hessian(fn, x, step: float = FD_STEP_HESS):
+    """Central-difference Hessian of a scalar function (symmetric (n, n)).
+
+    Second derivatives along e_i and e_i + e_j give the entries by
+    polarization: H_ij = (D(e_i + e_j) - D(e_i) - D(e_j)) / 2.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
-    out = np.empty((n, n))
-    f0 = fn(x)
-    for i in range(n):
-        ei = np.zeros_like(x)
-        ei[i] = h
-        out[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros_like(x)
-            ej[j] = h
-            val = (fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)) / (4.0 * h * h)
-            out[i, j] = out[j, i] = val
+    eye = np.eye(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    directions = np.array(list(eye) + [eye[i] + eye[j] for i, j in pairs])
+    second = _richardson_second(_scalar_on_stencil(fn, x, directions, step), step)
+    out = np.diag(second[:n])
+    for (i, j), d in zip(pairs, second[n:]):
+        out[i, j] = out[j, i] = 0.5 * (d - second[i] - second[j])
     return out
 
 
-def fd_hessian(fn, x, step: float = FD_STEP_HESS, richardson: bool = True):
-    """Central-difference Hessian of a scalar function (symmetric (n, n))."""
-    if not richardson:
-        return _central_hessian(fn, x, step)
-    d1 = _central_hessian(fn, x, step)
-    d2 = _central_hessian(fn, x, step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def fd_directional(fn, x, direction, step: float = FD_STEP_GRAD, richardson: bool = True):
+def fd_directional(fn, x, direction, step: float = FD_STEP_GRAD):
     """Directional derivative of a scalar function along a chart vector."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
     scale = np.linalg.norm(d)
     if scale == 0.0:
         return 0.0
-    u = d / scale
+    values = _scalar_on_stencil(fn, x, (d / scale)[None, :], step)
+    return scale * float(_richardson_first(values, step)[0])
 
-    def along(h):
-        return (fn(x + h * u) - fn(x - h * u)) / (2.0 * h)
 
-    if not richardson:
-        return scale * along(step)
-    return scale * (4.0 * along(step / 2.0) - along(step)) / 3.0
+def orthonormal_complement(u, inner=np.dot) -> np.ndarray:
+    """Rows orthonormal in ``inner`` spanning the complement of the unit vector u.
+
+    Gram-Schmidt of the coordinate axes against u, skipping an axis whose
+    remainder is too short to normalize accurately.
+    """
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    frame = []
+    for e in np.eye(n):
+        w = e - inner(e, u) * u
+        for b in frame:
+            w = w - inner(w, b) * b
+        nrm = math.sqrt(float(inner(w, w)))
+        if nrm > 1e-8:
+            frame.append(w / nrm)
+        if len(frame) == n - 1:
+            break
+    return np.array(frame).reshape(n - 1, n)
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +277,30 @@ def unit_sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
+# Largest product grid tensor_rule builds: above the 48^4-node plane of the
+# five-dimensional coarea slices, below the 64^4-node locus rule of H^6.
+TENSOR_RULE_MAX_NODES = 2 ** 23
+
+
+def tensor_rule(rules) -> QuadratureRule:
+    """Product of one-dimensional rules: nodes (N, d) in row-major order of the
+    factors, weights the products of the factor weights.
+
+    Raises :class:`GeometryError` when N exceeds ``TENSOR_RULE_MAX_NODES``,
+    before anything is allocated.
+    """
+    count = math.prod(r.nodes.size for r in rules)
+    if count > TENSOR_RULE_MAX_NODES:
+        sizes = "x".join(str(r.nodes.size) for r in rules)
+        raise GeometryError(
+            f"product rule of {sizes} = {count} nodes exceeds the cap of {TENSOR_RULE_MAX_NODES}"
+        )
+    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    weights = functools.reduce(np.multiply.outer, [r.weights for r in rules]).ravel()
+    return QuadratureRule("tensor-product", nodes, weights)
+
+
 def sphere_rule(m: int, nodes_per_axis: int = 64) -> QuadratureRule:
     """Quadrature on the unit sphere S^m in R^{m+1}.
 
@@ -275,17 +318,14 @@ def sphere_rule(m: int, nodes_per_axis: int = 64) -> QuadratureRule:
 
     polar = [gauss_legendre(nodes_per_axis, 0.0, math.pi) for _ in range(m - 1)]
     azimuth = gauss_legendre(nodes_per_axis, 0.0, 2.0 * math.pi)
-    grids = np.meshgrid(*[r.nodes for r in polar], azimuth.nodes, indexing="ij")
-    wgrids = np.meshgrid(*[r.weights for r in polar], azimuth.weights, indexing="ij")
-    angles = [g.ravel() for g in grids]
-    weights = np.ones(angles[0].size)
-    for w in wgrids:
-        weights = weights * w.ravel()
+    grid = tensor_rule(polar + [azimuth])
+    angles = grid.nodes.T
+    weights = grid.weights
     # spherical volume element: prod_k sin^{m-1-k}(theta_k), k = 0..m-2
     for k in range(m - 1):
         weights = weights * np.sin(angles[k]) ** (m - 1 - k)
     # embed: x_1 = cos t1, x_2 = sin t1 cos t2, ..., x_{m+1} = sin t1 ... sin tm
-    count = angles[0].size
+    count = weights.size
     coords = np.empty((count, m + 1))
     sin_prod = np.ones(count)
     for k in range(m):
@@ -337,12 +377,11 @@ def _pairwise_sum(parts: list[float]) -> float:
     return vals[0]
 
 
-def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int, *, map_blocks=None) -> MCEstimate:
+def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
     """Monte Carlo integral of a vectorized integrand over a chart box.
 
     ``fn`` maps an (N, n) array of chart points to (N,) integrand values; the
-    integrand must already include any volume density. ``map_blocks`` may be a
-    parallel map (e.g. ThreadPoolExecutor.map); results do not depend on it.
+    integrand must already include any volume density.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -358,8 +397,7 @@ def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int, *, map_blocks=None) 
         vals = np.asarray(fn(pts), dtype=float)
         return float(np.sum(vals)), float(np.sum(vals * vals))
 
-    mapper = map_blocks if map_blocks is not None else map
-    results = list(mapper(one_block, range(nblocks)))
+    results = [one_block(b) for b in range(nblocks)]
     total = _pairwise_sum([r[0] for r in results])
     total_sq = _pairwise_sum([r[1] for r in results])
     mean_f = total / n_samples
@@ -424,7 +462,7 @@ class TestFunction:
 
 def integrate_region(f, lo, hi, density_fn, *, method: str = "mc",
                      n_samples: int = 200_000, seed: int = 0,
-                     nodes_per_axis: int = 48, map_blocks=None):
+                     nodes_per_axis: int = 48):
     """Integrate f against a density over a chart box.
 
     ``method="mc"`` returns an :class:`MCEstimate`; ``method="quadrature"``
@@ -443,14 +481,8 @@ def integrate_region(f, lo, hi, density_fn, *, method: str = "mc",
         return np.asarray(f(pts), dtype=float) * np.asarray(density_fn(pts), dtype=float)
 
     if method == "mc":
-        return mc_integrate_box(integrand, lo, hi, n_samples, seed, map_blocks=map_blocks)
+        return mc_integrate_box(integrand, lo, hi, n_samples, seed)
     if method == "quadrature":
-        rules = [gauss_legendre(nodes_per_axis, float(a), float(b)) for a, b in zip(lo, hi)]
-        grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-        wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        w = np.ones(pts.shape[0])
-        for wg in wgrids:
-            w = w * wg.ravel()
-        return float(np.dot(w, integrand(pts)))
+        box = tensor_rule([gauss_legendre(nodes_per_axis, float(a), float(b)) for a, b in zip(lo, hi)])
+        return box.integrate(integrand(box.nodes))
     raise ValueError(f"unknown integration method {method!r}")

@@ -36,7 +36,8 @@ from .manifold import (
     boundary_from_direction,
     _same_model,
 )
-from .numerics import ConvergenceError, fd_directional, fd_jacobian, ode_integrate
+from .locus import make_pair_config
+from .numerics import ConvergenceError, fd_directional, fd_jacobian, ode_integrate, orthonormal_complement
 
 __all__ = [
     "SingularFlowError",
@@ -87,25 +88,6 @@ def normal_flow(f: BusemannField, t: float, x: Point) -> Point:
     return Point(f.model, NormalFlow(f)(t, x.coords))
 
 
-def _horosphere_frame(f: BusemannField, coords: np.ndarray) -> np.ndarray:
-    """Riemannian-orthonormal basis of the horosphere tangent space at coords."""
-    m = f.model
-    g = f.grad_chart(coords)
-    frame = []
-    for k in range(m.dim):
-        e = np.zeros(m.dim)
-        e[k] = 1.0
-        w = e - m.inner(coords, e, g) * g
-        for b in frame:
-            w = w - m.inner(coords, w, b) * b
-        nrm = float(m.norm(coords, w))
-        if nrm > 1e-8:
-            frame.append(w / nrm)
-        if len(frame) == m.dim - 1:
-            break
-    return np.stack(frame, axis=0)
-
-
 def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1e-5) -> float:
     """Volume expansion of the normal flow restricted to the horosphere through x.
 
@@ -115,15 +97,11 @@ def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1
     _same_model(f, x)
     m = f.model
     x0 = x.coords
+    frame = orthonormal_complement(f.grad_chart(x0), lambda a, b: m.inner(x0, a, b))
     flow = NormalFlow(f)
-    frame = _horosphere_frame(f, x0)
-    y0 = flow(t, x0)
-    pushed = []
-    for w in frame:
-        dplus = flow(t, x0 + step * w)
-        dminus = flow(t, x0 - step * w)
-        pushed.append((dplus - dminus) / (2.0 * step))
-    gram = np.array([[m.inner(y0, a, b) for b in pushed] for a in pushed])
+    J, y0 = fd_jacobian(lambda c: flow(t, c), x0, step=step)
+    pushed = frame @ J.T
+    gram = m.inner(y0, pushed[:, None, :], pushed[None, :, :])
     det = float(np.linalg.det(gram))
     if det <= 0:
         raise ConvergenceError("degenerate pushforward frame")
@@ -154,12 +132,21 @@ class AlphaMap:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        out = t + self.gap(t)
+        return float(out) if out.ndim == 0 else out
+
+    def gap(self, t):
+        """alpha(t) - t = (1/h) log1p((e^{h t0} - 1) e^{-h t}), or t0 when h = 0.
+
+        Computed without the subtraction, so it stays accurate (and strictly
+        decreasing for h > 0) where it is far smaller than t.
+        """
+        t = np.asarray(t, dtype=float)
         if self.h == 0.0:
-            out = t + self.t0
+            out = np.full_like(t, self.t0)
         else:
             h = self.h
-            # log1p form keeps t -> -inf stable: alpha = t + (1/h) log1p((e^{h t0}-1) e^{-h t})
-            out = t + np.log1p(np.expm1(h * self.t0) * np.exp(-h * t)) / h
+            out = np.log1p(np.expm1(h * self.t0) * np.exp(-h * t)) / h
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
@@ -238,8 +225,7 @@ class VolumePreservingMap:
     def apply_coords(self, coords) -> np.ndarray:
         m = self.model
         coords = m.check_coords(np.asarray(coords, dtype=float))
-        t = self.field.value(coords)
-        shift = np.asarray(self.alpha(t) - t)
+        shift = np.asarray(self.alpha.gap(self.field.value(coords)))
         return m.exp(coords, shift[..., None] * self.field.grad_chart(coords))
 
     def __call__(self, x: Point) -> Point:
@@ -252,8 +238,11 @@ class VolumePreservingMap:
         shift = np.asarray(self.alpha.inverse(b) - b)
         return m.exp(coords, shift[..., None] * self.field.grad_chart(coords))
 
-    def jacobian_det(self, coords, *, step: float = 1e-5) -> float:
-        """Riemannian Jacobian determinant by central differences (expect 1)."""
+    def jacobian_det(self, coords, *, step: float = 1e-3) -> float:
+        """Riemannian Jacobian determinant by central differences (expect 1).
+
+        The default step, in chart-scale units, is near eps^(1/5), where the
+        O(step^4) truncation error of the stencil meets its roundoff."""
         return riemannian_jacobian_det(self.model, self.apply_coords, np.asarray(coords, dtype=float), step=step)
 
 
@@ -272,9 +261,9 @@ def _chart_step(model: ModelSpace, coords: np.ndarray, step: float) -> float:
 def riemannian_jacobian_det(model: ModelSpace, chart_map, coords: np.ndarray, *, step: float = 1e-5) -> float:
     """|det d(chart_map)| corrected by the volume-density ratio at source and image."""
     coords = model.check_coords(np.asarray(coords, dtype=float))
-    J = fd_jacobian(lambda c: chart_map(c), coords, step=_chart_step(model, coords, step))
+    J, image = fd_jacobian(chart_map, coords, step=_chart_step(model, coords, step))
     det_chart = abs(float(np.linalg.det(J)))
-    ratio = float(model.volume_density(chart_map(coords)) / model.volume_density(coords))
+    ratio = float(model.volume_density(image) / model.volume_density(coords))
     return det_chart * ratio
 
 
@@ -352,8 +341,6 @@ def _guard_sum_flow(pf: PairFlow, x: Point, duration: float) -> None:
     """
     if pf.kind != SUM or not pf.model.is_hyperbolic:
         return
-    from .locus import make_pair_config
-
     cfg = make_pair_config(pf.f1, pf.f2)
     separation = cfg.separation(x)
     if separation <= D_MEMBERSHIP_TOL:
@@ -421,40 +408,17 @@ def flow_density(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3)
     return math.exp(float(state[-1])) * (1.0 + b0) / (1.0 + b1)
 
 
-def _flow_map_jacobian(pf: PairFlow, coords: np.ndarray, duration: float, *,
-                       step: float, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Richardson central-difference Jacobian of the flow map, with the whole
-    stencil integrated as one batch. Returns (J, image of coords)."""
-    n = coords.size
-    h1 = _chart_step(pf.model, coords, fd_step)
-    h2 = h1 / 2.0
-    offsets = [np.zeros(n)]
-    for h in (h1, h2):
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            offsets.append(e)
-            offsets.append(-e)
-    pts = coords[None, :] + np.array(offsets)
-    ends = ode_integrate(pf.vector, pts, duration, step=step)
-
-    def jac_block(block, h):
-        cols = [(block[2 * i] - block[2 * i + 1]) / (2.0 * h) for i in range(n)]
-        return np.stack(cols, axis=-1)
-
-    j1 = jac_block(ends[1:2 * n + 1], h1)
-    j2 = jac_block(ends[2 * n + 1:], h2)
-    return (4.0 * j2 - j1) / 3.0, ends[0]
+def _flow_map(pf: PairFlow, duration: float, step: float):
+    """The time-``duration`` flow map on a batch of chart points (fixed-step RK4)."""
+    return lambda pts: ode_integrate(pf.vector, pts, duration, step=step)
 
 
 def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
                     fd_step: float = 1e-5) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
-    determinant of the integrated flow map, with the volume-density correction."""
-    J, image = _flow_map_jacobian(pf, x.coords, duration, step=step, fd_step=fd_step)
-    det_chart = abs(float(np.linalg.det(J)))
-    ratio = float(pf.model.volume_density(image) / pf.model.volume_density(x.coords))
-    return det_chart * ratio
+    determinant of the integrated flow map, with the volume-density correction.
+    The whole stencil integrates as one batch."""
+    return riemannian_jacobian_det(pf.model, _flow_map(pf, duration, step), x.coords, step=fd_step)
 
 
 # --------------------------------------------------------------------------
@@ -463,14 +427,16 @@ def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, step: float = 1e
 
 
 def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: float = 1e-5) -> float:
-    """Riemannian divergence (1/sqrt g) d_i (sqrt g V^i) by central differences."""
+    """Riemannian divergence (1/sqrt g) d_i (sqrt g V^i) by central differences.
+
+    ``vector_fn`` maps an (N, n) batch of chart points to their chart vectors."""
     coords = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
     coords = model.check_coords(coords)
 
     def weighted(c):
-        return np.asarray(vector_fn(c), dtype=float) * model.volume_density(c)
+        return np.asarray(vector_fn(c), dtype=float) * model.volume_density(c)[:, None]
 
-    J = fd_jacobian(weighted, coords, step=_chart_step(model, coords, step))
+    J, _ = fd_jacobian(weighted, coords, step=_chart_step(model, coords, step))
     return float(np.trace(J) / model.volume_density(coords))
 
 
@@ -513,7 +479,8 @@ def gradient_pushforward_gap(pf: PairFlow, x: Point, duration: float, *, step: f
     :func:`form_pullback_gap` holds there).
     """
     m = pf.model
-    J, y = _flow_map_jacobian(pf, x.coords, duration, step=step, fd_step=fd_step)
+    J, y = fd_jacobian(_flow_map(pf, duration, step), x.coords,
+                       step=_chart_step(pf.model, x.coords, fd_step))
     worst = 0.0
     for f in (pf.f1, pf.f2):
         pushed = J @ f.grad_chart(x.coords)
@@ -531,7 +498,8 @@ def form_pullback_gap(pf: PairFlow, x: Point, duration: float, *, step: float = 
     worst chart-component gap over i = 1, 2.
     """
 
-    J, y = _flow_map_jacobian(pf, x.coords, duration, step=step, fd_step=fd_step)
+    J, y = fd_jacobian(_flow_map(pf, duration, step), x.coords,
+                       step=_chart_step(pf.model, x.coords, fd_step))
 
     def chart_form(f, c):
         # chart components of db: lower the gradient index with the metric

@@ -13,10 +13,11 @@ and ``all`` (their union in declaration order).
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+import zlib
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .manifold import (
     boundary_finite,
     boundary_infinity,
 )
-from .numerics import TestFunction, mc_integrate_box, unit_sphere_area
+from .numerics import TestFunction, fd_hessian, mc_integrate_box, unit_sphere_area
 
 __all__ = ["CheckReport", "VerifyContext", "SUITES", "run_suite", "poincare_example_checks", "sweep_rows"]
 
@@ -184,7 +185,14 @@ class VerifyContext:
         return self.model.random_points(self.rng, count, spread)
 
 
+def _skipped(name: str, statement: str, reason: str) -> CheckReport:
+    """Passing report of a check that does not apply to the model."""
+    return CheckReport(name=name, statement=statement, quantities={"skipped": reason},
+                       expected=None, provenance="exact", tolerance=0.0, status=PASS)
+
+
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(ctx: VerifyContext) -> CheckReport:
         start = time.perf_counter()
         rep = fn(ctx)
@@ -255,29 +263,23 @@ def check_hessian_bounds(ctx: VerifyContext) -> CheckReport:
 
 @_timed
 def check_hessian_fd(ctx: VerifyContext) -> CheckReport:
-    from .numerics import fd_gradient, fd_hessian
-
+    m = ctx.model
     f1, _ = ctx.field_pair()
+    eye = np.eye(m.dim)
+    directions = list(eye) + [a + b for a, b in itertools.combinations(eye, 2)]
     worst = 0.0
     for c in ctx.random_points(5):
-        if ctx.model.is_hyperbolic:
-            # FD steps scale with z: the chart scale of the conformal metric
-            z = c[-1]
-            d2 = fd_hessian(lambda y: float(f1.value(y)), c, step=1e-4 * z)
-            db = fd_gradient(lambda y: float(f1.value(y)), c, step=1e-5 * z)
-            hess = d2.copy()
-            hess[-1, :] += db / z
-            hess[:, -1] += db / z
-            hess -= np.eye(ctx.model.dim) * (db[-1] / z)
-            fd_op = z * z * hess
-        else:
-            fd_op = fd_hessian(lambda y: float(f1.value(y)), c)
-        worst = max(worst, float(np.max(np.abs(fd_op - f1.hessian_matrix(c)))))
+        H = f1.hessian_matrix(c)
+        for d in directions:
+            # Hess b(v, v) is the second derivative of b along the unit-speed geodesic
+            v = d / float(m.norm(c, d))
+            along = fd_hessian(lambda t: float(f1.value(m.exp(c, t[0] * v))), np.zeros(1), step=1e-3)
+            worst = max(worst, abs(float(along[0, 0]) - float(m.inner(c, H @ v, v))))
     tol = ctx.tol("busemann-hessian-fd-crosscheck", 1e-6)
     return CheckReport(
         name="busemann-hessian-fd-crosscheck",
-        statement="closed-form shape operator matches the finite-difference oracle",
-        quantities={"max_entry_gap": worst},
+        statement="closed-form shape operator matches second derivatives of b along geodesics",
+        quantities={"max_hessian_gap": worst, "directions": len(directions)},
         expected=0.0, provenance="cross-check", tolerance=tol,
         status=_verdict(worst, tol),
     )
@@ -319,12 +321,9 @@ def check_truncation_monotone(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_axis_gradient_cancellation(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return CheckReport(
-            name="busemann-axis-gradient-cancellation",
-            statement="gradients of the opposite fields cancel on the bi-asymptotic geodesic",
-            quantities={"skipped": "no bi-asymptotic geodesic in the Euclidean model"},
-            expected=None, provenance="exact", tolerance=0.0, status=PASS,
-        )
+        return _skipped("busemann-axis-gradient-cancellation",
+                        "gradients of the opposite fields cancel on the bi-asymptotic geodesic",
+                        "no bi-asymptotic geodesic in the Euclidean model")
     cfg = ctx.pair_config()
     worst = 0.0
     worst_beta = -1.0
@@ -386,7 +385,7 @@ def check_alpha_residual(ctx: VerifyContext) -> CheckReport:
 def check_alpha_gap_monotone(ctx: VerifyContext) -> CheckReport:
     a = tr.AlphaMap(ctx.h, ctx.t0)
     grid = np.linspace(-10.0, 10.0, 201)
-    gaps = a(grid) - grid
+    gaps = a.gap(grid)
     diffs = np.diff(gaps)
     if ctx.h > 0:
         ok = bool(np.all(diffs < 0))
@@ -473,7 +472,7 @@ def _pushforward_integral_pair(ctx: VerifyContext, F: tr.VolumePreservingMap,
     # enclose the preimage of the support in a metric ball, then a chart box
     b_c = float(F.field.value(bump.center.coords))
     t_lo = F.alpha.inverse(b_c - bump.radius)
-    delta_max = F.alpha(t_lo) - t_lo
+    delta_max = F.alpha.gap(t_lo)
     shell = TestFunction(bump.center, bump.radius + delta_max + 1e-9)
     plo, phi = shell.support_chart_box()
     pulled = mc_integrate_box(lambda pts: bump(F.apply_coords(pts)) * density(pts),
@@ -513,12 +512,9 @@ def check_map_out_of_image(ctx: VerifyContext) -> CheckReport:
     """Documented deviation: the map is not onto, so mass below the image
     threshold is invisible to the pullback integral."""
     if ctx.h == 0:
-        return CheckReport(
-            name="map-out-of-image-probe",
-            statement="h = 0 maps are translations (onto); no discrepancy to probe",
-            quantities={"skipped": True}, expected=None,
-            provenance="exact", tolerance=0.0, status=PASS,
-        )
+        return _skipped("map-out-of-image-probe",
+                        "h = 0 maps are translations (onto); no discrepancy to probe",
+                        "the h = 0 map is onto")
     p, q = ctx.map_endpoints()
     F = tr.VolumePreservingMap(ctx.model, p, q)
     flow = tr.NormalFlow(F.field)
@@ -585,12 +581,8 @@ def check_difference_flow_tracking(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_sum_flow_tracking(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return CheckReport(
-            name="sum-flow-level-tracking",
-            statement="sum-flow tracking is a visibility-model check",
-            quantities={"skipped": "Euclidean pair has no axis constant"},
-            expected=None, provenance="exact", tolerance=0.0, status=PASS,
-        )
+        return _skipped("sum-flow-level-tracking", "sum-flow tracking is a visibility-model check",
+                        "Euclidean pair has no axis constant")
     f1, f2 = ctx.field_pair()
     pf = tr.PairFlow(f1, f2, tr.SUM)
     worst = _tracking_errors(ctx, pf, sign2=+1.0)
@@ -645,12 +637,8 @@ def check_divergence_identities(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_flow_densities(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return CheckReport(
-            name="flow-volume-densities",
-            statement="pair-flow densities are a visibility-model check",
-            quantities={"skipped": "Euclidean pair has no axis constant"},
-            expected=None, provenance="exact", tolerance=0.0, status=PASS,
-        )
+        return _skipped("flow-volume-densities", "pair-flow densities are a visibility-model check",
+                        "Euclidean pair has no axis constant")
     f1, f2 = ctx.field_pair()
     cfg = lc.make_pair_config(f1, f2)
     pf_x = tr.PairFlow(f1, f2, tr.DIFFERENCE)
@@ -714,12 +702,9 @@ def check_gradient_transport(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_axis_floor(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return CheckReport(
-            name="pair-sum-floor",
-            statement="b1 + b2 is unbounded below in the Euclidean model (no floor)",
-            quantities={"skipped": True}, expected=None,
-            provenance="exact", tolerance=0.0, status=PASS,
-        )
+        return _skipped("pair-sum-floor",
+                        "b1 + b2 is unbounded below in the Euclidean model (no floor)",
+                        "Euclidean pair has no axis constant")
     cfg = ctx.pair_config()
     pts = ctx.random_points(4000, spread=1.5)
     vals = cfg.f1.value(pts) + cfg.f2.value(pts) - cfg.c0
@@ -738,12 +723,9 @@ def check_axis_floor(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_beta_monotone_along_sum_flow(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return CheckReport(
-            name="beta-monotone-along-sum-flow",
-            statement="sum-flow monotonicity is a visibility-model check",
-            quantities={"skipped": True}, expected=None,
-            provenance="exact", tolerance=0.0, status=PASS,
-        )
+        return _skipped("beta-monotone-along-sum-flow",
+                        "sum-flow monotonicity is a visibility-model check",
+                        "Euclidean pair has no axis constant")
     cfg = ctx.pair_config()
     pf_y = tr.PairFlow(cfg.f1, cfg.f2, tr.SUM)
     worst = math.inf
@@ -772,12 +754,7 @@ def check_beta_monotone_along_sum_flow(ctx: VerifyContext) -> CheckReport:
 # --------------------------------------------------------------------------
 
 
-def _hyperbolic_only(name: str, statement: str):
-    return CheckReport(
-        name=name, statement=statement,
-        quantities={"skipped": "intersection loci require the visibility model"},
-        expected=None, provenance="exact", tolerance=0.0, status=PASS,
-    )
+LOCUS_SKIP = "intersection loci require the visibility model"
 
 
 def _closed_form_vw(ctx: VerifyContext, s: float) -> tuple[float, float, float]:
@@ -790,7 +767,7 @@ def _closed_form_vw(ctx: VerifyContext, s: float) -> tuple[float, float, float]:
 @_timed
 def check_locus_membership(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("locus-membership", "locus nodes solve both level equations")
+        return _skipped("locus-membership", "locus nodes solve both level equations", LOCUS_SKIP)
     cfg = ctx.pair_config()
     worst = 0.0
     for s in ctx.s_grid:
@@ -810,8 +787,8 @@ def check_locus_membership(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_vw_t_invariance(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("weighted-integrals-t-invariance",
-                                "V and W do not depend on the level difference")
+        return _skipped("weighted-integrals-t-invariance",
+                        "V and W do not depend on the level difference", LOCUS_SKIP)
     cfg = ctx.pair_config()
     worst_spread = 0.0
     worst_closed = 0.0
@@ -844,7 +821,7 @@ def check_vw_t_invariance(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_dw_ds(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("w-growth-rate", "dW/ds equals (h/2)(W+V)")
+        return _skipped("w-growth-rate", "dW/ds equals (h/2)(W+V)", LOCUS_SKIP)
     cfg = ctx.pair_config()
     worst = 0.0
     rows = []
@@ -866,7 +843,7 @@ def check_dw_ds(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_volume_bound(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("locus-volume-bound", "vol <= (V+W)/2 with t-invariant bound")
+        return _skipped("locus-volume-bound", "vol <= (V+W)/2 with t-invariant bound", LOCUS_SKIP)
     cfg = ctx.pair_config()
     s_vals = np.concatenate([[math.log(2.0)], np.linspace(0.2, 2.6, 9)])
     t_vals = np.linspace(-3.0, 3.0, 10)
@@ -898,7 +875,7 @@ def check_volume_bound(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_beta_bound_and_monotone_volume(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("locus-beta-bound", "beta <= 1 - 2 e^{-h s} and volume grows in s")
+        return _skipped("locus-beta-bound", "beta <= 1 - 2 e^{-h s} and volume grows in s", LOCUS_SKIP)
     cfg = ctx.pair_config()
     ok_beta = True
     margins = []
@@ -931,8 +908,8 @@ def check_beta_bound_and_monotone_volume(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_isometry_invariance(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("locus-isometry-invariance",
-                                "normalized and general-coordinates quadrature agree")
+        return _skipped("locus-isometry-invariance",
+                        "normalized and general-coordinates quadrature agree", LOCUS_SKIP)
     m = ctx.model
     if m.dim == 2:
         xi1, xi2 = boundary_finite(m, [1.0]), boundary_finite(m, [-1.0])
@@ -965,7 +942,7 @@ def check_isometry_invariance(ctx: VerifyContext) -> CheckReport:
 @_timed
 def check_strip_volume(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _hyperbolic_only("strip-volume", "slab intersections have level-difference invariant volume")
+        return _skipped("strip-volume", "slab intersections have level-difference invariant volume", LOCUS_SKIP)
     cfg = ctx.pair_config()
     c1 = c2 = 0.5 * (math.log(2.0) + cfg.c0)
     r = 0.5
@@ -1200,34 +1177,19 @@ SUITES["all"] = [fn for name in ("busemann", "map-f", "flows", "intersections", 
                  for fn in SUITES[name]]
 
 
-def thread_budget() -> int:
-    raw = os.environ.get("HOROFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _isolated_context(ctx: VerifyContext, index: int) -> VerifyContext:
-    """Per-check context clone with its own derived generator, so results do
-    not depend on check scheduling or thread count."""
+def _isolated_context(ctx: VerifyContext, check) -> VerifyContext:
+    """Per-check context clone with a generator keyed by the check's name, so
+    a check reports the same numbers in every suite that runs it."""
     clone = copy.copy(ctx)
-    clone.rng = np.random.default_rng([ctx.seed, index])
+    clone.rng = np.random.default_rng([ctx.seed, zlib.crc32(check.__name__.encode())])
     return clone
 
 
 def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
-    """Run every check of a suite; report order follows declaration order
-    regardless of how the checks are scheduled."""
+    """Run every check of a suite in declaration order."""
     if suite not in SUITES:
         raise GeometryError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     checks = list(SUITES[suite])
     if suite == "map-f" and ctx.probe_outside_image:
         checks.append(check_map_out_of_image)
-    contexts = [_isolated_context(ctx, i) for i in range(len(checks))]
-    threads = thread_budget()
-    if threads <= 1:
-        return [fn(c) for fn, c in zip(checks, contexts)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, c) for fn, c in zip(checks, contexts)]
-        return [f.result() for f in futures]
+    return [fn(_isolated_context(ctx, fn)) for fn in checks]

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -68,15 +67,21 @@ class TestVerifyCommand:
         pb = _strip_wall_times(json.loads(b.read_text()))
         assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
 
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
+    def test_check_results_do_not_depend_on_the_suite(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.setenv("HOROFLOW_THREADS", "1")
-        assert main(["verify", "busemann", "--out", str(a)]) == 0
-        monkeypatch.setenv("HOROFLOW_THREADS", "4")
-        assert main(["verify", "busemann", "--out", str(b)]) == 0
-        pa = _strip_wall_times(json.loads(a.read_text()))
-        pb = _strip_wall_times(json.loads(b.read_text()))
-        assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
+        assert main(["verify", "map-f", "--model", "h2", "--samples", "20000", "--out", str(a)]) == 0
+        assert main(["verify", "all", "--model", "h2", "--samples", "20000", "--out", str(b)]) == 0
+        alone = _strip_wall_times(json.loads(a.read_text()))["checks"]
+        by_name = {c["name"]: c for c in _strip_wall_times(json.loads(b.read_text()))["checks"]}
+        assert alone == [by_name[c["name"]] for c in alone]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "coarea", "--model", "e8"],
+        ["sweep", "--model", "h6", "--s", "1:1:1", "--t", "0:0:1"],
+    ])
+    def test_infeasible_grid_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_probe_outside_image_discrepancy_status(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -1,7 +1,6 @@
 """Numerical engines: finite differences, quadrature, Monte Carlo, ODE."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,8 +29,16 @@ class TestFiniteDifferences:
         assert np.max(np.abs(g - [0, 0, -0.5])) <= 1e-8
 
     def test_jacobian_of_identity(self):
-        J = fd_jacobian(lambda x: x.copy(), np.array([1.0, 2.0, 3.0]))
+        batches = []
+
+        def identity(pts):
+            batches.append(pts.shape)
+            return pts.copy()
+
+        J, center = fd_jacobian(identity, np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(J - np.eye(3))) <= 1e-9
+        assert np.all(center == [1.0, 2.0, 3.0])
+        assert batches == [(13, 3)]  # the whole stencil, center included, in one call
 
     def test_hessian_quadratic_exact_structure(self):
         A = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.3], [0.0, 0.3, 0.7]])
@@ -42,8 +49,9 @@ class TestFiniteDifferences:
         fn = lambda x: math.sin(x[0]) * math.exp(x[1])
         x0 = np.array([0.7, -0.3])
         exact = np.array([math.cos(0.7) * math.exp(-0.3), math.sin(0.7) * math.exp(-0.3)])
-        coarse = fd_gradient(fn, x0, step=1e-3, richardson=False)
-        fine = fd_gradient(fn, x0, step=1e-3, richardson=True)
+        h = 1e-3
+        coarse = np.array([(fn(x0 + h * e) - fn(x0 - h * e)) / (2.0 * h) for e in np.eye(2)])
+        fine = fd_gradient(fn, x0, step=h)
         assert np.max(np.abs(fine - exact)) < np.max(np.abs(coarse - exact))
 
     def test_directional(self):
@@ -118,16 +126,6 @@ class TestMonteCarlo:
         lo, hi = bump.support_chart_box()
         est = mc_integrate_box(lambda p: bump(p), lo, hi, 200_000, seed=123)
         assert est.agrees_with(bump.exact_euclidean_integral(), sigmas=3.0)
-
-    def test_fixed_seed_bit_identical_across_thread_counts(self, e3):
-        bump = TestFunction(Point(e3, [0.0, 0.0, 0.0]), 0.6)
-        lo, hi = bump.support_chart_box()
-        serial = mc_integrate_box(lambda p: bump(p), lo, hi, 100_000, seed=9)
-        with ThreadPoolExecutor(4) as pool:
-            threaded = mc_integrate_box(lambda p: bump(p), lo, hi, 100_000, seed=9,
-                                        map_blocks=pool.map)
-        assert serial.mean == threaded.mean
-        assert serial.standard_error == threaded.standard_error
 
     def test_error_scaling_sqrt2(self, e3):
         bump = TestFunction(Point(e3, [0.0, 0.0, 0.0]), 0.6)

@@ -156,6 +156,9 @@ class TestAlpha:
         a = AlphaMap(2.0, 1.0)
         ts = np.linspace(-10, 10, 201)
         assert np.all(np.diff(a(ts) - ts) < 0)
+        # from h = 4 on, alpha(t) - t loses the gap to rounding near t = 10
+        for h in range(1, 8):
+            assert np.all(np.diff(AlphaMap(float(h), 1.0).gap(ts)) < 0)
 
     def test_range_infimum(self):
         a = AlphaMap(2.0, 1.0)
@@ -211,10 +214,12 @@ class TestVolumePreservingMap:
             assert np.max(np.abs(F.apply_coords(pc) - qc)) <= 1e-10
 
     def test_unit_jacobian(self, h3, h2, e3, rng):
+        h5 = ModelSpace(HYPERBOLIC, 5)
         cases = [
             (h3, [0, 0, 1], [0.3, 0.2, 0.6]),
             (h2, [0, 1], [0, math.exp(-1.0)]),
             (e3, [0, 0, 0], [1, 1, 1]),
+            (h5, [0, 0, 0, 0, 1], [0, 0, 0, 0, math.exp(-1.0)]),
         ]
         for m, pc, qc in cases:
             F = VolumePreservingMap(m, Point(m, pc), Point(m, qc))
