@@ -85,12 +85,15 @@ from .transport import (
 from .locus import (
     EmptyLocusError,
     IntersectionLocus,
+    LocusValues,
     PairConfig,
     VisibilityError,
     beta_bound_check,
     dw_ds_check,
     integral_v,
     integral_w,
+    locus_quadrature,
+    locus_values,
     make_pair_config,
     parametrize_locus,
     strip_volume,

@@ -6,8 +6,11 @@
     horoflow sweep --s a:b:k --t a:b:k [--model hN] [--out path]
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
-configuration error. Reports are JSON (one record per check); sweeps are CSV
-with a stable column order and 17-significant-digit decimals.
+configuration error, or a check that stopped with an error (2 wins over 1).
+Reports are JSON (one record per check, an ``error`` record for a check that
+raised); sweeps are CSV with a stable column order and 17-significant-digit
+decimals. A sweep evaluates the closed forms of the locus quantities, in
+O(1) per cell, on any hN with 2 <= N <= 8.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from .manifold import EUCLIDEAN, HYPERBOLIC, GeometryError, ModelSpace
 from .verify import (
+    ERROR,
     FAIL,
     SWEEP_COLUMNS,
     CheckReport,
@@ -73,6 +77,8 @@ class RunConfig:
     model: str = "h3"
     seed: int = 42
     samples: int = 150_000
+    # sphere-rule nodes per angle of the verify quadrature oracles; sweeps
+    # evaluate closed forms and build no rule
     locus_nodes: int | None = None
     s_grid: list = field(default_factory=lambda: [0.5, math.log(2.0), 2.0])
     t_grid: list = field(default_factory=lambda: [-3.0, -1.0, 0.0, 1.0, 3.0])
@@ -131,11 +137,16 @@ def _emit_report(suite: str, cfg: RunConfig, reports: list[CheckReport]) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    failed = [r for r in reports if r.status == FAIL]
     for r in reports:
-        marker = {"pass": "PASS", "fail": "FAIL", "paper-discrepancy": "DISCREPANCY"}[r.status]
+        marker = {"pass": "PASS", "fail": "FAIL", "paper-discrepancy": "DISCREPANCY",
+                  "error": "ERROR"}[r.status]
         print(f"{marker:12s} {r.name}", file=sys.stderr)
-    return 1 if failed else 0
+    errors = [r for r in reports if r.status == ERROR]
+    for r in errors:
+        print(f"error: {r.name}: {r.quantities['error']}", file=sys.stderr)
+    if errors:
+        return USAGE_ERROR
+    return 1 if any(r.status == FAIL for r in reports) else 0
 
 
 def cmd_verify(args) -> int:
@@ -161,8 +172,6 @@ def cmd_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import locus as lc
-
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.model is not None:
         cfg.model = args.model
@@ -173,9 +182,7 @@ def cmd_sweep(args) -> int:
     model = parse_model(cfg.model)
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
-    ctx = VerifyContext(model=model, seed=cfg.seed, samples=cfg.samples,
-                        locus_nodes=cfg.locus_nodes)
-    rows = sweep_rows(ctx.pair_config(), s_grid, t_grid, nodes=cfg.locus_nodes)
+    rows = sweep_rows(VerifyContext(model=model).pair_config(), s_grid, t_grid)
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(f"{row[col]:.17g}" for col in SWEEP_COLUMNS))
@@ -212,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("--out", help="report path (default: stdout)")
     p_example.set_defaults(fn=cmd_example)
 
-    p_sweep = sub.add_parser("sweep", help="CSV sweep of locus quantities over an (s, t) grid")
+    p_sweep = sub.add_parser("sweep", help="CSV sweep of the closed-form locus quantities over an (s, t) grid")
     p_sweep.add_argument("--s", required=True, help="s grid as a:b:k (k points from a to b)")
     p_sweep.add_argument("--t", required=True, help="t grid as a:b:k (negative bounds allowed)")
-    p_sweep.add_argument("--model", help="hyperbolic model, default h3")
+    p_sweep.add_argument("--model", help="hyperbolic model h2..h8, default h3")
     p_sweep.add_argument("--config", help="JSON config file")
     p_sweep.add_argument("--out", help="CSV path (default: stdout)")
     p_sweep.set_defaults(fn=cmd_sweep)

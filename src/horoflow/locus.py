@@ -14,17 +14,21 @@ slides the locus along D without changing the weighted integrals
 
 where beta = g(grad b1, grad b2) and dmu' is the induced measure.
 
-All quadrature runs in normalized coordinates (boundary points moved to the
-origin and infinity), where the locus is a round chart sphere of radius rho
-at height a with rho/a = sqrt(e^s - 1). The un-normalized path recomputes
-the induced measure from finite-difference tangent frames and serves as an
-independent cross-check.
+The product path is closed form: in normalized coordinates (boundary points
+moved to the origin and infinity) the locus is a round chart sphere with
+radius/height = sqrt(e^s - 1), and beta = 1 - 2 e^{-s} on it, which
+:func:`locus_values` turns into vol, V, W and (V + W)/2 in O(1). The oracle
+is :func:`locus_quadrature`: a sphere rule, beta at its nodes from the
+original fields, and the induced density in normalized coordinates or from
+finite-difference tangent frames in the original ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +39,10 @@ from .manifold import (
     Isometry,
     ModelMismatchError,
     Point,
-    boundary_finite,
-    boundary_infinity,
     normalize_pair,
 )
-from .numerics import (ConvergenceError, MCEstimate, gauss_legendre, mc_integrate_box,
-                       orthonormal_complement, sphere_rule)
+from .numerics import (MCEstimate, QuadratureRule, gauss_legendre, mc_integrate_box,
+                       orthonormal_complement, sphere_rule, unit_sphere_area)
 
 __all__ = [
     "VisibilityError",
@@ -49,6 +51,9 @@ __all__ = [
     "make_pair_config",
     "IntersectionLocus",
     "parametrize_locus",
+    "LocusValues",
+    "locus_values",
+    "locus_quadrature",
     "volume_locus",
     "integral_v",
     "integral_w",
@@ -69,10 +74,13 @@ class EmptyLocusError(GeometryError):
     region reaches the axis level (c1 + c2 <= c0)."""
 
 
-# default quadrature sizes: trapezoid nodes on the circle for n=3,
-# Gauss-Legendre nodes per spherical angle for n >= 4
+# default sizes of the oracle's sphere rule: trapezoid nodes on the circle
+# for n=3, Gauss-Legendre nodes per spherical angle for n >= 4
 CIRCLE_NODES = 512
 ANGLE_NODES = 64
+# Largest rule for measure_factors_fd, whose loop takes about 0.6 ms a node:
+# the 24^3 nodes of the H^5 isometry check take 8 s, H^6's 24^4 would take minutes.
+FD_FRAME_MAX_NODES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,10 @@ class PairConfig:
         return busemann_value(self.f1, x) + busemann_value(self.f2, x) - self.c0
 
     def locus_geometry(self, s: float, t: float) -> tuple[float, float]:
-        """Normalized chart height a and sphere radius rho of S(s, t)."""
+        """Normalized chart height a and sphere radius rho of S(s, t); raises
+        :class:`EmptyLocusError` for s < 0 (below the axis level)."""
+        if s < 0:
+            raise EmptyLocusError(f"s = {s} < 0: empty intersection")
         l1 = 0.5 * (s + self.c0 + t)
         l2 = 0.5 * (s + self.c0 - t)
         a = math.exp(self.k2 - l2)
@@ -171,15 +182,29 @@ def make_pair_config(f1: BusemannField, f2: BusemannField) -> PairConfig:
 
 @dataclass(frozen=True)
 class IntersectionLocus:
-    """Quadrature-ready parametrization of S(s, t) by the unit (n-2)-sphere."""
+    """S(s, t) as a round chart sphere in normalized coordinates; the oracle's
+    sphere rule is built on first use of its nodes or weights."""
 
     config: PairConfig
     s: float
     t: float
     height: float          # normalized chart height a
     radius: float          # normalized chart sphere radius rho
-    sphere_nodes: np.ndarray   # (K, n-1) unit vectors
-    sphere_weights: np.ndarray  # (K,) weights summing to the unit-sphere volume
+    nodes: int             # sphere-rule nodes per angle
+
+    @functools.cached_property
+    def _rule(self) -> QuadratureRule:
+        return sphere_rule(self.config.model.dim - 2, self.nodes)
+
+    @property
+    def sphere_nodes(self) -> np.ndarray:
+        """(K, n-1) unit vectors of the sphere rule."""
+        return np.atleast_2d(self._rule.nodes)
+
+    @property
+    def sphere_weights(self) -> np.ndarray:
+        """(K,) weights summing to the unit-sphere volume."""
+        return self._rule.weights
 
     @property
     def degenerate(self) -> bool:
@@ -226,19 +251,25 @@ class IntersectionLocus:
         Pushes a finite-difference tangent frame of the sphere through the
         inverse normalizer and takes the Gram determinant in the metric;
         cross-checks :meth:`measure_factor` (they agree by isometry
-        invariance).
+        invariance). Raises :class:`GeometryError` above
+        ``FD_FRAME_MAX_NODES`` nodes, before the loop starts.
         """
         m = self.config.model
         dim_sphere = m.dim - 2
         if dim_sphere == 0 or self.degenerate:
             return np.full(self.sphere_nodes.shape[0], self.measure_factor())
+        count = self.sphere_nodes.shape[0]
+        if count > FD_FRAME_MAX_NODES:
+            raise GeometryError(
+                f"finite-difference frames at {count} nodes exceed the cap of {FD_FRAME_MAX_NODES}"
+            )
         inv = self.config.normalizer.inverse()
 
         def embed(omega):
             y = np.concatenate([self.radius * omega, [self.height]])
             return inv.apply_coords(y)
 
-        out = np.empty(self.sphere_nodes.shape[0])
+        out = np.empty(count)
         for i, omega in enumerate(self.sphere_nodes):
             base = embed(omega)
             vecs = []
@@ -252,100 +283,119 @@ class IntersectionLocus:
 
 
 def parametrize_locus(cfg: PairConfig, s: float, t: float, *, nodes: int | None = None) -> IntersectionLocus:
-    """Parametrize S(s, t) by the standard (n-2)-sphere.
+    """S(s, t), for the closed forms and the quadrature oracle.
 
     s > 0 gives the genuine locus; s = 0 degenerates to the single axis
     point; s < 0 raises :class:`EmptyLocusError` (the sum of the Busemann
-    values never drops below c0).
+    values never drops below c0). ``nodes`` sizes the oracle's sphere rule,
+    which is not built here.
     """
-    if s < 0:
-        raise EmptyLocusError(f"s = {s} < 0: empty intersection")
     a, rho = cfg.locus_geometry(s, t)
-    m = cfg.model
     if nodes is None:
-        nodes = CIRCLE_NODES if m.dim == 3 else ANGLE_NODES
-    rule = sphere_rule(m.dim - 2, nodes)
-    return IntersectionLocus(config=cfg, s=float(s), t=float(t), height=a, radius=rho,
-                             sphere_nodes=np.atleast_2d(rule.nodes), sphere_weights=rule.weights)
+        nodes = CIRCLE_NODES if cfg.model.dim == 3 else ANGLE_NODES
+    return IntersectionLocus(config=cfg, s=float(s), t=float(t), height=a, radius=rho, nodes=nodes)
 
 
-def _weighted_integral(L: IntersectionLocus, weight_fn, path: str = "normalized") -> float:
+class LocusValues(NamedTuple):
+    """The locus quantities of one S(s, t), in the column order of a sweep."""
+
+    vol: float        # (n-2)-dimensional volume
+    V: float          # integral of sqrt((1-beta)/(1+beta))
+    W: float          # integral of sqrt((1+beta)/(1-beta))
+    bound: float      # integral of (1-beta^2)^(-1/2), which is (V + W)/2
+    beta_max: float   # largest beta on the locus
+
+
+def locus_values(cfg: PairConfig, s: float, t: float) -> LocusValues:
+    """Closed forms of the locus quantities on S(s, t), in O(1).
+
+    With x = e^s - 1 = (rho/a)^2, beta = 1 - 2 e^{-s} at every point of the
+    locus, so the V and W weights are x^(-1/2) and x^(1/2), and
+    vol, V, W = |S^{n-2}| x^{k/2} for k = n-2, n-3, n-1. On the degenerate
+    s = 0 locus vol = 0 and beta = -1, and V, W and the bound are undefined
+    (nan). Raises :class:`EmptyLocusError` where :func:`parametrize_locus` does.
+    """
+    _, rho = cfg.locus_geometry(s, t)
+    beta_max = 1.0 - 2.0 * math.exp(-s)
+    if rho == 0.0:
+        return LocusValues(0.0, math.nan, math.nan, math.nan, beta_max)
+    x = math.expm1(s)
+    n = cfg.model.dim
+    vol = unit_sphere_area(n - 2) * x ** (0.5 * (n - 2))
+    root = math.sqrt(x)
+    v, w = vol / root, vol * root
+    return LocusValues(vol, v, w, 0.5 * (v + w), beta_max)
+
+
+def locus_quadrature(L: IntersectionLocus, *, general: bool = False) -> LocusValues:
+    """Oracle of :func:`locus_values`: the same quantities by the sphere rule,
+    with beta evaluated at the nodes from the original fields.
+
+    The induced density is the constant (rho/a)^(n-2) of normalized
+    coordinates, or with ``general`` the per-node density of
+    :meth:`IntersectionLocus.measure_factors_fd`. Raises
+    :class:`GeometryError` where |beta| reaches 1 and the weights are singular.
+    """
+    if L.degenerate:
+        return LocusValues(0.0, math.nan, math.nan, math.nan, -1.0)
     b = L.beta_values()
     if np.any(np.abs(b) >= 1.0 - 1e-12):
         raise GeometryError("weight singularity: |beta| reached 1 on the locus")
-    if path == "normalized":
-        density = L.measure_factor()
-        return float(np.dot(L.sphere_weights, weight_fn(b)) * density)
-    if path == "general":
-        density = L.measure_factors_fd()
-        return float(np.dot(L.sphere_weights * density, weight_fn(b)))
-    raise ValueError(f"unknown quadrature path {path!r}")
+    if general:
+        weights, density = L.sphere_weights * L.measure_factors_fd(), 1.0
+    else:
+        weights, density = L.sphere_weights, L.measure_factor()
+
+    def integral(values) -> float:
+        return float(np.dot(weights, values) * density)
+
+    return LocusValues(integral(np.ones_like(b)), integral(np.sqrt((1.0 - b) / (1.0 + b))),
+                       integral(np.sqrt((1.0 + b) / (1.0 - b))), integral(1.0 / np.sqrt(1.0 - b * b)),
+                       float(np.max(b)))
 
 
-def volume_locus(L: IntersectionLocus, path: str = "normalized", *,
-                 check_convergence: bool = False) -> float:
-    """(n-2)-dimensional Riemannian volume of the locus.
-
-    With ``check_convergence`` the quadrature reruns at half the node count
-    and a mismatch beyond 1e-9 raises :class:`ConvergenceError`.
-    """
-    if L.degenerate:
-        return 0.0
-    val = _weighted_integral(L, lambda b: np.ones_like(b), path)
-    if check_convergence:
-        half = parametrize_locus(L.config, L.s, L.t,
-                                 nodes=max(8, L.sphere_weights.size // 2))
-        ref = _weighted_integral(half, lambda b: np.ones_like(b), path)
-        if abs(val - ref) > 1e-9 * max(1.0, abs(val)):
-            raise ConvergenceError(f"locus quadrature has not converged: {val} vs {ref}")
-    return val
+def volume_locus(L: IntersectionLocus) -> float:
+    """(n-2)-dimensional Riemannian volume of the locus (closed form)."""
+    return locus_values(L.config, L.s, L.t).vol
 
 
-def integral_v(L: IntersectionLocus, path: str = "normalized") -> float:
-    """Integral of sqrt((1-beta)/(1+beta)) over the locus (t-invariant).
+def integral_v(L: IntersectionLocus) -> float:
+    """Integral of sqrt((1-beta)/(1+beta)) over the locus (t-invariant closed form).
 
     Undefined (nan) on the degenerate s = 0 locus, where beta = -1; the
     continuity limit appears only in reports, never in assertions."""
-    if L.degenerate:
-        return math.nan
-    return _weighted_integral(L, lambda b: np.sqrt((1.0 - b) / (1.0 + b)), path)
+    return locus_values(L.config, L.s, L.t).V
 
 
-def integral_w(L: IntersectionLocus, path: str = "normalized") -> float:
-    """Integral of sqrt((1+beta)/(1-beta)) over the locus (t-invariant).
+def integral_w(L: IntersectionLocus) -> float:
+    """Integral of sqrt((1+beta)/(1-beta)) over the locus (t-invariant closed form).
 
     Undefined (nan) on the degenerate s = 0 locus."""
-    if L.degenerate:
-        return math.nan
-    return _weighted_integral(L, lambda b: np.sqrt((1.0 + b) / (1.0 - b)), path)
-
-
-def _mean_inverse_weight(L: IntersectionLocus) -> float:
-    """Integral of (1 - beta^2)^(-1/2) over the locus: (V + W)/2."""
-    return _weighted_integral(L, lambda b: 1.0 / np.sqrt(1.0 - b * b))
+    return locus_values(L.config, L.s, L.t).W
 
 
 def dw_ds_check(cfg: PairConfig, s: float, t: float, *, step: float = 1e-3,
                 nodes: int | None = None) -> tuple[float, float]:
-    """Central difference of W in s against (h/2)(W + V) at (s, t)."""
+    """Central difference in s of the quadrature W against the closed form
+    (h/2)(W + V) at (s, t)."""
     if s <= step:
         raise GeometryError("s must exceed the differencing step")
-    w_plus = integral_w(parametrize_locus(cfg, s + step, t, nodes=nodes))
-    w_minus = integral_w(parametrize_locus(cfg, s - step, t, nodes=nodes))
+    w_plus = locus_quadrature(parametrize_locus(cfg, s + step, t, nodes=nodes)).W
+    w_minus = locus_quadrature(parametrize_locus(cfg, s - step, t, nodes=nodes)).W
     lhs = (w_plus - w_minus) / (2.0 * step)
-    L = parametrize_locus(cfg, s, t, nodes=nodes)
-    rhs = 0.5 * cfg.h * (integral_w(L) + integral_v(L))
+    closed = locus_values(cfg, s, t)
+    rhs = 0.5 * cfg.h * (closed.W + closed.V)
     return lhs, rhs
 
 
-def volume_upper_bound(cfg: PairConfig, s: float, t: float, *, nodes: int | None = None) -> tuple[float, float]:
-    """Locus volume and its t-invariant upper bound (V + W)/2."""
-    L = parametrize_locus(cfg, s, t, nodes=nodes)
-    return volume_locus(L), _mean_inverse_weight(L)
+def volume_upper_bound(cfg: PairConfig, s: float, t: float) -> tuple[float, float]:
+    """Locus volume and its t-invariant upper bound (V + W)/2 (closed forms)."""
+    vals = locus_values(cfg, s, t)
+    return vals.vol, vals.bound
 
 
 def beta_bound_check(L: IntersectionLocus, margin: float = 1e-9) -> bool:
-    """max beta on the locus <= 1 - 2 e^{-h s} (+ margin)."""
+    """max beta over the quadrature nodes <= 1 - 2 e^{-h s} (+ margin)."""
     if L.degenerate:
         return True
     bound = 1.0 - 2.0 * math.exp(-L.config.h * L.s)
@@ -370,15 +420,16 @@ def _strip_geometry(cfg: PairConfig, c1: float, c2: float, r: float) -> float:
 
 
 def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *,
-                 s_nodes: int = 80, locus_nodes: int | None = None) -> float:
+                 s_nodes: int = 80, section=None) -> float:
     """n-volume of {c1 <= b1 <= c1+r} intersect {c2 <= b2 <= c2+r} by slicing.
 
     In (s, t) = (b1+b2-c0, b1-b2) coordinates the square becomes a diamond
     whose t-sections have length 2*min(sigma, 2r-sigma); since the section
     integral I(s) of (1-beta^2)^{-1/2} is t-invariant, the volume reduces to
     a single quadrature of min(sigma, 2r-sigma) * I(s) over sigma in [0, 2r].
-    I(s) is evaluated on S(s, c1-c2), so shifting c1-c2 at fixed c1+c2
-    genuinely re-tests the t-invariance.
+    I(s) is the closed-form bound of S(s, c1-c2). ``section(s, t)``
+    replaces it, say by the quadrature oracle; then shifting c1-c2 at fixed
+    c1+c2 genuinely re-tests the t-invariance.
 
     The domain is r > 0 and c1 + c2 > c0, so the whole region lies above
     the axis level and every section S(s, t) has s > 0. A region that
@@ -389,10 +440,12 @@ def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *,
     """
     s_lo = _strip_geometry(cfg, c1, c2, r)
     t_ref = c1 - c2
+    if section is None:
+        def section(s: float, t: float) -> float:
+            return locus_values(cfg, s, t).bound
 
     def integrand(sigma: float) -> float:
-        L = parametrize_locus(cfg, s_lo + sigma, t_ref, nodes=locus_nodes)
-        return min(sigma, 2.0 * r - sigma) * _mean_inverse_weight(L)
+        return min(sigma, 2.0 * r - sigma) * section(s_lo + sigma, t_ref)
 
     # the section weight has a kink at sigma = r; integrate each piece smoothly
     total = 0.0

@@ -166,39 +166,11 @@ def _rk4_step(field, x, dt):
     k4 = field(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-# Dormand-Prince 5(4) embedded pair for the adaptive variant.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
-
-def _dopri_step(field, x, dt):
-    ks = [field(x)]
-    for row in _DP_A[1:]:
-        xi = x + dt * sum(a * k for a, k in zip(row, ks))
-        ks.append(field(xi))
-    x5 = x + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    x4 = x + dt * sum(b * k for b, k in zip(_DP_B4, ks))
-    return x5, float(np.max(np.abs(x5 - x4)))
-
-
-def ode_integrate(field, x0, duration, *, step: float = 1e-3, adaptive: bool = False,
-                  rtol: float = 1e-10, min_step: float = 1e-12, record: bool = False):
-    """Integrate dx/dt = field(x) for the signed duration.
-
-    Fixed-step classical RK4 by default; ``adaptive=True`` switches to an
-    embedded Dormand-Prince pair with step rejection (raises
-    :class:`ConvergenceError` when the accepted step underflows ``min_step``,
-    e.g. for flows approaching a singular set). With ``record=True`` returns
-    ``(times, states)`` arrays instead of the final state.
+def ode_integrate(field, x0, duration, *, step: float = 1e-3, record: bool = False):
+    """Integrate dx/dt = field(x) for the signed duration by fixed-step
+    classical RK4. With ``record=True`` returns ``(times, states)`` arrays
+    instead of the final state.
     """
     x = np.array(x0, dtype=float)
     T = float(duration)
@@ -208,23 +180,10 @@ def ode_integrate(field, x0, duration, *, step: float = 1e-3, adaptive: bool = F
 
     sgn = 1.0 if T > 0 else -1.0
     remaining = abs(T)
-    dt = min(step, remaining)
     t = 0.0
     while remaining > 1e-15 * abs(T):
-        dt = min(dt, remaining)
-        if adaptive:
-            xn, err = _dopri_step(field, x, sgn * dt)
-            scale = rtol * max(1.0, float(np.max(np.abs(x))))
-            if err > scale and dt > min_step:
-                dt = max(min_step, 0.5 * dt)
-                if dt <= min_step:
-                    raise ConvergenceError("adaptive step underflow; field too stiff or singular")
-                continue
-            if err < 0.03 * scale:
-                dt = min(step, 2.0 * dt)
-        else:
-            xn = _rk4_step(field, x, sgn * dt)
-        x = xn
+        dt = min(step, remaining)
+        x = _rk4_step(field, x, sgn * dt)
         t += sgn * dt
         remaining -= dt
         if record:

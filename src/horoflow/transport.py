@@ -351,27 +351,22 @@ def _guard_sum_flow(pf: PairFlow, x: Point, duration: float) -> None:
         )
 
 
-def pair_flow_trajectory(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
-                         adaptive: bool = False, min_step: float = 1e-12):
+def pair_flow_trajectory(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3):
     """Integrate the pair flow, returning (times, states) chart arrays."""
     _same_model(pf.f1, x)
     _guard_sum_flow(pf, x, duration)
-    return ode_integrate(pf.vector, x.coords, duration, step=step,
-                         adaptive=adaptive, min_step=min_step, record=True)
+    return ode_integrate(pf.vector, x.coords, duration, step=step, record=True)
 
 
-def pair_flow_step(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
-                   adaptive: bool = False, min_step: float = 1e-12) -> Point:
+def pair_flow_step(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3) -> Point:
     """Endpoint of the pair-flow trajectory from x after the signed duration.
 
     Raises :class:`SingularFlowError` when a sum flow is started on or driven
-    into the singular set D, and :class:`ConvergenceError` when adaptive step
-    control underflows ``min_step``.
+    into the singular set D.
     """
     _same_model(pf.f1, x)
     _guard_sum_flow(pf, x, duration)
-    end = ode_integrate(pf.vector, x.coords, duration, step=step,
-                        adaptive=adaptive, min_step=min_step)
+    end = ode_integrate(pf.vector, x.coords, duration, step=step)
     return Point(pf.model, end)
 
 

@@ -4,7 +4,9 @@ Each check produces a :class:`CheckReport` with the computed quantities, the
 expected value with its provenance (exact / closed-form / cross-check /
 counterexample), the tolerance, and a status. Status ``paper-discrepancy``
 marks the one documented deviation (the global-surjectivity claim for the
-volume-preserving map) and does not fail a suite.
+volume-preserving map) and does not fail a suite. Status ``error`` marks a
+check that raised :class:`GeometryError` before it finished, for instance at
+the node cap of a quadrature rule.
 
 Suites: ``busemann``, ``map-f``, ``flows``, ``intersections``, ``coarea``,
 and ``all`` (their union in declaration order).
@@ -35,20 +37,20 @@ from .manifold import (
     boundary_finite,
     boundary_infinity,
 )
-from .numerics import TestFunction, fd_hessian, mc_integrate_box, unit_sphere_area
+from .numerics import TestFunction, fd_hessian, mc_integrate_box
 
 __all__ = ["CheckReport", "VerifyContext", "SUITES", "run_suite", "poincare_example_checks", "sweep_rows"]
 
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "paper-discrepancy"
+ERROR = "error"
 
 
 @dataclass
 class CheckReport:
     """One verification record."""
 
-    name: str
     statement: str
     quantities: dict
     expected: object
@@ -57,10 +59,7 @@ class CheckReport:
     tol_kind: str = "abs"
     status: str = PASS
     wall_time_s: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.status != FAIL
+    name: str = ""  # a registered check's is set by its decorator
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,21 +184,28 @@ class VerifyContext:
         return self.model.random_points(self.rng, count, spread)
 
 
-def _skipped(name: str, statement: str, reason: str) -> CheckReport:
+def _skipped(statement: str, reason: str) -> CheckReport:
     """Passing report of a check that does not apply to the model."""
-    return CheckReport(name=name, statement=statement, quantities={"skipped": reason},
+    return CheckReport(statement=statement, quantities={"skipped": reason},
                        expected=None, provenance="exact", tolerance=0.0, status=PASS)
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(ctx: VerifyContext) -> CheckReport:
-        start = time.perf_counter()
-        rep = fn(ctx)
-        rep.wall_time_s = time.perf_counter() - start
-        return rep
+def _check(name: str):
+    """Give a check the name that its report carries, and that run_suite puts
+    on the error record when the check raises; also time the check."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(ctx: VerifyContext) -> CheckReport:
+            start = time.perf_counter()
+            rep = fn(ctx)
+            rep.name = name
+            rep.wall_time_s = time.perf_counter() - start
+            return rep
 
-    return wrapper
+        wrapper.check_name = name
+        return wrapper
+
+    return decorate
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +213,7 @@ def _timed(fn):
 # --------------------------------------------------------------------------
 
 
-@_timed
+@_check("busemann-gradient-unit-norm")
 def check_gradient_norm(ctx: VerifyContext) -> CheckReport:
     f1, f2 = ctx.field_pair()
     pts = ctx.random_points(200)
@@ -217,7 +223,6 @@ def check_gradient_norm(ctx: VerifyContext) -> CheckReport:
         worst = max(worst, float(np.max(np.abs(norms - 1.0))))
     tol = ctx.tol("busemann-gradient-unit-norm", 1e-9)
     return CheckReport(
-        name="busemann-gradient-unit-norm",
         statement="the Busemann gradient has unit Riemannian length everywhere",
         quantities={"max_norm_error": worst, "points": pts.shape[0]},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -225,7 +230,7 @@ def check_gradient_norm(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("busemann-laplacian-constant")
 def check_laplacian_constancy(ctx: VerifyContext) -> CheckReport:
     f1, _ = ctx.field_pair()
     mean, std = bu.estimate_h(f1, ctx.random_points(100))
@@ -233,7 +238,6 @@ def check_laplacian_constancy(ctx: VerifyContext) -> CheckReport:
     tol = ctx.tol("busemann-laplacian-constant", 1e-6)
     ok = err <= 1e-8 and std <= tol
     return CheckReport(
-        name="busemann-laplacian-constant",
         statement="trace of the horosphere shape operator is the constant h",
         quantities={"mean": mean, "stddev": std, "h": ctx.h},
         expected=ctx.h, provenance="closed-form", tolerance=tol,
@@ -241,7 +245,7 @@ def check_laplacian_constancy(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("busemann-hessian-psd-and-bounded")
 def check_hessian_bounds(ctx: VerifyContext) -> CheckReport:
     f1, f2 = ctx.field_pair()
     lo, hi = math.inf, -math.inf
@@ -253,7 +257,6 @@ def check_hessian_bounds(ctx: VerifyContext) -> CheckReport:
     tol = ctx.tol("busemann-hessian-psd-and-bounded", 1e-9)
     ok = lo >= -tol and hi <= ctx.h + tol
     return CheckReport(
-        name="busemann-hessian-psd-and-bounded",
         statement="shape-operator eigenvalues lie in [0, h]",
         quantities={"min_eigenvalue": lo, "max_eigenvalue": hi, "h": ctx.h},
         expected=f"[0, {ctx.h}]", provenance="closed-form", tolerance=tol,
@@ -261,7 +264,7 @@ def check_hessian_bounds(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("busemann-hessian-fd-crosscheck")
 def check_hessian_fd(ctx: VerifyContext) -> CheckReport:
     m = ctx.model
     f1, _ = ctx.field_pair()
@@ -277,7 +280,6 @@ def check_hessian_fd(ctx: VerifyContext) -> CheckReport:
             worst = max(worst, abs(float(along[0, 0]) - float(m.inner(c, H @ v, v))))
     tol = ctx.tol("busemann-hessian-fd-crosscheck", 1e-6)
     return CheckReport(
-        name="busemann-hessian-fd-crosscheck",
         statement="closed-form shape operator matches second derivatives of b along geodesics",
         quantities={"max_hessian_gap": worst, "directions": len(directions)},
         expected=0.0, provenance="cross-check", tolerance=tol,
@@ -285,7 +287,7 @@ def check_hessian_fd(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("busemann-truncation-monotone")
 def check_truncation_monotone(ctx: VerifyContext) -> CheckReport:
     f1, _ = ctx.field_pair()
     ts = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0])
@@ -309,7 +311,6 @@ def check_truncation_monotone(ctx: VerifyContext) -> CheckReport:
         converged = worst_excess <= 1e-12  # algebraic tail, within its envelope
     ok = worst_increase <= 1e-12 and converged
     return CheckReport(
-        name="busemann-truncation-monotone",
         statement="d(x, ray(T)) - T is non-increasing in T and converges to the Busemann value",
         quantities={"max_increase": worst_increase, "final_gap": worst_gap,
                     "envelope_excess": worst_excess if not ctx.model.is_hyperbolic else None},
@@ -318,11 +319,10 @@ def check_truncation_monotone(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("busemann-axis-gradient-cancellation")
 def check_axis_gradient_cancellation(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("busemann-axis-gradient-cancellation",
-                        "gradients of the opposite fields cancel on the bi-asymptotic geodesic",
+        return _skipped("gradients of the opposite fields cancel on the bi-asymptotic geodesic",
                         "no bi-asymptotic geodesic in the Euclidean model")
     cfg = ctx.pair_config()
     worst = 0.0
@@ -335,7 +335,6 @@ def check_axis_gradient_cancellation(ctx: VerifyContext) -> CheckReport:
     tol = ctx.tol("busemann-axis-gradient-cancellation", 1e-10)
     ok = worst <= tol and worst_beta <= -1.0 + 1e-9
     return CheckReport(
-        name="busemann-axis-gradient-cancellation",
         statement="gradients of the pair cancel on the axis, where beta = -1",
         quantities={"max_gradient_sum_norm": worst, "max_beta_on_axis": worst_beta},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -343,7 +342,7 @@ def check_axis_gradient_cancellation(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("busemann-sublevel-boundedness")
 def check_visibility_probe(ctx: VerifyContext) -> CheckReport:
     f1, f2 = ctx.field_pair()
     rep = bu.sublevel_bounded_probe(f1, f2, 0.5, 0.5, rays=48, t_max=50.0,
@@ -351,7 +350,6 @@ def check_visibility_probe(ctx: VerifyContext) -> CheckReport:
     want_bounded = ctx.model.is_hyperbolic
     ok = rep.bounded == want_bounded
     return CheckReport(
-        name="busemann-sublevel-boundedness",
         statement="two-horoball intersections are bounded exactly when the space is negatively curved",
         quantities={"bounded": rep.bounded, "rays": rep.rays_probed,
                     "max_exit_time": rep.max_exit_time if math.isfinite(rep.max_exit_time) else "inf"},
@@ -365,14 +363,13 @@ def check_visibility_probe(ctx: VerifyContext) -> CheckReport:
 # --------------------------------------------------------------------------
 
 
-@_timed
+@_check("alpha-defining-equation")
 def check_alpha_residual(ctx: VerifyContext) -> CheckReport:
     a = tr.AlphaMap(ctx.h, ctx.t0) if ctx.h > 0 else tr.AlphaMap(0.0, ctx.t0)
     grid = np.linspace(-30.0, 30.0, 121)
     res = a.residual(grid)
     tol = ctx.tol("alpha-defining-equation", 1e-10)
     return CheckReport(
-        name="alpha-defining-equation",
         statement="alpha'(t) e^{h(alpha(t)-t)} = 1 with the analytic derivative",
         quantities={"max_residual": res, "h": ctx.h, "t0": ctx.t0,
                     "range_infimum": a.range_infimum if ctx.h > 0 else "-inf"},
@@ -381,7 +378,7 @@ def check_alpha_residual(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("alpha-gap-monotone")
 def check_alpha_gap_monotone(ctx: VerifyContext) -> CheckReport:
     a = tr.AlphaMap(ctx.h, ctx.t0)
     grid = np.linspace(-10.0, 10.0, 201)
@@ -394,7 +391,6 @@ def check_alpha_gap_monotone(ctx: VerifyContext) -> CheckReport:
         ok = bool(np.max(np.abs(gaps - ctx.t0)) <= 1e-12)
         stmt = "alpha(t) - t is the constant t0 (h = 0)"
     return CheckReport(
-        name="alpha-gap-monotone",
         statement=stmt,
         quantities={"max_diff": float(np.max(diffs)), "min_diff": float(np.min(diffs))},
         expected="decreasing" if ctx.h > 0 else ctx.t0,
@@ -403,14 +399,13 @@ def check_alpha_gap_monotone(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("map-sends-p-to-q")
 def check_map_endpoint(ctx: VerifyContext) -> CheckReport:
     p, q = ctx.map_endpoints()
     F = tr.VolumePreservingMap(ctx.model, p, q)
     gap = float(np.max(np.abs(F(p).coords - q.coords)))
     tol = ctx.tol("map-sends-p-to-q", 1e-10)
     return CheckReport(
-        name="map-sends-p-to-q",
         statement="the volume-preserving map sends the chosen source point to the target",
         quantities={"chart_gap": gap, "t0": F.t0},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -418,7 +413,7 @@ def check_map_endpoint(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("map-unit-jacobian")
 def check_map_unit_jacobian(ctx: VerifyContext) -> CheckReport:
     p, q = ctx.map_endpoints()
     F = tr.VolumePreservingMap(ctx.model, p, q)
@@ -427,7 +422,6 @@ def check_map_unit_jacobian(ctx: VerifyContext) -> CheckReport:
         worst = max(worst, abs(F.jacobian_det(c) - 1.0))
     tol = ctx.tol("map-unit-jacobian", 1e-7)
     return CheckReport(
-        name="map-unit-jacobian",
         statement="the Riemannian Jacobian determinant of the map is 1 everywhere",
         quantities={"max_det_error": worst, "points": 100},
         expected=1.0, provenance="cross-check", tolerance=tol,
@@ -435,7 +429,7 @@ def check_map_unit_jacobian(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("horosphere-volume-expansion")
 def check_horosphere_expansion(ctx: VerifyContext) -> CheckReport:
     f1, _ = ctx.field_pair()
     worst = 0.0
@@ -445,7 +439,6 @@ def check_horosphere_expansion(ctx: VerifyContext) -> CheckReport:
             worst = max(worst, abs(j / math.exp(ctx.h * t) - 1.0))
     tol = ctx.tol("horosphere-volume-expansion", 1e-6)
     return CheckReport(
-        name="horosphere-volume-expansion",
         statement="the normal flow expands horosphere volume by exactly e^{h t}",
         quantities={"max_ratio_error": worst, "h": ctx.h},
         expected=1.0, provenance="closed-form", tolerance=tol, tol_kind="rel",
@@ -480,7 +473,7 @@ def _pushforward_integral_pair(ctx: VerifyContext, F: tr.VolumePreservingMap,
     return direct, pulled
 
 
-@_timed
+@_check("map-integral-invariance")
 def check_map_integral_invariance(ctx: VerifyContext) -> CheckReport:
     p, q = ctx.map_endpoints()
     F = tr.VolumePreservingMap(ctx.model, p, q)
@@ -499,7 +492,6 @@ def check_map_integral_invariance(ctx: VerifyContext) -> CheckReport:
                      "sigma": sigma, "pull": pull})
     tol = ctx.tol("map-integral-invariance", 3.0)
     return CheckReport(
-        name="map-integral-invariance",
         statement="integrals of bumps supported in the image agree with their pullbacks",
         quantities={"bumps": rows, "worst_pull_sigmas": worst_pull},
         expected=0.0, provenance="cross-check", tolerance=tol, tol_kind="sigma",
@@ -507,13 +499,12 @@ def check_map_integral_invariance(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("map-out-of-image-probe")
 def check_map_out_of_image(ctx: VerifyContext) -> CheckReport:
     """Documented deviation: the map is not onto, so mass below the image
     threshold is invisible to the pullback integral."""
     if ctx.h == 0:
-        return _skipped("map-out-of-image-probe",
-                        "h = 0 maps are translations (onto); no discrepancy to probe",
+        return _skipped("h = 0 maps are translations (onto); no discrepancy to probe",
                         "the h = 0 map is onto")
     p, q = ctx.map_endpoints()
     F = tr.VolumePreservingMap(ctx.model, p, q)
@@ -530,7 +521,6 @@ def check_map_out_of_image(ctx: VerifyContext) -> CheckReport:
     ratio = pulled.mean / direct.mean if direct.mean > 0 else math.inf
     ok = ratio <= 0.01
     return CheckReport(
-        name="map-out-of-image-probe",
         statement=("the integral identity fails for mass below the image threshold m: "
                    "the map is a diffeomorphism onto {b > m}, not onto the whole space"),
         quantities={"image_threshold": F.image_threshold, "bump_level": level,
@@ -563,14 +553,13 @@ def _tracking_errors(ctx, pf, sign2: float, count: int = 20, duration: float = 2
     return float(max(np.max(e1), np.max(e2)))
 
 
-@_timed
+@_check("difference-flow-level-tracking")
 def check_difference_flow_tracking(ctx: VerifyContext) -> CheckReport:
     f1, f2 = ctx.field_pair()
     pf = tr.PairFlow(f1, f2, tr.DIFFERENCE)
     worst = _tracking_errors(ctx, pf, sign2=-1.0)
     tol = ctx.tol("difference-flow-level-tracking", 1e-8)
     return CheckReport(
-        name="difference-flow-level-tracking",
         statement="the difference flow raises b1 by t/2 and lowers b2 by t/2",
         quantities={"max_tracking_error": worst, "trajectories": 20, "duration": 2.0},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -578,17 +567,16 @@ def check_difference_flow_tracking(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("sum-flow-level-tracking")
 def check_sum_flow_tracking(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("sum-flow-level-tracking", "sum-flow tracking is a visibility-model check",
+        return _skipped("sum-flow tracking is a visibility-model check",
                         "Euclidean pair has no axis constant")
     f1, f2 = ctx.field_pair()
     pf = tr.PairFlow(f1, f2, tr.SUM)
     worst = _tracking_errors(ctx, pf, sign2=+1.0)
     tol = ctx.tol("sum-flow-level-tracking", 1e-8)
     return CheckReport(
-        name="sum-flow-level-tracking",
         statement="the sum flow raises both Busemann values by s/2",
         quantities={"max_tracking_error": worst, "trajectories": 20, "duration": 2.0},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -605,7 +593,7 @@ def _off_axis_points(ctx: VerifyContext, cfg, count: int):
     return pts
 
 
-@_timed
+@_check("flow-divergence-identities")
 def check_divergence_identities(ctx: VerifyContext) -> CheckReport:
     f1, f2 = ctx.field_pair()
     cfg = lc.make_pair_config(f1, f2) if ctx.model.is_hyperbolic else None
@@ -624,7 +612,6 @@ def check_divergence_identities(ctx: VerifyContext) -> CheckReport:
     tol = ctx.tol("flow-divergence-identities", 1e-5)
     ok = worst_raw <= 1e-6 and worst_x <= tol and worst_y <= tol
     return CheckReport(
-        name="flow-divergence-identities",
         statement=("the raw difference field is divergence free; the normalized flows "
                    "satisfy their logarithmic divergence identities"),
         quantities={"max_raw_divergence": worst_raw, "max_difference_gap": worst_x,
@@ -634,10 +621,10 @@ def check_divergence_identities(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("flow-volume-densities")
 def check_flow_densities(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("flow-volume-densities", "pair-flow densities are a visibility-model check",
+        return _skipped("pair-flow densities are a visibility-model check",
                         "Euclidean pair has no axis constant")
     f1, f2 = ctx.field_pair()
     cfg = lc.make_pair_config(f1, f2)
@@ -662,7 +649,6 @@ def check_flow_densities(ctx: VerifyContext) -> CheckReport:
     ok = (gaps["difference_vs_one"] <= 1e-8 and gaps["difference_fd_gap"] <= tol
           and gaps["sum_fd_gap"] <= tol and gaps["sum_symbolic_gap"] <= 1e-6)
     return CheckReport(
-        name="flow-volume-densities",
         statement=("flow-map volume densities match their closed forms: "
                    "(1-beta)/(1-beta(end)) for the difference flow, the exponential "
                    "expansion times (1+beta)/(1+beta(end)) for the sum flow"),
@@ -672,7 +658,7 @@ def check_flow_densities(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("flow-gradient-transport")
 def check_gradient_transport(ctx: VerifyContext) -> CheckReport:
     f1, f2 = ctx.field_pair()
     pf_x = tr.PairFlow(f1, f2, tr.DIFFERENCE)
@@ -690,7 +676,6 @@ def check_gradient_transport(ctx: VerifyContext) -> CheckReport:
         quantities["sum_form_gap"] = form_y
         ok = ok and form_y <= tol
     return CheckReport(
-        name="flow-gradient-transport",
         statement=("the difference flow carries both gradient fields to themselves; "
                    "both flows pull the level 1-forms back to themselves"),
         quantities=quantities,
@@ -699,11 +684,10 @@ def check_gradient_transport(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("pair-sum-floor")
 def check_axis_floor(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("pair-sum-floor",
-                        "b1 + b2 is unbounded below in the Euclidean model (no floor)",
+        return _skipped("b1 + b2 is unbounded below in the Euclidean model (no floor)",
                         "Euclidean pair has no axis constant")
     cfg = ctx.pair_config()
     pts = ctx.random_points(4000, spread=1.5)
@@ -712,7 +696,6 @@ def check_axis_floor(ctx: VerifyContext) -> CheckReport:
     tol = ctx.tol("pair-sum-floor", 1e-9)
     ok = floor >= -tol
     return CheckReport(
-        name="pair-sum-floor",
         statement="b1 + b2 never drops below its axis value c0",
         quantities={"min_separation": floor, "c0": cfg.c0, "points": pts.shape[0]},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -720,11 +703,10 @@ def check_axis_floor(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("beta-monotone-along-sum-flow")
 def check_beta_monotone_along_sum_flow(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("beta-monotone-along-sum-flow",
-                        "sum-flow monotonicity is a visibility-model check",
+        return _skipped("sum-flow monotonicity is a visibility-model check",
                         "Euclidean pair has no axis constant")
     cfg = ctx.pair_config()
     pf_y = tr.PairFlow(cfg.f1, cfg.f2, tr.SUM)
@@ -740,7 +722,6 @@ def check_beta_monotone_along_sum_flow(ctx: VerifyContext) -> CheckReport:
     worst = float(np.min(np.diff(bs)))
     ok = worst >= -1e-12 and all(row["gap_to_minus_one"] <= 3.0 * row["epsilon"] for row in eps_rows)
     return CheckReport(
-        name="beta-monotone-along-sum-flow",
         statement=("beta is non-decreasing along sum-flow trajectories; starts regularized "
                    "at separation epsilon approach beta = -1 linearly in epsilon"),
         quantities={"min_beta_increment": worst, "regularized_starts": eps_rows},
@@ -757,17 +738,15 @@ def check_beta_monotone_along_sum_flow(ctx: VerifyContext) -> CheckReport:
 LOCUS_SKIP = "intersection loci require the visibility model"
 
 
-def _closed_form_vw(ctx: VerifyContext, s: float) -> tuple[float, float, float]:
-    n = ctx.model.dim
-    area = unit_sphere_area(n - 2)
-    e = math.exp(s) - 1.0
-    return (area * e ** ((n - 3) / 2.0), area * e ** ((n - 1) / 2.0), area * e ** ((n - 2) / 2.0))
+def _quadrature(ctx: VerifyContext, cfg: lc.PairConfig, s: float, t: float) -> lc.LocusValues:
+    """The quadrature oracle on S(s, t), at the run's node count."""
+    return lc.locus_quadrature(lc.parametrize_locus(cfg, s, t, nodes=ctx.locus_nodes))
 
 
-@_timed
+@_check("locus-membership")
 def check_locus_membership(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("locus-membership", "locus nodes solve both level equations", LOCUS_SKIP)
+        return _skipped("locus nodes solve both level equations", LOCUS_SKIP)
     cfg = ctx.pair_config()
     worst = 0.0
     for s in ctx.s_grid:
@@ -776,7 +755,6 @@ def check_locus_membership(ctx: VerifyContext) -> CheckReport:
             worst = max(worst, L.membership_residual())
     tol = ctx.tol("locus-membership", 1e-10)
     return CheckReport(
-        name="locus-membership",
         statement="every quadrature node satisfies both horosphere level equations",
         quantities={"max_residual": worst},
         expected=0.0, provenance="exact", tolerance=tol,
@@ -784,11 +762,10 @@ def check_locus_membership(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("weighted-integrals-t-invariance")
 def check_vw_t_invariance(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("weighted-integrals-t-invariance",
-                        "V and W do not depend on the level difference", LOCUS_SKIP)
+        return _skipped("V and W do not depend on the level difference", LOCUS_SKIP)
     cfg = ctx.pair_config()
     worst_spread = 0.0
     worst_closed = 0.0
@@ -796,10 +773,11 @@ def check_vw_t_invariance(ctx: VerifyContext) -> CheckReport:
     for s in ctx.s_grid:
         vs, ws = [], []
         for t in ctx.t_grid:
-            L = lc.parametrize_locus(cfg, s, t, nodes=ctx.locus_nodes)
-            vs.append(lc.integral_v(L))
-            ws.append(lc.integral_w(L))
-        v_exp, w_exp, _ = _closed_form_vw(ctx, s)
+            q = _quadrature(ctx, cfg, s, t)
+            vs.append(q.V)
+            ws.append(q.W)
+        closed = lc.locus_values(cfg, s, ctx.t_grid[0])
+        v_exp, w_exp = closed.V, closed.W
         spread_v = (max(vs) - min(vs)) / abs(v_exp)
         spread_w = (max(ws) - min(ws)) / abs(w_exp)
         worst_spread = max(worst_spread, spread_v, spread_w)
@@ -809,7 +787,6 @@ def check_vw_t_invariance(ctx: VerifyContext) -> CheckReport:
     tol = ctx.tol("weighted-integrals-t-invariance", 1e-8)
     ok = worst_spread <= tol and worst_closed <= tol
     return CheckReport(
-        name="weighted-integrals-t-invariance",
         statement="V and W are independent of the level difference and match their closed forms",
         quantities={"rows": rows, "worst_relative_spread": worst_spread,
                     "worst_closed_form_gap": worst_closed},
@@ -818,10 +795,10 @@ def check_vw_t_invariance(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("w-growth-rate")
 def check_dw_ds(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("w-growth-rate", "dW/ds equals (h/2)(W+V)", LOCUS_SKIP)
+        return _skipped("dW/ds equals (h/2)(W+V)", LOCUS_SKIP)
     cfg = ctx.pair_config()
     worst = 0.0
     rows = []
@@ -832,7 +809,6 @@ def check_dw_ds(ctx: VerifyContext) -> CheckReport:
         rows.append({"s": s, "lhs": lhs, "rhs": rhs, "relative_gap": rel})
     tol = ctx.tol("w-growth-rate", 1e-4)
     return CheckReport(
-        name="w-growth-rate",
         statement="the s-derivative of W equals (h/2)(W + V)",
         quantities={"rows": rows, "worst_relative_gap": worst},
         expected=0.0, provenance="cross-check", tolerance=tol, tol_kind="rel",
@@ -840,10 +816,10 @@ def check_dw_ds(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("locus-volume-bound")
 def check_volume_bound(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("locus-volume-bound", "vol <= (V+W)/2 with t-invariant bound", LOCUS_SKIP)
+        return _skipped("vol <= (V+W)/2 with t-invariant bound", LOCUS_SKIP)
     cfg = ctx.pair_config()
     s_vals = np.concatenate([[math.log(2.0)], np.linspace(0.2, 2.6, 9)])
     t_vals = np.linspace(-3.0, 3.0, 10)
@@ -853,16 +829,18 @@ def check_volume_bound(ctx: VerifyContext) -> CheckReport:
     for s in s_vals:
         bounds_this_s = []
         for t in t_vals:
-            vol, bound = lc.volume_upper_bound(cfg, float(s), float(t), nodes=ctx.locus_nodes)
-            worst_violation = max(worst_violation, vol - bound)
-            bounds_this_s.append(bound)
+            q = _quadrature(ctx, cfg, float(s), float(t))
+            worst_violation = max(worst_violation, q.vol - q.bound)
+            bounds_this_s.append(q.bound)
             if abs(s - math.log(2.0)) < 1e-12:
-                equality_gap = min(equality_gap, abs(vol - bound))
-        bound_spread = max(bound_spread, (max(bounds_this_s) - min(bounds_this_s)) / abs(bounds_this_s[0]))
+                equality_gap = min(equality_gap, abs(q.vol - q.bound))
+        # the spread covers the closed-form bound too
+        _, closed = lc.volume_upper_bound(cfg, float(s), 0.0)
+        bounds_this_s.append(closed)
+        bound_spread = max(bound_spread, (max(bounds_this_s) - min(bounds_this_s)) / abs(closed))
     tol = ctx.tol("locus-volume-bound", 1e-9)
     ok = worst_violation <= tol and equality_gap <= 1e-8 and bound_spread <= 1e-8
     return CheckReport(
-        name="locus-volume-bound",
         statement=("the locus volume never exceeds (V+W)/2; the bound is level-difference "
                    "invariant and is attained at s = ln 2 in H^3"),
         quantities={"worst_violation": worst_violation, "equality_gap_at_ln2": equality_gap,
@@ -872,20 +850,21 @@ def check_volume_bound(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("locus-beta-bound")
 def check_beta_bound_and_monotone_volume(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("locus-beta-bound", "beta <= 1 - 2 e^{-h s} and volume grows in s", LOCUS_SKIP)
+        return _skipped("beta <= 1 - 2 e^{-h s} and volume grows in s", LOCUS_SKIP)
     cfg = ctx.pair_config()
     ok_beta = True
     margins = []
     for s in (0.1, 0.5, 1.0, 2.0, 3.0):
         L = lc.parametrize_locus(cfg, s, 0.7, nodes=ctx.locus_nodes)
-        ok_beta = ok_beta and lc.beta_bound_check(L)
-        margins.append({"s": s, "max_beta": float(np.max(L.beta_values())),
-                        "bound": 1.0 - 2.0 * math.exp(-ctx.h * s)})
+        max_beta = float(np.max(L.beta_values()))
+        ok_beta = (ok_beta and lc.beta_bound_check(L)
+                   and abs(max_beta - lc.locus_values(cfg, s, 0.7).beta_max) <= 1e-9)
+        margins.append({"s": s, "max_beta": max_beta, "bound": 1.0 - 2.0 * math.exp(-ctx.h * s)})
     grid = np.linspace(0.3, 2.7, 9)
-    vols = [lc.volume_locus(lc.parametrize_locus(cfg, float(s), 0.0, nodes=ctx.locus_nodes)) for s in grid]
+    vols = [_quadrature(ctx, cfg, float(s), 0.0).vol for s in grid]
     if ctx.model.dim == 2:
         # point-pair loci have constant counting volume 2
         monotone = bool(np.all(np.diff(vols) >= -1e-12))
@@ -896,20 +875,18 @@ def check_beta_bound_and_monotone_volume(ctx: VerifyContext) -> CheckReport:
         -1.0 + 1e-12 < row["max_beta"] for row in margins)
     ok = ok_beta and monotone and hyp
     return CheckReport(
-        name="locus-beta-bound",
-        statement=("beta on the locus stays below 1 - 2 e^{-h s}, the gradients never cancel "
-                   "there, and the locus volume is non-decreasing in s"),
+        statement=("beta on the locus stays below 1 - 2 e^{-h s} and equals its closed form, the "
+                   "gradients never cancel there, and the locus volume is non-decreasing in s"),
         quantities={"margins": margins, "volumes": vols, "monotone": monotone},
         expected="beta <= bound", provenance="closed-form", tolerance=1e-9,
         status=PASS if ok else FAIL,
     )
 
 
-@_timed
+@_check("locus-isometry-invariance")
 def check_isometry_invariance(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("locus-isometry-invariance",
-                        "normalized and general-coordinates quadrature agree", LOCUS_SKIP)
+        return _skipped("closed forms and general-coordinates quadrature agree", LOCUS_SKIP)
     m = ctx.model
     if m.dim == 2:
         xi1, xi2 = boundary_finite(m, [1.0]), boundary_finite(m, [-1.0])
@@ -922,16 +899,12 @@ def check_isometry_invariance(ctx: VerifyContext) -> CheckReport:
     f2 = bu.BusemannField(m, xi2, ctx.basepoint)
     cfg = lc.make_pair_config(f1, f2)
     nodes = ctx.locus_nodes or (128 if m.dim == 3 else 24)
-    L = lc.parametrize_locus(cfg, 1.3, 0.7, nodes=nodes)
-    worst = max(
-        abs(lc.volume_locus(L) - lc.volume_locus(L, "general")),
-        abs(lc.integral_v(L) - lc.integral_v(L, "general")),
-        abs(lc.integral_w(L) - lc.integral_w(L, "general")),
-    )
+    closed = lc.locus_values(cfg, 1.3, 0.7)
+    general = lc.locus_quadrature(lc.parametrize_locus(cfg, 1.3, 0.7, nodes=nodes), general=True)
+    worst = max(abs(a - b) for a, b in zip(closed[:3], general[:3]))
     tol = ctx.tol("locus-isometry-invariance", 1e-8)
     return CheckReport(
-        name="locus-isometry-invariance",
-        statement=("quadrature in normalized coordinates equals the general-coordinates "
+        statement=("the closed-form volume, V and W equal the general-coordinates "
                    "quadrature built from finite-difference tangent frames"),
         quantities={"max_gap": worst, "nodes": nodes},
         expected=0.0, provenance="cross-check", tolerance=tol,
@@ -939,22 +912,22 @@ def check_isometry_invariance(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("strip-volume")
 def check_strip_volume(ctx: VerifyContext) -> CheckReport:
     if not ctx.model.is_hyperbolic:
-        return _skipped("strip-volume", "slab intersections have level-difference invariant volume", LOCUS_SKIP)
+        return _skipped("slab intersections have level-difference invariant volume", LOCUS_SKIP)
     cfg = ctx.pair_config()
     c1 = c2 = 0.5 * (math.log(2.0) + cfg.c0)
     r = 0.5
-    quad = lc.strip_volume(cfg, c1, c2, r, locus_nodes=ctx.locus_nodes)
+    quad = lc.strip_volume(cfg, c1, c2, r)
     mc = lc.strip_volume_mc(cfg, c1, c2, r, n_samples=2 * ctx.samples, seed=ctx.seed + 5)
     pull = abs(mc.mean - quad) / mc.standard_error
-    shifted = lc.strip_volume(cfg, c1 + 1.0, c2 - 1.0, r, locus_nodes=ctx.locus_nodes)
+    shifted = lc.strip_volume(cfg, c1 + 1.0, c2 - 1.0, r,
+                              section=lambda s, t: _quadrature(ctx, cfg, s, t).bound)
     shift_gap = abs(shifted - quad) / quad
     tol = ctx.tol("strip-volume", 3.0)
     ok = pull <= tol and shift_gap <= 1e-8
     return CheckReport(
-        name="strip-volume",
         statement=("the volume of a two-sided horosphere slab matches its sliced quadrature "
                    "and is invariant under shifting the level difference"),
         quantities={"quadrature": quad, "mc_mean": mc.mean, "mc_se": mc.standard_error,
@@ -969,7 +942,7 @@ def check_strip_volume(ctx: VerifyContext) -> CheckReport:
 # --------------------------------------------------------------------------
 
 
-@_timed
+@_check("coarea-slicing")
 def check_coarea_identity(ctx: VerifyContext) -> CheckReport:
     m = ctx.model
     if m.is_hyperbolic:
@@ -993,7 +966,6 @@ def check_coarea_identity(ctx: VerifyContext) -> CheckReport:
         quantities["sliced_vs_exact"] = abs(sliced - exact)
         ok = ok and abs(sliced - exact) <= 1e-6
     return CheckReport(
-        name="coarea-slicing",
         statement=("integrating a bump by Busemann-level slices (unit gradient makes the "
                    "coarea weight 1) agrees with direct Monte Carlo"),
         quantities=quantities,
@@ -1002,7 +974,7 @@ def check_coarea_identity(ctx: VerifyContext) -> CheckReport:
     )
 
 
-@_timed
+@_check("mc-error-scaling")
 def check_mc_error_scaling(ctx: VerifyContext) -> CheckReport:
     m = ctx.model
     bump = TestFunction(ctx.basepoint, 0.5)
@@ -1020,7 +992,6 @@ def check_mc_error_scaling(ctx: VerifyContext) -> CheckReport:
     reproducible = e1.mean == e1_again.mean and e1.standard_error == e1_again.standard_error
     ok = gap <= 0.2 * math.sqrt(2.0) and reproducible
     return CheckReport(
-        name="mc-error-scaling",
         statement=("doubling the sample count shrinks the standard error by sqrt(2); "
                    "a fixed seed reproduces the estimate bit for bit"),
         quantities={"se_ratio": ratio, "expected_ratio": math.sqrt(2.0),
@@ -1105,27 +1076,13 @@ def poincare_example_checks() -> list[CheckReport]:
 # sweep
 # --------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ("s", "t", "vol", "V", "W", "bound", "beta_max")
+SWEEP_COLUMNS = ("s", "t") + lc.LocusValues._fields
 
 
-def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid, nodes: int | None = None):
-    """Grid evaluation of the locus quantities, one row per (s, t) cell."""
-    rows = []
-    for s in s_grid:
-        for t in t_grid:
-            L = lc.parametrize_locus(cfg, float(s), float(t), nodes=nodes)
-            v = lc.integral_v(L)
-            w = lc.integral_w(L)
-            rows.append({
-                "s": float(s),
-                "t": float(t),
-                "vol": lc.volume_locus(L),
-                "V": v,
-                "W": w,
-                "bound": 0.5 * (v + w),
-                "beta_max": float(np.max(L.beta_values())) if not L.degenerate else -1.0,
-            })
-    return rows
+def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid):
+    """Closed-form locus quantities, one row per (s, t) cell."""
+    return [{"s": float(s), "t": float(t), **lc.locus_values(cfg, float(s), float(t))._asdict()}
+            for s in s_grid for t in t_grid]
 
 
 # --------------------------------------------------------------------------
@@ -1186,10 +1143,23 @@ def _isolated_context(ctx: VerifyContext, check) -> VerifyContext:
 
 
 def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
-    """Run every check of a suite in declaration order."""
+    """Run every check of a suite in declaration order.
+
+    A check that raises :class:`GeometryError` becomes a record with status
+    ``error`` that carries the message; the checks after it still run.
+    """
     if suite not in SUITES:
         raise GeometryError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     checks = list(SUITES[suite])
     if suite == "map-f" and ctx.probe_outside_image:
         checks.append(check_map_out_of_image)
-    return [fn(_isolated_context(ctx, fn)) for fn in checks]
+    reports = []
+    for fn in checks:
+        try:
+            reports.append(fn(_isolated_context(ctx, fn)))
+        except GeometryError as exc:
+            reports.append(CheckReport(
+                name=fn.check_name, statement="the check stopped with an error",
+                quantities={"error": str(exc)}, expected=None, provenance="none",
+                tolerance=0.0, status=ERROR))
+    return reports

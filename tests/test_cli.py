@@ -77,11 +77,20 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "coarea", "--model", "e8"],
-        ["sweep", "--model", "h6", "--s", "1:1:1", "--t", "0:0:1"],
+        ["verify", "intersections", "--model", "h6"],
     ])
     def test_infeasible_grid_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_check_error_keeps_the_finished_records(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["verify", "coarea", "--model", "e6", "--out", str(out)]) == 2
+        statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert statuses == {"coarea-slicing": "error", "mc-error-scaling": "pass"}
+        err = capsys.readouterr().err
+        assert "error: coarea-slicing: " in err
+        assert "ERROR" in err
 
     def test_probe_outside_image_discrepancy_status(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -175,3 +184,23 @@ class TestSweepCommand:
 
     def test_euclidean_rejected(self):
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2
+
+    @pytest.mark.parametrize("model", ["h6", "h7", "h8"])
+    def test_high_dimensions_are_closed_forms(self, model, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", model, "--s", "0.1:3.0:20", "--t", "-3:3:20",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "s,t,vol,V,W,bound,beta_max"
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert rows.shape == (400, 7)
+        n = int(model[1:])
+        area = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
+        for s, _, vol, v, w, bound, beta_max in rows:
+            x = math.exp(s) - 1.0
+            expected = (area * x ** ((n - 2) / 2.0), area * x ** ((n - 3) / 2.0),
+                        area * x ** ((n - 1) / 2.0))
+            assert (vol, v, w) == pytest.approx(expected, rel=1e-12)
+            assert bound == pytest.approx(0.5 * (expected[1] + expected[2]), rel=1e-12)
+            assert beta_max == pytest.approx(1.0 - 2.0 * math.exp(-s), rel=1e-12)
+            assert vol <= bound * (1.0 + 1e-12)

@@ -13,6 +13,7 @@ from horoflow.locus import (
     dw_ds_check,
     integral_v,
     integral_w,
+    locus_quadrature,
     make_pair_config,
     parametrize_locus,
     strip_volume,
@@ -31,6 +32,7 @@ from horoflow.manifold import (
     boundary_infinity,
 )
 from horoflow.numerics import unit_sphere_area
+from horoflow.verify import VerifyContext, sweep_rows
 
 
 @pytest.fixture
@@ -144,9 +146,10 @@ class TestWeightedIntegrals:
 
     def test_general_coordinates_crosscheck(self, cfg_example):
         L = parametrize_locus(cfg_example, 1.3, 0.7, nodes=128)
-        assert volume_locus(L, "general") == pytest.approx(volume_locus(L), abs=1e-8)
-        assert integral_v(L, "general") == pytest.approx(integral_v(L), abs=1e-8)
-        assert integral_w(L, "general") == pytest.approx(integral_w(L), abs=1e-8)
+        general = locus_quadrature(L, general=True)
+        assert general.vol == pytest.approx(volume_locus(L), abs=1e-8)
+        assert general.V == pytest.approx(integral_v(L), abs=1e-8)
+        assert general.W == pytest.approx(integral_w(L), abs=1e-8)
 
     def test_h2_two_point_sums(self, cfg_h2):
         s = 0.8
@@ -283,3 +286,44 @@ class TestStripVolume:
             strip_volume(cfg_normalized, c1, c2, 0.5)
         with pytest.raises(EmptyLocusError):
             strip_volume_mc(cfg_normalized, c1, c2, 0.5, n_samples=100)
+
+
+class TestClosedFormProductPath:
+    @staticmethod
+    def _cfg(dim):
+        return VerifyContext(model=ModelSpace(HYPERBOLIC, dim)).pair_config()
+
+    def test_sweep_builds_no_rule_and_evaluates_no_beta(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the product path must not reach the quadrature oracle")
+
+        cfg = self._cfg(4)
+        monkeypatch.setattr("horoflow.locus.sphere_rule", forbidden)
+        monkeypatch.setattr("horoflow.locus.beta", forbidden)
+        monkeypatch.setattr("horoflow.busemann.beta", forbidden)
+        s_grid, t_grid = np.linspace(0.1, 3.0, 20), np.linspace(-3.0, 3.0, 20)
+        rows = sweep_rows(cfg, s_grid, t_grid)
+        assert [(r["s"], r["t"]) for r in rows] == [(s, t) for s in s_grid for t in t_grid]
+        assert all(r["vol"] > 0.0 for r in rows)
+        L = parametrize_locus(cfg, 1.0, 0.5)
+        assert volume_locus(L) > 0.0 and integral_v(L) > 0.0 and integral_w(L) > 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_sweep_matches_quadrature_oracle(self, dim):
+        cfg = self._cfg(dim)
+        s_grid, t_grid = (0.0, 0.3, 2.0), (-1.5, 0.4)
+        rows = sweep_rows(cfg, s_grid, t_grid)
+        for row in rows:
+            oracle = locus_quadrature(parametrize_locus(cfg, row["s"], row["t"]))
+            if row["s"] == 0.0:
+                assert row["vol"] == oracle.vol == 0.0
+                assert all(math.isnan(row[k]) and math.isnan(getattr(oracle, k))
+                           for k in ("V", "W", "bound"))
+                assert row["beta_max"] == oracle.beta_max == -1.0
+                continue
+            for key in ("vol", "V", "W", "bound", "beta_max"):
+                assert row[key] == pytest.approx(getattr(oracle, key), rel=1e-12, abs=0.0), key
+        with pytest.raises(EmptyLocusError):
+            sweep_rows(cfg, [-0.1], [0.0])
+        with pytest.raises(EmptyLocusError):
+            locus_quadrature(parametrize_locus(cfg, -0.1, 0.0))

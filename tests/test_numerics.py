@@ -7,7 +7,6 @@ import pytest
 
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, ModelSpace, Point
 from horoflow.numerics import (
-    ConvergenceError,
     TestFunction,
     fd_directional,
     fd_gradient,
@@ -99,20 +98,6 @@ class TestODE:
     def test_negative_duration(self):
         end = ode_integrate(lambda x: -x, np.array([1.0]), -1.0, step=1e-3)
         assert end[0] == pytest.approx(math.e, abs=1e-11)
-
-    def test_adaptive_matches_fixed(self):
-        field = lambda x: np.array([x[1], -x[0]])
-        x0 = np.array([1.0, 0.0])
-        fixed = ode_integrate(field, x0, 3.0, step=1e-3)
-        adaptive = ode_integrate(field, x0, 3.0, adaptive=True, rtol=1e-12)
-        assert np.max(np.abs(fixed - adaptive)) <= 1e-9
-        assert np.max(np.abs(adaptive - [math.cos(3.0), -math.sin(3.0)])) <= 1e-10
-
-    def test_adaptive_underflow_raises(self):
-        # field blows up in finite time; the step controller must give up
-        field = lambda x: np.array([1.0 / max(1.0 - x[0], 1e-300) ** 2])
-        with pytest.raises(ConvergenceError):
-            ode_integrate(field, np.array([0.0]), 5.0, adaptive=True, rtol=1e-12, min_step=1e-9)
 
     def test_record_trajectory(self):
         ts, xs = ode_integrate(lambda x: -x, np.array([1.0]), 0.01, step=1e-3, record=True)
