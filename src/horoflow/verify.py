@@ -59,7 +59,7 @@ class CheckReport:
     tol_kind: str = "abs"
     status: str = PASS
     wall_time_s: float = 0.0
-    name: str = ""  # a registered check's is set by its decorator
+    name: str = ""  # set by @_check on the reports of registered checks
 
     def to_json_dict(self) -> dict:
         return {
