@@ -28,6 +28,8 @@ from .manifold import EUCLIDEAN, HYPERBOLIC, GeometryError, ModelSpace
 from .verify import (
     ERROR,
     FAIL,
+    MARKERS,
+    SUITES,
     SWEEP_COLUMNS,
     CheckReport,
     VerifyContext,
@@ -70,6 +72,14 @@ def parse_grid(token: str) -> list[float]:
     return [a] if k == 1 else list(np.linspace(a, b, k))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class RunConfig:
     """Inputs of one verification run; JSON file values, then flag overrides."""
@@ -93,6 +103,8 @@ class RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         cfg = RunConfig()
         unknown = set(raw) - set(vars(cfg))
         if unknown:
@@ -102,24 +114,37 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.samples <= 0:
-            raise ConfigError("samples must be positive")
-        if not self.s_grid or not self.t_grid:
-            raise ConfigError("grids must be nonempty")
-        if self.seed < 0:
+        """Reject a value of the wrong type or out of range, from the file or a flag."""
+        if not isinstance(self.model, str):
+            raise ConfigError("model must be a string such as h3")
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
+        if not _is_int(self.samples) or self.samples < 1:
+            raise ConfigError("samples must be a positive integer")
+        if self.locus_nodes is not None and (not _is_int(self.locus_nodes) or self.locus_nodes < 1):
+            raise ConfigError("locus_nodes must be null or a positive integer")
+        for key in ("s_grid", "t_grid"):
+            grid = getattr(self, key)
+            if not isinstance(grid, list) or not grid or not all(map(_is_finite, grid)):
+                raise ConfigError(f"{key} must be a nonempty list of finite numbers")
+        if not _is_finite(self.t0) or self.t0 <= 0:
+            raise ConfigError("t0 must be a finite positive number")
+        if not isinstance(self.probe_outside_image, bool):
+            raise ConfigError("probe_outside_image must be true or false")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a path")
         parse_model(self.model)
 
     def context(self) -> VerifyContext:
         return VerifyContext(
             model=parse_model(self.model),
-            seed=int(self.seed),
-            samples=int(self.samples),
+            seed=self.seed,
+            samples=self.samples,
             locus_nodes=self.locus_nodes,
             s_grid=tuple(self.s_grid),
             t_grid=tuple(self.t_grid),
             t0=float(self.t0),
-            probe_outside_image=bool(self.probe_outside_image),
+            probe_outside_image=self.probe_outside_image,
         )
 
 
@@ -138,9 +163,7 @@ def _emit_report(suite: str, cfg: RunConfig, reports: list[CheckReport]) -> int:
     else:
         print(text)
     for r in reports:
-        marker = {"pass": "PASS", "fail": "FAIL", "paper-discrepancy": "DISCREPANCY",
-                  "error": "ERROR"}[r.status]
-        print(f"{marker:12s} {r.name}", file=sys.stderr)
+        print(f"{MARKERS[r.status]:12s} {r.name}", file=sys.stderr)
     errors = [r for r in reports if r.status == ERROR]
     for r in errors:
         print(f"error: {r.name}: {r.quantities['error']}", file=sys.stderr)
@@ -177,6 +200,7 @@ def cmd_sweep(args) -> int:
         cfg.model = args.model
     if args.out is not None:
         cfg.out = args.out
+    cfg.validate()
     s_grid = parse_grid(args.s)
     t_grid = parse_grid(args.t)
     model = parse_model(cfg.model)
@@ -203,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite and write a JSON report")
-    p_verify.add_argument("suite", choices=["busemann", "map-f", "flows", "intersections", "coarea", "all"])
+    p_verify.add_argument("suite", choices=list(SUITES))
     p_verify.add_argument("--model", help="model space: h2..h8 (hyperbolic half-space) or e2..e8 (Euclidean); default h3")
     p_verify.add_argument("--config", help="JSON config file; flags override file values")
     p_verify.add_argument("--seed", type=int, help="Monte Carlo seed (default 42)")

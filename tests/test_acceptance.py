@@ -160,6 +160,14 @@ def test_criterion_3_volume_preserving_map():
                f"{worst_pull:.2f} sigma; out-of-image mass ratio {probe.quantities['ratio']:.3f}")
 
 
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_map_integral_invariance_in_high_flat_dimensions(dim):
+    # the pulled estimate must sample a box about the preimage of the bump,
+    # or in E^6..E^8 almost none of its samples reach the support
+    rep = check_map_integral_invariance(VerifyContext(model=ModelSpace(EUCLIDEAN, dim)))
+    assert rep.status == "pass", rep.quantities
+
+
 def test_criterion_4_weighted_integrals(cfg_h3):
     worst_spread = 0.0
     worst_value = 0.0

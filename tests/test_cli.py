@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from horoflow import verify
 from horoflow.cli import main, parse_grid, parse_model
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC
 
@@ -92,16 +93,21 @@ class TestVerifyCommand:
         assert "error: coarea-slicing: " in err
         assert "ERROR" in err
 
-    def test_probe_outside_image_discrepancy_status(self, tmp_path):
-        out = tmp_path / "rep.json"
-        code = main(["verify", "map-f", "--model", "h2", "--samples", "30000",
-                     "--probe-outside-image", "--out", str(out)])
-        assert code == 0  # a discrepancy is not a failure
-        payload = json.loads(out.read_text())
-        by_name = {c["name"]: c for c in payload["checks"]}
-        probe = by_name["map-out-of-image-probe"]
-        assert probe["status"] == "paper-discrepancy"
-        assert probe["quantities"]["ratio"] <= 0.01
+    def test_probe_outside_image_discrepancy_status(self, tmp_path, monkeypatch):
+        # one cheap map-f check stands for each suite; the probe follows the map-f checks
+        cheap = [verify.check_alpha_residual]
+        monkeypatch.setitem(verify.SUITES, "map-f", cheap)
+        monkeypatch.setitem(verify.SUITES, "all", [verify.check_gradient_norm] + cheap)
+        for suite in ("map-f", "all"):
+            out = tmp_path / f"{suite}.json"
+            code = main(["verify", suite, "--model", "h2", "--samples", "30000",
+                         "--probe-outside-image", "--out", str(out)])
+            assert code == 0  # a discrepancy is not a failure
+            payload = json.loads(out.read_text())
+            by_name = {c["name"]: c for c in payload["checks"]}
+            probe = by_name["map-out-of-image-probe"]
+            assert probe["status"] == "paper-discrepancy"
+            assert probe["quantities"]["ratio"] <= 0.01
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -122,6 +128,21 @@ class TestVerifyCommand:
         cfg.write_text("not json at all {")
         assert main(["verify", "coarea", "--config", str(cfg)]) == 2
         assert main(["verify", "coarea", "--model", "q7"]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"locus_nodes": 0},
+        {"locus_nodes": 2.5},
+        {"seed": "x"},
+        {"s_grid": 3},
+        {"probe_outside_image": "no"},
+        {"samples": 1.5},
+    ], ids=["locus_nodes-zero", "locus_nodes-float", "seed-string", "s_grid-scalar",
+            "probe-string", "samples-float"])
+    def test_malformed_config_value_exits_2(self, bad, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert main(["verify", "intersections", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
