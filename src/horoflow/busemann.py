@@ -35,7 +35,7 @@ from .manifold import (
     _same_model,
     direction_to_boundary,
 )
-from .numerics import gauss_legendre, orthonormal_complement, tensor_rule
+from .numerics import gauss_legendre, orthonormal_complement, unit_sphere_area
 
 __all__ = [
     "BusemannField",
@@ -305,42 +305,56 @@ def sublevel_bounded_probe(f1: BusemannField, f2: BusemannField, c1: float, c2: 
 
 def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
                           x_nodes: int = 64) -> float:
-    """Integrate a compactly supported function by slicing along Busemann levels.
+    """Integrate a radial bump by slicing along Busemann levels.
 
     Realizes the identity  integral_M f dmu = integral_R ( integral_{b=t} f dmu_t ) dt,
     valid because |grad b| = 1. The field must have flat level sets in the
-    chart (point at infinity in the half-space, any direction in E^n) so the
-    slice integrals reduce to planar quadrature.
+    chart (point at infinity in the half-space, any direction in E^n).
+
+    ``f`` is radial about ``f.center`` with support in the metric ball of
+    radius ``f.radius`` (as :class:`TestFunction` is), so each level slice
+    of the support is a round (n-1)-ball in the chart about the slice point
+    nearest the center, and its integral is
+    |S^{n-2}| integral_0^{r_max} f(r) r^{n-2} dr, times the induced density
+    z^{-(n-1)} in H^n. The t-rule has ``t_nodes`` Gauss-Legendre nodes over
+    the support, each slice a Gauss-Legendre rule of ``x_nodes`` radial
+    nodes on [0, r_max]; f is evaluated once on all t_nodes * x_nodes points.
     """
     m = field.model
+    n = m.dim
     if m.is_hyperbolic and not field.xi.is_infinity:
         raise GeometryError("slicing is implemented along fields with flat chart levels")
-    center_level = float(field.value(f.center.coords))
-    t_rule = gauss_legendre(t_nodes, center_level - f.radius, center_level + f.radius)
+    c = f.center.coords
+    R = f.radius
+    center_level = float(field.value(c))
+    t_rule = gauss_legendre(t_nodes, center_level - R, center_level + R)
+    t = t_rule.nodes
 
     if m.is_hyperbolic:
-        lo, hi = f.support_chart_box(margin=0.02)
-        rules = [gauss_legendre(x_nodes, float(a), float(b)) for a, b in zip(lo[:-1], hi[:-1])]
+        # level b = t is the plane z = exp(-(t + offset)); the support ball is
+        # the Euclidean ball about (cbar, z0 cosh R) of radius z0 sinh R
+        z0 = c[-1]
+        z = np.exp(-(t + float(field._raw_value(field.basepoint.coords))))
+        r_sq = (z0 * math.sinh(R)) ** 2 - (z - z0 * math.cosh(R)) ** 2
+        origins = np.tile(c, (t.size, 1))
+        origins[:, -1] = z
+        axis = np.zeros(n)
+        axis[0] = 1.0
+        density = z ** (-(n - 1))
     else:
-        half = f.radius * 1.02
-        rules = [gauss_legendre(x_nodes, -half, half) for _ in range(m.dim - 1)]
-    plane = tensor_rule(rules)
+        # the level set is the hyperplane -(x - base).u = t, whose point
+        # nearest the center lies at distance |center_level - t|
+        u = field.xi.data
+        r_sq = R * R - (center_level - t) ** 2
+        origins = c + (center_level - t)[:, None] * u
+        axis = orthonormal_complement(u)[0]
+        density = 1.0
+    r_max = np.sqrt(np.clip(r_sq, 0.0, None))
 
-    base_offset = float(field._raw_value(field.basepoint.coords))
-    total = 0.0
-    for t, wt in zip(t_rule.nodes, t_rule.weights):
-        if m.is_hyperbolic:
-            # level b = t is the plane z = exp(-(t + offset)); induced density z^-(n-1)
-            z = math.exp(-(t + base_offset))
-            pts = np.concatenate([plane.nodes, np.full((plane.weights.size, 1), z)], axis=-1)
-            slice_val = plane.integrate(f(pts)) * z ** (-(m.dim - 1))
-        else:
-            # the level set is the hyperplane -(x - base).u = t; quadrature
-            # runs in an orthonormal frame of it around the projected center
-            u = field.xi.data
-            basis = orthonormal_complement(u)
-            origin = f.center.coords + (center_level - t) * u
-            slice_val = plane.integrate(f(origin + plane.nodes @ basis))
-        total += wt * slice_val
-    return total
-
+    radial = gauss_legendre(x_nodes, 0.0, 1.0)
+    radii = r_max[:, None] * radial.nodes  # (t_nodes, x_nodes)
+    pts = origins[:, None, :] + radii[..., None] * axis
+    values = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(radii.shape)
+    # |S^0| = 2 and r^0 = 1 cover both halves of a one-dimensional slice
+    slices = unit_sphere_area(n - 2) * r_max * ((values * radii ** (n - 2)) @ radial.weights)
+    return t_rule.integrate(slices * density)

@@ -236,8 +236,9 @@ def unit_sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-# Largest product grid tensor_rule builds: above the 48^4-node plane of the
-# five-dimensional coarea slices, below the 64^4-node locus rule of H^6.
+# Largest product grid tensor_rule builds. Its users are the locus oracle's
+# sphere rule (64^(n-2) nodes: 64^3 on H^5 is below the cap, 64^4 on H^6
+# above it) and integrate_region's quadrature box.
 TENSOR_RULE_MAX_NODES = 2 ** 23
 
 
@@ -266,7 +267,24 @@ def sphere_rule(m: int, nodes_per_axis: int = 64) -> QuadratureRule:
     S^0 is the two-point counting rule; S^1 uses the periodic trapezoid on
     the angle; higher spheres use a product Gauss-Legendre rule on the
     spherical angles. Weights sum to the sphere volume.
+
+    Each rule is built once per (m, nodes_per_axis) and shared; its
+    ``nodes`` and ``weights`` arrays are read-only.
     """
+    # a plain function in front of the cache, so that tracers wrapping the
+    # module's functions still see every call
+    return _sphere_rule(m, nodes_per_axis)
+
+
+@functools.lru_cache(maxsize=8)
+def _sphere_rule(m: int, nodes_per_axis: int) -> QuadratureRule:
+    rule = _build_sphere_rule(m, nodes_per_axis)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
+
+
+def _build_sphere_rule(m: int, nodes_per_axis: int) -> QuadratureRule:
     if m == 0:
         nodes = np.array([[1.0], [-1.0]])
         return QuadratureRule("counting", nodes, np.array([1.0, 1.0]), "S^0")

@@ -20,6 +20,7 @@ from horoflow.busemann import (
     sublevel_bounded_probe,
 )
 from horoflow.manifold import (
+    EUCLIDEAN,
     HYPERBOLIC,
     GeometryError,
     ModelSpace,
@@ -314,3 +315,47 @@ class TestCoareaSlicing:
         bump = TestFunction(Point(e3, [0.1, -0.2, 0.3]), 0.6)
         val = coarea_slice_integral(bump, f_dir, t_nodes=60, x_nodes=48)
         assert val == pytest.approx(bump.exact_euclidean_integral(), abs=1e-6)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_euclidean_closed_form_all_dimensions(self, n):
+        e = ModelSpace(EUCLIDEAN, n)
+        u = np.arange(1.0, n + 1.0)
+        f_dir = BusemannField(e, boundary_direction(e, u / np.linalg.norm(u)), Point(e, np.zeros(n)))
+        bump = TestFunction(Point(e, np.linspace(-0.3, 0.4, n)), 0.7)
+        val = coarea_slice_integral(bump, f_dir, t_nodes=64, x_nodes=48)
+        assert val == pytest.approx(bump.exact_euclidean_integral(), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_hyperbolic_polar_integral_all_dimensions(self, n):
+        h = ModelSpace(HYPERBOLIC, n)
+        f_inf = BusemannField(h, boundary_infinity(h), Point(h, np.r_[np.zeros(n - 1), 1.0]))
+        R = 0.7
+        bump = TestFunction(Point(h, np.r_[np.full(n - 1, 0.2), 1.3]), R)
+        val = coarea_slice_integral(bump, f_inf, t_nodes=64, x_nodes=48)
+        # geodesic polar coordinates: |S^{n-1}| int_0^R (1 - (rho/R)^2)^3 sinh^{n-1}(rho) drho
+        x, w = np.polynomial.legendre.leggauss(64)
+        rho = 0.5 * R * (x + 1.0)
+        sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        polar = sphere * 0.5 * R * np.sum(w * (1.0 - (rho / R) ** 2) ** 3 * np.sinh(rho) ** (n - 1))
+        assert val == pytest.approx(polar, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["h4", "e4"])
+    def test_bump_evaluated_once_on_every_node(self, model):
+        n = int(model[1:])
+        m = ModelSpace(HYPERBOLIC if model[0] == "h" else EUCLIDEAN, n)
+        if m.is_hyperbolic:
+            field = BusemannField(m, boundary_infinity(m), Point(m, np.r_[np.zeros(n - 1), 1.0]))
+        else:
+            field = BusemannField(m, boundary_direction(m, np.eye(n)[0]), Point(m, np.zeros(n)))
+        bump = TestFunction(Point(m, np.r_[np.zeros(n - 1), 1.0]), 0.5)
+        shapes = []
+
+        class CountingBump:
+            center, radius = bump.center, bump.radius
+
+            def __call__(self, coords):
+                shapes.append(np.shape(coords))
+                return bump(coords)
+
+        coarea_slice_integral(CountingBump(), field, t_nodes=20, x_nodes=12)
+        assert shapes == [(20 * 12, n)]

@@ -8,7 +8,7 @@ import pytest
 
 from horoflow import verify
 from horoflow.cli import main, parse_grid, parse_model
-from horoflow.manifold import EUCLIDEAN, HYPERBOLIC
+from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError
 
 REPORT_KEYS = {"name", "statement", "quantities", "expected", "provenance",
                "tolerance", "tol_kind", "status", "wall_time_s"}
@@ -76,22 +76,37 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in _strip_wall_times(json.loads(b.read_text()))["checks"]}
         assert alone == [by_name[c["name"]] for c in alone]
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "coarea", "--model", "e8"],
-        ["verify", "intersections", "--model", "h6"],
-    ])
-    def test_infeasible_grid_exits_2(self, argv, capsys):
-        assert main(argv) == 2
+    def test_infeasible_grid_exits_2(self, capsys):
+        # the locus oracle's 64^4-node sphere rule on h6 exceeds the tensor_rule cap
+        assert main(["verify", "intersections", "--model", "h6"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_check_error_keeps_the_finished_records(self, tmp_path, capsys):
+    def test_check_error_keeps_the_finished_records(self, tmp_path, monkeypatch, capsys):
+        @verify.check("raises-geometry-error", "a check whose body raises", 0.0, "exact")
+        def check_raises(ctx, tol):
+            raise GeometryError("grid too large")
+
+        monkeypatch.setitem(verify.SUITES, "coarea", [verify.check_gradient_norm, check_raises])
         out = tmp_path / "rep.json"
-        assert main(["verify", "coarea", "--model", "e6", "--out", str(out)]) == 2
+        assert main(["verify", "coarea", "--out", str(out)]) == 2
         statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
-        assert statuses == {"coarea-slicing": "error", "mc-error-scaling": "pass"}
+        assert statuses == {"busemann-gradient-unit-norm": "pass", "raises-geometry-error": "error"}
         err = capsys.readouterr().err
-        assert "error: coarea-slicing: " in err
+        assert "error: raises-geometry-error: grid too large" in err
         assert "ERROR" in err
+
+    @pytest.mark.parametrize("model", ["e6", "e7", "e8"])
+    def test_verify_all_passes_in_high_flat_dimensions(self, model, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["verify", "all", "--model", model, "--out", str(out)]) == 0
+        statuses = {c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert statuses == {"pass"}
+
+    def test_coarea_passes_on_h8(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["verify", "coarea", "--model", "h8", "--out", str(out)]) == 0
+        statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert statuses["coarea-slicing"] == "pass"
 
     def test_probe_outside_image_discrepancy_status(self, tmp_path, monkeypatch):
         # one cheap map-f check stands for each suite; the probe follows the map-f checks

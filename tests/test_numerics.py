@@ -84,6 +84,15 @@ class TestQuadrature:
         moments = rule.nodes.T @ rule.weights
         assert np.max(np.abs(moments)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_sphere_rule_built_once_and_read_only(self, m):
+        rule = sphere_rule(m, 16)
+        assert sphere_rule(m, nodes_per_axis=16) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert sphere_rule(m, 17) is not rule
+
 
 class TestODE:
     def test_rk4_exponential(self):
