@@ -62,11 +62,17 @@ def parse_model(token: str) -> ModelSpace:
 
 
 def parse_grid(token: str) -> list[float]:
-    """Grid syntax a:b:k = k equally spaced values from a to b inclusive."""
+    """Grid syntax a:b:k = k equally spaced values from a to b inclusive, for
+    finite numbers a and b and an integer k >= 1."""
     parts = token.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be a:b:k, got {token!r}")
-    a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"grid a:b:k needs numbers a, b and an integer k, got {token!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"grid bounds must be finite, got {token!r}")
     if k < 1:
         raise ConfigError("grid needs at least one point")
     return [a] if k == 1 else list(np.linspace(a, b, k))
@@ -87,9 +93,6 @@ class RunConfig:
     model: str = "h3"
     seed: int = 42
     samples: int = 150_000
-    # sphere-rule nodes per angle of the verify quadrature oracles; sweeps
-    # evaluate closed forms and build no rule
-    locus_nodes: int | None = None
     s_grid: list = field(default_factory=lambda: [0.5, math.log(2.0), 2.0])
     t_grid: list = field(default_factory=lambda: [-3.0, -1.0, 0.0, 1.0, 3.0])
     t0: float = 1.0
@@ -121,8 +124,6 @@ class RunConfig:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
         if not _is_int(self.samples) or self.samples < 1:
             raise ConfigError("samples must be a positive integer")
-        if self.locus_nodes is not None and (not _is_int(self.locus_nodes) or self.locus_nodes < 1):
-            raise ConfigError("locus_nodes must be null or a positive integer")
         for key in ("s_grid", "t_grid"):
             grid = getattr(self, key)
             if not isinstance(grid, list) or not grid or not all(map(_is_finite, grid)):
@@ -140,7 +141,6 @@ class RunConfig:
             model=parse_model(self.model),
             seed=self.seed,
             samples=self.samples,
-            locus_nodes=self.locus_nodes,
             s_grid=tuple(self.s_grid),
             t_grid=tuple(self.t_grid),
             t0=float(self.t0),

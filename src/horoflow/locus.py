@@ -18,9 +18,12 @@ The product path is closed form: in normalized coordinates (boundary points
 moved to the origin and infinity) the locus is a round chart sphere with
 radius/height = sqrt(e^s - 1), and beta = 1 - 2 e^{-s} on it, which
 :func:`locus_values` turns into vol, V, W and (V + W)/2 in O(1). The oracle
-is :func:`locus_quadrature`: a sphere rule, beta at its nodes from the
-original fields, and the induced density in normalized coordinates or from
-finite-difference tangent frames in the original ones.
+is :func:`locus_quadrature`: beta from the original fields and the induced
+density (in normalized coordinates, or from finite-difference tangent frames
+in the original ones) at the 4(n-1) nodes of a degree-3 spherical design
+(the two points of S^0 in H^2). Both are constant on the locus, so a rule
+that integrates constants exactly is all the oracle needs: its nodes test
+the constancy, and its weighted sums the closed forms.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .manifold import (
     Point,
     normalize_pair,
 )
-from .numerics import (MCEstimate, QuadratureRule, gauss_legendre, mc_integrate_box,
-                       orthonormal_complement, sphere_rule, unit_sphere_area)
+from .numerics import (MCEstimate, QuadratureRule, fd_jacobian, gauss_legendre,
+                       mc_integrate_box, orthonormal_complement, sphere_rule, unit_sphere_area)
 
 __all__ = [
     "VisibilityError",
@@ -72,15 +75,6 @@ class VisibilityError(GeometryError):
 class EmptyLocusError(GeometryError):
     """Requested intersection lies below the axis level (s < 0), or a strip
     region reaches the axis level (c1 + c2 <= c0)."""
-
-
-# default sizes of the oracle's sphere rule: trapezoid nodes on the circle
-# for n=3, Gauss-Legendre nodes per spherical angle for n >= 4
-CIRCLE_NODES = 512
-ANGLE_NODES = 64
-# Largest rule for measure_factors_fd, whose loop takes about 0.6 ms a node:
-# the 24^3 nodes of the H^5 isometry check take 8 s, H^6's 24^4 would take minutes.
-FD_FRAME_MAX_NODES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -183,18 +177,18 @@ def make_pair_config(f1: BusemannField, f2: BusemannField) -> PairConfig:
 @dataclass(frozen=True)
 class IntersectionLocus:
     """S(s, t) as a round chart sphere in normalized coordinates; the oracle's
-    sphere rule is built on first use of its nodes or weights."""
+    degree-3 spherical design on S^{n-2} is built on first use of its nodes or
+    weights."""
 
     config: PairConfig
     s: float
     t: float
     height: float          # normalized chart height a
     radius: float          # normalized chart sphere radius rho
-    nodes: int             # sphere-rule nodes per angle
 
     @functools.cached_property
     def _rule(self) -> QuadratureRule:
-        return sphere_rule(self.config.model.dim - 2, self.nodes)
+        return sphere_rule(self.config.model.dim - 2)
 
     @property
     def sphere_nodes(self) -> np.ndarray:
@@ -245,55 +239,44 @@ class IntersectionLocus:
 
     # -- independent general-coordinates measure ---------------------------------
 
-    def measure_factors_fd(self, step: float = 1e-6) -> np.ndarray:
+    def measure_factors_fd(self, step: float = 1e-3) -> np.ndarray:
         """Induced density recomputed in original coordinates per node.
 
-        Pushes a finite-difference tangent frame of the sphere through the
-        inverse normalizer and takes the Gram determinant in the metric;
-        cross-checks :meth:`measure_factor` (they agree by isometry
-        invariance). Raises :class:`GeometryError` above
-        ``FD_FRAME_MAX_NODES`` nodes, before the loop starts.
+        Maps the tangent plane of the unit sphere at each node onto the
+        sphere by normalizing, then into original coordinates through the
+        inverse normalizer; :func:`fd_jacobian` pushes the orthonormal tangent
+        frame through that map, and the density is the square root of the
+        frame's Gram determinant in the metric. Cross-checks
+        :meth:`measure_factor` (they agree by isometry invariance).
         """
         m = self.config.model
-        dim_sphere = m.dim - 2
-        if dim_sphere == 0 or self.degenerate:
+        if m.dim == 2 or self.degenerate:
             return np.full(self.sphere_nodes.shape[0], self.measure_factor())
-        count = self.sphere_nodes.shape[0]
-        if count > FD_FRAME_MAX_NODES:
-            raise GeometryError(
-                f"finite-difference frames at {count} nodes exceed the cap of {FD_FRAME_MAX_NODES}"
-            )
         inv = self.config.normalizer.inverse()
+        out = []
+        for omega in self.sphere_nodes:
+            frame = orthonormal_complement(omega)
 
-        def embed(omega):
-            y = np.concatenate([self.radius * omega, [self.height]])
-            return inv.apply_coords(y)
+            def chart(u):
+                y = omega + u @ frame
+                y = self.radius * y / np.linalg.norm(y, axis=-1, keepdims=True)
+                return inv.apply_coords(np.column_stack([y, np.full(len(y), self.height)]))
 
-        out = np.empty(count)
-        for i, omega in enumerate(self.sphere_nodes):
-            base = embed(omega)
-            vecs = []
-            for tau in orthonormal_complement(omega):
-                plus = embed(np.cos(step) * omega + np.sin(step) * tau)
-                minus = embed(np.cos(step) * omega - np.sin(step) * tau)
-                vecs.append((plus - minus) / (2.0 * step))
-            gram = np.array([[m.inner(base, a, b) for b in vecs] for a in vecs])
-            out[i] = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-        return out
+            jac, base = fd_jacobian(chart, np.zeros(len(frame)), step)
+            gram = m.inner(base, jac.T[:, None, :], jac.T[None, :, :])
+            out.append(math.sqrt(max(float(np.linalg.det(gram)), 0.0)))
+        return np.array(out)
 
 
-def parametrize_locus(cfg: PairConfig, s: float, t: float, *, nodes: int | None = None) -> IntersectionLocus:
+def parametrize_locus(cfg: PairConfig, s: float, t: float) -> IntersectionLocus:
     """S(s, t), for the closed forms and the quadrature oracle.
 
     s > 0 gives the genuine locus; s = 0 degenerates to the single axis
     point; s < 0 raises :class:`EmptyLocusError` (the sum of the Busemann
-    values never drops below c0). ``nodes`` sizes the oracle's sphere rule,
-    which is not built here.
+    values never drops below c0). The oracle's sphere rule is not built here.
     """
     a, rho = cfg.locus_geometry(s, t)
-    if nodes is None:
-        nodes = CIRCLE_NODES if cfg.model.dim == 3 else ANGLE_NODES
-    return IntersectionLocus(config=cfg, s=float(s), t=float(t), height=a, radius=rho, nodes=nodes)
+    return IntersectionLocus(config=cfg, s=float(s), t=float(t), height=a, radius=rho)
 
 
 class LocusValues(NamedTuple):
@@ -374,14 +357,13 @@ def integral_w(L: IntersectionLocus) -> float:
     return locus_values(L.config, L.s, L.t).W
 
 
-def dw_ds_check(cfg: PairConfig, s: float, t: float, *, step: float = 1e-3,
-                nodes: int | None = None) -> tuple[float, float]:
+def dw_ds_check(cfg: PairConfig, s: float, t: float, *, step: float = 1e-3) -> tuple[float, float]:
     """Central difference in s of the quadrature W against the closed form
     (h/2)(W + V) at (s, t)."""
     if s <= step:
         raise GeometryError("s must exceed the differencing step")
-    w_plus = locus_quadrature(parametrize_locus(cfg, s + step, t, nodes=nodes)).W
-    w_minus = locus_quadrature(parametrize_locus(cfg, s - step, t, nodes=nodes)).W
+    w_plus = locus_quadrature(parametrize_locus(cfg, s + step, t)).W
+    w_minus = locus_quadrature(parametrize_locus(cfg, s - step, t)).W
     lhs = (w_plus - w_minus) / (2.0 * step)
     closed = locus_values(cfg, s, t)
     rhs = 0.5 * cfg.h * (closed.W + closed.V)

@@ -236,9 +236,8 @@ def unit_sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-# Largest product grid tensor_rule builds. Its users are the locus oracle's
-# sphere rule (64^(n-2) nodes: 64^3 on H^5 is below the cap, 64^4 on H^6
-# above it) and integrate_region's quadrature box.
+# Largest product grid tensor_rule builds; integrate_region's quadrature box
+# is its one user.
 TENSOR_RULE_MAX_NODES = 2 ** 23
 
 
@@ -261,55 +260,28 @@ def tensor_rule(rules) -> QuadratureRule:
     return QuadratureRule("tensor-product", nodes, weights)
 
 
-def sphere_rule(m: int, nodes_per_axis: int = 64) -> QuadratureRule:
-    """Quadrature on the unit sphere S^m in R^{m+1}.
+# Philox key of the rotation that turns sphere_rule's second cross-polytope
+SPHERE_RULE_KEY = 2022
 
-    S^0 is the two-point counting rule; S^1 uses the periodic trapezoid on
-    the angle; higher spheres use a product Gauss-Legendre rule on the
-    spherical angles. Weights sum to the sphere volume.
 
-    Each rule is built once per (m, nodes_per_axis) and shared; its
-    ``nodes`` and ``weights`` arrays are read-only.
+def sphere_rule(m: int) -> QuadratureRule:
+    """Degree-3 spherical design on the unit sphere S^m in R^{m+1}.
+
+    The nodes are the cross-polytope vertices +-e_i and the same polytope
+    turned by one fixed rotation (the Q factor of a Gaussian matrix drawn
+    from a keyed Philox generator), 4(m+1) nodes of equal weight
+    |S^m| / (4(m+1)). Each polytope integrates every polynomial of degree
+    <= 3 exactly (Stroud 1971), so the union does too. S^0 is the two-point
+    counting rule.
     """
-    # a plain function in front of the cache, so that tracers wrapping the
-    # module's functions still see every call
-    return _sphere_rule(m, nodes_per_axis)
-
-
-@functools.lru_cache(maxsize=8)
-def _sphere_rule(m: int, nodes_per_axis: int) -> QuadratureRule:
-    rule = _build_sphere_rule(m, nodes_per_axis)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
-
-
-def _build_sphere_rule(m: int, nodes_per_axis: int) -> QuadratureRule:
     if m == 0:
-        nodes = np.array([[1.0], [-1.0]])
-        return QuadratureRule("counting", nodes, np.array([1.0, 1.0]), "S^0")
-    if m == 1:
-        angle = periodic_trapezoid(nodes_per_axis)
-        nodes = np.stack([np.cos(angle.nodes), np.sin(angle.nodes)], axis=-1)
-        return QuadratureRule("periodic-trapezoid", nodes, angle.weights.copy(), "S^1")
-
-    polar = [gauss_legendre(nodes_per_axis, 0.0, math.pi) for _ in range(m - 1)]
-    azimuth = gauss_legendre(nodes_per_axis, 0.0, 2.0 * math.pi)
-    grid = tensor_rule(polar + [azimuth])
-    angles = grid.nodes.T
-    weights = grid.weights
-    # spherical volume element: prod_k sin^{m-1-k}(theta_k), k = 0..m-2
-    for k in range(m - 1):
-        weights = weights * np.sin(angles[k]) ** (m - 1 - k)
-    # embed: x_1 = cos t1, x_2 = sin t1 cos t2, ..., x_{m+1} = sin t1 ... sin tm
-    count = weights.size
-    coords = np.empty((count, m + 1))
-    sin_prod = np.ones(count)
-    for k in range(m):
-        coords[:, k] = sin_prod * np.cos(angles[k])
-        sin_prod = sin_prod * np.sin(angles[k])
-    coords[:, m] = sin_prod
-    return QuadratureRule("gauss-legendre-product", coords, weights, f"S^{m}")
+        return QuadratureRule("counting", np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), "S^0")
+    gaussian = _philox(SPHERE_RULE_KEY, m).standard_normal((m + 1, m + 1))
+    rotation, _ = np.linalg.qr(gaussian)
+    cross = np.concatenate([np.eye(m + 1), -np.eye(m + 1)])
+    nodes = np.concatenate([cross, cross @ rotation.T])
+    weights = np.full(nodes.shape[0], unit_sphere_area(m) / nodes.shape[0])
+    return QuadratureRule("spherical-design", nodes, weights, f"S^{m}")
 
 
 # --------------------------------------------------------------------------
@@ -336,10 +308,9 @@ class MCEstimate:
         return gap <= sigmas * combined
 
 
-def _philox_uniform(seed: int, block: int, shape) -> np.ndarray:
+def _philox(seed: int, block: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(shape)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _pairwise_sum(parts: list[float]) -> float:
@@ -369,7 +340,7 @@ def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
 
     def one_block(b: int):
         count = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        u = _philox_uniform(seed, b, (count, lo.size))
+        u = _philox(seed, b).random((count, lo.size))
         pts = lo + u * (hi - lo)
         vals = np.asarray(fn(pts), dtype=float)
         return float(np.sum(vals)), float(np.sum(vals * vals))

@@ -5,8 +5,7 @@ expected value with its provenance (exact / closed-form / cross-check /
 counterexample), the tolerance, and a status. Status ``paper-discrepancy``
 marks the one documented deviation (the global-surjectivity claim for the
 volume-preserving map) and does not fail a suite. Status ``error`` marks a
-check that raised :class:`GeometryError` before it finished, for instance at
-the node cap of a quadrature rule.
+check that raised :class:`GeometryError` before it finished.
 
 Suites: ``busemann``, ``map-f``, ``flows``, ``intersections``, ``coarea``,
 and ``all`` (their union in declaration order).
@@ -116,7 +115,6 @@ class VerifyContext:
     model: ModelSpace
     seed: int = 42
     samples: int = 150_000
-    locus_nodes: int | None = None
     s_grid: tuple = (0.5, math.log(2.0), 2.0)
     t_grid: tuple = (-3.0, -1.0, 0.0, 1.0, 3.0)
     t0: float = 1.0
@@ -607,11 +605,6 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
 # --------------------------------------------------------------------------
 
 
-def _quadrature(ctx: VerifyContext, cfg: lc.PairConfig, s: float, t: float) -> lc.LocusValues:
-    """The quadrature oracle on S(s, t), at the run's node count."""
-    return lc.locus_quadrature(lc.parametrize_locus(cfg, s, t, nodes=ctx.locus_nodes))
-
-
 @check("locus-membership", "every quadrature node satisfies both horosphere level equations",
        0.0, "exact", tol=1e-10, skip=LOCUS_SKIP)
 def check_locus_membership(ctx, tol):
@@ -619,7 +612,7 @@ def check_locus_membership(ctx, tol):
     worst = 0.0
     for s in ctx.s_grid:
         for t in ctx.t_grid:
-            L = lc.parametrize_locus(cfg, s, t, nodes=ctx.locus_nodes)
+            L = lc.parametrize_locus(cfg, s, t)
             worst = max(worst, L.membership_residual())
     return {"max_residual": worst}, worst <= tol
 
@@ -635,7 +628,7 @@ def check_vw_t_invariance(ctx, tol):
     for s in ctx.s_grid:
         vs, ws = [], []
         for t in ctx.t_grid:
-            q = _quadrature(ctx, cfg, s, t)
+            q = lc.locus_quadrature(lc.parametrize_locus(cfg, s, t))
             vs.append(q.V)
             ws.append(q.W)
         closed = lc.locus_values(cfg, s, ctx.t_grid[0])
@@ -658,7 +651,7 @@ def check_dw_ds(ctx, tol):
     worst = 0.0
     rows = []
     for s in (0.5, 1.0, 2.0):
-        lhs, rhs = lc.dw_ds_check(cfg, s, 0.4, nodes=ctx.locus_nodes)
+        lhs, rhs = lc.dw_ds_check(cfg, s, 0.4)
         rel = abs(lhs - rhs) / abs(rhs)
         worst = max(worst, rel)
         rows.append({"s": s, "lhs": lhs, "rhs": rhs, "relative_gap": rel})
@@ -679,7 +672,7 @@ def check_volume_bound(ctx, tol):
     for s in s_vals:
         bounds_this_s = []
         for t in t_vals:
-            q = _quadrature(ctx, cfg, float(s), float(t))
+            q = lc.locus_quadrature(lc.parametrize_locus(cfg, float(s), float(t)))
             worst_violation = max(worst_violation, q.vol - q.bound)
             bounds_this_s.append(q.bound)
             if abs(s - math.log(2.0)) < 1e-12:
@@ -702,13 +695,13 @@ def check_beta_bound_and_monotone_volume(ctx, tol):
     ok_beta = True
     margins = []
     for s in (0.1, 0.5, 1.0, 2.0, 3.0):
-        L = lc.parametrize_locus(cfg, s, 0.7, nodes=ctx.locus_nodes)
+        L = lc.parametrize_locus(cfg, s, 0.7)
         max_beta = float(np.max(L.beta_values()))
         ok_beta = (ok_beta and lc.beta_bound_check(L)
                    and abs(max_beta - lc.locus_values(cfg, s, 0.7).beta_max) <= tol)
         margins.append({"s": s, "max_beta": max_beta, "bound": 1.0 - 2.0 * math.exp(-ctx.h * s)})
     grid = np.linspace(0.3, 2.7, 9)
-    vols = [_quadrature(ctx, cfg, float(s), 0.0).vol for s in grid]
+    vols = [lc.locus_quadrature(lc.parametrize_locus(cfg, float(s), 0.0)).vol for s in grid]
     if ctx.model.dim == 2:
         # point-pair loci have constant counting volume 2
         monotone = bool(np.all(np.diff(vols) >= -1e-12))
@@ -730,11 +723,11 @@ def check_isometry_invariance(ctx, tol):
     f1 = bu.BusemannField(m, boundary_finite(m, a), ctx.basepoint)
     f2 = bu.BusemannField(m, boundary_finite(m, b), ctx.basepoint)
     cfg = lc.make_pair_config(f1, f2)
-    nodes = ctx.locus_nodes or (128 if m.dim == 3 else 24)
-    closed = lc.locus_values(cfg, 1.3, 0.7)
-    general = lc.locus_quadrature(lc.parametrize_locus(cfg, 1.3, 0.7, nodes=nodes), general=True)
+    L = lc.parametrize_locus(cfg, 1.3, 0.7)
+    closed = lc.locus_values(cfg, L.s, L.t)
+    general = lc.locus_quadrature(L, general=True)
     worst = max(abs(a - b) for a, b in zip(closed[:3], general[:3]))
-    return {"max_gap": worst, "nodes": nodes}, worst <= tol
+    return {"max_gap": worst, "nodes": L.sphere_weights.size}, worst <= tol
 
 
 @check("strip-volume",
@@ -748,8 +741,11 @@ def check_strip_volume(ctx, tol):
     quad = lc.strip_volume(cfg, c1, c2, r)
     mc = lc.strip_volume_mc(cfg, c1, c2, r, n_samples=2 * ctx.samples, seed=ctx.seed + 5)
     pull = abs(mc.mean - quad) / mc.standard_error
-    shifted = lc.strip_volume(cfg, c1 + 1.0, c2 - 1.0, r,
-                              section=lambda s, t: _quadrature(ctx, cfg, s, t).bound)
+
+    def section(s, t):
+        return lc.locus_quadrature(lc.parametrize_locus(cfg, s, t)).bound
+
+    shifted = lc.strip_volume(cfg, c1 + 1.0, c2 - 1.0, r, section=section)
     shift_gap = abs(shifted - quad) / quad
     return ({"quadrature": quad, "mc_mean": mc.mean, "mc_se": mc.standard_error,
              "pull_sigmas": pull, "shift_relative_gap": shift_gap},

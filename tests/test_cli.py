@@ -76,10 +76,12 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in _strip_wall_times(json.loads(b.read_text()))["checks"]}
         assert alone == [by_name[c["name"]] for c in alone]
 
-    def test_infeasible_grid_exits_2(self, capsys):
-        # the locus oracle's 64^4-node sphere rule on h6 exceeds the tensor_rule cap
-        assert main(["verify", "intersections", "--model", "h6"]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("model", ["h6", "h7", "h8"])
+    def test_intersections_pass_in_high_hyperbolic_dimensions(self, model, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["verify", "intersections", "--model", model, "--out", str(out)]) == 0
+        statuses = {c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert statuses == {"pass"}
 
     def test_check_error_keeps_the_finished_records(self, tmp_path, monkeypatch, capsys):
         @verify.check("raises-geometry-error", "a check whose body raises", 0.0, "exact")
@@ -145,14 +147,11 @@ class TestVerifyCommand:
         assert main(["verify", "coarea", "--model", "q7"]) == 2
 
     @pytest.mark.parametrize("bad", [
-        {"locus_nodes": 0},
-        {"locus_nodes": 2.5},
         {"seed": "x"},
         {"s_grid": 3},
         {"probe_outside_image": "no"},
         {"samples": 1.5},
-    ], ids=["locus_nodes-zero", "locus_nodes-float", "seed-string", "s_grid-scalar",
-            "probe-string", "samples-float"])
+    ], ids=["seed-string", "s_grid-scalar", "probe-string", "samples-float"])
     def test_malformed_config_value_exits_2(self, bad, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
@@ -220,6 +219,21 @@ class TestSweepCommand:
 
     def test_euclidean_rejected(self):
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2
+
+    @pytest.mark.parametrize("s_grid, t_grid", [
+        ("0:1:x", "0:1:2"),
+        ("a:1:2", "0:1:2"),
+        ("0:1:2.5", "0:1:2"),
+        ("nan:1:2", "0:1:2"),
+        ("0.5:1:2", "inf:1:2"),
+        ("0.5:-inf:2", "0:1:2"),
+    ], ids=["count-letter", "bound-letter", "count-float", "bound-nan", "bound-inf",
+            "bound-minus-inf"])
+    def test_malformed_grid_exits_2(self, s_grid, t_grid, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--s", s_grid, "--t", t_grid, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("model", ["h6", "h7", "h8"])
     def test_high_dimensions_are_closed_forms(self, model, tmp_path):

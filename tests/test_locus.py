@@ -144,8 +144,16 @@ class TestWeightedIntegrals:
             assert (max(vs) - min(vs)) / vs[0] <= 1e-8
             assert (max(ws) - min(ws)) / ws[0] <= 1e-8
 
-    def test_general_coordinates_crosscheck(self, cfg_example):
-        L = parametrize_locus(cfg_example, 1.3, 0.7, nodes=128)
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_general_coordinates_crosscheck(self, dim):
+        # the pair of the worked example, at +-e_1 on the boundary of H^dim
+        m = ModelSpace(HYPERBOLIC, dim)
+        base = Point(m, [0.0] * (dim - 1) + [1.0])
+        a = np.zeros(dim - 1)
+        a[0] = 1.0
+        cfg = make_pair_config(BusemannField(m, boundary_finite(m, a), base),
+                               BusemannField(m, boundary_finite(m, -a), base))
+        L = parametrize_locus(cfg, 1.3, 0.7)
         general = locus_quadrature(L, general=True)
         assert general.vol == pytest.approx(volume_locus(L), abs=1e-8)
         assert general.V == pytest.approx(integral_v(L), abs=1e-8)
@@ -170,7 +178,7 @@ class TestWeightedIntegrals:
         f2 = BusemannField(h5, boundary_infinity(h5), base)
         cfg = make_pair_config(f1, f2)
         s = 1.1
-        L = parametrize_locus(cfg, s, -0.6, nodes=32)
+        L = parametrize_locus(cfg, s, -0.6)
         e = math.exp(s) - 1.0
         area = unit_sphere_area(3)
         assert volume_locus(L) == pytest.approx(area * e ** 1.5, rel=1e-9)

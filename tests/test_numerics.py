@@ -1,5 +1,6 @@
 """Numerical engines: finite differences, quadrature, Monte Carlo, ODE."""
 
+import itertools
 import math
 
 import numpy as np
@@ -74,24 +75,43 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_sphere_rule_total_measure(self, m):
-        rule = sphere_rule(m, 24)
+        rule = sphere_rule(m)
         assert np.all(rule.weights > 0)
         assert rule.weights.sum() == pytest.approx(unit_sphere_area(m), rel=1e-12)
         assert np.max(np.abs(np.linalg.norm(np.atleast_2d(rule.nodes), axis=-1) - 1.0)) <= 1e-14
 
     def test_sphere_rule_linear_functional_vanishes(self):
-        rule = sphere_rule(2, 32)
+        rule = sphere_rule(2)
         moments = rule.nodes.T @ rule.weights
         assert np.max(np.abs(moments)) <= 1e-12
 
-    @pytest.mark.parametrize("m", [0, 1, 3])
-    def test_sphere_rule_built_once_and_read_only(self, m):
-        rule = sphere_rule(m, 16)
-        assert sphere_rule(m, nodes_per_axis=16) is rule
-        for arr in (rule.nodes, rule.weights):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        assert sphere_rule(m, 17) is not rule
+    @pytest.mark.parametrize("m", range(7))
+    def test_sphere_rule_is_a_degree_3_design(self, m):
+        rule = sphere_rule(m)
+        nodes = np.atleast_2d(rule.nodes)
+        area = unit_sphere_area(m)
+        assert nodes.shape[0] <= 4 * (m + 1)
+        assert np.max(np.abs(np.linalg.norm(nodes, axis=-1) - 1.0)) <= 1e-14
+        assert rule.weights.sum() == pytest.approx(area, rel=1e-14)
+        # every monomial of degree <= 3; odd ones vanish, the second moments
+        # are |S^m|/(m+1) delta_ij
+        for degree in range(4):
+            for idx in itertools.combinations_with_replacement(range(m + 1), degree):
+                exponents = np.bincount(np.array(idx, dtype=int), minlength=m + 1)
+                value = rule.integrate(np.prod(nodes ** exponents, axis=-1))
+                expected = _sphere_monomial_integral(exponents)
+                assert value == pytest.approx(expected, abs=1e-13 * area), exponents
+        second = (nodes * rule.weights[:, None]).T @ nodes
+        assert np.max(np.abs(second - area / (m + 1) * np.eye(m + 1))) <= 1e-13 * area
+
+
+def _sphere_monomial_integral(exponents) -> float:
+    """Integral of prod x_i^a_i over S^m (Folland 2001): 0 if some a_i is odd,
+    else 2 prod Gamma((a_i + 1)/2) / Gamma(sum (a_i + 1)/2)."""
+    if any(a % 2 for a in exponents):
+        return 0.0
+    halves = [(a + 1) / 2.0 for a in exponents]
+    return 2.0 * math.prod(math.gamma(h) for h in halves) / math.gamma(sum(halves))
 
 
 class TestODE:
