@@ -41,10 +41,8 @@ from .numerics import (
     fd_hessian,
     fd_jacobian,
     gauss_legendre,
-    integrate_region,
     mc_integrate_box,
     ode_integrate,
-    periodic_trapezoid,
     sphere_rule,
     unit_sphere_area,
 )
@@ -79,7 +77,6 @@ from .transport import (
     map_f,
     normal_flow,
     pair_flow_step,
-    pair_flow_trajectory,
     raw_pair_field,
 )
 from .locus import (

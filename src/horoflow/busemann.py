@@ -162,10 +162,6 @@ class BusemannField:
         hess -= np.eye(n) * (db[-1] / z)
         return z * z * hess
 
-    def laplacian(self, coords) -> float:
-        """Trace of the covariant Hessian (equals h in both models)."""
-        return float(np.trace(self.hessian_matrix(coords)))
-
 
 @dataclass(frozen=True)
 class HessianOperator:

@@ -195,15 +195,9 @@ def cmd_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.model is not None:
-        cfg.model = args.model
-    if args.out is not None:
-        cfg.out = args.out
-    cfg.validate()
+    model = parse_model(args.model)
     s_grid = parse_grid(args.s)
     t_grid = parse_grid(args.t)
-    model = parse_model(cfg.model)
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
     rows = sweep_rows(VerifyContext(model=model).pair_config(), s_grid, t_grid)
@@ -211,8 +205,8 @@ def cmd_sweep(args) -> int:
     for row in rows:
         lines.append(",".join(f"{row[col]:.17g}" for col in SWEEP_COLUMNS))
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -246,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="CSV sweep of the closed-form locus quantities over an (s, t) grid")
     p_sweep.add_argument("--s", required=True, help="s grid as a:b:k (k points from a to b)")
     p_sweep.add_argument("--t", required=True, help="t grid as a:b:k (negative bounds allowed)")
-    p_sweep.add_argument("--model", help="hyperbolic model h2..h8, default h3")
-    p_sweep.add_argument("--config", help="JSON config file")
+    p_sweep.add_argument("--model", default="h3", help="hyperbolic model h2..h8, default h3")
     p_sweep.add_argument("--out", help="CSV path (default: stdout)")
     p_sweep.set_defaults(fn=cmd_sweep)
     # grid bounds like -1:1:5 start with a dash; teach the parser they are values

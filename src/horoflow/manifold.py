@@ -506,9 +506,6 @@ class Isometry:
             y = op.apply(y)
         return y
 
-    def apply_point(self, p: Point) -> Point:
-        return Point(self.model, self.apply_coords(p.coords))
-
     def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
         out = xi
         for op in self.ops:

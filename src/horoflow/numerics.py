@@ -13,14 +13,13 @@ pairwise tree, which makes results bit-identical across runs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import GeometryError, ModelSpace, Point
+from .manifold import ModelSpace, Point
 
 __all__ = [
     "ConvergenceError",
@@ -31,15 +30,12 @@ __all__ = [
     "orthonormal_complement",
     "ode_integrate",
     "QuadratureRule",
-    "periodic_trapezoid",
     "gauss_legendre",
-    "tensor_rule",
     "sphere_rule",
     "unit_sphere_area",
     "MCEstimate",
     "mc_integrate_box",
     "TestFunction",
-    "integrate_region",
 ]
 
 
@@ -203,30 +199,18 @@ def ode_integrate(field, x0, duration, *, step: float = 1e-3, record: bool = Fal
 class QuadratureRule:
     """Nodes and positive weights summing to the measure of the domain."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str = ""
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
-
-def periodic_trapezoid(n: int, period: float = 2.0 * math.pi) -> QuadratureRule:
-    """Equispaced rule on [0, period); spectrally accurate for smooth periodic
-    integrands."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    nodes = np.arange(n) * (period / n)
-    weights = np.full(n, period / n)
-    return QuadratureRule("periodic-trapezoid", nodes, weights, f"[0, {period})")
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule transplanted to [a, b]."""
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
-    return QuadratureRule("gauss-legendre", a + half * (x + 1.0), half * w, f"[{a}, {b}]")
+    return QuadratureRule(a + half * (x + 1.0), half * w)
 
 
 def unit_sphere_area(m: int) -> float:
@@ -234,30 +218,6 @@ def unit_sphere_area(m: int) -> float:
     if m < 0:
         raise ValueError("sphere dimension must be >= 0")
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
-
-
-# Largest product grid tensor_rule builds; integrate_region's quadrature box
-# is its one user.
-TENSOR_RULE_MAX_NODES = 2 ** 23
-
-
-def tensor_rule(rules) -> QuadratureRule:
-    """Product of one-dimensional rules: nodes (N, d) in row-major order of the
-    factors, weights the products of the factor weights.
-
-    Raises :class:`GeometryError` when N exceeds ``TENSOR_RULE_MAX_NODES``,
-    before anything is allocated.
-    """
-    count = math.prod(r.nodes.size for r in rules)
-    if count > TENSOR_RULE_MAX_NODES:
-        sizes = "x".join(str(r.nodes.size) for r in rules)
-        raise GeometryError(
-            f"product rule of {sizes} = {count} nodes exceeds the cap of {TENSOR_RULE_MAX_NODES}"
-        )
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = functools.reduce(np.multiply.outer, [r.weights for r in rules]).ravel()
-    return QuadratureRule("tensor-product", nodes, weights)
 
 
 # Philox key of the rotation that turns sphere_rule's second cross-polytope
@@ -275,13 +235,13 @@ def sphere_rule(m: int) -> QuadratureRule:
     counting rule.
     """
     if m == 0:
-        return QuadratureRule("counting", np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), "S^0")
+        return QuadratureRule(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     gaussian = _philox(SPHERE_RULE_KEY, m).standard_normal((m + 1, m + 1))
     rotation, _ = np.linalg.qr(gaussian)
     cross = np.concatenate([np.eye(m + 1), -np.eye(m + 1)])
     nodes = np.concatenate([cross, cross @ rotation.T])
     weights = np.full(nodes.shape[0], unit_sphere_area(m) / nodes.shape[0])
-    return QuadratureRule("spherical-design", nodes, weights, f"S^{m}")
+    return QuadratureRule(nodes, weights)
 
 
 # --------------------------------------------------------------------------
@@ -407,30 +367,3 @@ class TestFunction:
         n = self.model.dim
         return self.radius ** n * math.pi ** (n / 2.0) * 6.0 / math.gamma(n / 2.0 + 4.0)
 
-
-def integrate_region(f, lo, hi, density_fn, *, method: str = "mc",
-                     n_samples: int = 200_000, seed: int = 0,
-                     nodes_per_axis: int = 48):
-    """Integrate f against a density over a chart box.
-
-    ``method="mc"`` returns an :class:`MCEstimate`; ``method="quadrature"``
-    returns a float from a product Gauss-Legendre rule. The region must
-    contain the support of f; when f can report its support box (as
-    :class:`TestFunction` does), escape is detected and rejected.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if hasattr(f, "support_chart_box"):
-        slo, shi = f.support_chart_box(margin=0.0)
-        if np.any(slo < lo) or np.any(shi > hi):
-            raise ValueError("support of the integrand escapes the integration region")
-
-    def integrand(pts):
-        return np.asarray(f(pts), dtype=float) * np.asarray(density_fn(pts), dtype=float)
-
-    if method == "mc":
-        return mc_integrate_box(integrand, lo, hi, n_samples, seed)
-    if method == "quadrature":
-        box = tensor_rule([gauss_legendre(nodes_per_axis, float(a), float(b)) for a, b in zip(lo, hi)])
-        return box.integrate(integrand(box.nodes))
-    raise ValueError(f"unknown integration method {method!r}")

@@ -9,9 +9,9 @@ Contents:
   determinant sending a chosen point p to a chosen point q;
 * the pair flows driven by two Busemann fields: the difference flow X
   (raises b1 by t/2, lowers b2 by t/2) and the sum flow Y (raises both by
-  s/2), with their closed-form volume densities;
-* finite-difference divergence and Jacobian routines used to verify all of
-  the above from first principles.
+  s/2), with their closed-form flow maps and volume densities;
+* the oracles that verify all of the above from first principles: RK4 flow
+  maps, finite-difference divergences and Jacobians.
 
 For h > 0 the range of alpha is (m, infinity) with
 ``m = (1/h) ln(e^{h t0} - 1)``, so the image of F is the open horoball
@@ -20,6 +20,7 @@ complement {b > m} rather than all of M; see ``VolumePreservingMap.image_thresho
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -36,7 +37,7 @@ from .manifold import (
     boundary_from_direction,
     _same_model,
 )
-from .locus import make_pair_config
+from .locus import PairConfig, make_pair_config
 from .numerics import ConvergenceError, fd_directional, fd_jacobian, ode_integrate, orthonormal_complement
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "map_f",
     "PairFlow",
     "pair_flow_step",
-    "pair_flow_trajectory",
     "flow_density",
     "flow_density_fd",
     "divergence_fd",
@@ -320,6 +320,37 @@ class PairFlow:
         raw = g1 - g2 if self.kind == DIFFERENCE else g1 + g2
         return raw / denom[..., None]
 
+    @functools.cached_property
+    def _config(self) -> PairConfig:
+        """The pair normalized to (origin, infinity); half-space only."""
+        return make_pair_config(self.f1, self.f2)
+
+    def flow(self, coords, duration: float) -> np.ndarray:
+        """Closed-form time-``duration`` flow map on chart points.
+
+        In normalized coordinates y = (ybar, z), with xi1 at the origin and
+        xi2 at infinity, the difference flow is the dilation
+        y -> e^{duration/2} y. The sum flow keeps |ybar|^2 + z^2 and the
+        direction of ybar and sends z -> z e^{-duration/2}; it raises
+        :class:`SingularFlowError` for a start on the axis D (ybar = 0) or a
+        backward duration that would cross it. In E^n both fields are
+        constant, so the flow is a translation.
+        """
+        coords = np.asarray(coords, dtype=float)
+        if not self.model.is_hyperbolic:
+            return coords + duration * self.vector(coords)
+        norm = self._config.normalizer
+        y = norm.apply_coords(coords)
+        if self.kind == DIFFERENCE:
+            return norm.inverse().apply_coords(y * math.exp(0.5 * duration))
+        ybar, z = y[..., :-1], y[..., -1:]
+        rho_sq = np.sum(ybar * ybar, axis=-1, keepdims=True)
+        end_sq = rho_sq - z * z * math.expm1(-duration)
+        if np.any(rho_sq == 0.0) or np.any(end_sq <= 0.0):
+            raise SingularFlowError("sum flow started on or driven across the singular set D")
+        end = np.concatenate([ybar * np.sqrt(end_sq / rho_sq), z * math.exp(-0.5 * duration)], axis=-1)
+        return norm.inverse().apply_coords(end)
+
 
 def raw_pair_field(f1: BusemannField, f2: BusemannField, kind: str = DIFFERENCE):
     """Chart field grad b1 -+ grad b2 without normalization (for divergence checks)."""
@@ -337,12 +368,11 @@ def _guard_sum_flow(pf: PairFlow, x: Point, duration: float) -> None:
 
     The sum of the Busemann values advances at exactly unit rate along the
     flow and is bounded below by its axis value, so the crossing time is
-    known before integrating.
+    known before flowing.
     """
     if pf.kind != SUM or not pf.model.is_hyperbolic:
         return
-    cfg = make_pair_config(pf.f1, pf.f2)
-    separation = cfg.separation(x)
+    separation = pf._config.separation(x)
     if separation <= D_MEMBERSHIP_TOL:
         raise SingularFlowError("sum flow started on the singular set D")
     if duration < 0 and separation + duration <= D_MEMBERSHIP_TOL:
@@ -351,67 +381,51 @@ def _guard_sum_flow(pf: PairFlow, x: Point, duration: float) -> None:
         )
 
 
-def pair_flow_trajectory(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3):
-    """Integrate the pair flow, returning (times, states) chart arrays."""
-    _same_model(pf.f1, x)
-    _guard_sum_flow(pf, x, duration)
-    return ode_integrate(pf.vector, x.coords, duration, step=step, record=True)
-
-
-def pair_flow_step(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3) -> Point:
-    """Endpoint of the pair-flow trajectory from x after the signed duration.
+def pair_flow_step(pf: PairFlow, x: Point, duration: float) -> Point:
+    """Endpoint of the pair flow from x after the signed duration (closed form).
 
     Raises :class:`SingularFlowError` when a sum flow is started on or driven
     into the singular set D.
     """
     _same_model(pf.f1, x)
     _guard_sum_flow(pf, x, duration)
-    end = ode_integrate(pf.vector, x.coords, duration, step=step)
-    return Point(pf.model, end)
+    return Point(pf.model, pf.flow(x.coords, duration))
 
 
-def flow_density(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3) -> float:
+def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
     """Closed-form Riemannian volume density of the time-``duration`` flow map at x.
 
     Difference flow: (1 - beta(x)) / (1 - beta(end)). Sum flow:
-    exp(integral_0^s h/(1+beta) dk) * (1 + beta(x)) / (1 + beta(end)), with
-    the exponent accumulated along the integrated trajectory (the quadrature
-    rides the RK4 steps as an extra state, so its error matches the flow's).
+    e^E (1 + beta(x)) / (1 + beta(end)) with E = integral_0^duration h/(1+beta) dk.
+    Along the flow beta = 1 - 2e^{-s} at separation s = s0 + k, so
+    E = (h/2) ln((e^{s0+duration} - 1)/(e^{s0} - 1)), and E = 0 when h = 0.
+    ``end`` is the closed-form image :meth:`PairFlow.flow` of x.
     """
     if duration == 0.0:
         return 1.0
-    if pf.kind == DIFFERENCE:
-        end = ode_integrate(pf.vector, x.coords, duration, step=step)
-        b0 = float(beta(pf.f1, pf.f2, x.coords))
-        b1 = float(beta(pf.f1, pf.f2, end))
-        return (1.0 - b0) / (1.0 - b1)
-
-    h = mean_curvature_h(pf.model)
-
-    def augmented(state):
-        c = state[:-1]
-        vel = pf.vector(c)
-        rate = h / (1.0 + float(beta(pf.f1, pf.f2, c)))
-        return np.concatenate([vel, [rate]])
-
-    state0 = np.concatenate([x.coords, [0.0]])
-    state = ode_integrate(augmented, state0, duration, step=step)
+    _guard_sum_flow(pf, x, duration)
     b0 = float(beta(pf.f1, pf.f2, x.coords))
-    b1 = float(beta(pf.f1, pf.f2, state[:-1]))
-    if 1.0 + b1 <= D_MEMBERSHIP_TOL or 1.0 + b0 <= D_MEMBERSHIP_TOL:
-        raise SingularFlowError("sum-flow density undefined on D")
-    return math.exp(float(state[-1])) * (1.0 + b0) / (1.0 + b1)
+    b1 = float(beta(pf.f1, pf.f2, pf.flow(x.coords, duration)))
+    if pf.kind == DIFFERENCE:
+        return (1.0 - b0) / (1.0 - b1)
+    h = mean_curvature_h(pf.model)
+    expansion = 0.0
+    if h > 0.0:
+        s0 = pf._config.separation(x)
+        expansion = 0.5 * h * math.log(math.expm1(s0 + duration) / math.expm1(s0))
+    return math.exp(expansion) * (1.0 + b0) / (1.0 + b1)
 
 
 def _flow_map(pf: PairFlow, duration: float, step: float):
-    """The time-``duration`` flow map on a batch of chart points (fixed-step RK4)."""
+    """The time-``duration`` flow map on a batch of chart points by fixed-step
+    RK4: the oracles' flow, independent of :meth:`PairFlow.flow`."""
     return lambda pts: ode_integrate(pf.vector, pts, duration, step=step)
 
 
 def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
                     fd_step: float = 1e-5) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
-    determinant of the integrated flow map, with the volume-density correction.
+    determinant of the RK4-integrated flow map, with the volume-density correction.
     The whole stencil integrates as one batch."""
     return riemannian_jacobian_det(pf.model, _flow_map(pf, duration, step), x.coords, step=fd_step)
 

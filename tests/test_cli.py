@@ -220,6 +220,14 @@ class TestSweepCommand:
     def test_euclidean_rejected(self):
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2
 
+    def test_config_flag_rejected(self, tmp_path):
+        # a sweep reads its inputs from flags only; argparse refuses --config
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"model": "h4"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--s", "0.5:1:2", "--t", "0:1:2"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("s_grid, t_grid", [
         ("0:1:x", "0:1:2"),
         ("a:1:2", "0:1:2"),

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horoflow import numerics, transport
 from horoflow.busemann import BusemannField, beta, busemann_value, mean_curvature_h
+from horoflow.locus import make_pair_config
 from horoflow.manifold import (
+    EUCLIDEAN,
     HYPERBOLIC,
     GeometryError,
     ModelSpace,
@@ -36,7 +39,6 @@ from horoflow.transport import (
     map_f,
     normal_flow,
     pair_flow_step,
-    pair_flow_trajectory,
     raw_pair_field,
 )
 
@@ -290,6 +292,75 @@ class TestPairFlowTracking:
             PairFlow(f_origin, f_origin, DIFFERENCE)
 
 
+def _generic_pair(model):
+    """Two Busemann fields placed so that, in H^n, the closed-form flow goes
+    through a normalizer made of translations, a dilation and inversions."""
+    n = model.dim
+    if model.is_hyperbolic:
+        a = np.linspace(-0.4, 0.3, n - 1)
+        xi1, xi2 = boundary_finite(model, a), boundary_finite(model, a[::-1] + 0.9)
+        base = Point(model, np.r_[np.zeros(n - 1), 1.0])
+    else:
+        u1, u2 = np.zeros(n), np.zeros(n)
+        u1[0], u1[-1] = 1.0, 0.5
+        u2[0], u2[1] = -0.3, 1.0
+        xi1, xi2 = boundary_direction(model, u1), boundary_direction(model, u2)
+        base = Point(model, np.zeros(n))
+    return BusemannField(model, xi1, base), BusemannField(model, xi2, base)
+
+
+def _off_axis_starts(model, f1, f2, count=6, min_separation=0.3):
+    pts = model.random_points(np.random.default_rng(7), 40, 0.8)
+    if model.is_hyperbolic:
+        cfg = make_pair_config(f1, f2)
+        pts = np.array([c for c in pts if cfg.separation(Point(model, c)) >= min_separation])
+    assert len(pts) >= count
+    return pts[:count]
+
+
+class TestClosedFormFlow:
+    @pytest.mark.parametrize("model", [ModelSpace(kind, n) for kind in (HYPERBOLIC, EUCLIDEAN)
+                                       for n in range(2, 9)],
+                             ids=lambda m: f"{m.kind[0]}{m.dim}")
+    @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
+    def test_flow_matches_rk4(self, model, kind):
+        f1, f2 = _generic_pair(model)
+        pf = PairFlow(f1, f2, kind)
+        starts = _off_axis_starts(model, f1, f2)
+        for duration in (0.5, -0.1):
+            rk4 = ode_integrate(pf.vector, starts, duration, step=2.5e-3)
+            assert np.max(np.abs(pf.flow(starts, duration) - rk4)) <= 1e-10
+
+    @pytest.mark.parametrize("model", [ModelSpace(HYPERBOLIC, 3), ModelSpace(EUCLIDEAN, 3)],
+                             ids=lambda m: f"{m.kind[0]}{m.dim}")
+    def test_product_path_never_integrates(self, model, monkeypatch):
+        def no_ode(*args, **kwargs):
+            raise AssertionError("the product path reached ode_integrate")
+
+        monkeypatch.setattr(numerics, "ode_integrate", no_ode)
+        monkeypatch.setattr(transport, "ode_integrate", no_ode)
+        f1, f2 = _generic_pair(model)
+        x = Point(model, _off_axis_starts(model, f1, f2, count=1)[0])
+        for kind in (DIFFERENCE, SUM):
+            pf = PairFlow(f1, f2, kind)
+            assert pair_flow_step(pf, x, 0.7).model == model
+            assert math.isfinite(flow_density(pf, x, 0.7))
+
+    def test_sum_density_backward_into_axis_fails(self, h3, pair_y, f_origin, f_inf):
+        x = Point(h3, [0.1, 0.0, 1.0])
+        s = busemann_value(f_origin, x) + busemann_value(f_inf, x)
+        with pytest.raises(SingularFlowError):
+            flow_density(pair_y, x, -(s + 0.5))
+
+    def test_sum_flow_map_rejects_the_axis(self, h3, pair_y, f_origin, f_inf):
+        with pytest.raises(SingularFlowError):
+            pair_y.flow(np.array([[0.3, 0.0, 1.0], [0.0, 0.0, 1.3]]), 0.5)
+        x = Point(h3, [0.1, 0.0, 1.0])
+        s = busemann_value(f_origin, x) + busemann_value(f_inf, x)
+        with pytest.raises(SingularFlowError):
+            pair_y.flow(x.coords, -(s + 0.5))
+
+
 class TestDivergence:
     def test_raw_difference_divergence_free(self, h3, f_origin, f_inf, rng):
         raw = raw_pair_field(f_origin, f_inf, DIFFERENCE)
@@ -382,7 +453,7 @@ class TestAxisFloorAndMonotonicity:
 
     def test_beta_monotone_along_sum_flow(self, h3, pair_y, f_origin, f_inf):
         x = Point(h3, [0.3, 0.1, 1.1])
-        ts, states = pair_flow_trajectory(pair_y, x, 1.5)
+        _, states = ode_integrate(pair_y.vector, x.coords, 1.5, step=1e-3, record=True)
         bs = np.asarray(beta(f_origin, f_inf, states))
         assert np.all(np.diff(bs) >= -1e-12)
 
