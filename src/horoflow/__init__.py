@@ -25,10 +25,7 @@ from .manifold import (
     boundary_infinity,
     direction_to_boundary,
     distance,
-    exp_map,
     geodesic,
-    log_map,
-    metric_inner,
     normalize_pair,
     volume_density,
 )
@@ -48,12 +45,8 @@ from .numerics import (
 )
 from .busemann import (
     BusemannField,
-    HessianOperator,
     beta,
-    busemann_grad,
-    busemann_hessian,
     busemann_value,
-    busemann_value_truncated,
     coarea_slice_integral,
     estimate_h,
     horosphere_sphere,
@@ -74,8 +67,6 @@ from .transport import (
     form_pullback_gap,
     gradient_pushforward_gap,
     horosphere_jacobian,
-    map_f,
-    normal_flow,
     pair_flow_step,
     raw_pair_field,
 )

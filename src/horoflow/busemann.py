@@ -20,6 +20,7 @@ normal-flow volume expansion is exactly e^{h t}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .manifold import (
     ModelMismatchError,
     ModelSpace,
     Point,
-    TangentVec,
     _same_model,
     direction_to_boundary,
 )
@@ -39,11 +39,7 @@ from .numerics import gauss_legendre, orthonormal_complement, unit_sphere_area
 
 __all__ = [
     "BusemannField",
-    "HessianOperator",
     "busemann_value",
-    "busemann_value_truncated",
-    "busemann_grad",
-    "busemann_hessian",
     "mean_curvature_h",
     "estimate_h",
     "beta",
@@ -90,12 +86,20 @@ class BusemannField:
         if self.xi.is_infinity:
             return -np.log(z)
         w = coords[..., :-1] - self.xi.data
-        q = np.sum(w * w, axis=-1) + z * z
+        q = (w * w).sum(axis=-1) + z * z
         return np.log(q / z)
 
+    @functools.cached_property
+    def _offset(self) -> float:
+        """Unnormalized value at the basepoint, where b is 0."""
+        return float(self._raw_value(self.basepoint.coords))
+
     def value(self, coords) -> np.ndarray:
-        coords = self.model.check_coords(np.asarray(coords, dtype=float))
-        return self._raw_value(coords) - self._raw_value(self.basepoint.coords)
+        return self._value(self.model.check_coords(coords))
+
+    def _value(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`value` at chart points that are already validated."""
+        return self._raw_value(coords) - self._offset
 
     def value_truncated(self, coords, T: float) -> np.ndarray:
         """Pre-limit quantity d(x, ray(T)) - T along the ray from the basepoint.
@@ -112,7 +116,10 @@ class BusemannField:
 
     def grad_chart(self, coords) -> np.ndarray:
         """Riemannian gradient in chart components (unit length in g)."""
-        coords = self.model.check_coords(np.asarray(coords, dtype=float))
+        return self._grad(self.model.check_coords(coords))
+
+    def _grad(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`grad_chart` at chart points that are already validated."""
         if not self.model.is_hyperbolic:
             return np.broadcast_to(-self.xi.data, coords.shape).copy()
         z = coords[..., -1]
@@ -122,7 +129,7 @@ class BusemannField:
             out[..., -1] = -z
             return out
         w = coords[..., :-1] - self.xi.data
-        q = np.sum(w * w, axis=-1) + z * z
+        q = (w * w).sum(axis=-1) + z * z
         out[..., :-1] = (2.0 * z * z / q)[..., None] * w
         out[..., -1] = 2.0 * z * z * z / q - z
         return out
@@ -163,45 +170,12 @@ class BusemannField:
         return z * z * hess
 
 
-@dataclass(frozen=True)
-class HessianOperator:
-    """Shape operator of the horosphere through a point, as a chart matrix."""
-
-    at: Point
-    field: BusemannField
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    def apply(self, w: TangentVec) -> TangentVec:
-        return TangentVec(w.base, self.matrix @ w.components)
-
-
 # -- spec operation surface ---------------------------------------------------
 
 
 def busemann_value(f: BusemannField, x: Point) -> float:
     _same_model(f, x)
     return float(f.value(x.coords))
-
-
-def busemann_value_truncated(f: BusemannField, x: Point, T: float) -> float:
-    _same_model(f, x)
-    return float(f.value_truncated(x.coords, T))
-
-
-def busemann_grad(f: BusemannField, x: Point) -> TangentVec:
-    _same_model(f, x)
-    return TangentVec(x, f.grad_chart(x.coords))
-
-
-def busemann_hessian(f: BusemannField, x: Point) -> HessianOperator:
-    _same_model(f, x)
-    return HessianOperator(at=x, field=f, matrix=f.hessian_matrix(x.coords))
 
 
 def estimate_h(f: BusemannField, sample_coords) -> tuple[float, float]:
@@ -220,10 +194,8 @@ def beta(f1: BusemannField, f2: BusemannField, x: Point | np.ndarray):
     when the fields share a boundary point."""
     if f1.model != f2.model:
         raise ModelMismatchError("fields belong to different models")
-    coords = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
-    g1 = f1.grad_chart(coords)
-    g2 = f2.grad_chart(coords)
-    val = f1.model.inner(coords, g1, g2)
+    coords = f1.model.check_coords(x.coords if isinstance(x, Point) else x)
+    val = f1.model._inner(coords, f1._grad(coords), f2._grad(coords))
     if isinstance(x, Point):
         return float(val)
     return val
@@ -239,10 +211,9 @@ def horosphere_sphere(f: BusemannField, level: float):
     """
     if not f.model.is_hyperbolic:
         return ("plane", float(level))
-    offset = float(f._raw_value(f.basepoint.coords))
     if f.xi.is_infinity:
-        return ("plane", math.exp(-(float(level) + offset)))
-    diameter = math.exp(float(level) + offset)
+        return ("plane", math.exp(-(float(level) + f._offset)))
+    diameter = math.exp(float(level) + f._offset)
     center = np.concatenate([f.xi.data, [diameter / 2.0]])
     return ("sphere", center, diameter / 2.0)
 
@@ -330,7 +301,7 @@ def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
         # level b = t is the plane z = exp(-(t + offset)); the support ball is
         # the Euclidean ball about (cbar, z0 cosh R) of radius z0 sinh R
         z0 = c[-1]
-        z = np.exp(-(t + float(field._raw_value(field.basepoint.coords))))
+        z = np.exp(-(t + field._offset))
         r_sq = (z0 * math.sinh(R)) ** 2 - (z - z0 * math.cosh(R)) ** 2
         origins = np.tile(c, (t.size, 1))
         origins[:, -1] = z

@@ -10,6 +10,15 @@ The array-level geometry lives on :class:`ModelSpace` (vectorized over a
 leading batch axis); the typed layer (:class:`Point`, :class:`TangentVec`
 and the module-level functions) validates inputs and is the public contract
 surface.
+
+Validation happens once per public call. Each public method that takes chart
+points (``inner``, ``distance``, ``exp``, ...) runs :meth:`ModelSpace.check_coords`
+on them before computing, and ``exp`` also checks the points it returns.
+Methods prefixed with ``_`` (``ModelSpace._inner``, ``BusemannField._grad``
+and ``BusemannField._value``) are the array kernels behind them: they trust
+coordinates that a caller already validated, and are for in-package callers
+that hold such arrays, such as ``PairFlow.vector`` evaluating both gradients
+and their inner product on one batch.
 """
 
 from __future__ import annotations
@@ -75,9 +84,9 @@ class ModelSpace:
             raise GeometryError(
                 f"coordinate length {x.shape[-1]} != model dimension {self.dim}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ChartDomainError("non-finite coordinates")
-        if self.is_hyperbolic and np.any(x[..., -1] < MIN_CHART_HEIGHT):
+        if self.is_hyperbolic and (x[..., -1] < MIN_CHART_HEIGHT).any():
             raise ChartDomainError(
                 "half-space chart requires z >= 1e-300; point left the chart"
             )
@@ -87,10 +96,13 @@ class ModelSpace:
 
     def inner(self, base, u, v):
         """Riemannian inner product of chart vectors u, v at base."""
-        base = self.check_coords(base)
+        return self._inner(self.check_coords(base), u, v)
+
+    def _inner(self, base: np.ndarray, u, v):
+        """:meth:`inner` at chart points that are already validated."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        dot = np.sum(u * v, axis=-1)
+        dot = (u * v).sum(axis=-1)
         if self.is_hyperbolic:
             return dot / base[..., -1] ** 2
         return dot
@@ -255,14 +267,6 @@ def _same_model(*objs) -> ModelSpace:
     return models.pop()
 
 
-def metric_inner(u: TangentVec, v: TangentVec) -> float:
-    """Riemannian inner product; operands must share the base point."""
-    _same_model(u, v)
-    if not np.array_equal(u.base.coords, v.base.coords):
-        raise ModelMismatchError("tangent vectors have different base points")
-    return float(u.model.inner(u.base.coords, u.components, v.components))
-
-
 def distance(p: Point, q: Point) -> float:
     m = _same_model(p, q)
     return float(m.distance(p.coords, q.coords))
@@ -281,16 +285,6 @@ def geodesic(p: Point, v: TangentVec, t: float) -> Point:
     if abs(v.norm() - 1.0) > UNIT_SPEED_TOL:
         raise GeometryError(f"geodesic requires a unit tangent vector, |v| = {v.norm()}")
     return Point(p.model, p.model.exp(p.coords, float(t) * v.components))
-
-
-def exp_map(p: Point, w: TangentVec) -> Point:
-    _same_model(p, w.base)
-    return Point(p.model, p.model.exp(p.coords, w.components))
-
-
-def log_map(p: Point, q: Point) -> TangentVec:
-    m = _same_model(p, q)
-    return TangentVec(p, m.log(p.coords, q.coords))
 
 
 # --------------------------------------------------------------------------

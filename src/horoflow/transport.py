@@ -43,11 +43,9 @@ from .numerics import ConvergenceError, fd_directional, fd_jacobian, ode_integra
 __all__ = [
     "SingularFlowError",
     "NormalFlow",
-    "normal_flow",
     "horosphere_jacobian",
     "AlphaMap",
     "VolumePreservingMap",
-    "map_f",
     "PairFlow",
     "pair_flow_step",
     "flow_density",
@@ -79,13 +77,8 @@ class NormalFlow:
 
     def __call__(self, t: float, coords) -> np.ndarray:
         m = self.field.model
-        coords = m.check_coords(np.asarray(coords, dtype=float))
-        return m.exp(coords, float(t) * self.field.grad_chart(coords))
-
-
-def normal_flow(f: BusemannField, t: float, x: Point) -> Point:
-    _same_model(f, x)
-    return Point(f.model, NormalFlow(f)(t, x.coords))
+        coords = m.check_coords(coords)
+        return m.exp(coords, float(t) * self.field._grad(coords))
 
 
 def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1e-5) -> float:
@@ -224,19 +217,19 @@ class VolumePreservingMap:
 
     def apply_coords(self, coords) -> np.ndarray:
         m = self.model
-        coords = m.check_coords(np.asarray(coords, dtype=float))
-        shift = np.asarray(self.alpha.gap(self.field.value(coords)))
-        return m.exp(coords, shift[..., None] * self.field.grad_chart(coords))
+        coords = m.check_coords(coords)
+        shift = np.asarray(self.alpha.gap(self.field._value(coords)))
+        return m.exp(coords, shift[..., None] * self.field._grad(coords))
 
     def __call__(self, x: Point) -> Point:
         return Point(self.model, self.apply_coords(x.coords))
 
     def inverse_coords(self, coords) -> np.ndarray:
         m = self.model
-        coords = m.check_coords(np.asarray(coords, dtype=float))
-        b = self.field.value(coords)
+        coords = m.check_coords(coords)
+        b = self.field._value(coords)
         shift = np.asarray(self.alpha.inverse(b) - b)
-        return m.exp(coords, shift[..., None] * self.field.grad_chart(coords))
+        return m.exp(coords, shift[..., None] * self.field._grad(coords))
 
     def jacobian_det(self, coords, *, step: float = 1e-3) -> float:
         """Riemannian Jacobian determinant by central differences (expect 1).
@@ -244,11 +237,6 @@ class VolumePreservingMap:
         The default step, in chart-scale units, is near eps^(1/5), where the
         O(step^4) truncation error of the stencil meets its roundoff."""
         return riemannian_jacobian_det(self.model, self.apply_coords, np.asarray(coords, dtype=float), step=step)
-
-
-def map_f(model: ModelSpace, p: Point, q: Point, x: Point) -> Point:
-    """Evaluate the volume-preserving map sending p to q at the point x."""
-    return VolumePreservingMap(model, p, q)(x)
 
 
 def _chart_step(model: ModelSpace, coords: np.ndarray, step: float) -> float:
@@ -307,15 +295,15 @@ class PairFlow:
 
     def vector(self, coords) -> np.ndarray:
         """Chart components of the flow field at coords."""
-        coords = np.asarray(coords, dtype=float)
-        g1 = self.f1.grad_chart(coords)
-        g2 = self.f2.grad_chart(coords)
-        b = np.asarray(self.model.inner(coords, g1, g2))
+        coords = self.model.check_coords(coords)
+        g1 = self.f1._grad(coords)
+        g2 = self.f2._grad(coords)
+        b = np.asarray(self.model._inner(coords, g1, g2))
         if self.kind == DIFFERENCE:
             denom = 2.0 - 2.0 * b
         else:
             denom = 2.0 + 2.0 * b
-            if np.any(denom <= 2.0 * D_MEMBERSHIP_TOL):
+            if (denom <= 2.0 * D_MEMBERSHIP_TOL).any():
                 raise SingularFlowError("sum flow evaluated on the singular set D")
         raw = g1 - g2 if self.kind == DIFFERENCE else g1 + g2
         return raw / denom[..., None]

@@ -5,7 +5,8 @@ expected value with its provenance (exact / closed-form / cross-check /
 counterexample), the tolerance, and a status. Status ``paper-discrepancy``
 marks the one documented deviation (the global-surjectivity claim for the
 volume-preserving map) and does not fail a suite. Status ``error`` marks a
-check that raised :class:`GeometryError` before it finished.
+check that raised :class:`GeometryError` or :class:`ConvergenceError` before
+it finished.
 
 Suites: ``busemann``, ``map-f``, ``flows``, ``intersections``, ``coarea``,
 and ``all`` (their union in declaration order).
@@ -18,10 +19,11 @@ context when it depends on the model), ``provenance``, ``tol`` and
 holds. The decorator builds the report: status ``pass`` or ``fail`` from the
 verdict, or ``paper-discrepancy`` for a holding verdict when the provenance is
 ``counterexample``; an ``error`` record when the body raises
-:class:`GeometryError`; and, for a check given ``skip=<reason>``, a passing
-record with quantities ``{"skipped": reason}`` on the Euclidean models, where
-the body does not run. Keep the body's ``__name__``: it keys the check's
-random generator. Then list the check in a suite of :data:`SUITES`.
+:class:`GeometryError` or :class:`ConvergenceError`; and, for a check given
+``skip=<reason>``, a passing record with quantities ``{"skipped": reason}`` on
+the Euclidean models, where the body does not run. Keep the body's
+``__name__``: it keys the check's random generator. Then list the check in a
+suite of :data:`SUITES`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .manifold import (
     boundary_finite,
     boundary_infinity,
 )
-from .numerics import TestFunction, fd_hessian, mc_integrate_box, ode_integrate
+from .numerics import ConvergenceError, TestFunction, fd_hessian, mc_integrate_box, ode_integrate
 
 __all__ = ["CheckReport", "VerifyContext", "SUITES", "run_suite", "poincare_example_checks", "sweep_rows"]
 
@@ -175,7 +177,7 @@ def check(name: str, statement: str, expected, provenance: str, *, tol: float = 
             else:
                 try:
                     quantities, ok = body(ctx, tol)
-                except GeometryError as exc:
+                except (GeometryError, ConvergenceError) as exc:
                     rep = CheckReport("the check stopped with an error", {"error": str(exc)},
                                       None, "none", 0.0, status=ERROR)
                 else:
@@ -950,8 +952,8 @@ def _isolated_context(ctx: VerifyContext, fn) -> VerifyContext:
 def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
     """Run every check of a suite in declaration order.
 
-    A check that raises :class:`GeometryError` becomes a record with status
-    ``error`` that carries the message; the checks after it still run. With
+    A check that raises :class:`GeometryError` or :class:`ConvergenceError`
+    becomes a record with status ``error`` that carries the message; the checks after it still run. With
     ``ctx.probe_outside_image``, a run that includes the map-f checks ends
     with the out-of-image probe.
     """

@@ -9,6 +9,7 @@ import pytest
 from horoflow import verify
 from horoflow.cli import main, parse_grid, parse_model
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError
+from horoflow.numerics import ConvergenceError
 
 REPORT_KEYS = {"name", "statement", "quantities", "expected", "provenance",
                "tolerance", "tol_kind", "status", "wall_time_s"}
@@ -96,6 +97,20 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "error: raises-geometry-error: grid too large" in err
         assert "ERROR" in err
+
+    def test_convergence_error_becomes_an_error_record(self, tmp_path, monkeypatch, capsys):
+        @verify.check("raises-convergence-error", "a check whose oracle does not converge", 0.0, "exact")
+        def check_diverges(ctx, tol):
+            raise ConvergenceError("degenerate pushforward frame")
+
+        monkeypatch.setitem(verify.SUITES, "coarea", [check_diverges])
+        out = tmp_path / "rep.json"
+        assert main(["verify", "coarea", "--out", str(out)]) == 2
+        (record,) = json.loads(out.read_text())["checks"]
+        assert record["name"] == "raises-convergence-error"
+        assert record["status"] == "error"
+        err = capsys.readouterr().err
+        assert "error: raises-convergence-error: degenerate pushforward frame" in err
 
     @pytest.mark.parametrize("model", ["e6", "e7", "e8"])
     def test_verify_all_passes_in_high_flat_dimensions(self, model, tmp_path):

@@ -12,6 +12,7 @@ from horoflow.locus import make_pair_config
 from horoflow.manifold import (
     EUCLIDEAN,
     HYPERBOLIC,
+    ChartDomainError,
     GeometryError,
     ModelSpace,
     Point,
@@ -36,8 +37,6 @@ from horoflow.transport import (
     form_pullback_gap,
     gradient_pushforward_gap,
     horosphere_jacobian,
-    map_f,
-    normal_flow,
     pair_flow_step,
     raw_pair_field,
 )
@@ -65,24 +64,24 @@ def pair_y(f_origin, f_inf):
 
 class TestNormalFlow:
     def test_vertical_descent(self, h3, base3, f_inf):
-        out = normal_flow(f_inf, 1.0, base3)
-        assert np.allclose(out.coords, [0, 0, math.exp(-1.0)], atol=1e-15)
+        out = NormalFlow(f_inf)(1.0, base3.coords)
+        assert np.allclose(out, [0, 0, math.exp(-1.0)], atol=1e-15)
 
     def test_zero_time(self, h3, f_origin):
         x = Point(h3, [0.4, -0.2, 0.7])
-        assert np.array_equal(normal_flow(f_origin, 0.0, x).coords, x.coords)
+        assert np.array_equal(NormalFlow(f_origin)(0.0, x.coords), x.coords)
 
     def test_euclidean_straight_line(self, e3):
         f = BusemannField(e3, boundary_direction(e3, [1, 0, 0]), Point(e3, [0, 0, 0]))
-        out = normal_flow(f, 2.0, Point(e3, [0, 0, 0]))
-        assert np.allclose(out.coords, [-2, 0, 0], atol=0)
+        out = NormalFlow(f)(2.0, [0, 0, 0])
+        assert np.allclose(out, [-2, 0, 0], atol=0)
 
     def test_level_tracking(self, h3, f_origin, f_inf, rng):
         for f in (f_origin, f_inf):
             for c in h3.random_points(rng, 10, 1.0):
                 x = Point(h3, c)
                 for t in (-1.3, 0.4, 2.0):
-                    y = normal_flow(f, t, x)
+                    y = Point(h3, NormalFlow(f)(t, x.coords))
                     assert busemann_value(f, y) - busemann_value(f, x) == pytest.approx(t, abs=1e-10)
 
     def test_flow_rides_gradient_geodesic(self, h3, f_origin, rng):
@@ -92,7 +91,7 @@ class TestNormalFlow:
         x = Point(h3, c)
         v = TangentVec(x, f_origin.grad_chart(c))
         t = 0.9
-        assert np.max(np.abs(normal_flow(f_origin, t, x).coords
+        assert np.max(np.abs(NormalFlow(f_origin)(t, c)
                              - geodesic(x, v, t).coords)) <= 1e-12
 
     def test_group_property(self, h3, f_origin, rng):
@@ -247,8 +246,8 @@ class TestVolumePreservingMap:
         with pytest.raises(GeometryError):
             VolumePreservingMap(h3, base3, base3)
 
-    def test_map_f_wrapper(self, e3):
-        out = map_f(e3, Point(e3, [0, 0, 0]), Point(e3, [1, 0, 0]), Point(e3, [5, 5, 5]))
+    def test_euclidean_map_is_translation(self, e3):
+        out = VolumePreservingMap(e3, Point(e3, [0, 0, 0]), Point(e3, [1, 0, 0]))(Point(e3, [5, 5, 5]))
         assert np.allclose(out.coords, [6, 5, 5], atol=0)
 
 
@@ -468,3 +467,53 @@ class TestAxisFloorAndMonotonicity:
         # gap to beta = -1 shrinks linearly with the regularization
         assert all(g <= 3.0 * e for g, e in zip(gaps, (1e-3, 1e-4, 1e-5, 1e-6)))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def _bad_batches(model: ModelSpace, rng) -> list:
+    """A valid (5, n) batch with one row made NaN, and the same with one row at z = 0."""
+    pts = model.random_points(rng, 5, 0.8)
+    with_nan, on_boundary = pts.copy(), pts.copy()
+    with_nan[2] = np.nan
+    on_boundary[3, -1] = 0.0
+    return [with_nan, on_boundary]
+
+
+class TestChartValidation:
+    """Each public method validates its batch once; the kernels behind it trust it."""
+
+    @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
+    def test_pair_flow_vector_rejects_off_chart_rows(self, h3, f_origin, f_inf, rng, kind):
+        pf = PairFlow(f_origin, f_inf, kind)
+        for bad in _bad_batches(h3, rng):
+            with pytest.raises(ChartDomainError):
+                pf.vector(bad)
+
+    def test_busemann_and_metric_reject_off_chart_rows(self, h3, f_origin, f_inf, rng):
+        for bad in _bad_batches(h3, rng):
+            for f in (f_origin, f_inf):
+                with pytest.raises(ChartDomainError):
+                    f.grad_chart(bad)
+                with pytest.raises(ChartDomainError):
+                    f.value(bad)
+            with pytest.raises(ChartDomainError):
+                h3.inner(bad, np.ones_like(bad), np.ones_like(bad))
+
+    def test_pair_flow_vector_validates_once(self, h3, pair_x, rng, monkeypatch):
+        calls = []
+        original = ModelSpace.check_coords
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return original(self, x)
+
+        monkeypatch.setattr(ModelSpace, "check_coords", counted)
+        pts = h3.random_points(rng, 20, 0.8)
+        pair_x.vector(pts)
+        assert calls == [pts.shape]
+
+    def test_rk4_stage_driven_off_the_chart_raises(self, h3, pair_x, rng):
+        # the (origin, infinity) difference field is x/2, so one backward step
+        # of 10 sends the second RK4 stage to x - 2.5x, below z = 0
+        pts = h3.random_points(rng, 4, 0.8)
+        with pytest.raises(ChartDomainError):
+            ode_integrate(pair_x.vector, pts, -10.0, step=10.0)
