@@ -64,11 +64,10 @@ from .transport import (
     divergence_fd,
     flow_density,
     flow_density_fd,
-    form_pullback_gap,
-    gradient_pushforward_gap,
     horosphere_jacobian,
     pair_flow_step,
     raw_pair_field,
+    transport_gaps,
 )
 from .locus import (
     EmptyLocusError,

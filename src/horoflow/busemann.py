@@ -119,20 +119,33 @@ class BusemannField:
         return self._grad(self.model.check_coords(coords))
 
     def _grad(self, coords: np.ndarray) -> np.ndarray:
-        """:meth:`grad_chart` at chart points that are already validated."""
-        if not self.model.is_hyperbolic:
-            return np.broadcast_to(-self.xi.data, coords.shape).copy()
-        z = coords[..., -1]
+        """:meth:`grad_chart` at chart points that are already validated.
+
+        Half-space, finite xi: with d = x - (xi, 0), grad b = (2 z^2/|d|^2) d - z e_n.
+        Half-space, xi = infinity: -z e_n. Euclidean: the constant -u."""
         out = np.empty_like(coords)
+        if not self.model.is_hyperbolic:
+            out[...] = self._neg_direction
+            return out
+        z = coords[..., -1]
         if self.xi.is_infinity:
             out[..., :-1] = 0.0
             out[..., -1] = -z
             return out
-        w = coords[..., :-1] - self.xi.data
-        q = (w * w).sum(axis=-1) + z * z
-        out[..., :-1] = (2.0 * z * z / q)[..., None] * w
-        out[..., -1] = 2.0 * z * z * z / q - z
-        return out
+        d = np.subtract(coords, self._pole, out=out)
+        d *= (2.0 * z * z / (d * d).sum(axis=-1))[..., None]
+        d[..., -1] -= z
+        return d
+
+    @functools.cached_property
+    def _pole(self) -> np.ndarray:
+        """The finite boundary point (xi, 0) in chart coordinates."""
+        return np.append(self.xi.data, 0.0)
+
+    @functools.cached_property
+    def _neg_direction(self) -> np.ndarray:
+        """The constant Euclidean gradient -u."""
+        return -self.xi.data
 
     def hessian_matrix(self, coords) -> np.ndarray:
         """Chart matrix of the shape operator w -> nabla_w grad b (a single point).

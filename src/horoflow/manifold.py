@@ -14,11 +14,13 @@ surface.
 Validation happens once per public call. Each public method that takes chart
 points (``inner``, ``distance``, ``exp``, ...) runs :meth:`ModelSpace.check_coords`
 on them before computing, and ``exp`` also checks the points it returns.
-Methods prefixed with ``_`` (``ModelSpace._inner``, ``BusemannField._grad``
-and ``BusemannField._value``) are the array kernels behind them: they trust
-coordinates that a caller already validated, and are for in-package callers
-that hold such arrays, such as ``PairFlow.vector`` evaluating both gradients
-and their inner product on one batch.
+Methods prefixed with ``_`` (``ModelSpace._inner``, ``ModelSpace._exp``,
+``BusemannField._grad`` and ``BusemannField._value``) are the array kernels
+behind them: they trust coordinates that a caller already validated, and are
+for in-package callers that hold such arrays, such as ``PairFlow.vector``
+evaluating both gradients on one batch, or ``VolumePreservingMap.apply_coords``
+moving a validated batch along its gradients. ``_exp`` still checks the
+half-space endpoints it returns.
 """
 
 from __future__ import annotations
@@ -149,7 +151,11 @@ class ModelSpace:
         non-negative, so no cancellation occurs for nearly vertical w, and
         the same expression covers vertical w and w = 0 without branching.
         """
-        p = self.check_coords(p)
+        return self._exp(self.check_coords(p), w)
+
+    def _exp(self, p: np.ndarray, w):
+        """:meth:`exp` from chart points that are already validated; in the
+        half-space the endpoint is still checked, since it can leave the chart."""
         w = np.asarray(w, dtype=float)
         if not self.is_hyperbolic:
             return p + w

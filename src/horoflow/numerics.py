@@ -156,37 +156,45 @@ def orthonormal_complement(u, inner=np.dot) -> np.ndarray:
 
 
 def _rk4_step(field, x, dt):
-    k1 = field(x)
-    k2 = field(x + 0.5 * dt * k1)
-    k3 = field(x + 0.5 * dt * k2)
-    k4 = field(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step. Only arrays allocated here are updated in
+    place; the stage values the field returns are never written to."""
+    k = field(x)
+    acc = k.copy()
+    for scale, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        stage = scale * k
+        stage += x
+        k = field(stage)
+        acc += weight * k
+    acc *= dt / 6.0
+    acc += x
+    return acc
 
 
 def ode_integrate(field, x0, duration, *, step: float = 1e-3, record: bool = False):
     """Integrate dx/dt = field(x) for the signed duration by fixed-step
     classical RK4. With ``record=True`` returns ``(times, states)`` arrays
     instead of the final state.
+
+    The duration is split into ``ceil(|duration|/step)`` equal steps, none
+    longer than ``step`` (a ratio within 1e-9 of an integer counts as that
+    integer, so roundoff in ``duration/step`` adds no extra step).
     """
+    if not step > 0.0:
+        raise ValueError(f"RK4 step must be positive, got {step}")
     x = np.array(x0, dtype=float)
     T = float(duration)
-    ts, xs = [0.0], [x.copy()]
     if T == 0.0:
-        return (np.array(ts), np.array(xs)) if record else x
+        return (np.zeros(1), x[None]) if record else x
 
-    sgn = 1.0 if T > 0 else -1.0
-    remaining = abs(T)
-    t = 0.0
-    while remaining > 1e-15 * abs(T):
-        dt = min(step, remaining)
-        x = _rk4_step(field, x, sgn * dt)
-        t += sgn * dt
-        remaining -= dt
+    count = max(1, math.ceil(abs(T) / step - 1e-9))
+    dt = T / count
+    xs = [x]
+    for _ in range(count):
+        x = _rk4_step(field, x, dt)
         if record:
-            ts.append(t)
-            xs.append(x.copy())
+            xs.append(x)
     if record:
-        return np.array(ts), np.array(xs)
+        return np.linspace(0.0, T, count + 1), np.array(xs)
     return x
 
 

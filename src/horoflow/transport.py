@@ -54,8 +54,7 @@ __all__ = [
     "div_identity_difference",
     "div_identity_sum",
     "raw_pair_field",
-    "gradient_pushforward_gap",
-    "form_pullback_gap",
+    "transport_gaps",
     "riemannian_jacobian_det",
 ]
 
@@ -78,7 +77,7 @@ class NormalFlow:
     def __call__(self, t: float, coords) -> np.ndarray:
         m = self.field.model
         coords = m.check_coords(coords)
-        return m.exp(coords, float(t) * self.field._grad(coords))
+        return m._exp(coords, float(t) * self.field._grad(coords))
 
 
 def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1e-5) -> float:
@@ -219,7 +218,7 @@ class VolumePreservingMap:
         m = self.model
         coords = m.check_coords(coords)
         shift = np.asarray(self.alpha.gap(self.field._value(coords)))
-        return m.exp(coords, shift[..., None] * self.field._grad(coords))
+        return m._exp(coords, shift[..., None] * self.field._grad(coords))
 
     def __call__(self, x: Point) -> Point:
         return Point(self.model, self.apply_coords(x.coords))
@@ -229,7 +228,7 @@ class VolumePreservingMap:
         coords = m.check_coords(coords)
         b = self.field._value(coords)
         shift = np.asarray(self.alpha.inverse(b) - b)
-        return m.exp(coords, shift[..., None] * self.field._grad(coords))
+        return m._exp(coords, shift[..., None] * self.field._grad(coords))
 
     def jacobian_det(self, coords, *, step: float = 1e-3) -> float:
         """Riemannian Jacobian determinant by central differences (expect 1).
@@ -294,19 +293,41 @@ class PairFlow:
         return self.f1.model
 
     def vector(self, coords) -> np.ndarray:
-        """Chart components of the flow field at coords."""
+        """Chart components of the flow field at coords, validated once per call.
+
+        In E^n the field is the constant :attr:`_constant_vector`; in H^n it is
+        (g1 -+ g2) / (2 -+ 2 beta) with beta = (g1 . g2) / z^2."""
         coords = self.model.check_coords(coords)
+        if not self.model.is_hyperbolic:
+            out = np.empty_like(coords)
+            out[...] = self._constant_vector
+            return out
         g1 = self.f1._grad(coords)
         g2 = self.f2._grad(coords)
-        b = np.asarray(self.model._inner(coords, g1, g2))
+        z = coords[..., -1]
+        b = (g1 * g2).sum(axis=-1) / (z * z)
+        return self._normalized(g1, g2, b)
+
+    def _normalized(self, g1: np.ndarray, g2: np.ndarray, b) -> np.ndarray:
+        """(g1 -+ g2) / (2 -+ 2b), written into g1; raises on D for the sum flow."""
         if self.kind == DIFFERENCE:
+            g1 -= g2
             denom = 2.0 - 2.0 * b
         else:
             denom = 2.0 + 2.0 * b
             if (denom <= 2.0 * D_MEMBERSHIP_TOL).any():
                 raise SingularFlowError("sum flow evaluated on the singular set D")
-        raw = g1 - g2 if self.kind == DIFFERENCE else g1 + g2
-        return raw / denom[..., None]
+            g1 += g2
+        g1 /= denom[..., None]
+        return g1
+
+    @functools.cached_property
+    def _constant_vector(self) -> np.ndarray:
+        """The E^n flow field, constant because both gradients are; a sum pair
+        whose gradients cancel raises on every access, as nothing is cached."""
+        g1 = -self.f1.xi.data
+        g2 = -self.f2.xi.data
+        return self._normalized(g1, g2, g1 @ g2)
 
     @functools.cached_property
     def _config(self) -> PairConfig:
@@ -465,48 +486,28 @@ def div_identity_sum(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[flo
     return lhs, float(rhs)
 
 
-def gradient_pushforward_gap(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
-                             fd_step: float = 1e-5) -> float:
-    """How far the flow differential fails to carry grad b_i to grad b_i at the image.
+def transport_gaps(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
+                   fd_step: float = 1e-5) -> tuple[float, float]:
+    """How far the time-``duration`` flow Phi fails to transport the Busemann
+    gradients and their 1-forms, from one RK4 flow Jacobian at x.
 
-    Returns the worst Riemannian norm of (dPhi_t(grad b_i(x)) - grad b_i(Phi_t x))
-    over i = 1, 2. The difference flow X commutes with both gradient fields,
-    so this vanishes for it; the sum flow does NOT satisfy this vector
-    identity (only the weaker 1-form identity of
-    :func:`form_pullback_gap` holds there).
+    Returns ``(push_gap, form_gap)``, each the worst over i = 1, 2 of:
+
+    * push_gap: the Riemannian norm of dPhi(grad b_i(x)) - grad b_i(Phi x).
+      The difference flow X commutes with both gradient fields, so this
+      vanishes for it; the sum flow does NOT satisfy this vector identity.
+    * form_gap: the largest chart component of db_i(Phi x) dPhi - db_i(x),
+      the differentiated level-tracking statement db_i(dPhi w) = db_i(w),
+      which holds for both pair flows.
     """
     m = pf.model
     J, y = fd_jacobian(_flow_map(pf, duration, step), x.coords,
-                       step=_chart_step(pf.model, x.coords, fd_step))
-    worst = 0.0
+                       step=_chart_step(m, x.coords, fd_step))
+    # chart components of db: the gradient with its index lowered by the metric
+    lower_x, lower_y = (x.coords[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
+    push_gap = form_gap = 0.0
     for f in (pf.f1, pf.f2):
-        pushed = J @ f.grad_chart(x.coords)
-        gap = pushed - f.grad_chart(y)
-        worst = max(worst, float(m.norm(y, gap)))
-    return worst
-
-
-def form_pullback_gap(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
-                      fd_step: float = 1e-5) -> float:
-    """How far the flow fails to pull the 1-forms db_i back to themselves.
-
-    This is the differentiated level-tracking statement
-    ``db_i(dPhi_t w) = db_i(w)`` and holds for both pair flows. Returns the
-    worst chart-component gap over i = 1, 2.
-    """
-
-    J, y = fd_jacobian(_flow_map(pf, duration, step), x.coords,
-                       step=_chart_step(pf.model, x.coords, fd_step))
-
-    def chart_form(f, c):
-        # chart components of db: lower the gradient index with the metric
-        g = f.grad_chart(c)
-        if pf.model.is_hyperbolic:
-            return g / c[-1] ** 2
-        return g
-
-    worst = 0.0
-    for f in (pf.f1, pf.f2):
-        gap = chart_form(f, y) @ J - chart_form(f, x.coords)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+        g_x, g_y = f.grad_chart(x.coords), f.grad_chart(y)
+        push_gap = max(push_gap, float(m.norm(y, J @ g_x - g_y)))
+        form_gap = max(form_gap, float(np.max(np.abs((lower_y * g_y) @ J - lower_x * g_x))))
+    return push_gap, form_gap

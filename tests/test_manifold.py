@@ -224,6 +224,15 @@ class TestChartValidation:
         with pytest.raises(GeometryError):
             ModelSpace(EUCLIDEAN, 9)
 
+    def test_exp_endpoint_leaving_chart_raises(self, h3):
+        # a steep downward geodesic of length 1000 ends below z = 1e-300;
+        # both exp and the kernel behind it check the endpoint
+        p, w = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1000.0])
+        with pytest.raises(ChartDomainError):
+            h3.exp(p, w)
+        with pytest.raises(ChartDomainError):
+            h3._exp(p, w)
+
     def test_volume_density(self, h3, e3):
         assert volume_density(Point(h3, [0, 0, 2])) == pytest.approx(1 / 8, abs=0)
         assert volume_density(Point(h3, [0, 0, 1])) == 1.0

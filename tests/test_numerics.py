@@ -125,6 +125,32 @@ class TestODE:
         assert len(ts) == len(xs) == 11
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.01)
 
+    def test_duration_split_into_whole_steps(self):
+        # repeated subtraction of the step used to leave a 1.1e-13 remainder
+        # step at the end of this duration
+        evals = [0]
+
+        def field(x):
+            evals[0] += 1
+            return -x
+
+        ts, xs = ode_integrate(field, np.array([1.0]), 2.0, step=1e-3, record=True)
+        assert len(ts) == len(xs) == 2001
+        assert ts[-1] == 2.0
+        assert evals[0] == 8000
+        assert np.max(np.diff(ts)) <= 1e-3 * (1.0 + 1e-9)
+        ts, _ = ode_integrate(lambda x: -x, np.array([1.0]), -1.5, step=1e-3, record=True)
+        assert len(ts) == 1501 and ts[-1] == -1.5
+
+    def test_step_longer_than_duration(self):
+        ts, _ = ode_integrate(lambda x: -x, np.array([1.0]), 1e-13, step=1e-3, record=True)
+        assert len(ts) == 2 and ts[-1] == 1e-13
+
+    def test_nonpositive_step_rejected(self):
+        for step in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                ode_integrate(lambda x: -x, np.array([1.0]), 1.0, step=step)
+
 
 class TestMonteCarlo:
     def test_euclidean_bump_value(self, e3):

@@ -34,11 +34,10 @@ from horoflow.transport import (
     divergence_fd,
     flow_density,
     flow_density_fd,
-    form_pullback_gap,
-    gradient_pushforward_gap,
     horosphere_jacobian,
     pair_flow_step,
     raw_pair_field,
+    transport_gaps,
 )
 
 
@@ -431,17 +430,20 @@ class TestFlowDensities:
 class TestGradientTransport:
     def test_difference_flow_carries_gradients(self, h3, pair_x):
         x = Point(h3, [0.6, -0.4, 0.9])
-        assert gradient_pushforward_gap(pair_x, x, 0.8) <= 1e-6
+        push_gap, _ = transport_gaps(pair_x, x, 0.8)
+        assert push_gap <= 1e-6
 
     def test_both_flows_preserve_level_forms(self, h3, pair_x, pair_y):
         x = Point(h3, [0.6, -0.4, 0.9])
-        assert form_pullback_gap(pair_x, x, 0.8) <= 1e-6
-        assert form_pullback_gap(pair_y, x, 0.8) <= 1e-6
+        for pf in (pair_x, pair_y):
+            _, form_gap = transport_gaps(pf, x, 0.8)
+            assert form_gap <= 1e-6
 
     def test_sum_flow_does_not_carry_gradients(self, h3, pair_y):
         # the vector pushforward identity genuinely fails for the sum flow
         x = Point(h3, [0.6, -0.4, 0.9])
-        assert gradient_pushforward_gap(pair_y, x, 0.8) > 1e-2
+        push_gap, _ = transport_gaps(pair_y, x, 0.8)
+        assert push_gap > 1e-2
 
 
 class TestAxisFloorAndMonotonicity:
@@ -467,6 +469,20 @@ class TestAxisFloorAndMonotonicity:
         # gap to beta = -1 shrinks linearly with the regularization
         assert all(g <= 3.0 * e for g, e in zip(gaps, (1e-3, 1e-4, 1e-5, 1e-6)))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Shapes of the batches passed to ModelSpace.check_coords, in call order."""
+    calls = []
+    original = ModelSpace.check_coords
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(ModelSpace, "check_coords", counted)
+    return calls
 
 
 def _bad_batches(model: ModelSpace, rng) -> list:
@@ -498,18 +514,22 @@ class TestChartValidation:
             with pytest.raises(ChartDomainError):
                 h3.inner(bad, np.ones_like(bad), np.ones_like(bad))
 
-    def test_pair_flow_vector_validates_once(self, h3, pair_x, rng, monkeypatch):
-        calls = []
-        original = ModelSpace.check_coords
-
-        def counted(self, x):
-            calls.append(np.shape(x))
-            return original(self, x)
-
-        monkeypatch.setattr(ModelSpace, "check_coords", counted)
+    def test_pair_flow_vector_validates_once(self, h3, pair_x, rng, check_calls):
         pts = h3.random_points(rng, 20, 0.8)
         pair_x.vector(pts)
-        assert calls == [pts.shape]
+        assert check_calls == [pts.shape]
+
+    @pytest.mark.parametrize("caller", ["apply_coords", "inverse_coords", "normal_flow"])
+    def test_exp_callers_validate_entry_and_endpoint(self, h3, base3, rng, check_calls, caller):
+        # the batch is checked on entry and exp's endpoint once more; the
+        # kernel ModelSpace._exp does not re-check the validated batch
+        F = VolumePreservingMap(h3, base3, Point(h3, [0.0, 0.0, math.exp(-1.0)]))
+        run = {"apply_coords": F.apply_coords, "inverse_coords": F.inverse_coords,
+               "normal_flow": lambda pts: NormalFlow(F.field)(0.3, pts)}[caller]
+        pts = F.apply_coords(h3.random_points(rng, 20, 0.8))  # in the image of F
+        check_calls.clear()
+        run(pts)
+        assert check_calls == [pts.shape, pts.shape]
 
     def test_rk4_stage_driven_off_the_chart_raises(self, h3, pair_x, rng):
         # the (origin, infinity) difference field is x/2, so one backward step
@@ -517,3 +537,69 @@ class TestChartValidation:
         pts = h3.random_points(rng, 4, 0.8)
         with pytest.raises(ChartDomainError):
             ode_integrate(pair_x.vector, pts, -10.0, step=10.0)
+
+
+def _euclidean_pair(model: ModelSpace, u1, u2) -> tuple[BusemannField, BusemannField]:
+    return (BusemannField(model, boundary_direction(model, u1)),
+            BusemannField(model, boundary_direction(model, u2)))
+
+
+class TestPairFlowOracle:
+    """The RK4 oracle's field: PairFlow.vector against its definition."""
+
+    @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
+    def test_euclidean_vector_rejects_nan_row(self, e3, rng, kind):
+        pf = PairFlow(*_euclidean_pair(e3, [1, 0, 0], [0, 1, 0]), kind)
+        pts = e3.random_points(rng, 5, 0.8)
+        pts[2] = np.nan
+        with pytest.raises(ChartDomainError):
+            pf.vector(pts)
+
+    def test_euclidean_vector_is_a_fresh_array(self, e3, rng):
+        pf = PairFlow(*_euclidean_pair(e3, [1, 0, 0], [0.6, 0.8, 0]), DIFFERENCE)
+        pts = e3.random_points(rng, 4, 0.8)
+        first = pf.vector(pts)
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(pf.vector(pts), expected)
+        assert pf.vector(pts[0]).shape == (3,)
+
+    def test_euclidean_cancelling_sum_raises_on_every_call(self, e3, rng):
+        pf = PairFlow(*_euclidean_pair(e3, [1, 0, 0], [-1, 0, 0]), SUM)
+        pts = e3.random_points(rng, 3, 0.8)
+        for _ in range(2):
+            with pytest.raises(SingularFlowError):
+                pf.vector(pts)
+
+    @pytest.mark.parametrize("model_name", ["h3", "e3"])
+    @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
+    def test_vector_matches_public_gradients(self, request, rng, model_name, kind):
+        model = request.getfixturevalue(model_name)
+        if model.is_hyperbolic:
+            f1 = BusemannField(model, boundary_finite(model, [0.3, -0.2]))
+            f2 = BusemannField(model, boundary_finite(model, [-0.5, 0.4]))
+        else:
+            f1, f2 = _euclidean_pair(model, [1, 0, 0], [0.6, 0.8, 0])
+        pf = PairFlow(f1, f2, kind)
+        pts = model.random_points(rng, 50, 0.8)
+        g1, g2 = f1.grad_chart(pts), f2.grad_chart(pts)
+        b = beta(f1, f2, pts)
+        sign = -1.0 if kind == DIFFERENCE else 1.0
+        expected = (g1 + sign * g2) / (2.0 + sign * 2.0 * b)[:, None]
+        assert np.max(np.abs(pf.vector(pts) - expected)) <= 1e-15 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("model_name, integrations", [("h3", 2), ("e3", 1)])
+    def test_gradient_transport_integrates_each_flow_once(self, request, monkeypatch, model_name,
+                                                         integrations):
+        from horoflow import verify
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return ode_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "ode_integrate", counted)
+        rep = verify.check_gradient_transport(verify.VerifyContext(model=request.getfixturevalue(model_name)))
+        assert rep.status == "pass", rep.quantities
+        assert len(calls) == integrations
