@@ -126,8 +126,8 @@ class TestODE:
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.01)
 
     def test_duration_split_into_whole_steps(self):
-        # repeated subtraction of the step used to leave a 1.1e-13 remainder
-        # step at the end of this duration
+        # 2000 steps of 1e-3 do not sum to 2.0 exactly in floating point;
+        # the count must still be 2000, with no remainder step
         evals = [0]
 
         def field(x):
