@@ -32,6 +32,7 @@ from .manifold import (
     ModelMismatchError,
     ModelSpace,
     Point,
+    _rowdot,
     _same_model,
     direction_to_boundary,
 )
@@ -86,7 +87,7 @@ class BusemannField:
         if self.xi.is_infinity:
             return -np.log(z)
         w = coords[..., :-1] - self.xi.data
-        q = (w * w).sum(axis=-1) + z * z
+        q = _rowdot(w, w) + z * z
         return np.log(q / z)
 
     @functools.cached_property
@@ -133,7 +134,7 @@ class BusemannField:
             out[..., -1] = -z
             return out
         d = np.subtract(coords, self._pole, out=out)
-        d *= (2.0 * z * z / (d * d).sum(axis=-1))[..., None]
+        d *= (2.0 * z * z / _rowdot(d, d))[..., None]
         d[..., -1] -= z
         return d
 

@@ -42,6 +42,7 @@ from .manifold import (
     Isometry,
     ModelMismatchError,
     Point,
+    _rowdot,
     normalize_pair,
 )
 from .numerics import (MCEstimate, QuadratureRule, fd_jacobian, gauss_legendre,
@@ -259,7 +260,7 @@ class IntersectionLocus:
 
             def chart(u):
                 y = omega + u @ frame
-                y = self.radius * y / np.linalg.norm(y, axis=-1, keepdims=True)
+                y = self.radius * y / np.sqrt(_rowdot(y, y))[..., None]
                 return inv.apply_coords(np.column_stack([y, np.full(len(y), self.height)]))
 
             jac, base = fd_jacobian(chart, np.zeros(len(frame)), step)
@@ -454,8 +455,8 @@ def strip_volume_mc(cfg: PairConfig, c1: float, c2: float, r: float, *,
 
     # normalized-coordinate closed forms of the two Busemann values
     def integrand(pts):
-        z = pts[:, -1]
-        q = np.sum(pts[:, :-1] ** 2, axis=-1) + z * z
+        ybar, z = pts[:, :-1], pts[:, -1]
+        q = _rowdot(ybar, ybar) + z * z
         b1 = np.log(q / z) + cfg.k1
         b2 = -np.log(z) + cfg.k2
         inside = (b1 >= c1) & (b1 <= c1 + r) & (b2 >= c2) & (b2 <= c2 + r)

@@ -266,14 +266,21 @@ class MCEstimate:
     samples: int
     seed: int
 
-    def agrees_with(self, other: "MCEstimate | float", sigmas: float = 3.0) -> bool:
+    def pull(self, other: "MCEstimate | float") -> float:
+        """Gap to other in units of the combined standard error: 0 when the
+        gap is 0, infinite when the error is 0 and the gap is not."""
         if isinstance(other, MCEstimate):
             gap = abs(self.mean - other.mean)
             combined = math.hypot(self.standard_error, other.standard_error)
         else:
             gap = abs(self.mean - float(other))
             combined = self.standard_error
-        return gap <= sigmas * combined
+        if gap == 0.0:
+            return 0.0
+        return gap / combined if combined > 0.0 else math.inf
+
+    def agrees_with(self, other: "MCEstimate | float", sigmas: float = 3.0) -> bool:
+        return self.pull(other) <= sigmas
 
 
 def _philox(seed: int, block: int) -> np.random.Generator:
@@ -297,19 +304,32 @@ def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
     """Monte Carlo integral of a vectorized integrand over a chart box.
 
     ``fn`` maps an (N, n) array of chart points to (N,) integrand values; the
-    integrand must already include any volume density.
+    integrand must already include any volume density. ``n_samples >= 1``.
+
+    The samples are the Philox stream keyed by (seed, block): block b holds
+    samples b * MC_BLOCK onward, drawn as ``_philox(seed, b).random((count, n))``
+    and mapped to ``lo + u * (hi - lo)``.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
         raise ValueError("degenerate integration box")
+    if n_samples < 1:
+        raise ValueError(f"Monte Carlo needs at least one sample, got {n_samples}")
     vol = float(np.prod(hi - lo))
     nblocks = (n_samples + MC_BLOCK - 1) // MC_BLOCK
+    # hi - lo and lo repeated once per row of a block: the map to the box
+    # then runs over one flat array, not once per 2..8-entry row
+    rows = min(n_samples, MC_BLOCK)
+    span = np.tile(hi - lo, rows)
+    shift = np.tile(lo, rows)
 
     def one_block(b: int):
         count = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        u = _philox(seed, b).random((count, lo.size))
-        pts = lo + u * (hi - lo)
+        pts = _philox(seed, b).random((count, lo.size))
+        flat = pts.reshape(-1)
+        flat *= span[:flat.size]
+        flat += shift[:flat.size]
         vals = np.asarray(fn(pts), dtype=float)
         return float(np.sum(vals)), float(np.sum(vals * vals))
 
@@ -348,8 +368,13 @@ class TestFunction:
 
     def __call__(self, coords) -> np.ndarray:
         d = self.model.distance(np.asarray(coords, dtype=float), self.center.coords)
-        u = np.clip(1.0 - (d / self.radius) ** 2, 0.0, None)
-        return u ** 3
+        u = np.asarray(d / self.radius)  # 0-d for one point, which returns a scalar
+        u *= u
+        np.subtract(1.0, u, out=u)
+        np.maximum(u, 0.0, out=u)
+        cube = u * u
+        cube *= u
+        return cube
 
     def support_chart_box(self, margin: float = 0.05):
         """Chart bounding box of the support ball (exact ball, then margin)."""

@@ -35,6 +35,7 @@ from .manifold import (
     Point,
     TangentVec,
     boundary_from_direction,
+    _rowdot,
     _same_model,
 )
 from .locus import PairConfig, make_pair_config
@@ -305,7 +306,7 @@ class PairFlow:
         g1 = self.f1._grad(coords)
         g2 = self.f2._grad(coords)
         z = coords[..., -1]
-        b = (g1 * g2).sum(axis=-1) / (z * z)
+        b = _rowdot(g1, g2) / (z * z)
         return self._normalized(g1, g2, b)
 
     def _normalized(self, g1: np.ndarray, g2: np.ndarray, b) -> np.ndarray:
@@ -353,7 +354,7 @@ class PairFlow:
         if self.kind == DIFFERENCE:
             return norm.inverse().apply_coords(y * math.exp(0.5 * duration))
         ybar, z = y[..., :-1], y[..., -1:]
-        rho_sq = np.sum(ybar * ybar, axis=-1, keepdims=True)
+        rho_sq = _rowdot(ybar, ybar)[..., None]
         end_sq = rho_sq - z * z * math.expm1(-duration)
         if np.any(rho_sq == 0.0) or np.any(end_sq <= 0.0):
             raise SingularFlowError("sum flow started on or driven across the singular set D")

@@ -418,7 +418,7 @@ def check_map_integral_invariance(ctx, tol):
         bump = TestFunction(center, radius)
         direct, pulled = _pushforward_integral_pair(ctx, F, bump, ctx.seed + 10 * k)
         sigma = math.hypot(direct.standard_error, pulled.standard_error)
-        pull = abs(direct.mean - pulled.mean) / sigma if sigma > 0 else math.inf
+        pull = direct.pull(pulled)
         worst_pull = max(worst_pull, pull)
         rows.append({"level": level, "direct": direct.mean, "pulled": pulled.mean,
                      "sigma": sigma, "pull": pull})
@@ -749,7 +749,7 @@ def check_strip_volume(ctx, tol):
     r = 0.5
     quad = lc.strip_volume(cfg, c1, c2, r)
     mc = lc.strip_volume_mc(cfg, c1, c2, r, n_samples=2 * ctx.samples, seed=ctx.seed + 5)
-    pull = abs(mc.mean - quad) / mc.standard_error
+    pull = mc.pull(quad)
 
     def section(s, t):
         return lc.locus_quadrature(lc.parametrize_locus(cfg, s, t)).bound
@@ -783,7 +783,7 @@ def check_coarea_identity(ctx, tol):
     lo, hi = bump.support_chart_box()
     mc = mc_integrate_box(lambda pts: bump(pts) * m.volume_density(pts), lo, hi,
                           2 * ctx.samples, ctx.seed + 21)
-    pull = abs(mc.mean - sliced) / mc.standard_error
+    pull = mc.pull(sliced)
     quantities = {"sliced": sliced, "mc_mean": mc.mean, "mc_se": mc.standard_error, "pull_sigmas": pull}
     ok = pull <= tol
     if not m.is_hyperbolic:
@@ -809,7 +809,8 @@ def check_mc_error_scaling(ctx, tol):
     n = ctx.samples
     e1 = mc_integrate_box(integrand, lo, hi, n, ctx.seed + 31)
     e2 = mc_integrate_box(integrand, lo, hi, 2 * n, ctx.seed + 31)
-    ratio = e1.standard_error / e2.standard_error
+    # a zero second error (one or two samples) records a failing ratio
+    ratio = e1.standard_error / e2.standard_error if e2.standard_error > 0.0 else math.inf
     e1_again = mc_integrate_box(integrand, lo, hi, n, ctx.seed + 31)
     reproducible = e1.mean == e1_again.mean and e1.standard_error == e1_again.standard_error
     return ({"se_ratio": ratio, "expected_ratio": math.sqrt(2.0), "reproducible": reproducible},

@@ -112,6 +112,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "error: raises-convergence-error: degenerate pushforward frame" in err
 
+    @pytest.mark.parametrize("suite", ["map-f", "intersections", "coarea"])
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    @pytest.mark.parametrize("model", ["e5", "h3"])
+    def test_tiny_sample_counts_give_a_verdict(self, model, samples, suite, tmp_path, capsys):
+        # one or two samples give a zero standard error; the sigma checks
+        # must turn that into a verdict, not a division by zero
+        out = tmp_path / "rep.json"
+        code = main(["verify", suite, "--model", model, "--samples", samples, "--out", str(out)])
+        assert code in (0, 1)
+        statuses = {c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert statuses and statuses <= {"pass", "fail"}
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["e6", "e7", "e8"])
     def test_verify_all_passes_in_high_flat_dimensions(self, model, tmp_path):
         out = tmp_path / "rep.json"

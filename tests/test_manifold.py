@@ -16,6 +16,7 @@ from horoflow.manifold import (
     ModelSpace,
     Point,
     TangentVec,
+    _rowdot,
     boundary_finite,
     boundary_from_direction,
     boundary_infinity,
@@ -43,6 +44,17 @@ class TestMetric:
 
     def test_euclidean_dot(self, e3):
         assert e3.inner([5, 5, 5], [1, 2, 0], [3, 0, 0]) == 3.0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_reduction_matches_norm(self, n):
+        # the one row reduction behind every chart length and inner product
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (1, n), (20, n), (4096, n)):
+            v = rng.normal(size=shape) * np.exp(rng.normal(size=shape))
+            reference = np.linalg.norm(v, axis=-1)
+            length = np.sqrt(_rowdot(v, v))
+            assert np.shape(length) == np.shape(reference)
+            assert np.all(np.abs(length - reference) <= 2.0 * np.spacing(reference))
 
 
 class TestDistance:

@@ -8,7 +8,10 @@ import pytest
 
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, ModelSpace, Point
 from horoflow.numerics import (
+    MC_BLOCK,
+    MCEstimate,
     TestFunction,
+    _philox,
     fd_directional,
     fd_gradient,
     fd_hessian,
@@ -181,6 +184,75 @@ class TestMonteCarlo:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             mc_integrate_box(lambda p: 1.0, [0, 0], [1, 0], 100, seed=0)
+
+    def test_empty_sample_rejected(self):
+        for n_samples in (0, -1):
+            with pytest.raises(ValueError):
+                mc_integrate_box(lambda p: p[:, 0], [0, 0], [1, 1], n_samples, seed=0)
+
+    def test_sample_stream_is_pinned(self):
+        # two full blocks and a partial one, against the (seed, block)
+        # Philox stream drawn and summed by hand
+        lo, hi = np.array([-0.5, 0.2, 1.0]), np.array([0.7, 0.9, 3.5])
+        w = np.array([1.5, -2.0, 0.25])
+        n, seed = 10_000, 8
+        sums, squares = [], []
+        for b, count in enumerate((MC_BLOCK, MC_BLOCK, n - 2 * MC_BLOCK)):
+            u = _philox(seed, b).random((count, 3))
+            vals = (lo + u * (hi - lo)) @ w
+            sums.append(float(np.sum(vals)))
+            squares.append(float(np.sum(vals * vals)))
+        vol = float(np.prod(hi - lo))
+        mean_f = (sums[0] + sums[1] + sums[2]) / n
+        var_f = (squares[0] + squares[1] + squares[2]) / n - mean_f * mean_f
+        est = mc_integrate_box(lambda p: p @ w, lo, hi, n, seed)
+        assert est.mean == vol * mean_f
+        assert est.standard_error == vol * math.sqrt(var_f / n)
+        assert est.samples == n and est.seed == seed
+
+
+class TestMCPull:
+    def test_gap_over_combined_error(self):
+        a = MCEstimate(mean=1.0, standard_error=0.3, samples=10, seed=0)
+        b = MCEstimate(mean=2.0, standard_error=0.4, samples=10, seed=1)
+        assert a.pull(b) == pytest.approx(2.0, abs=1e-15)
+        assert a.pull(2.5) == pytest.approx(5.0, abs=1e-15)
+        assert a.agrees_with(b, sigmas=2.0 + 1e-12) and not a.agrees_with(b, sigmas=1.9)
+
+    def test_zero_error(self):
+        exact = MCEstimate(mean=1.0, standard_error=0.0, samples=1, seed=0)
+        assert exact.pull(1.0) == 0.0
+        assert exact.pull(exact) == 0.0
+        assert exact.pull(1.5) == math.inf
+        assert not exact.agrees_with(1.5)
+
+
+class TestBump:
+    def test_one_point_is_a_scalar(self, h3, rng):
+        bump = TestFunction(Point(h3, [0.1, -0.2, 1.3]), 0.9)
+        pts = bump.center.coords + 0.3 * rng.normal(size=(50, 3))
+        batch = bump(pts)
+        for p, value in zip(pts, batch):
+            single = bump(p)
+            assert np.ndim(single) == 0 and single == value
+
+    def test_zero_at_and_beyond_radius(self, e3):
+        bump = TestFunction(Point(e3, [0.0, 0.0, 0.0]), 0.5)
+        pts = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.5000001, 0.0, 0.0], [3.0, 4.0, 0.0]])
+        values = bump(pts)
+        assert np.all(values == 0.0) and not np.signbit(values).any()
+        assert bump(pts[0]) == 0.0
+
+    def test_matches_polynomial(self, h3, rng):
+        bump = TestFunction(Point(h3, [0.1, -0.2, 1.3]), 0.9)
+        pts = bump.center.coords + 0.3 * rng.normal(size=(2000, 3))
+        pts[:, -1] = np.abs(pts[:, -1])
+        ratio = h3.distance(pts, bump.center.coords) / bump.radius
+        inside = ratio < 1.0
+        assert inside.sum() > 500
+        expected = (1.0 - ratio[inside] ** 2) ** 3
+        got = bump(pts)[inside]
+        assert np.all(np.abs(got - expected) <= 4.0 * np.spacing(expected))
 
 
 class TestIntegrateRegion:
