@@ -156,7 +156,7 @@ def _emit_report(suite: str, cfg: RunConfig, reports: list[CheckReport]) -> int:
         "samples": cfg.samples,
         "checks": [r.to_json_dict() for r in reports],
     }
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + "\n")

@@ -158,11 +158,13 @@ class ModelSpace:
         (|w_bar|, w_z)/|w|, the endpoint is
 
             x_bar + w_bar * sinh(t)/t / D,    z / D,
-            D = cosh t - b sinh t = (1-b)/2 e^t + (1+b)/2 e^-t,
+            D = cosh t - b sinh t = (1-b)/2 e^t + (1+b)/2 e^-t.
 
-        with (1 -+ b)/2 = sin^2(atan2(a, +-b)/2). Both terms of D are
-        non-negative, so no cancellation occurs for nearly vertical w, and
-        the same expression covers vertical w and w = 0 without branching.
+        The smaller of (1 -+ b)/2 is |w_bar|^2 / (2|w| (|w| + |w_z|)), which
+        has no cancellation even for nearly vertical w, and the larger is 1
+        minus it (at least 1/2). Both terms of D are non-negative. For w = 0
+        the weights are (1, 0) and t = 0, so D = 1. The endpoint array has
+        the layout of p, so a column-major batch stays column-major.
         """
         return self._exp(self.check_coords(p), w)
 
@@ -176,15 +178,19 @@ class ModelSpace:
         z = p[..., -1]
         wbar, wz = w[..., :-1], w[..., -1]
         hlen2 = _rowdot(wbar, wbar)
-        hlen = np.sqrt(hlen2)
-        t = np.sqrt(hlen2 + wz * wz) / z  # Riemannian length of w
-        rise = np.sin(0.5 * np.arctan2(hlen, wz)) ** 2  # (1 - b)/2
-        fall = np.sin(0.5 * np.arctan2(hlen, -wz)) ** 2  # (1 + b)/2
-        out = np.empty(np.broadcast_shapes(p.shape, w.shape))
+        wlen = np.sqrt(hlen2 + wz * wz)
+        t = wlen / z  # Riemannian length of w
+        out = np.empty_like(p, shape=np.broadcast_shapes(p.shape, w.shape))
         # a length at which D over- or underflows ends off the chart, and
         # check_coords raises ChartDomainError for it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            denom = rise * np.exp(t) + fall * np.exp(-t)
+            # the smaller weight; where its denominator underflows, so has
+            # |w_bar|^2 <= |w|^2, and the weight is 0
+            small = hlen2 / np.maximum(2.0 * wlen * (wlen + np.abs(wz)), np.finfo(float).tiny)
+            rise = np.where(wz > 0.0, small, 1.0 - small)  # (1 - b)/2
+            # 1 - rise is off by up to eps/2 where (1 + b)/2 is the small
+            # weight; that moves D, at least e^t/2 there, by under eps D
+            denom = rise * np.exp(t) + (1.0 - rise) * np.exp(-t)
             sinhc = np.divide(np.sinh(t), t, out=np.ones_like(t), where=t > 0.0)
             out[..., :-1] = p[..., :-1] + wbar * (sinhc / denom)[..., None]
             out[..., -1] = z / denom

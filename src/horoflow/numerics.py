@@ -308,7 +308,11 @@ def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
 
     The samples are the Philox stream keyed by (seed, block): block b holds
     samples b * MC_BLOCK onward, drawn as ``_philox(seed, b).random((count, n))``
-    and mapped to ``lo + u * (hi - lo)``.
+    and mapped to ``lo + u * (hi - lo)``. ``fn`` receives each block in
+    column-major (Fortran) order, so an elementwise kernel runs one long loop
+    per coordinate rather than one short loop per sample. A dot product over
+    4 to 8 strided coordinates (``np.vecdot``, BLAS) sums in another order
+    than over a contiguous row, so such values can differ in the last bit.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -318,18 +322,15 @@ def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
         raise ValueError(f"Monte Carlo needs at least one sample, got {n_samples}")
     vol = float(np.prod(hi - lo))
     nblocks = (n_samples + MC_BLOCK - 1) // MC_BLOCK
-    # hi - lo and lo repeated once per row of a block: the map to the box
-    # then runs over one flat array, not once per 2..8-entry row
-    rows = min(n_samples, MC_BLOCK)
-    span = np.tile(hi - lo, rows)
-    shift = np.tile(lo, rows)
+    span = (hi - lo)[:, None]
+    shift = lo[:, None]
 
     def one_block(b: int):
         count = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        pts = _philox(seed, b).random((count, lo.size))
-        flat = pts.reshape(-1)
-        flat *= span[:flat.size]
-        flat += shift[:flat.size]
+        pts = np.asfortranarray(_philox(seed, b).random((count, lo.size)))
+        cols = pts.T  # C-contiguous view: one row per coordinate
+        cols *= span
+        cols += shift
         vals = np.asarray(fn(pts), dtype=float)
         return float(np.sum(vals)), float(np.sum(vals * vals))
 
@@ -392,6 +393,16 @@ class TestFunction:
         if self.model.is_hyperbolic:
             lo[-1] = max(lo[-1], c[-1] * math.exp(-R) * (1.0 - margin))
         return lo, hi
+
+    def integral(self) -> float:
+        """Integral in geodesic polar coordinates about the center on one 64-node
+        Gauss-Legendre rule: |S^{n-1}| int_0^R (1 - (r/R)^2)^3 A(r) dr, where
+        A(r) = sinh^{n-1} r in H^n and r^{n-1} in E^n (exact to roundoff)."""
+        n = self.model.dim
+        rule = gauss_legendre(64, 0.0, self.radius)
+        r = rule.nodes
+        area = np.sinh(r) if self.model.is_hyperbolic else r
+        return unit_sphere_area(n - 1) * rule.integrate((1.0 - (r / self.radius) ** 2) ** 3 * area ** (n - 1))
 
     def exact_euclidean_integral(self) -> float:
         """Closed-form integral over E^n of the polynomial bump."""

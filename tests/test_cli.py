@@ -15,6 +15,15 @@ REPORT_KEYS = {"name", "statement", "quantities", "expected", "provenance",
                "tolerance", "tol_kind", "status", "wall_time_s"}
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _strip_wall_times(payload: dict) -> dict:
     out = json.loads(json.dumps(payload))
     for check in out["checks"]:
@@ -121,9 +130,15 @@ class TestVerifyCommand:
         out = tmp_path / "rep.json"
         code = main(["verify", suite, "--model", model, "--samples", samples, "--out", str(out)])
         assert code in (0, 1)
-        statuses = {c["status"] for c in json.loads(out.read_text())["checks"]}
+        statuses = {c["status"] for c in _strict_json(out.read_text())["checks"]}
         assert statuses and statuses <= {"pass", "fail"}
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_finite_floats_have_one_encoding(self):
+        payload = {"a": math.inf, "b": [-math.inf, np.float64("nan")], "c": np.array([1.0, np.inf]),
+                   "d": (np.float32(2.5), 3)}
+        assert verify._jsonable(payload) == {"a": "inf", "b": ["-inf", "nan"], "c": [1.0, "inf"],
+                                             "d": [2.5, 3]}
 
     @pytest.mark.parametrize("model", ["e6", "e7", "e8"])
     def test_verify_all_passes_in_high_flat_dimensions(self, model, tmp_path):

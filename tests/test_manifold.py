@@ -204,6 +204,43 @@ def _log_reference(p, q):
         return np.array([float(v) for v in w])
 
 
+def _exp_reference(p, w):
+    """Half-space exp at 60 digits: x_bar + w_bar sinh(t)/t / D and z / D with
+    t = |w|/z and D = cosh t - (w_z/|w|) sinh t."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p = [mp.mpf(float(v)) for v in p]
+        w = [mp.mpf(float(v)) for v in w]
+        length = mp.sqrt(sum(v * v for v in w))
+        if length == 0:
+            return np.array([float(v) for v in p])
+        t = length / p[-1]
+        denom = mp.cosh(t) - w[-1] / length * mp.sinh(t)
+        scale = mp.sinh(t) / t / denom
+        out = [a + v * scale for a, v in zip(p[:-1], w[:-1])]
+        out.append(p[-1] / denom)
+        return np.array([float(v) for v in out])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lean, sign", [(1e-3, 1.0), (1e-3, -1.0), (1.0, 1.0), (1.0, -1.0)],
+                         ids=["up", "down", "oblique-up", "oblique-down"])
+def test_exp_matches_mpmath(lean, sign, rng):
+    # 100 geodesics per case, lengths t from 1e-8 to 20, and w = 0, in H^2,
+    # H^3, H^5 and H^8; the nearly vertical ones lean by 1e-3 to 1e-12 of their length
+    worst = 0.0
+    for dim in (2, 3, 5, 8):
+        model = ModelSpace(HYPERBOLIC, dim)
+        for k, t in enumerate(np.r_[np.geomspace(1e-8, 20.0, 25), 0.0]):
+            p = np.r_[rng.uniform(0.2, 0.9, dim - 1), rng.uniform(0.5, 2.0)]
+            # w_bar points away from the origin, so no endpoint coordinate nears 0
+            direction = np.r_[lean * 10.0 ** (-3 * (k % 4)) * rng.uniform(0.2, 1.0, dim - 1), sign]
+            w = t * p[-1] * direction / np.linalg.norm(direction)
+            ref = _exp_reference(p, w)
+            worst = max(worst, float(np.max(np.abs(model.exp(p, w) - ref) / np.abs(ref))))
+    assert worst <= 1e-13
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("hsep", [1e-6, 1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("z_q", [4.0, 0.05])

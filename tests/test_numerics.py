@@ -22,6 +22,7 @@ from horoflow.numerics import (
     sphere_rule,
     unit_sphere_area,
 )
+from horoflow.transport import VolumePreservingMap
 
 
 class TestFiniteDifferences:
@@ -196,19 +197,52 @@ class TestMonteCarlo:
         lo, hi = np.array([-0.5, 0.2, 1.0]), np.array([0.7, 0.9, 3.5])
         w = np.array([1.5, -2.0, 0.25])
         n, seed = 10_000, 8
-        sums, squares = [], []
+        sums, squares, mapped = [], [], []
         for b, count in enumerate((MC_BLOCK, MC_BLOCK, n - 2 * MC_BLOCK)):
             u = _philox(seed, b).random((count, 3))
-            vals = (lo + u * (hi - lo)) @ w
+            mapped.append(lo + u * (hi - lo))
+            vals = mapped[-1] @ w
             sums.append(float(np.sum(vals)))
             squares.append(float(np.sum(vals * vals)))
         vol = float(np.prod(hi - lo))
         mean_f = (sums[0] + sums[1] + sums[2]) / n
         var_f = (squares[0] + squares[1] + squares[2]) / n - mean_f * mean_f
-        est = mc_integrate_box(lambda p: p @ w, lo, hi, n, seed)
+        received = []
+
+        def integrand(p):
+            received.append(p.copy(order="K"))
+            return p @ w
+
+        est = mc_integrate_box(integrand, lo, hi, n, seed)
         assert est.mean == vol * mean_f
         assert est.standard_error == vol * math.sqrt(var_f / n)
         assert est.samples == n and est.seed == seed
+        # each block arrives column-major, bit for bit the row-major draw mapped into the box
+        assert len(received) == len(mapped)
+        for got, want in zip(received, mapped):
+            assert got.flags.f_contiguous and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind, dim", [(HYPERBOLIC, 3), (EUCLIDEAN, 5)])
+    def test_integrands_ignore_block_layout(self, kind, dim):
+        # the pieces of the Monte Carlo integrands of verify, on one block
+        # and on its column-major copy
+        model = ModelSpace(kind, dim)
+        p = np.r_[np.zeros(dim - 1), 1.0]
+        q = p * np.r_[np.ones(dim - 1), math.exp(-1.0)] if model.is_hyperbolic else p + np.eye(dim)[0]
+        F = VolumePreservingMap(model, Point(model, p), Point(model, q))
+        bump = TestFunction(Point(model, p), 0.5)
+        lo, hi = bump.support_chart_box()
+        rows = lo + _philox(3, 0).random((MC_BLOCK, dim)) * (hi - lo)
+        cols = np.asfortranarray(rows)
+        assert np.array_equal(model.volume_density(cols), model.volume_density(rows))
+        moved = F.apply_coords(cols)
+        assert moved.flags.f_contiguous and np.array_equal(moved, F.apply_coords(rows))
+        if dim < 4:
+            assert np.array_equal(bump(cols), bump(rows))
+        else:
+            # np.vecdot sums a strided row of four or more entries in another
+            # order (BLAS), so the squared distance may move by a few ulp
+            assert np.max(np.abs(bump(cols) - bump(rows))) <= 8.0 * np.finfo(float).eps
 
 
 class TestMCPull:
@@ -242,6 +276,26 @@ class TestBump:
         values = bump(pts)
         assert np.all(values == 0.0) and not np.signbit(values).any()
         assert bump(pts[0]) == 0.0
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_integral_matches_mpmath_polar_quadrature(self, dim):
+        mp = pytest.importorskip("mpmath")
+        h = ModelSpace(HYPERBOLIC, dim)
+        center = Point(h, np.r_[np.full(dim - 1, 0.1), 1.2])
+        for radius in (0.3, 0.5, 0.7, 2.0):
+            with mp.workdps(30):
+                R = mp.mpf(radius)
+                radial = mp.quad(lambda r: (1 - (r / R) ** 2) ** 3 * mp.sinh(r) ** (dim - 1), [0, R])
+                expected = float(2 * mp.pi ** (mp.mpf(dim) / 2) / mp.gamma(mp.mpf(dim) / 2) * radial)
+            assert TestFunction(center, radius).integral() == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_integral_matches_euclidean_closed_form(self, dim):
+        e = ModelSpace(EUCLIDEAN, dim)
+        center = Point(e, np.linspace(-0.4, 0.3, dim))
+        for radius in (0.3, 0.5, 0.7, 2.0):
+            bump = TestFunction(center, radius)
+            assert bump.integral() == pytest.approx(bump.exact_euclidean_integral(), rel=1e-13, abs=0)
 
     def test_matches_polynomial(self, h3, rng):
         bump = TestFunction(Point(h3, [0.1, -0.2, 1.3]), 0.9)
