@@ -78,6 +78,12 @@ class EmptyLocusError(GeometryError):
     region reaches the axis level (c1 + c2 <= c0)."""
 
 
+def _native(values: np.ndarray):
+    """A Python float for a 0-d result, so scalar callers keep float types; the
+    array otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 @dataclass(frozen=True)
 class PairConfig:
     """A normalized pair of Busemann fields with the constants of their axis.
@@ -117,19 +123,23 @@ class PairConfig:
 
         return busemann_value(self.f1, x) + busemann_value(self.f2, x) - self.c0
 
-    def locus_geometry(self, s: float, t: float) -> tuple[float, float]:
-        """Normalized chart height a and sphere radius rho of S(s, t); raises
-        :class:`EmptyLocusError` for s < 0 (below the axis level)."""
-        if s < 0:
-            raise EmptyLocusError(f"s = {s} < 0: empty intersection")
-        l1 = 0.5 * (s + self.c0 + t)
-        l2 = 0.5 * (s + self.c0 - t)
-        a = math.exp(self.k2 - l2)
-        diameter = math.exp(l1 - self.k1)
-        rho_sq = a * (diameter - a)
-        if rho_sq < 0:
-            raise EmptyLocusError("no intersection below the axis level")
-        return a, math.sqrt(rho_sq)
+    def locus_geometry(self, s, t):
+        """Normalized chart height a and sphere radius rho of S(s, t).
+
+        a = e^(k2 - l2) for the b2 level l2 = (s + c0 - t)/2, and
+        rho = a sqrt(e^s - 1), so the locus is exactly the axis point at s = 0.
+        Broadcasts over arrays of s and t and returns two arrays of their
+        broadcast shape; scalar s and t give Python floats. Raises
+        :class:`EmptyLocusError`, naming the first s < 0 (below the axis level).
+        """
+        s = np.asarray(s, dtype=float)
+        below = s < 0
+        if below.any():
+            raise EmptyLocusError(f"s = {float(s[below][0])} < 0: empty intersection")
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.exp(self.k2 - 0.5 * (s + self.c0 - t))
+            rho = a * np.sqrt(np.expm1(s))
+        return _native(a), _native(rho)
 
     def point_on_locus(self, s: float, t: float) -> Point:
         """One point of S(s, t), in original coordinates."""
@@ -290,25 +300,42 @@ class LocusValues(NamedTuple):
     beta_max: float   # largest beta on the locus
 
 
-def locus_values(cfg: PairConfig, s: float, t: float) -> LocusValues:
-    """Closed forms of the locus quantities on S(s, t), in O(1).
+def locus_values(cfg: PairConfig, s, t) -> LocusValues:
+    """Closed forms of the locus quantities on S(s, t), in O(1) per cell.
 
     With x = e^s - 1 = (rho/a)^2, beta = 1 - 2 e^{-s} at every point of the
     locus, so the V and W weights are x^(-1/2) and x^(1/2), and
     vol, V, W = |S^{n-2}| x^{k/2} for k = n-2, n-3, n-1. On the degenerate
     s = 0 locus vol = 0 and beta = -1, and V, W and the bound are undefined
-    (nan). Raises :class:`EmptyLocusError` where :func:`parametrize_locus` does.
+    (nan).
+
+    Broadcasts over arrays of s and t: every field is an array of their
+    broadcast shape, so s[:, None] and t[None, :] give one (len s, len t)
+    table per quantity; scalar s and t give Python floats. Raises
+    :class:`EmptyLocusError` where :func:`parametrize_locus` does, and
+    :class:`GeometryError` naming the first (s, t) with s > 0 where a value
+    overflows float64.
     """
-    _, rho = cfg.locus_geometry(s, t)
-    beta_max = 1.0 - 2.0 * math.exp(-s)
-    if rho == 0.0:
-        return LocusValues(0.0, math.nan, math.nan, math.nan, beta_max)
-    x = math.expm1(s)
+    cfg.locus_geometry(s, t)  # rejects s < 0; the values depend on s alone
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     n = cfg.model.dim
-    vol = unit_sphere_area(n - 2) * x ** (0.5 * (n - 2))
-    root = math.sqrt(x)
-    v, w = vol / root, vol * root
-    return LocusValues(vol, v, w, 0.5 * (v + w), beta_max)
+    degenerate = s == 0.0
+    with np.errstate(all="ignore"):
+        x = np.expm1(s)
+        vol = unit_sphere_area(n - 2) * x ** (0.5 * (n - 2))
+        root = np.sqrt(x)
+        v, w = vol / root, vol * root
+        bound = 0.5 * (v + w)
+        beta_max = 1.0 - 2.0 * np.exp(-s)
+    finite = np.isfinite(vol) & np.isfinite(v) & np.isfinite(w) & np.isfinite(bound)
+    overflow = ~(degenerate | finite)
+    if overflow.any():
+        i = np.flatnonzero(overflow)[0]
+        raise GeometryError(f"locus quantities overflow float64 at s = {float(s.flat[i])}, "
+                            f"t = {float(t.flat[i])}")
+    vol = np.where(degenerate, 0.0, vol)
+    v, w, bound = (np.where(degenerate, np.nan, q) for q in (v, w, bound))
+    return LocusValues(*(_native(q) for q in (vol, v, w, bound, beta_max)))
 
 
 def locus_quadrature(L: IntersectionLocus, *, general: bool = False) -> LocusValues:

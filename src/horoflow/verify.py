@@ -866,9 +866,19 @@ SWEEP_COLUMNS = ("s", "t") + lc.LocusValues._fields
 
 
 def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid):
-    """Closed-form locus quantities, one row per (s, t) cell."""
-    return [{"s": float(s), "t": float(t), **lc.locus_values(cfg, float(s), float(t))._asdict()}
-            for s in s_grid for t in t_grid]
+    """Closed-form locus quantities, one row per (s, t) cell.
+
+    One broadcast :func:`locus.locus_values` call evaluates the whole grid.
+    The rows are s-major (every t of the first s, then the next s), and each
+    is a dict with the keys of ``SWEEP_COLUMNS`` in that order and Python
+    float values. Raises what ``locus_values`` raises for any cell.
+    """
+    s = np.asarray(s_grid, dtype=float)[:, None]
+    t = np.asarray(t_grid, dtype=float)[None, :]
+    columns = (c.ravel().tolist() for c in np.broadcast_arrays(s, t, *lc.locus_values(cfg, s, t)))
+    # a dict display builds a row in half the time of dict(zip(SWEEP_COLUMNS, cell))
+    return [{"s": s_, "t": t_, "vol": vol, "V": v, "W": w, "bound": bound, "beta_max": beta_max}
+            for s_, t_, vol, v, w, bound, beta_max in zip(*columns)]
 
 
 # --------------------------------------------------------------------------

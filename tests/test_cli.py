@@ -286,6 +286,18 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, s_grid, first", [
+        ("h4", "700:720:3", "700.0"),
+        ("h4", "0:1500:2", "1500.0"),
+        ("h8", "0:300:2", "300.0"),
+    ])
+    def test_overflow_exits_2_naming_the_cell(self, model, s_grid, first, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", model, f"--s={s_grid}", "--t=0:0:1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"s = {first}, t = 0.0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", ["h6", "h7", "h8"])
     def test_high_dimensions_are_closed_forms(self, model, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -8,12 +8,14 @@ import pytest
 from horoflow.busemann import BusemannField, busemann_value
 from horoflow.locus import (
     EmptyLocusError,
+    LocusValues,
     VisibilityError,
     beta_bound_check,
     dw_ds_check,
     integral_v,
     integral_w,
     locus_quadrature,
+    locus_values,
     make_pair_config,
     parametrize_locus,
     strip_volume,
@@ -32,7 +34,28 @@ from horoflow.manifold import (
     boundary_infinity,
 )
 from horoflow.numerics import unit_sphere_area
-from horoflow.verify import VerifyContext, sweep_rows
+from horoflow.verify import SWEEP_COLUMNS, VerifyContext, sweep_rows
+
+
+def _default_config(dim):
+    """The pair configuration a sweep uses on h<dim>."""
+    return VerifyContext(model=ModelSpace(HYPERBOLIC, dim)).pair_config()
+
+
+def _random_pair_configs(dim, count, seed):
+    """Pairs with random finite or infinite poles and a random basepoint."""
+    m = ModelSpace(HYPERBOLIC, dim)
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < count:
+        poles = [boundary_finite(m, rng.uniform(-2.0, 2.0, dim - 1)) if rng.random() < 0.75
+                 else boundary_infinity(m) for _ in range(2)]
+        if poles[0].same_as(poles[1]):
+            continue
+        base = Point(m, np.append(rng.uniform(-1.0, 1.0, dim - 1), rng.uniform(0.5, 2.0)))
+        configs.append(make_pair_config(BusemannField(m, poles[0], base),
+                                        BusemannField(m, poles[1], base)))
+    return configs
 
 
 @pytest.fixture
@@ -121,6 +144,28 @@ class TestLocusGeometry:
         assert volume_locus(L0) == 0.0
         with pytest.raises(EmptyLocusError):
             parametrize_locus(cfg_normalized, -0.2, 0.0)
+
+    def test_axis_point_on_a_general_pair(self, h3):
+        # rho = a (diameter - a) cancelled to 1e-8 here, and V divided 0 by 0
+        base = Point(h3, [0.2, -0.1, 1.3])
+        cfg = make_pair_config(BusemannField(h3, boundary_finite(h3, [0.7, -0.4]), base),
+                               BusemannField(h3, boundary_finite(h3, [-1.1, 0.9]), base))
+        assert cfg.locus_geometry(0.0, -1.0)[1] == 0.0
+        vals = locus_values(cfg, 0.0, -1.0)
+        assert vals.vol == 0.0 and vals.beta_max == -1.0
+        assert math.isnan(vals.V) and math.isnan(vals.W) and math.isnan(vals.bound)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_pairs_reach_the_axis_at_s_zero(self, dim):
+        for cfg in _random_pair_configs(dim, 6, seed=dim):
+            for t in np.linspace(-2.0, 2.0, 5):
+                L = parametrize_locus(cfg, 0.0, float(t))
+                assert L.degenerate
+                vals = locus_values(cfg, 0.0, float(t))
+                assert vals.vol == 0.0 and vals.beta_max == -1.0 and math.isnan(vals.V)
+            for s in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+                a, rho = cfg.locus_geometry(s, 0.3)
+                assert abs(rho / (a * math.sqrt(math.expm1(s))) - 1.0) <= 1e-15
 
     def test_beta_constant_on_locus(self, cfg_normalized):
         L = parametrize_locus(cfg_normalized, 1.2, -0.8)
@@ -297,15 +342,11 @@ class TestStripVolume:
 
 
 class TestClosedFormProductPath:
-    @staticmethod
-    def _cfg(dim):
-        return VerifyContext(model=ModelSpace(HYPERBOLIC, dim)).pair_config()
-
     def test_sweep_builds_no_rule_and_evaluates_no_beta(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the product path must not reach the quadrature oracle")
 
-        cfg = self._cfg(4)
+        cfg = _default_config(4)
         monkeypatch.setattr("horoflow.locus.sphere_rule", forbidden)
         monkeypatch.setattr("horoflow.locus.beta", forbidden)
         monkeypatch.setattr("horoflow.busemann.beta", forbidden)
@@ -318,7 +359,7 @@ class TestClosedFormProductPath:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_sweep_matches_quadrature_oracle(self, dim):
-        cfg = self._cfg(dim)
+        cfg = _default_config(dim)
         s_grid, t_grid = (0.0, 0.3, 2.0), (-1.5, 0.4)
         rows = sweep_rows(cfg, s_grid, t_grid)
         for row in rows:
@@ -335,3 +376,96 @@ class TestClosedFormProductPath:
             sweep_rows(cfg, [-0.1], [0.0])
         with pytest.raises(EmptyLocusError):
             locus_quadrature(parametrize_locus(cfg, -0.1, 0.0))
+
+
+def _reference_geometry(cfg, s, t):
+    """Scalar reference of PairConfig.locus_geometry, one cell at a time."""
+    a = math.exp(cfg.k2 - 0.5 * (s + cfg.c0 - t))
+    return a, a * math.sqrt(math.expm1(s))
+
+
+def _reference_values(cfg, s, t):
+    """Scalar reference of locus_values, one cell at a time with math."""
+    beta_max = 1.0 - 2.0 * math.exp(-s)
+    if s == 0.0:
+        return LocusValues(0.0, math.nan, math.nan, math.nan, beta_max)
+    x = math.expm1(s)
+    n = cfg.model.dim
+    vol = unit_sphere_area(n - 2) * x ** (0.5 * (n - 2))
+    root = math.sqrt(x)
+    v, w = vol / root, vol * root
+    return LocusValues(vol, v, w, 0.5 * (v + w), beta_max)
+
+
+# np.exp and math.exp differ by 1 ulp on a few percent of arguments, and a
+# value takes a handful of roundings; fixed before comparing.
+BROADCAST_REL = 1e-14
+
+
+def _agree(value, reference):
+    if math.isnan(reference):
+        return math.isnan(value)
+    return abs(value - reference) <= BROADCAST_REL * abs(reference)
+
+
+class TestBroadcastClosedForms:
+    S_GRID = np.array([0.0, 1e-9, 0.05, 0.4, 1.0, 2.7, 6.0, 25.0])
+    T_GRID = np.array([-3.0, -0.6, 0.0, 1.1, 3.0])
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_grid_matches_scalar_reference(self, dim):
+        cfg = _default_config(dim)
+        s, t = self.S_GRID[:, None], self.T_GRID[None, :]
+        vals = locus_values(cfg, s, t)
+        a, rho = cfg.locus_geometry(s, t)
+        shape = (len(self.S_GRID), len(self.T_GRID))
+        assert all(np.shape(q) == shape for q in (*vals, a, rho))
+        for i, si in enumerate(self.S_GRID):
+            for j, tj in enumerate(self.T_GRID):
+                ref = _reference_values(cfg, float(si), float(tj))
+                for key, value in zip(LocusValues._fields, ref):
+                    assert _agree(getattr(vals, key)[i, j], value), (key, si, tj)
+                ref_a, ref_rho = _reference_geometry(cfg, float(si), float(tj))
+                assert _agree(a[i, j], ref_a) and _agree(rho[i, j], ref_rho)
+        # the s = 0 row is the degenerate axis locus
+        assert np.all(vals.vol[0] == 0.0) and np.all(rho[0] == 0.0)
+        assert np.all(np.isnan(vals.V[0]) & np.isnan(vals.W[0]) & np.isnan(vals.bound[0]))
+        assert np.all(vals.beta_max[0] == -1.0)
+
+    @pytest.mark.parametrize("s", [0.0, 0.8])
+    def test_scalar_inputs_return_python_floats(self, s):
+        cfg = _default_config(4)
+        for args in ((s, -0.5), (np.float64(s), np.float64(-0.5)), (s, 1)):
+            assert all(type(q) is float for q in locus_values(cfg, *args))
+            assert all(type(q) is float for q in cfg.locus_geometry(*args))
+
+    def test_sweep_rows_keep_order_and_keys(self):
+        cfg = _default_config(5)
+        rows = sweep_rows(cfg, list(self.S_GRID), list(self.T_GRID))
+        cells = [(float(s), float(t)) for s in self.S_GRID for t in self.T_GRID]
+        assert [(row["s"], row["t"]) for row in rows] == cells
+        for row, (s, t) in zip(rows, cells):
+            assert tuple(row) == SWEEP_COLUMNS
+            assert all(type(v) is float for v in row.values())
+            ref = _reference_values(cfg, s, t)
+            assert all(_agree(row[key], value) for key, value in zip(LocusValues._fields, ref))
+
+    def test_negative_s_is_named(self):
+        cfg = _default_config(3)
+        s = np.array([0.5, -0.25, -1.0])
+        for call in (lambda: locus_values(cfg, s[:, None], self.T_GRID[None, :]),
+                     lambda: cfg.locus_geometry(s, 0.0),
+                     lambda: locus_values(cfg, -0.25, 0.0),
+                     lambda: sweep_rows(cfg, s, self.T_GRID)):
+            with pytest.raises(EmptyLocusError, match=r"s = -0\.25 < 0"):
+                call()
+
+    @pytest.mark.parametrize("dim, s_grid, first", [
+        (4, [1.0, 700.0, 710.0], 700.0),
+        (2, [1.0, 1500.0], 1500.0),
+        (8, [0.0, 100.0, 300.0], 300.0),
+    ])
+    def test_overflow_names_the_first_cell(self, dim, s_grid, first):
+        cfg = _default_config(dim)
+        with pytest.raises(GeometryError, match=rf"s = {first}, t = -3\.0"):
+            sweep_rows(cfg, s_grid, self.T_GRID)
