@@ -34,7 +34,6 @@ from .numerics import (
     MCEstimate,
     QuadratureRule,
     TestFunction,
-    fd_gradient,
     fd_hessian,
     fd_jacobian,
     gauss_legendre,

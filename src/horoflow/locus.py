@@ -256,8 +256,8 @@ class IntersectionLocus:
         Maps the tangent plane of the unit sphere at each node onto the
         sphere by normalizing, then into original coordinates through the
         inverse normalizer; :func:`fd_jacobian` pushes the orthonormal tangent
-        frame through that map, and the density is the square root of the
-        frame's Gram determinant in the metric. Cross-checks
+        frame through that map, and the density is the pushed frame's
+        :meth:`~horoflow.manifold.ModelSpace.frame_volume`. Cross-checks
         :meth:`measure_factor` (they agree by isometry invariance).
         """
         m = self.config.model
@@ -274,8 +274,7 @@ class IntersectionLocus:
                 return inv.apply_coords(np.column_stack([y, np.full(len(y), self.height)]))
 
             jac, base = fd_jacobian(chart, np.zeros(len(frame)), step)
-            gram = m.inner(base, jac.T[:, None, :], jac.T[None, :, :])
-            out.append(math.sqrt(max(float(np.linalg.det(gram)), 0.0)))
+            out.append(m.frame_volume(base, jac.T))
         return np.array(out)
 
 

@@ -131,6 +131,16 @@ class ModelSpace:
             raise GeometryError("cannot normalize a zero tangent vector")
         return u / np.expand_dims(np.asarray(n), -1) if np.ndim(n) else u / n
 
+    def frame_volume(self, base, vectors) -> float:
+        """Riemannian k-volume of the parallelepiped spanned by the k rows of
+        ``vectors`` at base: the square root of their metric Gram determinant.
+        Raises :class:`GeometryError` when that determinant is not positive."""
+        vectors = np.asarray(vectors, dtype=float)
+        det = float(np.linalg.det(self.inner(base, vectors[:, None, :], vectors[None, :, :])))
+        if not det > 0.0:
+            raise GeometryError(f"degenerate frame: Gram determinant {det:.3g}")
+        return float(np.sqrt(det))
+
     def volume_density(self, x):
         """sqrt(det g) in chart coordinates: z^-n in H^n, 1 in E^n."""
         x = self.check_coords(x)
@@ -459,22 +469,6 @@ class _Translate:
 
 
 @dataclass(frozen=True)
-class _Dilate:
-    factor: float
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x * self.factor
-
-    def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
-        if xi.is_infinity:
-            return xi
-        return boundary_finite(xi.model, xi.data * self.factor)
-
-    def inverse(self):
-        return _Dilate(1.0 / self.factor)
-
-
-@dataclass(frozen=True)
 class _Invert:
     """Inversion through the unit sphere about the chart origin."""
 
@@ -513,9 +507,9 @@ class _RigidMotion:
 class Isometry:
     """A distance-preserving map, stored as a composition of primitive moves.
 
-    Half-space: horizontal translations, dilations x -> lambda*x, and the
-    inversion through the unit sphere (Moebius maps fixing the upper half
-    space). Euclidean: rigid motions.
+    Half-space: horizontal translations and the inversion through the unit
+    sphere (Moebius maps fixing the upper half space). Euclidean: rigid
+    motions.
     """
 
     model: ModelSpace
@@ -556,14 +550,6 @@ class Isometry:
         if off.shape != (model.dim,):
             raise GeometryError("Euclidean translation offset must have n coordinates")
         return Isometry(model, (_RigidMotion(np.eye(model.dim), off),))
-
-    @staticmethod
-    def dilation(model: ModelSpace, factor: float) -> "Isometry":
-        if not model.is_hyperbolic:
-            raise GeometryError("dilations are half-space isometries only")
-        if factor <= 0:
-            raise GeometryError("dilation factor must be positive")
-        return Isometry(model, (_Dilate(float(factor)),))
 
     @staticmethod
     def inversion(model: ModelSpace) -> "Isometry":

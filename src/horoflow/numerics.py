@@ -5,6 +5,11 @@ operators check closed-form derivatives, Monte Carlo checks quadrature, and
 the ODE integrators realize flows whose conserved quantities are asserted
 elsewhere. They deliberately avoid the closed forms they are used to verify.
 
+Every finite-difference operator (``fd_jacobian``, ``fd_hessian``,
+``fd_directional``) evaluates its whole Richardson stencil, center included,
+in one call of ``fn``, so ``fn`` must be vectorized over a leading axis: it
+maps an (N, n) array of points to (N,) values or (N, m) vectors.
+
 Monte Carlo reproducibility: samples come from a counter-based generator
 (Philox) keyed by (seed, block index) with a fixed block size, so sample i is
 a pure function of (seed, i). Partial sums are combined with a fixed-order
@@ -23,7 +28,6 @@ from .manifold import ModelSpace, Point
 
 __all__ = [
     "ConvergenceError",
-    "fd_gradient",
     "fd_hessian",
     "fd_jacobian",
     "fd_directional",
@@ -49,7 +53,8 @@ class ConvergenceError(RuntimeError):
 
 # Default steps: 1e-5 for first-order quantities, 1e-4 for second-order.
 # Every operator below uses the same Richardson-extrapolated central-difference
-# stencil, whose error is O(step^4).
+# stencil, whose error is O(step^4), and evaluates it in one call of a ``fn``
+# vectorized over a leading axis of points.
 FD_STEP_GRAD = 1e-5
 FD_STEP_HESS = 1e-4
 
@@ -57,11 +62,12 @@ FD_STEP_HESS = 1e-4
 _STENCIL_SCALES = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def _stencil(x, directions, step: float) -> np.ndarray:
-    """The center x, then x + c*step*d for c in _STENCIL_SCALES and each row d
-    of directions: shape (1 + 4k, n)."""
+def _on_stencil(fn, x, directions, step: float) -> np.ndarray:
+    """fn at the center x, then at x + c*step*d for c in _STENCIL_SCALES and
+    each row d of directions, in one call on the (1 + 4k, n) batch."""
     offsets = (_STENCIL_SCALES[:, None, None] * step) * directions[None, :, :]
-    return np.concatenate([x[None, :], (x + offsets).reshape(-1, x.size)])
+    points = np.concatenate([x[None, :], (x + offsets).reshape(-1, x.size)])
+    return np.asarray(fn(points), dtype=float)
 
 
 def _richardson_first(values, step: float) -> np.ndarray:
@@ -79,29 +85,20 @@ def _richardson_second(values, step: float) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _scalar_on_stencil(fn, x, directions, step: float) -> np.ndarray:
-    return np.array([fn(p) for p in _stencil(x, directions, step)], dtype=float)
-
-
-def fd_gradient(fn, x, step: float = FD_STEP_GRAD):
-    """Central-difference gradient of a scalar function on R^n."""
-    x = np.asarray(x, dtype=float)
-    return _richardson_first(_scalar_on_stencil(fn, x, np.eye(x.size), step), step)
-
-
 def fd_jacobian(fn, x, step: float = FD_STEP_GRAD):
     """Central-difference Jacobian of a vectorized map R^n -> R^m.
 
-    ``fn`` maps an (N, n) array to (N, m); the whole stencil, center
-    included, is one call. Returns ``(J, fn(x))`` with J of shape (m, n).
+    ``fn`` maps an (N, n) array to (N, m). Returns ``(J, fn(x))`` with J of
+    shape (m, n); for a scalar ``fn``, mapping (N, n) to (N,), J is the
+    gradient, of shape (n,).
     """
     x = np.asarray(x, dtype=float)
-    values = np.asarray(fn(_stencil(x, np.eye(x.size), step)), dtype=float)
+    values = _on_stencil(fn, x, np.eye(x.size), step)
     return _richardson_first(values, step).T, values[0]
 
 
 def fd_hessian(fn, x, step: float = FD_STEP_HESS):
-    """Central-difference Hessian of a scalar function (symmetric (n, n)).
+    """Central-difference Hessian of a vectorized scalar function (symmetric (n, n)).
 
     Second derivatives along e_i and e_i + e_j give the entries by
     polarization: H_ij = (D(e_i + e_j) - D(e_i) - D(e_j)) / 2.
@@ -111,7 +108,7 @@ def fd_hessian(fn, x, step: float = FD_STEP_HESS):
     eye = np.eye(n)
     pairs = list(itertools.combinations(range(n), 2))
     directions = np.array(list(eye) + [eye[i] + eye[j] for i, j in pairs])
-    second = _richardson_second(_scalar_on_stencil(fn, x, directions, step), step)
+    second = _richardson_second(_on_stencil(fn, x, directions, step), step)
     out = np.diag(second[:n])
     for (i, j), d in zip(pairs, second[n:]):
         out[i, j] = out[j, i] = 0.5 * (d - second[i] - second[j])
@@ -119,13 +116,13 @@ def fd_hessian(fn, x, step: float = FD_STEP_HESS):
 
 
 def fd_directional(fn, x, direction, step: float = FD_STEP_GRAD):
-    """Directional derivative of a scalar function along a chart vector."""
+    """Directional derivative of a vectorized scalar function along a chart vector."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
     scale = np.linalg.norm(d)
     if scale == 0.0:
         return 0.0
-    values = _scalar_on_stencil(fn, x, (d / scale)[None, :], step)
+    values = _on_stencil(fn, x, (d / scale)[None, :], step)
     return scale * float(_richardson_first(values, step)[0])
 
 

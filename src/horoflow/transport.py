@@ -39,7 +39,7 @@ from .manifold import (
     _same_model,
 )
 from .locus import PairConfig, make_pair_config
-from .numerics import ConvergenceError, fd_directional, fd_jacobian, ode_integrate, orthonormal_complement
+from .numerics import fd_directional, fd_jacobian, ode_integrate, orthonormal_complement
 
 __all__ = [
     "SingularFlowError",
@@ -84,21 +84,18 @@ class NormalFlow:
 def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1e-5) -> float:
     """Volume expansion of the normal flow restricted to the horosphere through x.
 
-    Finite-difference pushforward of an orthonormal horosphere frame, then the
-    square root of its Gram determinant at the image point. Equals e^{h t}.
+    Finite-difference pushforward of an orthonormal horosphere frame, with
+    the step in chart-scale units, then its
+    :meth:`~horoflow.manifold.ModelSpace.frame_volume` at the image point.
+    Equals e^{h t}.
     """
     _same_model(f, x)
     m = f.model
     x0 = x.coords
     frame = orthonormal_complement(f.grad_chart(x0), lambda a, b: m.inner(x0, a, b))
     flow = NormalFlow(f)
-    J, y0 = fd_jacobian(lambda c: flow(t, c), x0, step=step)
-    pushed = frame @ J.T
-    gram = m.inner(y0, pushed[:, None, :], pushed[None, :, :])
-    det = float(np.linalg.det(gram))
-    if det <= 0:
-        raise ConvergenceError("degenerate pushforward frame")
-    return math.sqrt(det)
+    J, y0 = _chart_jacobian(m, lambda c: flow(t, c), x0, step)
+    return m.frame_volume(y0, frame @ J.T)
 
 
 # --------------------------------------------------------------------------
@@ -236,20 +233,22 @@ class VolumePreservingMap:
 
         The default step, in chart-scale units, is near eps^(1/5), where the
         O(step^4) truncation error of the stencil meets its roundoff."""
-        return riemannian_jacobian_det(self.model, self.apply_coords, np.asarray(coords, dtype=float), step=step)
+        return riemannian_jacobian_det(self.model, self.apply_coords, coords, step=step)
 
 
-def _chart_step(model: ModelSpace, coords: np.ndarray, step: float) -> float:
-    """Finite-difference step at the local chart scale (z in the half-space)."""
+def _chart_jacobian(model: ModelSpace, chart_map, coords, step: float):
+    """:func:`fd_jacobian` of a vectorized chart map at validated coords, with
+    the step at the local chart scale (times z in the half-space, so the
+    stencil stays inside the chart and the result does not depend on z)."""
+    coords = model.check_coords(np.asarray(coords, dtype=float))
     if model.is_hyperbolic:
-        return step * float(coords[-1])
-    return step
+        step *= float(coords[-1])
+    return fd_jacobian(chart_map, coords, step=step)
 
 
 def riemannian_jacobian_det(model: ModelSpace, chart_map, coords: np.ndarray, *, step: float = 1e-5) -> float:
     """|det d(chart_map)| corrected by the volume-density ratio at source and image."""
-    coords = model.check_coords(np.asarray(coords, dtype=float))
-    J, image = fd_jacobian(chart_map, coords, step=_chart_step(model, coords, step))
+    J, image = _chart_jacobian(model, chart_map, coords, step)
     det_chart = abs(float(np.linalg.det(J)))
     ratio = float(model.volume_density(image) / model.volume_density(coords))
     return det_chart * ratio
@@ -449,42 +448,40 @@ def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: 
     """Riemannian divergence (1/sqrt g) d_i (sqrt g V^i) by central differences.
 
     ``vector_fn`` maps an (N, n) batch of chart points to their chart vectors."""
-    coords = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
-    coords = model.check_coords(coords)
+    coords = x.coords if isinstance(x, Point) else x
 
     def weighted(c):
         return np.asarray(vector_fn(c), dtype=float) * model.volume_density(c)[:, None]
 
-    J, _ = fd_jacobian(weighted, coords, step=_chart_step(model, coords, step))
+    J, _ = _chart_jacobian(model, weighted, coords, step)
     return float(np.trace(J) / model.volume_density(coords))
+
+
+def _div_identity(pf: PairFlow, x: Point, step: float) -> tuple[float, float]:
+    """Both sides of the divergence identity of pf at x: div V equals
+    V[ln(1/(1 + sign beta))], plus h/(1+beta) for the sum flow, where
+    sign is -1 for the difference flow X and +1 for the sum flow Y."""
+    sign = -1.0 if pf.kind == DIFFERENCE else 1.0
+    lhs = divergence_fd(pf.model, pf.vector, x, step=step)
+    rhs = fd_directional(lambda c: -np.log(1.0 + sign * beta(pf.f1, pf.f2, c)),
+                         x.coords, pf.vector(x.coords), step=step)
+    if pf.kind == SUM:
+        rhs += mean_curvature_h(pf.model) / (1.0 + float(beta(pf.f1, pf.f2, x.coords)))
+    return lhs, float(rhs)
 
 
 def div_identity_difference(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, float]:
     """Both sides of div X = X[ln(1/(1-beta))] at x (finite differences)."""
     if pf.kind != DIFFERENCE:
         raise GeometryError("difference-flow identity requested for a sum flow")
-    lhs = divergence_fd(pf.model, pf.vector, x, step=step)
-
-    def log_weight(c):
-        return -math.log(1.0 - float(beta(pf.f1, pf.f2, c)))
-
-    rhs = fd_directional(log_weight, x.coords, pf.vector(x.coords), step=step)
-    return lhs, float(rhs)
+    return _div_identity(pf, x, step)
 
 
 def div_identity_sum(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, float]:
     """Both sides of div Y = Y[ln(1/(1+beta))] + h/(1+beta) at x."""
     if pf.kind != SUM:
         raise GeometryError("sum-flow identity requested for a difference flow")
-    lhs = divergence_fd(pf.model, pf.vector, x, step=step)
-    b = float(beta(pf.f1, pf.f2, x.coords))
-
-    def log_weight(c):
-        return -math.log(1.0 + float(beta(pf.f1, pf.f2, c)))
-
-    rhs = fd_directional(log_weight, x.coords, pf.vector(x.coords), step=step)
-    rhs += mean_curvature_h(pf.model) / (1.0 + b)
-    return lhs, float(rhs)
+    return _div_identity(pf, x, step)
 
 
 def transport_gaps(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
@@ -502,8 +499,7 @@ def transport_gaps(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-
       which holds for both pair flows.
     """
     m = pf.model
-    J, y = fd_jacobian(_flow_map(pf, duration, step), x.coords,
-                       step=_chart_step(m, x.coords, fd_step))
+    J, y = _chart_jacobian(m, _flow_map(pf, duration, step), x.coords, fd_step)
     # chart components of db: the gradient with its index lowered by the metric
     lower_x, lower_y = (x.coords[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
     push_gap = form_gap = 0.0

@@ -254,7 +254,7 @@ def check_hessian_fd(ctx, tol):
         for d in directions:
             # Hess b(v, v) is the second derivative of b along the unit-speed geodesic
             v = d / float(m.norm(c, d))
-            along = fd_hessian(lambda t: float(f1.value(m.exp(c, t[0] * v))), np.zeros(1), step=1e-3)
+            along = fd_hessian(lambda t: f1.value(m.exp(c, t * v)), np.zeros(1), step=1e-3)
             worst = max(worst, abs(float(along[0, 0]) - float(m.inner(c, H @ v, v))))
     return {"max_hessian_gap": worst, "directions": len(directions)}, worst <= tol
 
@@ -450,16 +450,9 @@ def check_map_out_of_image(ctx, tol):
 def _tracking_check(ctx, pf, sign2: float, tol: float, count: int = 20, duration: float = 2.0):
     """RK4 trajectories of the pair flow: how far they miss the Busemann level
     changes (duration/2, sign2*duration/2) and the closed-form flow map."""
-    cfg = None
-    if pf.kind == tr.SUM:
-        cfg = lc.make_pair_config(pf.f1, pf.f2)
-    starts = []
-    while len(starts) < count:
-        c = ctx.random_points(1, spread=0.8)[0]
-        if cfg is not None and cfg.separation(Point(ctx.model, c)) < 0.05:
-            continue  # keep sum-flow starts off the axis
-        starts.append(c)
-    starts = np.array(starts)
+    # keep sum-flow starts off the axis
+    cfg = lc.make_pair_config(pf.f1, pf.f2) if pf.kind == tr.SUM else None
+    starts = np.array(_off_axis_points(ctx, cfg, count, min_separation=0.05))
     # the flow field is vectorized, so all trajectories integrate in one batch
     ends = ode_integrate(pf.vector, starts, duration, step=1e-3)
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
@@ -489,11 +482,13 @@ def check_sum_flow_tracking(ctx, tol):
     return _tracking_check(ctx, tr.PairFlow(f1, f2, tr.SUM), +1.0, tol)
 
 
-def _off_axis_points(ctx: VerifyContext, cfg, count: int):
+def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float = 0.1):
+    """count random points, drawn one at a time, at separation at least
+    min_separation from the axis D of cfg (any point when cfg is None)."""
     pts = []
     while len(pts) < count:
         c = ctx.random_points(1, spread=0.8)[0]
-        if cfg is None or cfg.separation(Point(ctx.model, c)) >= 0.1:
+        if cfg is None or cfg.separation(Point(ctx.model, c)) >= min_separation:
             pts.append(c)
     return pts
 

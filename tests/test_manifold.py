@@ -45,6 +45,27 @@ class TestMetric:
     def test_euclidean_dot(self, e3):
         assert e3.inner([5, 5, 5], [1, 2, 0], [3, 0, 0]) == 3.0
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("z", [1e-6, 1.0, 1e4])
+    def test_frame_volume_of_orthonormal_frame(self, n, z):
+        m = ModelSpace(HYPERBOLIC, n)
+        base = np.r_[np.linspace(-1.0, 1.0, n - 1), z]
+        assert m.frame_volume(base, z * np.eye(n)) == pytest.approx(1.0, abs=1e-12)
+        # a sub-frame, as the horosphere and locus oracles push forward
+        assert m.frame_volume(base, z * np.eye(n)[1:]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_frame_volume_scales_with_the_spanned_volume(self, e3):
+        frame = np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
+        assert e3.frame_volume([0, 0, 0], frame) == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [ModelSpace(HYPERBOLIC, 3), ModelSpace(EUCLIDEAN, 3)])
+    def test_frame_volume_rejects_a_rank_deficient_frame(self, model):
+        frame = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]])
+        with pytest.raises(GeometryError, match="degenerate frame"):
+            model.frame_volume([0.0, 0.0, 1.0], frame)
+        with pytest.raises(GeometryError, match="degenerate frame"):
+            model.frame_volume([0.0, 0.0, 1.0], np.zeros((1, 3)))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_row_reduction_matches_norm(self, n):
         # the one row reduction behind every chart length and inner product

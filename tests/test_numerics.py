@@ -13,7 +13,6 @@ from horoflow.numerics import (
     TestFunction,
     _philox,
     fd_directional,
-    fd_gradient,
     fd_hessian,
     fd_jacobian,
     gauss_legendre,
@@ -27,7 +26,7 @@ from horoflow.transport import VolumePreservingMap
 
 class TestFiniteDifferences:
     def test_gradient_of_log_height(self):
-        g = fd_gradient(lambda x: -math.log(x[-1]), np.array([0.0, 0.0, 2.0]))
+        g = fd_jacobian(lambda x: -np.log(x[:, -1]), np.array([0.0, 0.0, 2.0]))[0]
         assert np.max(np.abs(g - [0, 0, -0.5])) <= 1e-8
 
     def test_jacobian_of_identity(self):
@@ -44,20 +43,43 @@ class TestFiniteDifferences:
 
     def test_hessian_quadratic_exact_structure(self):
         A = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.3], [0.0, 0.3, 0.7]])
-        H = fd_hessian(lambda x: 0.5 * x @ A @ x, np.array([0.3, -0.2, 1.1]))
+        H = fd_hessian(lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, A, x), np.array([0.3, -0.2, 1.1]))
         assert np.max(np.abs(H - A)) <= 1e-7
 
+    def test_hessian_evaluates_its_stencil_in_one_call(self):
+        batches = []
+
+        def square_norm(pts):
+            batches.append(pts.shape)
+            return np.sum(pts * pts, axis=-1)
+
+        H = fd_hessian(square_norm, np.array([1.0, 2.0, 3.0]))
+        assert np.max(np.abs(H - 2.0 * np.eye(3))) <= 1e-6
+        # center plus 4 points along each of the 3 axes and the 3 pair sums
+        assert batches == [(25, 3)]
+
+    def test_directional_evaluates_its_stencil_in_one_call(self):
+        batches = []
+
+        def first_coordinate(pts):
+            batches.append(pts.shape)
+            return pts[:, 0]
+
+        val = fd_directional(first_coordinate, np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+        assert val == pytest.approx(2.0, abs=1e-9)
+        assert batches == [(5, 2)]
+
     def test_richardson_improves_order(self):
-        fn = lambda x: math.sin(x[0]) * math.exp(x[1])
+        fn = lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1])
         x0 = np.array([0.7, -0.3])
         exact = np.array([math.cos(0.7) * math.exp(-0.3), math.sin(0.7) * math.exp(-0.3)])
         h = 1e-3
         coarse = np.array([(fn(x0 + h * e) - fn(x0 - h * e)) / (2.0 * h) for e in np.eye(2)])
-        fine = fd_gradient(fn, x0, step=h)
+        fine = fd_jacobian(fn, x0, step=h)[0]
         assert np.max(np.abs(fine - exact)) < np.max(np.abs(coarse - exact))
 
     def test_directional(self):
-        fn = lambda x: x[0] ** 2 + 3.0 * x[1]
+        fn = lambda x: x[..., 0] ** 2 + 3.0 * x[..., 1]
         val = fd_directional(fn, np.array([1.0, 2.0]), np.array([2.0, 1.0]))
         assert val == pytest.approx(2 * 1 * 2 + 3 * 1, abs=1e-8)
 

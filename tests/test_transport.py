@@ -122,6 +122,18 @@ class TestHorosphereJacobian:
     def test_zero_time_identity(self, h3, f_inf, base3):
         assert horosphere_jacobian(f_inf, 0.0, base3) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("z", [1e-6, 1e-4, 1.0, 1e4])
+    def test_expansion_does_not_depend_on_chart_height(self, n, z):
+        # H^n is homogeneous: the dilation by z carries the unit-height set-up
+        # here, so the finite-difference step must scale with z too
+        m = ModelSpace(HYPERBOLIC, n)
+        base = Point(m, np.r_[np.zeros(n - 1), 1.0])
+        c = z * np.r_[np.linspace(0.3, -0.2, n - 1), 0.9]
+        for xi in (boundary_infinity(m), boundary_finite(m, np.zeros(n - 1))):
+            j = horosphere_jacobian(BusemannField(m, xi, base), 1.0, Point(m, c))
+            assert j / math.exp(n - 1.0) == pytest.approx(1.0, abs=1e-6)
+
 
 class TestAlpha:
     def test_anchor(self):
@@ -292,7 +304,7 @@ class TestPairFlowTracking:
 
 def _generic_pair(model):
     """Two Busemann fields placed so that, in H^n, the closed-form flow goes
-    through a normalizer made of translations, a dilation and inversions."""
+    through a normalizer made of translations and inversions."""
     n = model.dim
     if model.is_hyperbolic:
         a = np.linspace(-0.4, 0.3, n - 1)
