@@ -58,14 +58,11 @@ from .transport import (
     PairFlow,
     SingularFlowError,
     VolumePreservingMap,
-    div_identity_difference,
-    div_identity_sum,
+    div_identity,
     divergence_fd,
     flow_density,
     flow_density_fd,
     horosphere_jacobian,
-    pair_flow_step,
-    raw_pair_field,
     transport_gaps,
 )
 from .locus import (
@@ -74,18 +71,13 @@ from .locus import (
     LocusValues,
     PairConfig,
     VisibilityError,
-    beta_bound_check,
     dw_ds_check,
-    integral_v,
-    integral_w,
     locus_quadrature,
     locus_values,
     make_pair_config,
     parametrize_locus,
     strip_volume,
     strip_volume_mc,
-    volume_locus,
-    volume_upper_bound,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line entry point: verification suites, the worked example, grid sweeps.
 
-    horoflow verify <suite> [--model h2|h3|...|e3] [--config path] [--seed N]
-                            [--samples N] [--out path] [--probe-outside-image]
+    horoflow verify <suite> [--model h2|...|h8|e2|...|e8] [--config path] [--seed N]
+                            [--samples N] [--t0 T] [--out path] [--probe-outside-image]
     horoflow example poincare [--out path]
     horoflow sweep --s a:b:k --t a:b:k [--model hN] [--out path]
 
@@ -202,8 +202,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
     rows = sweep_rows(VerifyContext(model=model).pair_config(), s_grid, t_grid)
     lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(f"{row[col]:.17g}" for col in SWEEP_COLUMNS))
+    lines.extend(",".join(f"{value:.17g}" for value in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -58,12 +58,7 @@ __all__ = [
     "LocusValues",
     "locus_values",
     "locus_quadrature",
-    "volume_locus",
-    "integral_v",
-    "integral_w",
     "dw_ds_check",
-    "volume_upper_bound",
-    "beta_bound_check",
     "strip_volume",
     "strip_volume_mc",
 ]
@@ -113,9 +108,6 @@ class PairConfig:
         y = np.zeros(self.model.dim)
         y[-1] = float(z)
         return Point(self.model, self.normalizer.inverse().apply_coords(y))
-
-    def on_axis(self, x: Point, tol: float = 1e-9) -> bool:
-        return float(beta(self.f1, self.f2, x)) <= -1.0 + tol
 
     def separation(self, x: Point) -> float:
         """s-coordinate b1(x) + b2(x) - c0 (>= 0 everywhere)."""
@@ -215,20 +207,12 @@ class IntersectionLocus:
     def degenerate(self) -> bool:
         return self.radius == 0.0
 
-    @property
-    def levels(self) -> tuple[float, float]:
-        c0 = self.config.c0
-        return 0.5 * (self.s + c0 + self.t), 0.5 * (self.s + c0 - self.t)
-
-    def normalized_points(self) -> np.ndarray:
+    def points(self) -> np.ndarray:
+        """Locus points in the original (un-normalized) coordinates."""
         pts = np.empty((self.sphere_nodes.shape[0], self.config.model.dim))
         pts[:, :-1] = self.radius * self.sphere_nodes
         pts[:, -1] = self.height
-        return pts
-
-    def points(self) -> np.ndarray:
-        """Locus points in the original (un-normalized) coordinates."""
-        return self.config.normalizer.inverse().apply_coords(self.normalized_points())
+        return self.config.normalizer.inverse().apply_coords(pts)
 
     def measure_factor(self) -> float:
         """Constant induced (n-2)-density against the unit-sphere weights."""
@@ -243,9 +227,9 @@ class IntersectionLocus:
     def membership_residual(self) -> float:
         """Worst deviation of the node Busemann values from the two levels."""
         pts = self.points()
-        l1, l2 = self.levels
-        r1 = np.max(np.abs(self.config.f1.value(pts) - l1))
-        r2 = np.max(np.abs(self.config.f2.value(pts) - l2))
+        c0 = self.config.c0
+        r1 = np.max(np.abs(self.config.f1.value(pts) - 0.5 * (self.s + c0 + self.t)))
+        r2 = np.max(np.abs(self.config.f2.value(pts) - 0.5 * (self.s + c0 - self.t)))
         return float(max(r1, r2))
 
     # -- independent general-coordinates measure ---------------------------------
@@ -283,9 +267,13 @@ def parametrize_locus(cfg: PairConfig, s: float, t: float) -> IntersectionLocus:
 
     s > 0 gives the genuine locus; s = 0 degenerates to the single axis
     point; s < 0 raises :class:`EmptyLocusError` (the sum of the Busemann
-    values never drops below c0). The oracle's sphere rule is not built here.
+    values never drops below c0), and :class:`GeometryError` names an (s, t)
+    whose height or radius leaves the float64 range. The oracle's sphere
+    rule is not built here.
     """
     a, rho = cfg.locus_geometry(s, t)
+    if not (0.0 < a < math.inf and math.isfinite(rho)):
+        raise GeometryError(f"locus geometry leaves float64 at s = {float(s)}, t = {float(t)}")
     return IntersectionLocus(config=cfg, s=float(s), t=float(t), height=a, radius=rho)
 
 
@@ -364,26 +352,6 @@ def locus_quadrature(L: IntersectionLocus, *, general: bool = False) -> LocusVal
                        float(np.max(b)))
 
 
-def volume_locus(L: IntersectionLocus) -> float:
-    """(n-2)-dimensional Riemannian volume of the locus (closed form)."""
-    return locus_values(L.config, L.s, L.t).vol
-
-
-def integral_v(L: IntersectionLocus) -> float:
-    """Integral of sqrt((1-beta)/(1+beta)) over the locus (t-invariant closed form).
-
-    Undefined (nan) on the degenerate s = 0 locus, where beta = -1; the
-    continuity limit appears only in reports, never in assertions."""
-    return locus_values(L.config, L.s, L.t).V
-
-
-def integral_w(L: IntersectionLocus) -> float:
-    """Integral of sqrt((1+beta)/(1-beta)) over the locus (t-invariant closed form).
-
-    Undefined (nan) on the degenerate s = 0 locus."""
-    return locus_values(L.config, L.s, L.t).W
-
-
 def dw_ds_check(cfg: PairConfig, s: float, t: float, *, step: float = 1e-3) -> tuple[float, float]:
     """Central difference in s of the quadrature W against the closed form
     (h/2)(W + V) at (s, t)."""
@@ -397,23 +365,13 @@ def dw_ds_check(cfg: PairConfig, s: float, t: float, *, step: float = 1e-3) -> t
     return lhs, rhs
 
 
-def volume_upper_bound(cfg: PairConfig, s: float, t: float) -> tuple[float, float]:
-    """Locus volume and its t-invariant upper bound (V + W)/2 (closed forms)."""
-    vals = locus_values(cfg, s, t)
-    return vals.vol, vals.bound
-
-
-def beta_bound_check(L: IntersectionLocus, margin: float = 1e-9) -> bool:
-    """max beta over the quadrature nodes <= 1 - 2 e^{-h s} (+ margin)."""
-    if L.degenerate:
-        return True
-    bound = 1.0 - 2.0 * math.exp(-L.config.h * L.s)
-    return bool(np.max(L.beta_values()) <= bound + margin)
-
-
 # --------------------------------------------------------------------------
 # Strip volumes
 # --------------------------------------------------------------------------
+
+
+# Gauss-Legendre nodes on each side of the kink of a strip's section weight
+STRIP_NODES = 40
 
 
 def _strip_geometry(cfg: PairConfig, c1: float, c2: float, r: float) -> float:
@@ -428,17 +386,17 @@ def _strip_geometry(cfg: PairConfig, c1: float, c2: float, r: float) -> float:
     return s_lo
 
 
-def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *,
-                 s_nodes: int = 80, section=None) -> float:
+def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *, section=None) -> float:
     """n-volume of {c1 <= b1 <= c1+r} intersect {c2 <= b2 <= c2+r} by slicing.
 
     In (s, t) = (b1+b2-c0, b1-b2) coordinates the square becomes a diamond
     whose t-sections have length 2*min(sigma, 2r-sigma); since the section
     integral I(s) of (1-beta^2)^{-1/2} is t-invariant, the volume reduces to
     a single quadrature of min(sigma, 2r-sigma) * I(s) over sigma in [0, 2r].
-    I(s) is the closed-form bound of S(s, c1-c2). ``section(s, t)``
-    replaces it, say by the quadrature oracle; then shifting c1-c2 at fixed
-    c1+c2 genuinely re-tests the t-invariance.
+    I(s) is the closed-form bound of S(s, c1-c2), evaluated in one broadcast
+    call on every node. ``section(s, t)``, which maps an array of s to an
+    array of sections, replaces it, say by the quadrature oracle; then
+    shifting c1-c2 at fixed c1+c2 genuinely re-tests the t-invariance.
 
     The domain is r > 0 and c1 + c2 > c0, so the whole region lies above
     the axis level and every section S(s, t) has s > 0. A region that
@@ -448,20 +406,16 @@ def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *,
     integrate to a wrong value without any error signal.
     """
     s_lo = _strip_geometry(cfg, c1, c2, r)
-    t_ref = c1 - c2
     if section is None:
-        def section(s: float, t: float) -> float:
+        def section(s, t):
             return locus_values(cfg, s, t).bound
 
-    def integrand(sigma: float) -> float:
-        return min(sigma, 2.0 * r - sigma) * section(s_lo + sigma, t_ref)
-
     # the section weight has a kink at sigma = r; integrate each piece smoothly
-    total = 0.0
-    for a, b in ((0.0, r), (r, 2.0 * r)):
-        rule = gauss_legendre(s_nodes // 2, a, b)
-        total += float(np.dot(rule.weights, [integrand(x) for x in rule.nodes]))
-    return total
+    pieces = [gauss_legendre(STRIP_NODES, a, b) for a, b in ((0.0, r), (r, 2.0 * r))]
+    sigma = np.concatenate([rule.nodes for rule in pieces])
+    values = np.minimum(sigma, 2.0 * r - sigma) * section(s_lo + sigma, c1 - c2)
+    return sum(float(np.dot(rule.weights, part))
+               for rule, part in zip(pieces, np.split(values, len(pieces))))
 
 
 def strip_volume_mc(cfg: PairConfig, c1: float, c2: float, r: float, *,

@@ -488,28 +488,11 @@ class _Invert:
 
 
 @dataclass(frozen=True)
-class _RigidMotion:
-    rotation: np.ndarray
-    offset: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.rotation.T + self.offset
-
-    def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
-        return boundary_direction(xi.model, xi.data @ self.rotation.T)
-
-    def inverse(self):
-        rt = self.rotation.T
-        return _RigidMotion(rt, -self.offset @ self.rotation)
-
-
-@dataclass(frozen=True)
 class Isometry:
-    """A distance-preserving map, stored as a composition of primitive moves.
-
-    Half-space: horizontal translations and the inversion through the unit
-    sphere (Moebius maps fixing the upper half space). Euclidean: rigid
-    motions.
+    """A distance-preserving map of the half-space, stored as a composition of
+    primitive moves: horizontal translations and the inversion through the
+    unit sphere (Moebius maps fixing the upper half space). Half-space only:
+    in E^n the moves raise :class:`GeometryError` and only the identity exists.
     """
 
     model: ModelSpace
@@ -543,28 +526,17 @@ class Isometry:
     @staticmethod
     def translation(model: ModelSpace, offset) -> "Isometry":
         off = np.asarray(offset, dtype=float)
-        if model.is_hyperbolic:
-            if off.shape != (model.dim - 1,):
-                raise GeometryError("half-space translations move the first n-1 coordinates")
-            return Isometry(model, (_Translate(off),))
-        if off.shape != (model.dim,):
-            raise GeometryError("Euclidean translation offset must have n coordinates")
-        return Isometry(model, (_RigidMotion(np.eye(model.dim), off),))
+        if not model.is_hyperbolic:
+            raise GeometryError("horizontal translations are half-space isometries only")
+        if off.shape != (model.dim - 1,):
+            raise GeometryError("half-space translations move the first n-1 coordinates")
+        return Isometry(model, (_Translate(off),))
 
     @staticmethod
     def inversion(model: ModelSpace) -> "Isometry":
         if not model.is_hyperbolic:
             raise GeometryError("the sphere inversion is a half-space isometry only")
         return Isometry(model, (_Invert(),))
-
-    @staticmethod
-    def rigid(model: ModelSpace, rotation, offset) -> "Isometry":
-        if model.is_hyperbolic:
-            raise GeometryError("rigid motions parametrize Euclidean isometries only")
-        rot = np.asarray(rotation, dtype=float)
-        if not np.allclose(rot @ rot.T, np.eye(model.dim), atol=1e-12):
-            raise GeometryError("rotation part must be orthogonal")
-        return Isometry(model, (_RigidMotion(rot, np.asarray(offset, dtype=float)),))
 
 
 def normalize_pair(xi1: BoundaryPoint, xi2: BoundaryPoint) -> Isometry:

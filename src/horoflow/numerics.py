@@ -276,9 +276,6 @@ class MCEstimate:
             return 0.0
         return gap / combined if combined > 0.0 else math.inf
 
-    def agrees_with(self, other: "MCEstimate | float", sigmas: float = 3.0) -> bool:
-        return self.pull(other) <= sigmas
-
 
 def _philox(seed: int, block: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .busemann import BusemannField, beta, mean_curvature_h
 from .manifold import (
-    BoundaryPoint,
     GeometryError,
     ModelMismatchError,
     ModelSpace,
@@ -48,13 +48,10 @@ __all__ = [
     "AlphaMap",
     "VolumePreservingMap",
     "PairFlow",
-    "pair_flow_step",
     "flow_density",
     "flow_density_fd",
     "divergence_fd",
-    "div_identity_difference",
-    "div_identity_sum",
-    "raw_pair_field",
+    "div_identity",
     "transport_gaps",
     "riemannian_jacobian_det",
 ]
@@ -103,6 +100,10 @@ def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1
 # --------------------------------------------------------------------------
 
 
+# the largest h*t0 whose e^(h t0) - 1 is a finite float64
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class AlphaMap:
     """Strictly increasing solution of alpha'(t) e^{h(alpha(t)-t)} = 1, alpha(0) = t0.
@@ -119,6 +120,8 @@ class AlphaMap:
             raise GeometryError("mean curvature must be nonnegative")
         if self.t0 <= 0:
             raise GeometryError("t0 must be positive")
+        if self.h * self.t0 > LOG_FLOAT_MAX:
+            raise GeometryError(f"e^(h t0) overflows float64 at h = {self.h}, t0 = {self.t0}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -361,46 +364,6 @@ class PairFlow:
         return norm.inverse().apply_coords(end)
 
 
-def raw_pair_field(f1: BusemannField, f2: BusemannField, kind: str = DIFFERENCE):
-    """Chart field grad b1 -+ grad b2 without normalization (for divergence checks)."""
-    sign = -1.0 if kind == DIFFERENCE else 1.0
-
-    def vec(coords):
-        coords = np.asarray(coords, dtype=float)
-        return f1.grad_chart(coords) + sign * f2.grad_chart(coords)
-
-    return vec
-
-
-def _guard_sum_flow(pf: PairFlow, x: Point, duration: float) -> None:
-    """Reject sum-flow requests that start on or would cross the singular set.
-
-    The sum of the Busemann values advances at exactly unit rate along the
-    flow and is bounded below by its axis value, so the crossing time is
-    known before flowing.
-    """
-    if pf.kind != SUM or not pf.model.is_hyperbolic:
-        return
-    separation = pf._config.separation(x)
-    if separation <= D_MEMBERSHIP_TOL:
-        raise SingularFlowError("sum flow started on the singular set D")
-    if duration < 0 and separation + duration <= D_MEMBERSHIP_TOL:
-        raise SingularFlowError(
-            f"sum flow reaches the singular set D after duration {-separation:.6g}"
-        )
-
-
-def pair_flow_step(pf: PairFlow, x: Point, duration: float) -> Point:
-    """Endpoint of the pair flow from x after the signed duration (closed form).
-
-    Raises :class:`SingularFlowError` when a sum flow is started on or driven
-    into the singular set D.
-    """
-    _same_model(pf.f1, x)
-    _guard_sum_flow(pf, x, duration)
-    return Point(pf.model, pf.flow(x.coords, duration))
-
-
 def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
     """Closed-form Riemannian volume density of the time-``duration`` flow map at x.
 
@@ -412,16 +375,19 @@ def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
     """
     if duration == 0.0:
         return 1.0
-    _guard_sum_flow(pf, x, duration)
+    expansion = 0.0
+    if pf.kind == SUM and pf.model.is_hyperbolic:
+        # b1 + b2 advances at unit rate along the flow and never drops below
+        # its axis value, so a start on D or a crossing of D is known up front
+        s0 = pf._config.separation(x)
+        if s0 <= D_MEMBERSHIP_TOL or s0 + duration <= D_MEMBERSHIP_TOL:
+            raise SingularFlowError(f"sum flow from separation {s0:.6g} starts on or reaches "
+                                    f"the singular set D within duration {duration:.6g}")
+        expansion = 0.5 * pf._config.h * math.log(math.expm1(s0 + duration) / math.expm1(s0))
     b0 = float(beta(pf.f1, pf.f2, x.coords))
     b1 = float(beta(pf.f1, pf.f2, pf.flow(x.coords, duration)))
     if pf.kind == DIFFERENCE:
         return (1.0 - b0) / (1.0 - b1)
-    h = mean_curvature_h(pf.model)
-    expansion = 0.0
-    if h > 0.0:
-        s0 = pf._config.separation(x)
-        expansion = 0.5 * h * math.log(math.expm1(s0 + duration) / math.expm1(s0))
     return math.exp(expansion) * (1.0 + b0) / (1.0 + b1)
 
 
@@ -457,10 +423,10 @@ def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: 
     return float(np.trace(J) / model.volume_density(coords))
 
 
-def _div_identity(pf: PairFlow, x: Point, step: float) -> tuple[float, float]:
-    """Both sides of the divergence identity of pf at x: div V equals
-    V[ln(1/(1 + sign beta))], plus h/(1+beta) for the sum flow, where
-    sign is -1 for the difference flow X and +1 for the sum flow Y."""
+def div_identity(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, float]:
+    """Both sides of the divergence identity of pf at x (finite differences):
+    div X = X[ln(1/(1-beta))] for the difference flow and
+    div Y = Y[ln(1/(1+beta))] + h/(1+beta) for the sum flow."""
     sign = -1.0 if pf.kind == DIFFERENCE else 1.0
     lhs = divergence_fd(pf.model, pf.vector, x, step=step)
     rhs = fd_directional(lambda c: -np.log(1.0 + sign * beta(pf.f1, pf.f2, c)),
@@ -468,20 +434,6 @@ def _div_identity(pf: PairFlow, x: Point, step: float) -> tuple[float, float]:
     if pf.kind == SUM:
         rhs += mean_curvature_h(pf.model) / (1.0 + float(beta(pf.f1, pf.f2, x.coords)))
     return lhs, float(rhs)
-
-
-def div_identity_difference(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, float]:
-    """Both sides of div X = X[ln(1/(1-beta))] at x (finite differences)."""
-    if pf.kind != DIFFERENCE:
-        raise GeometryError("difference-flow identity requested for a sum flow")
-    return _div_identity(pf, x, step)
-
-
-def div_identity_sum(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, float]:
-    """Both sides of div Y = Y[ln(1/(1+beta))] + h/(1+beta) at x."""
-    if pf.kind != SUM:
-        raise GeometryError("sum-flow identity requested for a difference flow")
-    return _div_identity(pf, x, step)
 
 
 def transport_gaps(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,

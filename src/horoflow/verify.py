@@ -500,17 +500,17 @@ def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float 
 def check_divergence_identities(ctx, tol):
     f1, f2 = ctx.field_pair()
     cfg = lc.make_pair_config(f1, f2) if ctx.model.is_hyperbolic else None
-    raw = tr.raw_pair_field(f1, f2, tr.DIFFERENCE)
     pf_x = tr.PairFlow(f1, f2, tr.DIFFERENCE)
     pf_y = tr.PairFlow(f1, f2, tr.SUM) if ctx.model.is_hyperbolic else None
     worst_raw, worst_x, worst_y = 0.0, 0.0, 0.0
     for c in _off_axis_points(ctx, cfg, 50):
         x = Point(ctx.model, c)
-        worst_raw = max(worst_raw, abs(tr.divergence_fd(ctx.model, raw, x)))
-        lx, rx = tr.div_identity_difference(pf_x, x)
+        raw = tr.divergence_fd(ctx.model, lambda y: f1.grad_chart(y) - f2.grad_chart(y), x)
+        worst_raw = max(worst_raw, abs(raw))
+        lx, rx = tr.div_identity(pf_x, x)
         worst_x = max(worst_x, abs(lx - rx))
         if pf_y is not None:
-            ly, ry = tr.div_identity_sum(pf_y, x)
+            ly, ry = tr.div_identity(pf_y, x)
             worst_y = max(worst_y, abs(ly - ry))
     return ({"max_raw_divergence": worst_raw, "max_difference_gap": worst_x,
              "max_sum_gap": worst_y, "points": 50},
@@ -675,7 +675,7 @@ def check_volume_bound(ctx, tol):
             if abs(s - math.log(2.0)) < 1e-12:
                 equality_gap = min(equality_gap, abs(q.vol - q.bound))
         # the spread covers the closed-form bound too
-        _, closed = lc.volume_upper_bound(cfg, float(s), 0.0)
+        closed = lc.locus_values(cfg, float(s), 0.0).bound
         bounds_this_s.append(closed)
         bound_spread = max(bound_spread, (max(bounds_this_s) - min(bounds_this_s)) / abs(closed))
     return ({"worst_violation": worst_violation, "equality_gap_at_ln2": equality_gap,
@@ -692,11 +692,11 @@ def check_beta_bound_and_monotone_volume(ctx, tol):
     ok_beta = True
     margins = []
     for s in (0.1, 0.5, 1.0, 2.0, 3.0):
-        L = lc.parametrize_locus(cfg, s, 0.7)
-        max_beta = float(np.max(L.beta_values()))
-        ok_beta = (ok_beta and lc.beta_bound_check(L)
+        max_beta = float(np.max(lc.parametrize_locus(cfg, s, 0.7).beta_values()))
+        bound = 1.0 - 2.0 * math.exp(-ctx.h * s)
+        ok_beta = (ok_beta and max_beta <= bound + 1e-9
                    and abs(max_beta - lc.locus_values(cfg, s, 0.7).beta_max) <= tol)
-        margins.append({"s": s, "max_beta": max_beta, "bound": 1.0 - 2.0 * math.exp(-ctx.h * s)})
+        margins.append({"s": s, "max_beta": max_beta, "bound": bound})
     grid = np.linspace(0.3, 2.7, 9)
     vols = [lc.locus_quadrature(lc.parametrize_locus(cfg, float(s), 0.0)).vol for s in grid]
     if ctx.model.dim == 2:
@@ -740,7 +740,7 @@ def check_strip_volume(ctx, tol):
     pull = mc.pull(quad)
 
     def section(s, t):
-        return lc.locus_quadrature(lc.parametrize_locus(cfg, s, t)).bound
+        return np.array([lc.locus_quadrature(lc.parametrize_locus(cfg, si, t)).bound for si in s])
 
     shifted = lc.strip_volume(cfg, c1 + 1.0, c2 - 1.0, r, section=section)
     shift_gap = abs(shifted - quad) / quad
@@ -826,7 +826,7 @@ def check_example_circle(ex, tol):
        "the intersection circle has hyperbolic length 3 pi / 2, below the stated 3 pi bound",
        1.5 * math.pi, "closed-form", tol=1e-9)
 def check_example_length(ex, tol):
-    length = lc.volume_locus(ex.L)
+    length = lc.locus_values(ex.L.config, ex.L.s, ex.L.t).vol
     exact = 1.5 * math.pi
     # the same number as the circle's own line integral, on its chart parametrization
     theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
@@ -865,15 +865,13 @@ def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid):
 
     One broadcast :func:`locus.locus_values` call evaluates the whole grid.
     The rows are s-major (every t of the first s, then the next s), and each
-    is a dict with the keys of ``SWEEP_COLUMNS`` in that order and Python
-    float values. Raises what ``locus_values`` raises for any cell.
+    is a tuple of Python floats in the column order of ``SWEEP_COLUMNS``.
+    Raises what ``locus_values`` raises for any cell.
     """
     s = np.asarray(s_grid, dtype=float)[:, None]
     t = np.asarray(t_grid, dtype=float)[None, :]
     columns = (c.ravel().tolist() for c in np.broadcast_arrays(s, t, *lc.locus_values(cfg, s, t)))
-    # a dict display builds a row in half the time of dict(zip(SWEEP_COLUMNS, cell))
-    return [{"s": s_, "t": t_, "vol": vol, "V": v, "W": w, "bound": bound, "beta_max": beta_max}
-            for s_, t_, vol, v, w, bound, beta_max in zip(*columns)]
+    return list(zip(*columns))
 
 
 # --------------------------------------------------------------------------

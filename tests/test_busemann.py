@@ -304,7 +304,7 @@ class TestCoareaSlicing:
         lo, hi = bump.support_chart_box()
         est = mc_integrate_box(lambda p: bump(p) * h3.volume_density(p), lo, hi,
                                300_000, seed=5)
-        assert est.agrees_with(sliced, sigmas=3.0)
+        assert est.pull(sliced) <= 3.0
 
     def test_oblique_slicing_direction(self, e3):
         u = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)

@@ -107,6 +107,31 @@ class TestVerifyCommand:
         assert "error: raises-geometry-error: grid too large" in err
         assert "ERROR" in err
 
+    def test_overflowing_t0_gives_map_error_records(self, tmp_path, capsys):
+        # h t0 = 800 on h3: e^(h t0) overflows float64, so each check that
+        # builds the map records an error instead of ending the run
+        out = tmp_path / "rep.json"
+        assert main(["verify", "all", "--model", "h3", "--t0", "400", "--out", str(out)]) == 2
+        checks = _strict_json(out.read_text())["checks"]
+        assert len(checks) == 29
+        errors = {c["name"] for c in checks if c["status"] == "error"}
+        assert errors == {"alpha-defining-equation", "alpha-gap-monotone", "map-sends-p-to-q",
+                          "map-unit-jacobian", "map-integral-invariance"}
+        assert all(c["status"] == "pass" for c in checks if c["name"] not in errors)
+        assert "error: map-sends-p-to-q: e^(h t0) overflows float64" in capsys.readouterr().err
+
+    def test_overflowing_locus_grid_gives_error_records(self, tmp_path, capsys):
+        # the pytest filter turns a RuntimeWarning into an error, as the CLI
+        # smoke runs do, so an inf * 0 in the locus points would end the run
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"s_grid": [800.0]}))
+        out = tmp_path / "rep.json"
+        assert main(["verify", "intersections", "--config", str(config), "--out", str(out)]) == 2
+        statuses = {c["name"]: c["status"] for c in _strict_json(out.read_text())["checks"]}
+        assert statuses.pop("locus-membership") == statuses.pop("weighted-integrals-t-invariance") == "error"
+        assert set(statuses.values()) == {"pass"}
+        assert "locus geometry leaves float64 at s = 800.0" in capsys.readouterr().err
+
     def test_convergence_error_becomes_an_error_record(self, tmp_path, monkeypatch, capsys):
         @verify.check("raises-convergence-error", "a check whose oracle does not converge", 0.0, "exact")
         def check_diverges(ctx, tol):

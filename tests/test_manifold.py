@@ -361,20 +361,12 @@ class TestIsometries:
             det = riemannian_jacobian_det(h3, iso.apply_coords, c)
             assert det == pytest.approx(1.0, abs=1e-8)
 
-    def test_euclidean_rigid_motion(self, e3, rng):
-        theta = 0.7
-        rot = np.array([
-            [math.cos(theta), -math.sin(theta), 0],
-            [math.sin(theta), math.cos(theta), 0],
-            [0, 0, 1],
-        ])
-        iso = Isometry.rigid(e3, rot, [1.0, -2.0, 0.5])
-        pts = e3.random_points(rng, 50, 1.0)
-        qts = e3.random_points(rng, 50, 1.0)
-        assert np.max(np.abs(e3.distance(iso.apply_coords(pts), iso.apply_coords(qts))
-                             - e3.distance(pts, qts))) <= 1e-12
-        back = iso.inverse().apply_coords(iso.apply_coords(pts))
-        assert np.max(np.abs(back - pts)) <= 1e-12
+    def test_euclidean_translation_rejected(self, e3):
+        # normalize_pair builds every isometry, and only in the half-space
+        with pytest.raises(GeometryError):
+            Isometry.translation(e3, [1.0, -2.0, 0.5])
+        with pytest.raises(GeometryError):
+            Isometry.inversion(e3)
 
 
 class TestBoundaryDirections:

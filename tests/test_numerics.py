@@ -183,7 +183,7 @@ class TestMonteCarlo:
         bump = TestFunction(Point(e3, [0.2, -0.1, 0.4]), 0.8)
         lo, hi = bump.support_chart_box()
         est = mc_integrate_box(lambda p: bump(p), lo, hi, 200_000, seed=123)
-        assert est.agrees_with(bump.exact_euclidean_integral(), sigmas=3.0)
+        assert est.pull(bump.exact_euclidean_integral()) <= 3.0
 
     def test_error_scaling_sqrt2(self, e3):
         bump = TestFunction(Point(e3, [0.0, 0.0, 0.0]), 0.6)
@@ -273,14 +273,12 @@ class TestMCPull:
         b = MCEstimate(mean=2.0, standard_error=0.4, samples=10, seed=1)
         assert a.pull(b) == pytest.approx(2.0, abs=1e-15)
         assert a.pull(2.5) == pytest.approx(5.0, abs=1e-15)
-        assert a.agrees_with(b, sigmas=2.0 + 1e-12) and not a.agrees_with(b, sigmas=1.9)
 
     def test_zero_error(self):
         exact = MCEstimate(mean=1.0, standard_error=0.0, samples=1, seed=0)
         assert exact.pull(1.0) == 0.0
         assert exact.pull(exact) == 0.0
         assert exact.pull(1.5) == math.inf
-        assert not exact.agrees_with(1.5)
 
 
 class TestBump:

@@ -29,14 +29,11 @@ from horoflow.transport import (
     PairFlow,
     SingularFlowError,
     VolumePreservingMap,
-    div_identity_difference,
-    div_identity_sum,
+    div_identity,
     divergence_fd,
     flow_density,
     flow_density_fd,
     horosphere_jacobian,
-    pair_flow_step,
-    raw_pair_field,
     transport_gaps,
 )
 
@@ -194,6 +191,14 @@ class TestAlpha:
         with pytest.raises(GeometryError):
             AlphaMap(2.0, 0.0)
 
+    def test_overflowing_t0_rejected(self):
+        # e^(h t0) - 1 is finite up to h t0 = ln(DBL_MAX) ~ 709.78
+        a = AlphaMap(7.0, 101.0)
+        assert math.isfinite(a.range_infimum) and math.isfinite(a.derivative(0.0))
+        for h, t0 in ((7.0, 102.0), (2.0, 400.0)):
+            with pytest.raises(GeometryError, match="overflows float64"):
+                AlphaMap(h, t0)
+
 
 @settings(max_examples=50, deadline=None)
 @given(h=st.floats(0.5, 4.0), t0=st.floats(0.1, 3.0), t=st.floats(-20.0, 20.0))
@@ -272,30 +277,30 @@ class TestPairFlowTracking:
     def test_difference_tracking(self, h3, pair_x, f_origin, f_inf, rng):
         for c in h3.random_points(rng, 5, 0.8):
             x = Point(h3, c)
-            end = pair_flow_step(pair_x, x, 2.0)
+            end = Point(h3, pair_x.flow(x.coords, 2.0))
             assert busemann_value(f_origin, end) - busemann_value(f_origin, x) == pytest.approx(1.0, abs=1e-8)
             assert busemann_value(f_inf, end) - busemann_value(f_inf, x) == pytest.approx(-1.0, abs=1e-8)
 
     def test_sum_tracking(self, h3, pair_y, f_origin, f_inf):
         x = Point(h3, [0.5, -0.2, 0.9])
         for s in (0.7, 2.0):
-            end = pair_flow_step(pair_y, x, s)
+            end = Point(h3, pair_y.flow(x.coords, s))
             assert busemann_value(f_origin, end) - busemann_value(f_origin, x) == pytest.approx(s / 2, abs=1e-8)
             assert busemann_value(f_inf, end) - busemann_value(f_inf, x) == pytest.approx(s / 2, abs=1e-8)
 
     def test_zero_duration(self, h3, pair_x):
         x = Point(h3, [0.5, -0.2, 0.9])
-        assert np.array_equal(pair_flow_step(pair_x, x, 0.0).coords, x.coords)
+        assert np.array_equal(pair_x.flow(x.coords, 0.0), x.coords)
 
     def test_sum_flow_singular_on_axis(self, h3, pair_y):
         with pytest.raises(SingularFlowError):
-            pair_flow_step(pair_y, Point(h3, [0, 0, 1.3]), 0.5)
+            pair_y.flow(np.array([0.0, 0.0, 1.3]), 0.5)
 
     def test_sum_flow_backward_into_axis_fails(self, h3, pair_y, f_origin, f_inf):
         x = Point(h3, [0.1, 0.0, 1.0])
         s = busemann_value(f_origin, x) + busemann_value(f_inf, x)
-        with pytest.raises((SingularFlowError, GeometryError)):
-            pair_flow_step(pair_y, x, -(s + 0.5))
+        with pytest.raises(SingularFlowError):
+            pair_y.flow(x.coords, -(s + 0.5))
 
     def test_distinct_boundary_points_required(self, h3, f_origin):
         with pytest.raises(GeometryError):
@@ -353,7 +358,7 @@ class TestClosedFormFlow:
         x = Point(model, _off_axis_starts(model, f1, f2, count=1)[0])
         for kind in (DIFFERENCE, SUM):
             pf = PairFlow(f1, f2, kind)
-            assert pair_flow_step(pf, x, 0.7).model == model
+            assert Point(model, pf.flow(x.coords, 0.7)).model == model
             assert math.isfinite(flow_density(pf, x, 0.7))
 
     def test_sum_density_backward_into_axis_fails(self, h3, pair_y, f_origin, f_inf):
@@ -373,18 +378,22 @@ class TestClosedFormFlow:
 
 class TestDivergence:
     def test_raw_difference_divergence_free(self, h3, f_origin, f_inf, rng):
-        raw = raw_pair_field(f_origin, f_inf, DIFFERENCE)
+        def raw(c):
+            return f_origin.grad_chart(c) - f_inf.grad_chart(c)
+
         for c in h3.random_points(rng, 20, 0.8):
             assert abs(divergence_fd(h3, raw, Point(h3, c))) <= 1e-6
 
     def test_raw_sum_divergence_2h(self, h3, f_origin, f_inf, rng):
-        raw = raw_pair_field(f_origin, f_inf, SUM)
+        def raw(c):
+            return f_origin.grad_chart(c) + f_inf.grad_chart(c)
+
         for c in h3.random_points(rng, 10, 0.8):
             assert divergence_fd(h3, raw, Point(h3, c)) == pytest.approx(4.0, abs=1e-6)
 
     def test_difference_identity(self, h3, pair_x, rng):
         for c in h3.random_points(rng, 10, 0.8):
-            lhs, rhs = div_identity_difference(pair_x, Point(h3, c))
+            lhs, rhs = div_identity(pair_x, Point(h3, c))
             assert abs(lhs - rhs) <= 1e-5
             assert abs(lhs) <= 1e-5  # beta depends only on the separation here
 
@@ -397,7 +406,7 @@ class TestDivergence:
             if s < 0.1:
                 continue
             kept += 1
-            lhs, rhs = div_identity_sum(pair_y, x)
+            lhs, rhs = div_identity(pair_y, x)
             assert abs(lhs - rhs) <= 1e-5
 
     def test_euclidean_difference(self, e3, rng):
@@ -405,7 +414,7 @@ class TestDivergence:
         f2 = BusemannField(e3, boundary_direction(e3, [0, 1, 0]), Point(e3, [0, 0, 0]))
         pf = PairFlow(f1, f2, DIFFERENCE)
         for c in e3.random_points(rng, 5, 1.0):
-            lhs, rhs = div_identity_difference(pf, Point(e3, c))
+            lhs, rhs = div_identity(pf, Point(e3, c))
             assert abs(lhs) <= 1e-8 and abs(rhs) <= 1e-8
 
 
