@@ -25,7 +25,7 @@ half-space endpoints it returns.
 Every dot product and squared length over the coordinate axis goes through
 one row reduction, :func:`_rowdot`. Chart rows hold only 2 to 8 entries, and
 on such rows ``np.linalg.norm(v, axis=-1)`` and ``(u * v).sum(axis=-1)`` take
-1.5 to 3 times as long, both on the (20, n) batches of the RK4 oracle and on
+1.5 to 3 times as long, both on the (20, n) batches of the ODE oracle and on
 the (4096, n) Monte Carlo blocks.
 """
 
@@ -142,10 +142,16 @@ class ModelSpace:
         return float(np.sqrt(det))
 
     def volume_density(self, x):
-        """sqrt(det g) in chart coordinates: z^-n in H^n, 1 in E^n."""
+        """sqrt(det g) in chart coordinates: z^-n in H^n, 1 in E^n. Raises
+        :class:`GeometryError` where z^-n overflows float64."""
         x = self.check_coords(x)
         if self.is_hyperbolic:
-            return x[..., -1] ** (-self.dim)
+            with np.errstate(over="ignore"):
+                density = x[..., -1] ** (-self.dim)
+            if not np.isfinite(density).all():
+                raise GeometryError(f"volume density z^-{self.dim} overflows float64 "
+                                    f"at height {np.min(x[..., -1]):.3g}")
+            return density
         return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
 
     # -- distance and geodesics --------------------------------------------

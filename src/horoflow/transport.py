@@ -10,8 +10,8 @@ Contents:
 * the pair flows driven by two Busemann fields: the difference flow X
   (raises b1 by t/2, lowers b2 by t/2) and the sum flow Y (raises both by
   s/2), with their closed-form flow maps and volume densities;
-* the oracles that verify all of the above from first principles: RK4 flow
-  maps, finite-difference divergences and Jacobians.
+* the oracles that verify all of the above from first principles: Runge-Kutta
+  flow maps, finite-difference divergences and Jacobians.
 
 For h > 0 the range of alpha is (m, infinity) with
 ``m = (1/h) ln(e^{h t0} - 1)``, so the image of F is the open horoball
@@ -139,7 +139,12 @@ class AlphaMap:
             out = np.full_like(t, self.t0)
         else:
             h = self.h
-            out = np.log1p(np.expm1(h * self.t0) * np.exp(-h * t)) / h
+            with np.errstate(over="ignore"):
+                scaled = np.expm1(h * self.t0) * np.exp(-h * t)
+            if not np.isfinite(scaled).all():
+                raise GeometryError(f"(e^(h t0) - 1) e^(-h t) overflows float64 at h = {h}, "
+                                    f"t0 = {self.t0}, t = {np.min(t):.6g}")
+            out = np.log1p(scaled) / h
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
@@ -163,7 +168,11 @@ class AlphaMap:
         if self.h == 0.0:
             out = u - self.t0
         else:
-            arg = np.exp(self.h * u) - math.expm1(self.h * self.t0)
+            with np.errstate(over="ignore"):
+                grown = np.exp(self.h * u)
+            if not np.isfinite(grown).all():
+                raise GeometryError(f"e^(h u) overflows float64 at h = {self.h}, u = {np.max(u):.6g}")
+            arg = grown - math.expm1(self.h * self.t0)
             if np.any(arg <= 0.0):
                 raise GeometryError(
                     f"alpha inverse undefined at or below the range infimum m = {self.range_infimum}"
@@ -391,18 +400,18 @@ def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
     return math.exp(expansion) * (1.0 + b0) / (1.0 + b1)
 
 
-def _flow_map(pf: PairFlow, duration: float, step: float):
+def _flow_map(pf: PairFlow, duration: float):
     """The time-``duration`` flow map on a batch of chart points by fixed-step
-    RK4: the oracles' flow, independent of :meth:`PairFlow.flow`."""
-    return lambda pts: ode_integrate(pf.vector, pts, duration, step=step)
+    sixth-order Runge-Kutta (:func:`ode_integrate` at its default step): the
+    oracles' flow, independent of :meth:`PairFlow.flow`."""
+    return lambda pts: ode_integrate(pf.vector, pts, duration)
 
 
-def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
-                    fd_step: float = 1e-5) -> float:
+def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, fd_step: float = 1e-5) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
-    determinant of the RK4-integrated flow map, with the volume-density correction.
+    determinant of the Runge-Kutta flow map, with the volume-density correction.
     The whole stencil integrates as one batch."""
-    return riemannian_jacobian_det(pf.model, _flow_map(pf, duration, step), x.coords, step=fd_step)
+    return riemannian_jacobian_det(pf.model, _flow_map(pf, duration), x.coords, step=fd_step)
 
 
 # --------------------------------------------------------------------------
@@ -436,10 +445,10 @@ def div_identity(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, 
     return lhs, float(rhs)
 
 
-def transport_gaps(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-3,
+def transport_gaps(pf: PairFlow, x: Point, duration: float, *,
                    fd_step: float = 1e-5) -> tuple[float, float]:
     """How far the time-``duration`` flow Phi fails to transport the Busemann
-    gradients and their 1-forms, from one RK4 flow Jacobian at x.
+    gradients and their 1-forms, from one Runge-Kutta flow Jacobian at x.
 
     Returns ``(push_gap, form_gap)``, each the worst over i = 1, 2 of:
 
@@ -451,7 +460,7 @@ def transport_gaps(pf: PairFlow, x: Point, duration: float, *, step: float = 1e-
       which holds for both pair flows.
     """
     m = pf.model
-    J, y = _chart_jacobian(m, _flow_map(pf, duration, step), x.coords, fd_step)
+    J, y = _chart_jacobian(m, _flow_map(pf, duration), x.coords, fd_step)
     # chart components of db: the gradient with its index lowered by the metric
     lower_x, lower_y = (x.coords[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
     push_gap = form_gap = 0.0

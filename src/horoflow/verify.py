@@ -448,13 +448,13 @@ def check_map_out_of_image(ctx, tol):
 
 
 def _tracking_check(ctx, pf, sign2: float, tol: float, count: int = 20, duration: float = 2.0):
-    """RK4 trajectories of the pair flow: how far they miss the Busemann level
+    """Runge-Kutta trajectories of the pair flow: how far they miss the Busemann level
     changes (duration/2, sign2*duration/2) and the closed-form flow map."""
     # keep sum-flow starts off the axis
     cfg = lc.make_pair_config(pf.f1, pf.f2) if pf.kind == tr.SUM else None
     starts = np.array(_off_axis_points(ctx, cfg, count, min_separation=0.05))
     # the flow field is vectorized, so all trajectories integrate in one batch
-    ends = ode_integrate(pf.vector, starts, duration, step=1e-3)
+    ends = ode_integrate(pf.vector, starts, duration)
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
     e2 = np.abs(pf.f2.value(ends) - pf.f2.value(starts) - sign2 * duration / 2.0)
     tracking = float(max(np.max(e1), np.max(e2)))
@@ -466,7 +466,7 @@ def _tracking_check(ctx, pf, sign2: float, tol: float, count: int = 20, duration
 
 @check("difference-flow-level-tracking",
        ("the difference flow raises b1 by t/2 and lowers b2 by t/2; "
-        "its RK4 trajectories end on the closed-form flow map"),
+        "its Runge-Kutta trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8)
 def check_difference_flow_tracking(ctx, tol):
     f1, f2 = ctx.field_pair()
@@ -475,7 +475,7 @@ def check_difference_flow_tracking(ctx, tol):
 
 @check("sum-flow-level-tracking",
        ("the sum flow raises both Busemann values by s/2; "
-        "its RK4 trajectories end on the closed-form flow map"),
+        "its Runge-Kutta trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8, skip=NO_AXIS)
 def check_sum_flow_tracking(ctx, tol):
     f1, f2 = ctx.field_pair()
@@ -530,9 +530,9 @@ def check_flow_densities(ctx, tol):
     x = cfg.point_on_locus(0.7, 0.2)
     dur = 0.9
     dens_x = tr.flow_density(pf_x, x, dur)
-    fd_x = tr.flow_density_fd(pf_x, x, dur, step=5e-3)
+    fd_x = tr.flow_density_fd(pf_x, x, dur)
     dens_y = tr.flow_density(pf_y, x, dur)
-    fd_y = tr.flow_density_fd(pf_y, x, dur, step=5e-3)
+    fd_y = tr.flow_density_fd(pf_y, x, dur)
     # symbolic antiderivative of the sum-flow expansion in the model pair
     s0 = cfg.separation(x)
     exact_y = ((math.exp(s0 + dur) - 1.0) / (math.exp(s0) - 1.0)) ** (ctx.h / 2.0 - 1.0) * math.exp(dur)
@@ -590,7 +590,7 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
         b_start = float(bu.beta(cfg.f1, cfg.f2, start))
         eps_rows.append({"epsilon": eps, "beta_at_start": b_start, "gap_to_minus_one": b_start + 1.0})
     start = cfg.point_on_locus(0.2, 0.3)
-    _, states = ode_integrate(pf_y.vector, start.coords, 1.5, step=1e-3, record=True)
+    _, states = ode_integrate(pf_y.vector, start.coords, 1.5, record=True)
     bs = np.asarray(bu.beta(cfg.f1, cfg.f2, states))
     worst = float(np.min(np.diff(bs)))
     ok = worst >= -1e-12 and all(row["gap_to_minus_one"] <= 3.0 * row["epsilon"] for row in eps_rows)

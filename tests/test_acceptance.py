@@ -232,7 +232,7 @@ def test_criterion_8_flow_level_tracking(cfg_h3):
     worst = 0.0
     for kind, sign2 in ((DIFFERENCE, -1.0), (SUM, +1.0)):
         pf = PairFlow(f1, f2, kind)
-        ends = ode_integrate(pf.vector, starts, duration, step=1e-3)
+        ends = ode_integrate(pf.vector, starts, duration)
         e1 = np.abs(f1.value(ends) - f1.value(starts) - duration / 2.0)
         e2 = np.abs(f2.value(ends) - f2.value(starts) - sign2 * duration / 2.0)
         worst = max(worst, float(np.max(e1)), float(np.max(e2)))

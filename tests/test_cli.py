@@ -120,6 +120,25 @@ class TestVerifyCommand:
         assert all(c["status"] == "pass" for c in checks if c["name"] not in errors)
         assert "error: map-sends-p-to-q: e^(h t0) overflows float64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t0, overflows", [
+        (150.0, ["map-integral-invariance: the sum of squared integrand values"]),
+        (300.0, ["map-integral-invariance: volume density z^-3 overflows float64"]),
+        (354.0, ["alpha-defining-equation: (e^(h t0) - 1) e^(-h t) overflows float64",
+                 "map-unit-jacobian: volume density z^-3 overflows float64",
+                 "map-integral-invariance: e^(h u) overflows float64"]),
+    ])
+    def test_large_t0_below_the_alpha_limit_gives_error_records(self, tmp_path, capsys, t0, overflows):
+        # h t0 stays below ln(DBL_MAX), but the bump integrand, the volume
+        # density or alpha's gap leaves float64; under the pytest filter an
+        # unguarded overflow would end the run with a RuntimeWarning
+        out = tmp_path / "rep.json"
+        assert main(["verify", "map-f", "--model", "h3", "--t0", str(t0), "--out", str(out)]) == 2
+        statuses = {c["name"]: c["status"] for c in _strict_json(out.read_text())["checks"]}
+        assert statuses["map-integral-invariance"] == "error"
+        err = capsys.readouterr().err
+        for message in overflows:
+            assert f"error: {message}" in err
+
     def test_overflowing_locus_grid_gives_error_records(self, tmp_path, capsys):
         # the pytest filter turns a RuntimeWarning into an error, as the CLI
         # smoke runs do, so an inf * 0 in the locus points would end the run

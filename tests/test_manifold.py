@@ -308,6 +308,12 @@ class TestChartValidation:
         assert volume_density(Point(h3, [0, 0, 1])) == 1.0
         assert volume_density(Point(e3, [4, 5, 6])) == 1.0
 
+    def test_volume_density_overflow_raises(self, h3):
+        # z^-3 is finite down to z ~ 1.8e-103 (DBL_MAX^(-1/3))
+        assert math.isfinite(h3.volume_density(np.array([0.0, 0.0, 1e-100])))
+        with pytest.raises(GeometryError, match=r"volume density z\^-3 overflows float64"):
+            h3.volume_density(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e-110]]))
+
 
 class TestIsometries:
     def test_translation_to_origin_infinity(self, h3):

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, ModelSpace, Point
+from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError, ModelSpace, Point
 from horoflow.numerics import (
     MC_BLOCK,
     MCEstimate,
     TestFunction,
+    _RK_A,
+    _RK_B,
     _philox,
     fd_directional,
     fd_hessian,
@@ -133,17 +135,40 @@ def _sphere_monomial_integral(exponents) -> float:
 
 
 class TestODE:
-    def test_rk4_exponential(self):
-        end = ode_integrate(lambda x: -x, np.array([1.0]), 2.0, step=1e-3)
+    def test_tableau_consistent_and_of_order_six_on_quadrature(self):
+        # the nodes c_i are the row sums of A; the weights sum to 1 and
+        # integrate c^(k-1) exactly for k = 1..6
+        c = [math.fsum(row) for row in _RK_A]
+        assert c == pytest.approx([0.0, 1 / 3, 2 / 3, 1 / 3, 0.5, 0.5, 1.0], abs=1e-15)
+        assert math.fsum(_RK_B) == pytest.approx(1.0, abs=1e-15)
+        for k in range(1, 7):
+            assert math.fsum(b * ci ** (k - 1) for b, ci in zip(_RK_B, c)) == pytest.approx(1.0 / k, abs=1e-15)
+        assert [len(row) for row in _RK_A] == list(range(7)) and len(_RK_B) == 7
+
+    def test_observed_order_is_six(self):
+        # halving the step divides the global error by about 2^6 = 64
+        errors = [abs(ode_integrate(lambda x: -x, np.array([1.0]), 1.0, step=h)[0] - math.exp(-1.0))
+                  for h in (0.1, 0.05)]
+        assert 48.0 <= errors[0] / errors[1] <= 80.0
+
+    def test_constant_field_is_exact_to_roundoff(self):
+        c = np.array([0.3, -1.7, 2.5])
+        x0 = np.array([1.0, 2.0, 3.0])
+        for duration in (1.3, -0.7):
+            end = ode_integrate(lambda x: np.broadcast_to(c, x.shape), x0, duration)
+            assert np.max(np.abs(end - (x0 + duration * c))) <= 1e-12
+
+    def test_exponential_decay(self):
+        end = ode_integrate(lambda x: -x, np.array([1.0]), 2.0)
         assert end[0] == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_batch_states(self):
         starts = np.array([[1.0], [2.0], [-0.5]])
-        ends = ode_integrate(lambda x: -x, starts, 1.0, step=1e-3)
+        ends = ode_integrate(lambda x: -x, starts, 1.0)
         assert np.max(np.abs(ends - starts * math.exp(-1.0))) <= 1e-11
 
     def test_negative_duration(self):
-        end = ode_integrate(lambda x: -x, np.array([1.0]), -1.0, step=1e-3)
+        end = ode_integrate(lambda x: -x, np.array([1.0]), -1.0)
         assert end[0] == pytest.approx(math.e, abs=1e-11)
 
     def test_record_trajectory(self):
@@ -153,7 +178,8 @@ class TestODE:
 
     def test_duration_split_into_whole_steps(self):
         # 2000 steps of 1e-3 do not sum to 2.0 exactly in floating point;
-        # the count must still be 2000, with no remainder step
+        # the count must still be 2000, with no remainder step (7 field
+        # evaluations per step)
         evals = [0]
 
         def field(x):
@@ -163,7 +189,7 @@ class TestODE:
         ts, xs = ode_integrate(field, np.array([1.0]), 2.0, step=1e-3, record=True)
         assert len(ts) == len(xs) == 2001
         assert ts[-1] == 2.0
-        assert evals[0] == 8000
+        assert evals[0] == 14000
         assert np.max(np.diff(ts)) <= 1e-3 * (1.0 + 1e-9)
         ts, _ = ode_integrate(lambda x: -x, np.array([1.0]), -1.5, step=1e-3, record=True)
         assert len(ts) == 1501 and ts[-1] == -1.5
@@ -212,6 +238,10 @@ class TestMonteCarlo:
         for n_samples in (0, -1):
             with pytest.raises(ValueError):
                 mc_integrate_box(lambda p: p[:, 0], [0, 0], [1, 1], n_samples, seed=0)
+
+    def test_overflowing_square_sum_raises(self):
+        with pytest.raises(GeometryError, match="sum of squared integrand values in Monte Carlo block 0"):
+            mc_integrate_box(lambda p: np.full(p.shape[0], 1e200), [0, 0], [1, 1], 100, seed=0)
 
     def test_sample_stream_is_pinned(self):
         # two full blocks and a partial one, against the (seed, block)

@@ -141,7 +141,7 @@ class TestAlpha:
         h, t0 = 2.0, 1.0
         a = AlphaMap(h, t0)
         field = lambda s: np.array([1.0, math.exp(-h * (s[1] - s[0]))])
-        end = ode_integrate(field, np.array([0.0, t0]), 1.0, step=1e-4)
+        end = ode_integrate(field, np.array([0.0, t0]), 1.0)
         assert a(1.0) == pytest.approx(end[1], abs=1e-11)
         assert a(1.0) == pytest.approx(0.5 * math.log(2.0 * math.e ** 2 - 1.0), abs=1e-15)
 
@@ -198,6 +198,16 @@ class TestAlpha:
         for h, t0 in ((7.0, 102.0), (2.0, 400.0)):
             with pytest.raises(GeometryError, match="overflows float64"):
                 AlphaMap(h, t0)
+
+    def test_overflowing_gap_and_inverse_raise(self):
+        # h t0 = 708 is below ln(DBL_MAX), but the gap at t = -1 and the
+        # inverse at u = 355 need e^710
+        a = AlphaMap(2.0, 354.0)
+        assert math.isfinite(a.gap(0.0)) and math.isfinite(a.inverse(354.5))
+        with pytest.raises(GeometryError, match=r"\(e\^\(h t0\) - 1\) e\^\(-h t\) overflows float64"):
+            a.gap(np.array([0.0, -1.0]))
+        with pytest.raises(GeometryError, match=r"e\^\(h u\) overflows float64"):
+            a.inverse(355.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -343,8 +353,8 @@ class TestClosedFormFlow:
         pf = PairFlow(f1, f2, kind)
         starts = _off_axis_starts(model, f1, f2)
         for duration in (0.5, -0.1):
-            rk4 = ode_integrate(pf.vector, starts, duration, step=2.5e-3)
-            assert np.max(np.abs(pf.flow(starts, duration) - rk4)) <= 1e-10
+            oracle = ode_integrate(pf.vector, starts, duration)
+            assert np.max(np.abs(pf.flow(starts, duration) - oracle)) <= 1e-10
 
     @pytest.mark.parametrize("model", [ModelSpace(HYPERBOLIC, 3), ModelSpace(EUCLIDEAN, 3)],
                              ids=lambda m: f"{m.kind[0]}{m.dim}")
@@ -374,6 +384,20 @@ class TestClosedFormFlow:
         s = busemann_value(f_origin, x) + busemann_value(f_inf, x)
         with pytest.raises(SingularFlowError):
             pair_y.flow(x.coords, -(s + 0.5))
+
+    @pytest.mark.parametrize("model", [ModelSpace(HYPERBOLIC, 3), ModelSpace(HYPERBOLIC, 8)],
+                             ids=lambda m: f"{m.kind[0]}{m.dim}")
+    def test_tracking_checks_resolve_a_relative_error_of_1e_7(self, model, monkeypatch):
+        # the oracle at its default step must see a closed form that is off by
+        # a factor 1 + 1e-7, ten times the checks' 1e-8 tolerance
+        from horoflow import verify
+
+        exact = PairFlow.flow
+        monkeypatch.setattr(PairFlow, "flow", lambda pf, pts, duration: exact(pf, pts, duration) * (1.0 + 1e-7))
+        for check in (verify.check_difference_flow_tracking, verify.check_sum_flow_tracking):
+            rep = check(verify.VerifyContext(model=model))
+            assert rep.status == "fail", rep.quantities
+            assert rep.quantities["max_closed_form_gap"] > 1e-8
 
 
 class TestDivergence:
@@ -422,7 +446,7 @@ class TestFlowDensities:
     def test_difference_flow_preserves_volume(self, h3, pair_x):
         x = Point(h3, [0.6, -0.4, 0.9])
         assert flow_density(pair_x, x, 1.3) == pytest.approx(1.0, abs=1e-10)
-        assert flow_density_fd(pair_x, x, 1.3, step=5e-3) == pytest.approx(1.0, abs=1e-6)
+        assert flow_density_fd(pair_x, x, 1.3) == pytest.approx(1.0, abs=1e-6)
 
     def test_sum_flow_density_closed_form(self, h3, pair_y, f_origin, f_inf):
         # symbolic oracle: integral of h/(1+beta) along the flow collapses to
@@ -432,7 +456,7 @@ class TestFlowDensities:
         s, h = 0.9, 2.0
         expected = ((math.exp(s0 + s) - 1.0) / (math.exp(s0) - 1.0)) ** (h / 2.0 - 1.0) * math.exp(s)
         assert flow_density(pair_y, x, s) == pytest.approx(expected, rel=1e-6)
-        assert flow_density_fd(pair_y, x, s, step=5e-3) == pytest.approx(expected, rel=1e-5)
+        assert flow_density_fd(pair_y, x, s) == pytest.approx(expected, rel=1e-5)
 
     def test_zero_duration(self, h3, pair_y):
         assert flow_density(pair_y, Point(h3, [0.5, 0, 1.0]), 0.0) == 1.0
@@ -475,7 +499,7 @@ class TestAxisFloorAndMonotonicity:
 
     def test_beta_monotone_along_sum_flow(self, h3, pair_y, f_origin, f_inf):
         x = Point(h3, [0.3, 0.1, 1.1])
-        _, states = ode_integrate(pair_y.vector, x.coords, 1.5, step=1e-3, record=True)
+        _, states = ode_integrate(pair_y.vector, x.coords, 1.5, record=True)
         bs = np.asarray(beta(f_origin, f_inf, states))
         assert np.all(np.diff(bs) >= -1e-12)
 
@@ -552,9 +576,10 @@ class TestChartValidation:
         run(pts)
         assert check_calls == [pts.shape, pts.shape]
 
-    def test_rk4_stage_driven_off_the_chart_raises(self, h3, pair_x, rng):
+    def test_runge_kutta_stage_driven_off_the_chart_raises(self, h3, pair_x, rng):
         # the (origin, infinity) difference field is x/2, so one backward step
-        # of 10 sends the second RK4 stage to x - 2.5x, below z = 0
+        # of 10 sends the first stage, at c = 1/3, to x - (5/3)x = -(2/3)x,
+        # below z = 0
         pts = h3.random_points(rng, 4, 0.8)
         with pytest.raises(ChartDomainError):
             ode_integrate(pair_x.vector, pts, -10.0, step=10.0)
@@ -566,7 +591,7 @@ def _euclidean_pair(model: ModelSpace, u1, u2) -> tuple[BusemannField, BusemannF
 
 
 class TestPairFlowOracle:
-    """The RK4 oracle's field: PairFlow.vector against its definition."""
+    """The ODE oracle's field: PairFlow.vector against its definition."""
 
     @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
     def test_euclidean_vector_rejects_nan_row(self, e3, rng, kind):
