@@ -14,7 +14,6 @@ from .manifold import (
     BoundaryPoint,
     ChartDomainError,
     GeometryError,
-    Isometry,
     ModelMismatchError,
     ModelSpace,
     Point,
@@ -26,7 +25,6 @@ from .manifold import (
     direction_to_boundary,
     distance,
     geodesic,
-    normalize_pair,
     volume_density,
 )
 from .numerics import (

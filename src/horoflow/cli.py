@@ -201,9 +201,8 @@ def cmd_sweep(args) -> int:
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
     rows = sweep_rows(VerifyContext(model=model).pair_config(), s_grid, t_grid)
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines.extend(",".join(f"{value:.17g}" for value in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    fmt = ",".join(["%.17g"] * len(SWEEP_COLUMNS))
+    text = "\n".join([",".join(SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -30,21 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .busemann import BusemannField, beta, mean_curvature_h
-from .manifold import (
-    BoundaryConfigError,
-    GeometryError,
-    Isometry,
-    ModelMismatchError,
-    Point,
-    _rowdot,
-    normalize_pair,
-)
+from .manifold import BoundaryConfigError, GeometryError, ModelMismatchError, Point, _rowdot
 from .numerics import (MCEstimate, QuadratureRule, fd_jacobian, gauss_legendre,
                        mc_integrate_box, orthonormal_complement, sphere_rule, unit_sphere_area)
 
@@ -83,17 +75,39 @@ def _native(values: np.ndarray):
 class PairConfig:
     """A normalized pair of Busemann fields with the constants of their axis.
 
-    ``normalizer`` maps the configuration onto (origin, infinity); in those
-    coordinates b1 = ln((rho^2+z^2)/z) + k1 and b2 = -ln z + k2, and
-    c0 = k1 + k2 is the value of b1 + b2 on the axis D (the z-axis image).
+    :meth:`normalize` moves xi1 to the boundary origin and xi2 to infinity and
+    :meth:`denormalize` moves back; in normalized coordinates
+    b1 = ln((rho^2+z^2)/z) + k1 and b2 = -ln z + k2, and c0 = k1 + k2 is the
+    value of b1 + b2 on the axis D (the z-axis image). ``steps`` is that move
+    as half-space isometries applied in order: an offset a translates
+    xbar -> xbar + a, and ``None`` is the inversion x -> x/|x|^2 through the
+    unit sphere.
     """
 
     f1: BusemannField
     f2: BusemannField
     c0: float
-    normalizer: Isometry
+    steps: tuple
     k1: float
     k2: float
+
+    def normalize(self, coords) -> np.ndarray:
+        """Chart points in normalized coordinates."""
+        return self._move(coords, self.steps)
+
+    def denormalize(self, coords) -> np.ndarray:
+        """Normalized chart points back in original coordinates."""
+        return self._move(coords, tuple(None if a is None else -a for a in reversed(self.steps)))
+
+    def _move(self, coords, steps) -> np.ndarray:
+        y = self.model.check_coords(np.asarray(coords, dtype=float))
+        for a in steps:
+            if a is None:
+                y = y / _rowdot(y, y)[..., None]
+            else:
+                y = np.array(y, copy=True)
+                y[..., :-1] += a
+        return y
 
     @property
     def model(self):
@@ -107,7 +121,7 @@ class PairConfig:
         """Point of D at normalized height z."""
         y = np.zeros(self.model.dim)
         y[-1] = float(z)
-        return Point(self.model, self.normalizer.inverse().apply_coords(y))
+        return Point(self.model, self.denormalize(y))
 
     def separation(self, x: Point) -> float:
         """s-coordinate b1(x) + b2(x) - c0 (>= 0 everywhere)."""
@@ -139,7 +153,7 @@ class PairConfig:
         y = np.zeros(self.model.dim)
         y[0] = rho
         y[-1] = a
-        return Point(self.model, self.normalizer.inverse().apply_coords(y))
+        return Point(self.model, self.denormalize(y))
 
 
 def make_pair_config(f1: BusemannField, f2: BusemannField) -> PairConfig:
@@ -155,26 +169,30 @@ def make_pair_config(f1: BusemannField, f2: BusemannField) -> PairConfig:
     if f1.xi.same_as(f2.xi):
         raise BoundaryConfigError("pair configuration needs distinct boundary points")
     m = f1.model
-    norm = normalize_pair(f1.xi, f2.xi)
-    inv = norm.inverse()
-
-    def pulled(coords):
-        return inv.apply_coords(np.asarray(coords, dtype=float))
+    xi1, xi2 = f1.xi, f2.xi
+    if xi2.is_infinity:
+        steps = () if np.allclose(xi1.data, 0.0) else (-xi1.data,)
+    elif xi1.is_infinity:
+        steps = (-xi2.data, None)  # send xi2 to the origin, then swap 0 and infinity
+    else:
+        d = xi2.data - xi1.data
+        steps = (-xi1.data, None, -d / float(np.dot(d, d)), None)
+    cfg = PairConfig(f1=f1, f2=f2, c0=0.0, steps=steps, k1=0.0, k2=0.0)  # constants read below
 
     axis = np.zeros(m.dim)
     axis[-1] = 1.0
-    k1 = float(f1.value(pulled(axis)))  # ln(Q/z) vanishes on the axis at z=1
-    k2 = float(f2.value(pulled(axis)))
+    k1 = float(f1.value(cfg.denormalize(axis)))  # ln(Q/z) vanishes on the axis at z=1
+    k2 = float(f2.value(cfg.denormalize(axis)))
     c0 = k1 + k2
 
     # constancy of b1 + b2 along the axis certifies the normalization
     for z in (0.5, 2.0, 4.0):
         probe = np.zeros(m.dim)
         probe[-1] = z
-        val = float(f1.value(pulled(probe)) + f2.value(pulled(probe)))
+        val = float(f1.value(cfg.denormalize(probe)) + f2.value(cfg.denormalize(probe)))
         if abs(val - c0) > 1e-10:
             raise GeometryError(f"axis value of b1+b2 drifts: {val} vs {c0}")
-    return PairConfig(f1=f1, f2=f2, c0=c0, normalizer=norm, k1=k1, k2=k2)
+    return replace(cfg, c0=c0, k1=k1, k2=k2)
 
 
 @dataclass(frozen=True)
@@ -212,7 +230,7 @@ class IntersectionLocus:
         pts = np.empty((self.sphere_nodes.shape[0], self.config.model.dim))
         pts[:, :-1] = self.radius * self.sphere_nodes
         pts[:, -1] = self.height
-        return self.config.normalizer.inverse().apply_coords(pts)
+        return self.config.denormalize(pts)
 
     def measure_factor(self) -> float:
         """Constant induced (n-2)-density against the unit-sphere weights."""
@@ -238,16 +256,15 @@ class IntersectionLocus:
         """Induced density recomputed in original coordinates per node.
 
         Maps the tangent plane of the unit sphere at each node onto the
-        sphere by normalizing, then into original coordinates through the
-        inverse normalizer; :func:`fd_jacobian` pushes the orthonormal tangent
-        frame through that map, and the density is the pushed frame's
-        :meth:`~horoflow.manifold.ModelSpace.frame_volume`. Cross-checks
-        :meth:`measure_factor` (they agree by isometry invariance).
+        sphere by normalizing, then into original coordinates through
+        :meth:`PairConfig.denormalize`; :func:`fd_jacobian` pushes the
+        orthonormal tangent frame through that map, and the density is the
+        pushed frame's :meth:`~horoflow.manifold.ModelSpace.frame_volume`.
+        Cross-checks :meth:`measure_factor` (they agree by isometry invariance).
         """
         m = self.config.model
         if m.dim == 2 or self.degenerate:
             return np.full(self.sphere_nodes.shape[0], self.measure_factor())
-        inv = self.config.normalizer.inverse()
         out = []
         for omega in self.sphere_nodes:
             frame = orthonormal_complement(omega)
@@ -255,7 +272,7 @@ class IntersectionLocus:
             def chart(u):
                 y = omega + u @ frame
                 y = self.radius * y / np.sqrt(_rowdot(y, y))[..., None]
-                return inv.apply_coords(np.column_stack([y, np.full(len(y), self.height)]))
+                return self.config.denormalize(np.column_stack([y, np.full(len(y), self.height)]))
 
             jac, base = fd_jacobian(chart, np.zeros(len(frame)), step)
             out.append(m.frame_volume(base, jac.T))

@@ -1,4 +1,4 @@
-"""Hadamard model spaces with exact metric, geodesic, and isometry operations.
+"""Hadamard model spaces with exact metric, geodesic and boundary operations.
 
 Two models ship: Euclidean space E^n and real hyperbolic space H^n in the
 upper half-space chart ``(x_1, ..., x_{n-1}, z)`` with ``z > 0`` and metric
@@ -31,8 +31,7 @@ the (4096, n) Monte Carlo blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -449,119 +448,3 @@ def direction_to_boundary(p: Point, xi: BoundaryPoint) -> TangentVec:
     comp[:-1] = scale * z * u
     comp[-1] = scale * c
     return TangentVec(p, comp)
-
-
-# --------------------------------------------------------------------------
-# Isometries
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Translate:
-    offset: np.ndarray  # first n-1 chart coordinates
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        y = np.array(x, copy=True)
-        y[..., :-1] += self.offset
-        return y
-
-    def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
-        if xi.is_infinity:
-            return xi
-        return boundary_finite(xi.model, xi.data + self.offset)
-
-    def inverse(self):
-        return _Translate(-self.offset)
-
-
-@dataclass(frozen=True)
-class _Invert:
-    """Inversion through the unit sphere about the chart origin."""
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x / _rowdot(x, x)[..., None]
-
-    def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
-        if xi.is_infinity:
-            return boundary_finite(xi.model, np.zeros(xi.model.dim - 1))
-        r2 = float(np.dot(xi.data, xi.data))
-        if r2 == 0.0:
-            return boundary_infinity(xi.model)
-        return boundary_finite(xi.model, xi.data / r2)
-
-    def inverse(self):
-        return self
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """A distance-preserving map of the half-space, stored as a composition of
-    primitive moves: horizontal translations and the inversion through the
-    unit sphere (Moebius maps fixing the upper half space). Half-space only:
-    in E^n the moves raise :class:`GeometryError` and only the identity exists.
-    """
-
-    model: ModelSpace
-    ops: tuple = field(default_factory=tuple)
-
-    def apply_coords(self, x) -> np.ndarray:
-        y = self.model.check_coords(np.asarray(x, dtype=float))
-        for op in self.ops:
-            y = op.apply(y)
-        return y
-
-    def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
-        out = xi
-        for op in self.ops:
-            out = op.apply_boundary(out)
-        return out
-
-    def inverse(self) -> "Isometry":
-        return Isometry(self.model, tuple(op.inverse() for op in reversed(self.ops)))
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        if self.model != other.model:
-            raise ModelMismatchError("cannot compose isometries of different models")
-        return Isometry(self.model, other.ops + self.ops)
-
-    @staticmethod
-    def identity(model: ModelSpace) -> "Isometry":
-        return Isometry(model, ())
-
-    @staticmethod
-    def translation(model: ModelSpace, offset) -> "Isometry":
-        off = np.asarray(offset, dtype=float)
-        if not model.is_hyperbolic:
-            raise GeometryError("horizontal translations are half-space isometries only")
-        if off.shape != (model.dim - 1,):
-            raise GeometryError("half-space translations move the first n-1 coordinates")
-        return Isometry(model, (_Translate(off),))
-
-    @staticmethod
-    def inversion(model: ModelSpace) -> "Isometry":
-        if not model.is_hyperbolic:
-            raise GeometryError("the sphere inversion is a half-space isometry only")
-        return Isometry(model, (_Invert(),))
-
-
-def normalize_pair(xi1: BoundaryPoint, xi2: BoundaryPoint) -> Isometry:
-    """Half-space isometry sending xi1 to the boundary origin and xi2 to infinity."""
-    m = _same_model(xi1, xi2)
-    if not m.is_hyperbolic:
-        raise BoundaryConfigError("pair normalization is defined in the half-space model")
-    if xi1.same_as(xi2):
-        raise BoundaryConfigError("boundary points must be distinct")
-
-    if xi2.is_infinity:
-        if np.allclose(xi1.data, 0.0):
-            return Isometry.identity(m)
-        return Isometry.translation(m, -xi1.data)
-    if xi1.is_infinity:
-        # send xi2 to the origin, then swap 0 and infinity
-        return Isometry.inversion(m).compose(Isometry.translation(m, -xi2.data))
-    d = xi2.data - xi1.data
-    j = Isometry.inversion(m)
-    t1 = Isometry.translation(m, -xi1.data)
-    t2 = Isometry.translation(m, -d / float(np.dot(d, d)))
-    return j.compose(t2).compose(j).compose(t1)

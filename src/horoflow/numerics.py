@@ -322,7 +322,7 @@ def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
-        raise ValueError("degenerate integration box")
+        raise GeometryError(f"degenerate integration box: lo = {lo.tolist()}, hi = {hi.tolist()}")
     if n_samples < 1:
         raise ValueError(f"Monte Carlo needs at least one sample, got {n_samples}")
     vol = float(np.prod(hi - lo))

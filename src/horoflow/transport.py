@@ -360,17 +360,17 @@ class PairFlow:
         coords = np.asarray(coords, dtype=float)
         if not self.model.is_hyperbolic:
             return coords + duration * self.vector(coords)
-        norm = self._config.normalizer
-        y = norm.apply_coords(coords)
+        cfg = self._config
+        y = cfg.normalize(coords)
         if self.kind == DIFFERENCE:
-            return norm.inverse().apply_coords(y * math.exp(0.5 * duration))
+            return cfg.denormalize(y * math.exp(0.5 * duration))
         ybar, z = y[..., :-1], y[..., -1:]
         rho_sq = _rowdot(ybar, ybar)[..., None]
         end_sq = rho_sq - z * z * math.expm1(-duration)
         if np.any(rho_sq == 0.0) or np.any(end_sq <= 0.0):
             raise SingularFlowError("sum flow started on or driven across the singular set D")
         end = np.concatenate([ybar * np.sqrt(end_sq / rho_sq), z * math.exp(-0.5 * duration)], axis=-1)
-        return norm.inverse().apply_coords(end)
+        return cfg.denormalize(end)
 
 
 def flow_density(pf: PairFlow, x: Point, duration: float) -> float:

@@ -139,6 +139,15 @@ class TestVerifyCommand:
         for message in overflows:
             assert f"error: {message}" in err
 
+    def test_collapsed_bump_box_gives_an_error_record(self, tmp_path, capsys):
+        # at t0 = 1e16 the bump's chart box, moved about t0 by F, has hi == lo
+        # in float64, so the Monte Carlo integral has no box to sample
+        out = tmp_path / "rep.json"
+        assert main(["verify", "map-f", "--model", "e3", "--t0", "1e16", "--out", str(out)]) == 2
+        statuses = {c["name"]: c["status"] for c in _strict_json(out.read_text())["checks"]}
+        assert statuses["map-integral-invariance"] == "error"
+        assert "error: map-integral-invariance: degenerate integration box: lo = [" in capsys.readouterr().err
+
     def test_overflowing_locus_grid_gives_error_records(self, tmp_path, capsys):
         # the pytest filter turns a RuntimeWarning into an error, as the CLI
         # smoke runs do, so an inf * 0 in the locus points would end the run
@@ -303,6 +312,17 @@ class TestSweepCommand:
         assert float(row[3]) == pytest.approx(2.0 * math.pi, rel=1e-14)
         digits = row[3].replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 16
+
+    def test_rows_match_per_value_17_digit_formatting(self, tmp_path):
+        # the s = 0 row is the axis point, where V, W and the bound are nan
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "h4", "--s", "0:3:4", "--t", "-2:2:5", "--out", str(out)]) == 0
+        cfg = verify.VerifyContext(model=parse_model("h4")).pair_config()
+        rows = verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5"))
+        lines = [",".join(verify.SWEEP_COLUMNS)]
+        lines.extend(",".join(f"{value:.17g}" for value in row) for row in rows)
+        assert out.read_text() == "\n".join(lines) + "\n"
+        assert lines[1].split(",")[3:6] == ["nan", "nan", "nan"]
 
     def test_euclidean_rejected(self):
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2

@@ -1,4 +1,4 @@
-"""Model-space geometry: metric, distance, geodesics, isometries."""
+"""Model-space geometry: metric, distance, geodesics, the pair normalization."""
 
 import math
 
@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from horoflow.busemann import BusemannField
+from horoflow.locus import make_pair_config
 from horoflow.manifold import (
     EUCLIDEAN,
     HYPERBOLIC,
     BoundaryConfigError,
     ChartDomainError,
     GeometryError,
-    Isometry,
     ModelSpace,
     Point,
     TangentVec,
@@ -23,7 +24,6 @@ from horoflow.manifold import (
     direction_to_boundary,
     distance,
     geodesic,
-    normalize_pair,
     volume_density,
 )
 
@@ -315,64 +315,95 @@ class TestChartValidation:
             h3.volume_density(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e-110]]))
 
 
-class TestIsometries:
-    def test_translation_to_origin_infinity(self, h3):
-        iso = normalize_pair(boundary_finite(h3, [1, 0]), boundary_infinity(h3))
-        assert len(iso.ops) == 1
-        img = iso.apply_boundary(boundary_finite(h3, [1, 0]))
-        assert np.allclose(img.data, [0, 0], atol=0)
+def _pole_cases(model):
+    """One pair configuration per branch of the normalization, keyed by the
+    poles: xi1 = 0 with xi2 = inf, xi1 != 0 with xi2 = inf, xi1 = inf, and
+    both finite."""
+    n = model.dim
+    a = np.linspace(-0.4, 0.3, n - 1)
+    b = a[::-1] + 0.9
+    origin, inf = boundary_finite(model, np.zeros(n - 1)), boundary_infinity(model)
+    base = Point(model, np.r_[np.full(n - 1, 0.2), 1.3])
+    pairs = {"origin-inf": (origin, inf), "finite-inf": (boundary_finite(model, a), inf),
+             "inf-finite": (inf, boundary_finite(model, b)),
+             "finite-finite": (boundary_finite(model, a), boundary_finite(model, b))}
+    return {name: make_pair_config(BusemannField(model, xi1, base), BusemannField(model, xi2, base))
+            for name, (xi1, xi2) in pairs.items()}
 
-    def test_origin_infinity_is_identity(self, h3):
-        iso = normalize_pair(boundary_finite(h3, [0, 0]), boundary_infinity(h3))
-        assert iso.ops == ()
+
+NORMALIZED_MODELS = [ModelSpace(HYPERBOLIC, n) for n in (2, 3, 5, 8)]
+
+
+def _assert_closed_forms(cfg, rng):
+    """b1 and b2 of the original fields take their normalized closed forms."""
+    y = cfg.model.random_points(rng, 50, 1.0)
+    x = cfg.denormalize(y)
+    ybar, z = y[:, :-1], y[:, -1]
+    b1 = np.log((_rowdot(ybar, ybar) + z * z) / z) + cfg.k1
+    assert np.max(np.abs(cfg.f1.value(x) - b1)) <= 1e-12
+    assert np.max(np.abs(cfg.f2.value(x) - (-np.log(z) + cfg.k2))) <= 1e-12
+
+
+class TestIsometries:
+    def test_translation_to_origin_infinity(self, rng):
+        for m in NORMALIZED_MODELS:
+            cfg = _pole_cases(m)["finite-inf"]
+            assert len(cfg.steps) == 1
+            _assert_closed_forms(cfg, rng)
+
+    def test_origin_infinity_is_identity(self, rng):
+        for m in NORMALIZED_MODELS:
+            cfg = _pole_cases(m)["origin-inf"]
+            assert cfg.steps == ()
+            pts = m.random_points(rng, 20, 1.0)
+            assert np.array_equal(cfg.normalize(pts), pts) and np.array_equal(cfg.denormalize(pts), pts)
+            _assert_closed_forms(cfg, rng)
 
     def test_two_finite_points(self, h3, rng):
-        xi1, xi2 = boundary_finite(h3, [1, 0]), boundary_finite(h3, [-1, 0])
-        iso = normalize_pair(xi1, xi2)
-        assert np.allclose(iso.apply_boundary(xi1).data, [0, 0], atol=1e-15)
-        assert iso.apply_boundary(xi2).is_infinity
-        # the bi-asymptotic geodesic (unit half-circle) maps onto the z-axis
+        for m in NORMALIZED_MODELS:
+            cfg = _pole_cases(m)["finite-finite"]
+            assert len(cfg.steps) == 4
+            _assert_closed_forms(cfg, rng)
+        # the bi-asymptotic geodesic of +-e1 (unit half-circle) maps onto the z-axis
+        f1, f2 = (BusemannField(h3, boundary_finite(h3, [x, 0]), Point(h3, [0, 0, 1])) for x in (1, -1))
         thetas = np.linspace(0.1, math.pi - 0.1, 17)
         arc = np.stack([np.cos(thetas), np.zeros_like(thetas), np.sin(thetas)], axis=-1)
-        img = iso.apply_coords(arc)
-        assert np.max(np.abs(img[:, :2])) <= 1e-12
-        # endpoint check via the geodesic: the image of the arc midpoint ray hits 0 and inf
-        pts = h3.random_points(rng, 100, 1.0)
-        qts = h3.random_points(rng, 100, 1.0)
-        assert np.max(np.abs(h3.distance(iso.apply_coords(pts), iso.apply_coords(qts))
-                             - h3.distance(pts, qts))) <= 1e-10
+        assert np.max(np.abs(make_pair_config(f1, f2).normalize(arc)[:, :2])) <= 1e-12
 
-    def test_inverse_roundtrip(self, h3, rng):
-        iso = normalize_pair(boundary_finite(h3, [0.3, -1.2]), boundary_finite(h3, [2.0, 0.5]))
-        pts = h3.random_points(rng, 100, 1.0)
-        back = iso.inverse().apply_coords(iso.apply_coords(pts))
-        assert np.max(np.abs(back - pts)) <= 1e-12
+    def test_infinity_first(self, rng):
+        for m in NORMALIZED_MODELS:
+            cfg = _pole_cases(m)["inf-finite"]
+            assert len(cfg.steps) == 2
+            _assert_closed_forms(cfg, rng)
 
-    def test_infinity_first(self, h3):
-        iso = normalize_pair(boundary_infinity(h3), boundary_finite(h3, [2, 1]))
-        assert np.allclose(iso.apply_boundary(boundary_infinity(h3)).data, [0, 0], atol=0)
-        assert iso.apply_boundary(boundary_finite(h3, [2, 1])).is_infinity
+    def test_inverse_roundtrip(self, rng):
+        for m in NORMALIZED_MODELS:
+            pts = m.random_points(rng, 100, 1.0)
+            for cfg in _pole_cases(m).values():
+                assert np.max(np.abs(cfg.denormalize(cfg.normalize(pts)) - pts)) <= 1e-12
+
+    def test_distances_preserved(self, rng):
+        for m in NORMALIZED_MODELS:
+            pts, qts = m.random_points(rng, 100, 1.0), m.random_points(rng, 100, 1.0)
+            for cfg in _pole_cases(m).values():
+                moved = m.distance(cfg.normalize(pts), cfg.normalize(qts))
+                assert np.max(np.abs(moved - m.distance(pts, qts))) <= 1e-10
 
     def test_coincident_rejected(self, h3):
-        with pytest.raises(BoundaryConfigError):
-            normalize_pair(boundary_finite(h3, [1, 0]), boundary_finite(h3, [1, 0]))
-        with pytest.raises(BoundaryConfigError):
-            normalize_pair(boundary_infinity(h3), boundary_infinity(h3))
+        base = Point(h3, [0, 0, 1])
+        for xi in (boundary_finite(h3, [1, 0]), boundary_infinity(h3)):
+            with pytest.raises(BoundaryConfigError):
+                make_pair_config(BusemannField(h3, xi, base), BusemannField(h3, xi, base))
 
-    def test_volume_density_preserved(self, h3, rng):
+    def test_volume_density_preserved(self, rng):
         from horoflow.transport import riemannian_jacobian_det
 
-        iso = normalize_pair(boundary_finite(h3, [1, 0]), boundary_finite(h3, [-1, 0]))
-        for c in h3.random_points(rng, 5, 0.8):
-            det = riemannian_jacobian_det(h3, iso.apply_coords, c)
-            assert det == pytest.approx(1.0, abs=1e-8)
-
-    def test_euclidean_translation_rejected(self, e3):
-        # normalize_pair builds every isometry, and only in the half-space
-        with pytest.raises(GeometryError):
-            Isometry.translation(e3, [1.0, -2.0, 0.5])
-        with pytest.raises(GeometryError):
-            Isometry.inversion(e3)
+        for m in NORMALIZED_MODELS:
+            pts = m.random_points(rng, 5, 0.8)
+            for cfg in _pole_cases(m).values():
+                for c in pts:
+                    for move in (cfg.normalize, cfg.denormalize):
+                        assert riemannian_jacobian_det(m, move, c) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestBoundaryDirections:

@@ -233,6 +233,8 @@ class TestMonteCarlo:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             mc_integrate_box(lambda p: 1.0, [0, 0], [1, 0], 100, seed=0)
+        with pytest.raises(GeometryError, match=r"box: lo = \[0.0, 0.0\], hi = \[1.0, 0.0\]"):
+            mc_integrate_box(lambda p: 1.0, [0, 0], [1, 0], 100, seed=0)
 
     def test_empty_sample_rejected(self):
         for n_samples in (0, -1):

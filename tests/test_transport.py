@@ -318,8 +318,9 @@ class TestPairFlowTracking:
 
 
 def _generic_pair(model):
-    """Two Busemann fields placed so that, in H^n, the closed-form flow goes
-    through a normalizer made of translations and inversions."""
+    """Two Busemann fields with finite poles, so that in H^n the closed-form
+    flow moves through both inversions and both translations of
+    ``PairConfig.steps``."""
     n = model.dim
     if model.is_hyperbolic:
         a = np.linspace(-0.4, 0.3, n - 1)
