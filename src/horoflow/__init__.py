@@ -29,13 +29,11 @@ from .manifold import (
 )
 from .numerics import (
     ConvergenceError,
-    MCEstimate,
     QuadratureRule,
     TestFunction,
     fd_hessian,
     fd_jacobian,
     gauss_legendre,
-    mc_integrate_box,
     ode_integrate,
     sphere_rule,
     unit_sphere_area,
@@ -75,7 +73,7 @@ from .locus import (
     make_pair_config,
     parametrize_locus,
     strip_volume,
-    strip_volume_mc,
+    strip_volume_sliced,
 )
 
 __version__ = "0.1.0"

@@ -284,9 +284,9 @@ def sublevel_bounded_probe(f1: BusemannField, f2: BusemannField, c1: float, c2: 
 # -- coarea slicing ---------------------------------------------------------------
 
 
-def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
+def coarea_slice_integral(f, field: BusemannField, *, pull=None, t_nodes: int = 80,
                           x_nodes: int = 64) -> float:
-    """Integrate a radial bump by slicing along Busemann levels.
+    """Integrate a radial bump, or its pullback by a map, by slicing along Busemann levels.
 
     Realizes the identity  integral_M f dmu = integral_R ( integral_{b=t} f dmu_t ) dt,
     valid because |grad b| = 1. The field must have flat level sets in the
@@ -300,6 +300,17 @@ def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
     z^{-(n-1)} in H^n. The t-rule has ``t_nodes`` Gauss-Legendre nodes over
     the support, each slice a Gauss-Legendre rule of ``x_nodes`` radial
     nodes on [0, r_max]; f is evaluated once on all t_nodes * x_nodes points.
+
+    ``pull``, a :class:`~horoflow.transport.VolumePreservingMap` that moves
+    points along the normals of ``field`` (the vertical map (xbar, z) ->
+    (xbar, g(z)) of a field at infinity, a translation in E^n), makes the
+    integrand f o pull: the t-rule then covers the levels between the
+    preimages of the support's two poles on the normal through the center,
+    and the slice at level t is f's round slice at the level of its image.
+    ``pull.apply_coords`` runs on every node. Raises :class:`GeometryError`
+    where the levels of the node column or of its image are not strictly
+    increasing in float64, and where a node does not move with its slice's
+    center (the map does not keep xbar).
     """
     m = field.model
     n = m.dim
@@ -308,34 +319,62 @@ def coarea_slice_integral(f, field: BusemannField, *, t_nodes: int = 80,
     c = f.center.coords
     R = f.radius
     center_level = float(field.value(c))
-    t_rule = gauss_legendre(t_nodes, center_level - R, center_level + R)
-    t = t_rule.nodes
 
     if m.is_hyperbolic:
         # level b = t is the plane z = exp(-(t + offset)); the support ball is
         # the Euclidean ball about (cbar, z0 cosh R) of radius z0 sinh R
-        z0 = c[-1]
-        z = np.exp(-(t + field._offset))
-        r_sq = (z0 * math.sinh(R)) ** 2 - (z - z0 * math.cosh(R)) ** 2
-        origins = np.tile(c, (t.size, 1))
-        origins[:, -1] = z
+        def column(levels):
+            out = np.tile(c, (levels.size, 1))
+            out[:, -1] = np.exp(-(levels + field._offset))
+            return out
+
         axis = np.zeros(n)
         axis[0] = 1.0
-        density = z ** (-(n - 1))
     else:
         # the level set is the hyperplane -(x - base).u = t, whose point
         # nearest the center lies at distance |center_level - t|
         u = field.xi.data
-        r_sq = R * R - (center_level - t) ** 2
-        origins = c + (center_level - t)[:, None] * u
+
+        def column(levels):
+            return c + (center_level - levels)[:, None] * u
+
         axis = orthonormal_complement(u)[0]
+
+    lo, hi = center_level - R, center_level + R
+    if pull is not None:
+        # the preimages of the support's two poles on the normal through the center
+        ends = pull.inverse_coords(column(np.array([lo, hi])))
+        lo, hi = field.value(ends)
+    t_rule = gauss_legendre(t_nodes, lo, hi)
+    t = t_rule.nodes
+    origins = image = column(t)
+    levels = t
+    if pull is not None:
+        image = pull.apply_coords(origins)
+        levels = field.value(image)
+        if not (np.all(np.diff(t) > 0.0) and np.all(np.diff(levels) > 0.0)):
+            raise GeometryError(f"degenerate integration box: lo = {ends[0].tolist()}, "
+                                f"hi = {ends[1].tolist()}: the levels of the pulled node column "
+                                f"are not strictly increasing in float64 at t0 = {pull.t0}")
+    if m.is_hyperbolic:
+        z0 = c[-1]
+        r_sq = (z0 * math.sinh(R)) ** 2 - (image[:, -1] - z0 * math.cosh(R)) ** 2
+        density = origins[:, -1] ** (-(n - 1))
+    else:
+        r_sq = R * R - (center_level - levels) ** 2
         density = 1.0
     r_max = np.sqrt(np.clip(r_sq, 0.0, None))
 
     radial = gauss_legendre(x_nodes, 0.0, 1.0)
     radii = r_max[:, None] * radial.nodes  # (t_nodes, x_nodes)
-    pts = origins[:, None, :] + radii[..., None] * axis
-    values = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(radii.shape)
+    offsets = radii[..., None] * axis
+    pts = (origins[:, None, :] + offsets).reshape(-1, n)
+    if pull is not None:
+        pts = pull.apply_coords(pts)
+        gap = float(np.max(np.abs(pts.reshape(offsets.shape) - image[:, None, :] - offsets)))
+        if gap > 1e-12 * float(np.max(r_max)):
+            raise GeometryError(f"the pulling map moves slice nodes off their slice, by up to {gap:.3g}")
+    values = np.asarray(f(pts), dtype=float).reshape(radii.shape)
     # |S^0| = 2 and r^0 = 1 cover both halves of a one-dimensional slice
     slices = unit_sphere_area(n - 2) * r_max * ((values * radii ** (n - 2)) @ radial.weights)
     return t_rule.integrate(slices * density)

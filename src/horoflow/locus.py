@@ -37,8 +37,8 @@ import numpy as np
 
 from .busemann import BusemannField, beta, mean_curvature_h
 from .manifold import BoundaryConfigError, GeometryError, ModelMismatchError, Point, _rowdot
-from .numerics import (MCEstimate, QuadratureRule, fd_jacobian, gauss_legendre,
-                       mc_integrate_box, orthonormal_complement, sphere_rule, unit_sphere_area)
+from .numerics import (QuadratureRule, fd_jacobian, gauss_legendre, orthonormal_complement,
+                       sphere_rule, unit_sphere_area)
 
 __all__ = [
     "VisibilityError",
@@ -52,7 +52,7 @@ __all__ = [
     "locus_quadrature",
     "dw_ds_check",
     "strip_volume",
-    "strip_volume_mc",
+    "strip_volume_sliced",
 ]
 
 
@@ -417,7 +417,7 @@ def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *, section=Non
 
     The domain is r > 0 and c1 + c2 > c0, so the whole region lies above
     the axis level and every section S(s, t) has s > 0. A region that
-    reaches the axis level raises EmptyLocusError, as strip_volume_mc
+    reaches the axis level raises EmptyLocusError, as strip_volume_sliced
     does: V and W are undefined on the degenerate s = 0 locus, and in H^2
     I(s) grows like s^(-1/2) there, which the Gauss-Legendre rule would
     integrate to a wrong value without any error signal.
@@ -435,28 +435,24 @@ def strip_volume(cfg: PairConfig, c1: float, c2: float, r: float, *, section=Non
                for rule, part in zip(pieces, np.split(values, len(pieces))))
 
 
-def strip_volume_mc(cfg: PairConfig, c1: float, c2: float, r: float, *,
-                    n_samples: int = 200_000, seed: int = 0) -> MCEstimate:
-    """Direct Monte Carlo volume of the same strip region (in normalized chart).
+def strip_volume_sliced(cfg: PairConfig, c1: float, c2: float, r: float) -> float:
+    """Oracle of :func:`strip_volume`: the same region sliced along the heights z
+    of the normalized chart, from the closed forms of b1 and b2 alone.
 
-    Accepts the same inputs as strip_volume and raises the same errors."""
+    b2 = k2 - ln z puts z in [e^(k2-c2-r), e^(k2-c2)], and
+    b1 = ln((rho^2 + z^2)/z) + k1 in [c1, c1+r] makes the slice at height z the
+    (n-1)-annulus of squared radii z e^(c1-k1) - z^2 and z e^(c1+r-k1) - z^2. With
+    dmu = z^-n dxbar dz = z^(1-n) dxbar d(ln z), the volume is the integral over
+    ln z of |B^(n-1)| ((rho_out/z)^(n-1) - (rho_in/z)^(n-1)), one Gauss-Legendre
+    rule. Both squared radii stay positive on the whole range (c1 + c2 > c0 gives
+    z e^(c1-k1) > z^2 there), so the integrand is smooth and needs no split.
+    Accepts the same inputs as strip_volume and raises the same errors.
+    """
     _strip_geometry(cfg, c1, c2, r)
-    m = cfg.model
-    z_lo = math.exp(cfg.k2 - (c2 + r))
-    z_hi = math.exp(cfg.k2 - c2)
-    diam_hi = math.exp(c1 + r - cfg.k1)
-    rho_max = math.sqrt(z_hi * diam_hi)
-    lo = np.full(m.dim, -rho_max)
-    hi = np.full(m.dim, rho_max)
-    lo[-1], hi[-1] = z_lo, z_hi
-
-    # normalized-coordinate closed forms of the two Busemann values
-    def integrand(pts):
-        ybar, z = pts[:, :-1], pts[:, -1]
-        q = _rowdot(ybar, ybar) + z * z
-        b1 = np.log(q / z) + cfg.k1
-        b2 = -np.log(z) + cfg.k2
-        inside = (b1 >= c1) & (b1 <= c1 + r) & (b2 >= c2) & (b2 <= c2 + r)
-        return inside * z ** (-float(m.dim))
-
-    return mc_integrate_box(integrand, lo, hi, n_samples, seed)
+    n = cfg.model.dim
+    rule = gauss_legendre(STRIP_NODES, cfg.k2 - c2 - r, cfg.k2 - c2)
+    z = np.exp(rule.nodes)
+    inner = np.exp(c1 - cfg.k1) / z - 1.0       # (rho_in / z)^2
+    outer = np.exp(c1 + r - cfg.k1) / z - 1.0   # (rho_out / z)^2
+    ball = unit_sphere_area(n - 2) / (n - 1)
+    return ball * rule.integrate(outer ** (0.5 * (n - 1)) - inner ** (0.5 * (n - 1)))

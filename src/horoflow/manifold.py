@@ -26,7 +26,7 @@ Every dot product and squared length over the coordinate axis goes through
 one row reduction, :func:`_rowdot`. Chart rows hold only 2 to 8 entries, and
 on such rows ``np.linalg.norm(v, axis=-1)`` and ``(u * v).sum(axis=-1)`` take
 1.5 to 3 times as long, both on the (20, n) batches of the ODE oracle and on
-the (4096, n) Monte Carlo blocks.
+the (3072, n) node grids of the level-slice integrals.
 """
 
 from __future__ import annotations

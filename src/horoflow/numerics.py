@@ -1,30 +1,27 @@
-"""Shared numerical engines: finite differences, quadrature, Monte Carlo, ODE.
+"""Shared numerical engines: finite differences, quadrature, ODE.
 
 These are the independent oracles of the package: the finite-difference
-operators check closed-form derivatives, Monte Carlo checks quadrature, and
-the ODE integrators realize flows whose conserved quantities are asserted
+operators check closed-form derivatives, Gauss-Legendre rules integrate over
+Busemann-level slices and geodesic polar coordinates, and the ODE
+integrators realize flows whose conserved quantities are asserted
 elsewhere. They deliberately avoid the closed forms they are used to verify.
 
 Every finite-difference operator (``fd_jacobian``, ``fd_hessian``,
 ``fd_directional``) evaluates its whole Richardson stencil, center included,
 in one call of ``fn``, so ``fn`` must be vectorized over a leading axis: it
 maps an (N, n) array of points to (N,) values or (N, m) vectors.
-
-Monte Carlo reproducibility: samples come from a counter-based generator
-(Philox) keyed by (seed, block index) with a fixed block size, so sample i is
-a pure function of (seed, i). Partial sums are combined with a fixed-order
-pairwise tree, which makes results bit-identical across runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import GeometryError, ModelSpace, Point
+from .manifold import ModelSpace, Point
 
 __all__ = [
     "ConvergenceError",
@@ -37,8 +34,6 @@ __all__ = [
     "gauss_legendre",
     "sphere_rule",
     "unit_sphere_area",
-    "MCEstimate",
-    "mc_integrate_box",
     "TestFunction",
 ]
 
@@ -222,9 +217,19 @@ class QuadratureRule:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1], computed
+    once per n: numpy's eigenvalue solve and Newton steps for them cost more
+    than a level-slice integral on a few thousand nodes."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule transplanted to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * w)
 
@@ -238,6 +243,11 @@ def unit_sphere_area(m: int) -> float:
 
 # Philox key of the rotation that turns sphere_rule's second cross-polytope
 SPHERE_RULE_KEY = 2022
+
+
+def _philox(seed: int, block: int) -> np.random.Generator:
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sphere_rule(m: int) -> QuadratureRule:
@@ -258,99 +268,6 @@ def sphere_rule(m: int) -> QuadratureRule:
     nodes = np.concatenate([cross, cross @ rotation.T])
     weights = np.full(nodes.shape[0], unit_sphere_area(m) / nodes.shape[0])
     return QuadratureRule(nodes, weights)
-
-
-# --------------------------------------------------------------------------
-# Monte Carlo
-# --------------------------------------------------------------------------
-
-MC_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    standard_error: float
-    samples: int
-    seed: int
-
-    def pull(self, other: "MCEstimate | float") -> float:
-        """Gap to other in units of the combined standard error: 0 when the
-        gap is 0, infinite when the error is 0 and the gap is not."""
-        if isinstance(other, MCEstimate):
-            gap = abs(self.mean - other.mean)
-            combined = math.hypot(self.standard_error, other.standard_error)
-        else:
-            gap = abs(self.mean - float(other))
-            combined = self.standard_error
-        if gap == 0.0:
-            return 0.0
-        return gap / combined if combined > 0.0 else math.inf
-
-
-def _philox(seed: int, block: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _pairwise_sum(parts: list[float]) -> float:
-    vals = list(parts)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def mc_integrate_box(fn, lo, hi, n_samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo integral of a vectorized integrand over a chart box.
-
-    ``fn`` maps an (N, n) array of chart points to (N,) integrand values; the
-    integrand must already include any volume density. ``n_samples >= 1``.
-
-    The samples are the Philox stream keyed by (seed, block): block b holds
-    samples b * MC_BLOCK onward, drawn as ``_philox(seed, b).random((count, n))``
-    and mapped to ``lo + u * (hi - lo)``. ``fn`` receives each block in
-    column-major (Fortran) order, so an elementwise kernel runs one long loop
-    per coordinate rather than one short loop per sample. A dot product over
-    4 to 8 strided coordinates (``np.vecdot``, BLAS) sums in another order
-    than over a contiguous row, so such values can differ in the last bit.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(hi <= lo):
-        raise GeometryError(f"degenerate integration box: lo = {lo.tolist()}, hi = {hi.tolist()}")
-    if n_samples < 1:
-        raise ValueError(f"Monte Carlo needs at least one sample, got {n_samples}")
-    vol = float(np.prod(hi - lo))
-    nblocks = (n_samples + MC_BLOCK - 1) // MC_BLOCK
-    span = (hi - lo)[:, None]
-    shift = lo[:, None]
-
-    def one_block(b: int):
-        count = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        pts = np.asfortranarray(_philox(seed, b).random((count, lo.size)))
-        cols = pts.T  # C-contiguous view: one row per coordinate
-        cols *= span
-        cols += shift
-        vals = np.asarray(fn(pts), dtype=float)
-        with np.errstate(over="ignore"):
-            total_sq = float(np.sum(vals * vals))
-        if not math.isfinite(total_sq):
-            raise GeometryError(f"the sum of squared integrand values in Monte Carlo block {b} "
-                                f"is not a finite float64")
-        return float(np.sum(vals)), total_sq
-
-    results = [one_block(b) for b in range(nblocks)]
-    total = _pairwise_sum([r[0] for r in results])
-    total_sq = _pairwise_sum([r[1] for r in results])
-    mean_f = total / n_samples
-    var_f = max(total_sq / n_samples - mean_f * mean_f, 0.0)
-    se = vol * math.sqrt(var_f / n_samples)
-    return MCEstimate(mean=vol * mean_f, standard_error=se, samples=n_samples, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -413,11 +330,3 @@ class TestFunction:
         r = rule.nodes
         area = np.sinh(r) if self.model.is_hyperbolic else r
         return unit_sphere_area(n - 1) * rule.integrate((1.0 - (r / self.radius) ** 2) ** 3 * area ** (n - 1))
-
-    def exact_euclidean_integral(self) -> float:
-        """Closed-form integral over E^n of the polynomial bump."""
-        if self.model.is_hyperbolic:
-            raise ValueError("closed form applies to the Euclidean model")
-        n = self.model.dim
-        return self.radius ** n * math.pi ** (n / 2.0) * 6.0 / math.gamma(n / 2.0 + 4.0)
-

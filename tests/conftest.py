@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def e3():
 @pytest.fixture
 def base3(h3):
     return Point(h3, [0.0, 0.0, 1.0])
+
+
+def exact_euclidean_integral(bump) -> float:
+    """Closed-form integral over E^n of the polynomial bump (1 - (r/R)^2)^3."""
+    n = bump.model.dim
+    return bump.radius ** n * math.pi ** (n / 2.0) * 6.0 / math.gamma(n / 2.0 + 4.0)
 
 
 @pytest.fixture

@@ -26,7 +26,10 @@ from horoflow.manifold import (
     boundary_finite,
     boundary_infinity,
 )
-from horoflow.numerics import TestFunction, fd_hessian, fd_jacobian, mc_integrate_box
+from horoflow.numerics import TestFunction, fd_hessian, fd_jacobian
+from horoflow.transport import NormalFlow, VolumePreservingMap
+
+from conftest import exact_euclidean_integral
 
 
 @pytest.fixture
@@ -296,22 +299,20 @@ class TestCoareaSlicing:
         f_dir = BusemannField(e3, boundary_direction(e3, [1.0, 0.0, 0.0]), Point(e3, [0, 0, 0]))
         bump = TestFunction(Point(e3, [0.3, 0.2, -0.1]), 0.7)
         val = coarea_slice_integral(bump, f_dir, t_nodes=60, x_nodes=48)
-        assert val == pytest.approx(bump.exact_euclidean_integral(), abs=1e-6)
+        assert val == pytest.approx(exact_euclidean_integral(bump), abs=1e-6)
 
     def test_hyperbolic_against_mc(self, h3, base3, f_inf):
+        # against the bump's integral in geodesic polar coordinates
         bump = TestFunction(base3, 0.5)
         sliced = coarea_slice_integral(bump, f_inf, t_nodes=64, x_nodes=48)
-        lo, hi = bump.support_chart_box()
-        est = mc_integrate_box(lambda p: bump(p) * h3.volume_density(p), lo, hi,
-                               300_000, seed=5)
-        assert est.pull(sliced) <= 3.0
+        assert sliced == pytest.approx(bump.integral(), rel=1e-10, abs=0)
 
     def test_oblique_slicing_direction(self, e3):
         u = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         f_dir = BusemannField(e3, boundary_direction(e3, u), Point(e3, [0, 0, 0]))
         bump = TestFunction(Point(e3, [0.1, -0.2, 0.3]), 0.6)
         val = coarea_slice_integral(bump, f_dir, t_nodes=60, x_nodes=48)
-        assert val == pytest.approx(bump.exact_euclidean_integral(), abs=1e-6)
+        assert val == pytest.approx(exact_euclidean_integral(bump), abs=1e-6)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_euclidean_closed_form_all_dimensions(self, n):
@@ -320,7 +321,7 @@ class TestCoareaSlicing:
         f_dir = BusemannField(e, boundary_direction(e, u / np.linalg.norm(u)), Point(e, np.zeros(n)))
         bump = TestFunction(Point(e, np.linspace(-0.3, 0.4, n)), 0.7)
         val = coarea_slice_integral(bump, f_dir, t_nodes=64, x_nodes=48)
-        assert val == pytest.approx(bump.exact_euclidean_integral(), rel=1e-12)
+        assert val == pytest.approx(exact_euclidean_integral(bump), rel=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_hyperbolic_polar_integral_all_dimensions(self, n):
@@ -350,3 +351,42 @@ class TestCoareaSlicing:
 
         coarea_slice_integral(CountingBump(), field, t_nodes=20, x_nodes=12)
         assert shapes == [(20 * 12, n)]
+
+    @staticmethod
+    def _map_and_bump(kind, n, t0=1.0):
+        """The map F from (0, ..., 0, 1) a distance t0 down (along e_0 in E^n), and a
+        bump of radius 0.3 on its normal above the image threshold."""
+        m = ModelSpace(kind, n)
+        p = np.r_[np.zeros(n - 1), 1.0]
+        q = p * np.r_[np.ones(n - 1), math.exp(-t0)] if m.is_hyperbolic else p + t0 * np.eye(n)[0]
+        F = VolumePreservingMap(m, Point(m, p), Point(m, q))
+        level = F.image_threshold + 1.0 if m.is_hyperbolic else 0.5
+        return F, TestFunction(Point(m, NormalFlow(F.field)(level, p)), 0.3)
+
+    @pytest.mark.parametrize("kind, n", [(HYPERBOLIC, 2), (HYPERBOLIC, 5), (EUCLIDEAN, 3), (EUCLIDEAN, 8)])
+    def test_pulled_bump_keeps_its_integral(self, kind, n):
+        # F preserves volume, so the bump pulled back by F keeps its polar integral
+        F, bump = self._map_and_bump(kind, n)
+        val = coarea_slice_integral(bump, F.field, pull=F, t_nodes=64, x_nodes=48)
+        assert val == pytest.approx(bump.integral(), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("kind", [HYPERBOLIC, EUCLIDEAN])
+    def test_map_that_moves_xbar_raises(self, kind):
+        F, bump = self._map_and_bump(kind, 3)
+
+        class Sheared:
+            t0, inverse_coords = F.t0, F.inverse_coords
+
+            def apply_coords(self, coords):
+                out = F.apply_coords(coords)
+                out[..., :2] *= 1.0 + 1e-9
+                return out
+
+        with pytest.raises(GeometryError, match="moves slice nodes off their slice"):
+            coarea_slice_integral(bump, F.field, pull=Sheared(), t_nodes=16, x_nodes=8)
+
+    def test_collapsed_node_column_names_t0(self):
+        # F translates by t0 = 1e16, where the preimage column has no room in float64
+        F, bump = self._map_and_bump(EUCLIDEAN, 3, t0=1e16)
+        with pytest.raises(GeometryError, match=r"not strictly increasing in float64 at t0 = 1e\+16"):
+            coarea_slice_integral(bump, F.field, pull=F, t_nodes=64, x_nodes=48)

@@ -1,0 +1,58 @@
+"""Mutant table: the power of the verify checks against perturbed closed forms.
+
+Mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11, 1978) applied to the closed forms. Each row
+monkeypatches one formula, runs only the checks it names on the models it
+names, and asserts that every one of them reports ``fail``. Unpatched, the
+same checks pass, so a row fails when its check loses the power to see the
+mutant, not when the check breaks for another reason.
+"""
+
+import numpy as np
+import pytest
+
+from horoflow import locus as lc
+from horoflow import transport as tr
+from horoflow import verify
+from horoflow.cli import parse_model
+
+
+def alpha_h_plus_one(monkeypatch):
+    """AlphaMap solves alpha' e^{(h+1)(alpha - t)} = 1: F still sends p to q
+    but no longer preserves volume."""
+    exact = tr.AlphaMap
+    monkeypatch.setattr(tr, "AlphaMap", lambda h, t0: exact(h + 1.0, t0))
+
+
+def bound_is_max_v_w(monkeypatch):
+    """The closed-form volume bound (V + W)/2 becomes max(V, W)."""
+    exact = lc.locus_values
+
+    def mutant(cfg, s, t):
+        q = exact(cfg, s, t)
+        return q._replace(bound=np.maximum(q.V, q.W))
+
+    monkeypatch.setattr(lc, "locus_values", mutant)
+
+
+HYPERBOLIC_MODELS = [f"h{n}" for n in range(2, 9)]
+
+# mutant -> (models, checks that must fail on each)
+MUTANTS = {
+    alpha_h_plus_one: (HYPERBOLIC_MODELS, [verify.check_map_integral_invariance]),
+    bound_is_max_v_w: (["h3", "h5"], [verify.check_strip_volume]),
+}
+
+
+@pytest.mark.parametrize("mutant, model", [(mutant, model) for mutant, (models, _) in MUTANTS.items()
+                                           for model in models],
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_mutant_is_caught(mutant, model, monkeypatch):
+    checks = MUTANTS[mutant][1]
+    ctx = verify.VerifyContext(model=parse_model(model))
+    for check in checks:
+        assert check(ctx).status == "pass"
+    mutant(monkeypatch)
+    for check in checks:
+        rep = check(ctx)
+        assert rep.status == "fail", rep.quantities

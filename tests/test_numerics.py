@@ -1,4 +1,4 @@
-"""Numerical engines: finite differences, quadrature, Monte Carlo, ODE."""
+"""Numerical engines: finite differences, quadrature, ODE."""
 
 import itertools
 import math
@@ -6,24 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError, ModelSpace, Point
+from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, ModelSpace, Point
 from horoflow.numerics import (
-    MC_BLOCK,
-    MCEstimate,
     TestFunction,
     _RK_A,
     _RK_B,
-    _philox,
     fd_directional,
     fd_hessian,
     fd_jacobian,
     gauss_legendre,
-    mc_integrate_box,
     ode_integrate,
     sphere_rule,
     unit_sphere_area,
 )
-from horoflow.transport import VolumePreservingMap
+
+from conftest import exact_euclidean_integral
 
 
 class TestFiniteDifferences:
@@ -204,115 +201,6 @@ class TestODE:
                 ode_integrate(lambda x: -x, np.array([1.0]), 1.0, step=step)
 
 
-class TestMonteCarlo:
-    def test_euclidean_bump_value(self, e3):
-        bump = TestFunction(Point(e3, [0.2, -0.1, 0.4]), 0.8)
-        lo, hi = bump.support_chart_box()
-        est = mc_integrate_box(lambda p: bump(p), lo, hi, 200_000, seed=123)
-        assert est.pull(bump.exact_euclidean_integral()) <= 3.0
-
-    def test_error_scaling_sqrt2(self, e3):
-        bump = TestFunction(Point(e3, [0.0, 0.0, 0.0]), 0.6)
-        lo, hi = bump.support_chart_box()
-        e1 = mc_integrate_box(lambda p: bump(p), lo, hi, 100_000, seed=5)
-        e2 = mc_integrate_box(lambda p: bump(p), lo, hi, 200_000, seed=5)
-        ratio = e1.standard_error / e2.standard_error
-        assert abs(ratio - math.sqrt(2.0)) <= 0.2 * math.sqrt(2.0)
-
-    def test_different_seeds_differ(self, e3):
-        bump = TestFunction(Point(e3, [0.0, 0.0, 0.0]), 0.6)
-        lo, hi = bump.support_chart_box()
-        a = mc_integrate_box(lambda p: bump(p), lo, hi, 50_000, seed=1)
-        b = mc_integrate_box(lambda p: bump(p), lo, hi, 50_000, seed=2)
-        assert a.mean != b.mean
-
-    def test_zero_function(self, e3):
-        est = mc_integrate_box(lambda p: np.zeros(p.shape[0]), [0, 0, 0], [1, 1, 1], 10_000, seed=0)
-        assert est.mean == 0.0 and est.standard_error == 0.0
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            mc_integrate_box(lambda p: 1.0, [0, 0], [1, 0], 100, seed=0)
-        with pytest.raises(GeometryError, match=r"box: lo = \[0.0, 0.0\], hi = \[1.0, 0.0\]"):
-            mc_integrate_box(lambda p: 1.0, [0, 0], [1, 0], 100, seed=0)
-
-    def test_empty_sample_rejected(self):
-        for n_samples in (0, -1):
-            with pytest.raises(ValueError):
-                mc_integrate_box(lambda p: p[:, 0], [0, 0], [1, 1], n_samples, seed=0)
-
-    def test_overflowing_square_sum_raises(self):
-        with pytest.raises(GeometryError, match="sum of squared integrand values in Monte Carlo block 0"):
-            mc_integrate_box(lambda p: np.full(p.shape[0], 1e200), [0, 0], [1, 1], 100, seed=0)
-
-    def test_sample_stream_is_pinned(self):
-        # two full blocks and a partial one, against the (seed, block)
-        # Philox stream drawn and summed by hand
-        lo, hi = np.array([-0.5, 0.2, 1.0]), np.array([0.7, 0.9, 3.5])
-        w = np.array([1.5, -2.0, 0.25])
-        n, seed = 10_000, 8
-        sums, squares, mapped = [], [], []
-        for b, count in enumerate((MC_BLOCK, MC_BLOCK, n - 2 * MC_BLOCK)):
-            u = _philox(seed, b).random((count, 3))
-            mapped.append(lo + u * (hi - lo))
-            vals = mapped[-1] @ w
-            sums.append(float(np.sum(vals)))
-            squares.append(float(np.sum(vals * vals)))
-        vol = float(np.prod(hi - lo))
-        mean_f = (sums[0] + sums[1] + sums[2]) / n
-        var_f = (squares[0] + squares[1] + squares[2]) / n - mean_f * mean_f
-        received = []
-
-        def integrand(p):
-            received.append(p.copy(order="K"))
-            return p @ w
-
-        est = mc_integrate_box(integrand, lo, hi, n, seed)
-        assert est.mean == vol * mean_f
-        assert est.standard_error == vol * math.sqrt(var_f / n)
-        assert est.samples == n and est.seed == seed
-        # each block arrives column-major, bit for bit the row-major draw mapped into the box
-        assert len(received) == len(mapped)
-        for got, want in zip(received, mapped):
-            assert got.flags.f_contiguous and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("kind, dim", [(HYPERBOLIC, 3), (EUCLIDEAN, 5)])
-    def test_integrands_ignore_block_layout(self, kind, dim):
-        # the pieces of the Monte Carlo integrands of verify, on one block
-        # and on its column-major copy
-        model = ModelSpace(kind, dim)
-        p = np.r_[np.zeros(dim - 1), 1.0]
-        q = p * np.r_[np.ones(dim - 1), math.exp(-1.0)] if model.is_hyperbolic else p + np.eye(dim)[0]
-        F = VolumePreservingMap(model, Point(model, p), Point(model, q))
-        bump = TestFunction(Point(model, p), 0.5)
-        lo, hi = bump.support_chart_box()
-        rows = lo + _philox(3, 0).random((MC_BLOCK, dim)) * (hi - lo)
-        cols = np.asfortranarray(rows)
-        assert np.array_equal(model.volume_density(cols), model.volume_density(rows))
-        moved = F.apply_coords(cols)
-        assert moved.flags.f_contiguous and np.array_equal(moved, F.apply_coords(rows))
-        if dim < 4:
-            assert np.array_equal(bump(cols), bump(rows))
-        else:
-            # np.vecdot sums a strided row of four or more entries in another
-            # order (BLAS), so the squared distance may move by a few ulp
-            assert np.max(np.abs(bump(cols) - bump(rows))) <= 8.0 * np.finfo(float).eps
-
-
-class TestMCPull:
-    def test_gap_over_combined_error(self):
-        a = MCEstimate(mean=1.0, standard_error=0.3, samples=10, seed=0)
-        b = MCEstimate(mean=2.0, standard_error=0.4, samples=10, seed=1)
-        assert a.pull(b) == pytest.approx(2.0, abs=1e-15)
-        assert a.pull(2.5) == pytest.approx(5.0, abs=1e-15)
-
-    def test_zero_error(self):
-        exact = MCEstimate(mean=1.0, standard_error=0.0, samples=1, seed=0)
-        assert exact.pull(1.0) == 0.0
-        assert exact.pull(exact) == 0.0
-        assert exact.pull(1.5) == math.inf
-
-
 class TestBump:
     def test_one_point_is_a_scalar(self, h3, rng):
         bump = TestFunction(Point(h3, [0.1, -0.2, 1.3]), 0.9)
@@ -347,7 +235,7 @@ class TestBump:
         center = Point(e, np.linspace(-0.4, 0.3, dim))
         for radius in (0.3, 0.5, 0.7, 2.0):
             bump = TestFunction(center, radius)
-            assert bump.integral() == pytest.approx(bump.exact_euclidean_integral(), rel=1e-13, abs=0)
+            assert bump.integral() == pytest.approx(exact_euclidean_integral(bump), rel=1e-13, abs=0)
 
     def test_matches_polynomial(self, h3, rng):
         bump = TestFunction(Point(h3, [0.1, -0.2, 1.3]), 0.9)
@@ -362,8 +250,7 @@ class TestBump:
 
 
 class TestIntegrateRegion:
-    """The chart box that bounds a bump's support: the integration region of
-    every Monte Carlo oracle that integrates a bump."""
+    """The chart box that bounds a bump's support."""
 
     def test_support_box_contains_ball(self, h3, rng):
         bump = TestFunction(Point(h3, [0.4, -0.2, 1.5]), 0.8)
