@@ -315,6 +315,19 @@ class TestStripVolume:
         quad = strip_volume(cfg_normalized, c1, c2, r)
         assert strip_volume_sliced(cfg_normalized, c1, c2, r) == pytest.approx(quad, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sliced_oracle_matches_in_every_dimension(self, n):
+        # a pair with two finite poles, so k1, k2 and c0 are not zero
+        m = ModelSpace(HYPERBOLIC, n)
+        base = Point(m, np.r_[np.zeros(n - 1), 1.0])
+        f1 = BusemannField(m, boundary_finite(m, np.r_[0.5, np.zeros(n - 2)]), base)
+        f2 = BusemannField(m, boundary_finite(m, np.r_[-0.7, np.zeros(n - 2)]), base)
+        cfg = make_pair_config(f1, f2)
+        for c1, c2, r in ((0.4, 0.3, 0.5), (1.5, -0.2, 0.2), (2.0, 2.0, 3.0)):
+            c1, c2 = c1 + cfg.k1, c2 + cfg.k2
+            quad = strip_volume(cfg, c1, c2, r)
+            assert strip_volume_sliced(cfg, c1, c2, r) == pytest.approx(quad, rel=1e-10, abs=0)
+
     def test_level_difference_invariance(self, cfg_normalized):
         c1 = c2 = 0.5 * math.log(2.0)
         r = 0.5
