@@ -50,6 +50,7 @@ from .busemann import (
 )
 from .transport import (
     AlphaMap,
+    FlowRun,
     NormalFlow,
     PairFlow,
     SingularFlowError,
@@ -58,6 +59,7 @@ from .transport import (
     divergence_fd,
     flow_density,
     flow_density_fd,
+    flow_stencil,
     horosphere_jacobian,
     transport_gaps,
 )

@@ -10,6 +10,8 @@ Every finite-difference operator (``fd_jacobian``, ``fd_hessian``,
 ``fd_directional``) evaluates its whole Richardson stencil, center included,
 in one call of ``fn``, so ``fn`` must be vectorized over a leading axis: it
 maps an (N, n) array of points to (N,) values or (N, m) vectors.
+``fd_jacobian`` and ``fd_directional`` also take a batch of P base points,
+with a step per point, and evaluate all P stencils in that one call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import ModelSpace, Point
+from .manifold import ModelSpace, Point, _rowdot
 
 __all__ = [
     "ConvergenceError",
@@ -57,39 +59,51 @@ FD_STEP_HESS = 1e-4
 _STENCIL_SCALES = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def _on_stencil(fn, x, directions, step: float) -> np.ndarray:
-    """fn at the center x, then at x + c*step*d for c in _STENCIL_SCALES and
-    each row d of directions, in one call on the (1 + 4k, n) batch."""
-    offsets = (_STENCIL_SCALES[:, None, None] * step) * directions[None, :, :]
-    points = np.concatenate([x[None, :], (x + offsets).reshape(-1, x.size)])
-    return np.asarray(fn(points), dtype=float)
+def _stencil_points(x, directions, step) -> np.ndarray:
+    """The Richardson stencils of the (P, n) base points x, shape (P, 1 + 4k, n):
+    each point, then x + c*step*d for c in _STENCIL_SCALES and each direction
+    d. ``step`` is one for all points or one per point; ``directions`` is
+    (k, n), shared by all points, or (P, k, n)."""
+    scaled = _STENCIL_SCALES[:, None, None] * np.reshape(step, (-1, 1, 1, 1))
+    offsets = scaled * np.expand_dims(directions, -3)
+    moved = (x[:, None, None, :] + offsets).reshape(x.shape[0], -1, x.shape[-1])
+    return np.concatenate([x[:, None, :], moved], axis=1)
 
 
-def _richardson_first(values, step: float) -> np.ndarray:
-    """First derivatives along each stencil direction (leading axis)."""
-    plus, minus, half_plus, half_minus = values[1:].reshape(4, -1, *values.shape[1:])
-    return (4.0 * (half_plus - half_minus) / step - (plus - minus) / (2.0 * step)) / 3.0
+def _on_stencil(fn, x, directions, step) -> np.ndarray:
+    """fn on the stencils of all base points in one call: (P, 1 + 4k, ...) values."""
+    points = _stencil_points(x, directions, step)
+    values = np.asarray(fn(points.reshape(-1, x.shape[-1])), dtype=float)
+    return values.reshape(*points.shape[:2], *values.shape[1:])
 
 
-def _richardson_second(values, step: float) -> np.ndarray:
-    """Second derivatives along each stencil direction (leading axis)."""
-    plus, minus, half_plus, half_minus = values[1:].reshape(4, -1, *values.shape[1:])
-    center = values[0]
+def _richardson(values, step, second: bool = False) -> np.ndarray:
+    """First (or second) derivatives along each stencil direction from the
+    (P, 1 + 4k, ...) values on :func:`_stencil_points`: shape (P, k, ...)."""
+    blocks = values[:, 1:].reshape(values.shape[0], 4, -1, *values.shape[2:])
+    plus, minus, half_plus, half_minus = np.moveaxis(blocks, 1, 0)
+    step = np.reshape(step, (-1,) + (1,) * (plus.ndim - 1))
+    if not second:
+        return (4.0 * (half_plus - half_minus) / step - (plus - minus) / (2.0 * step)) / 3.0
+    center = values[:, :1]
     coarse = (plus - 2.0 * center + minus) / (step * step)
     fine = (half_plus - 2.0 * center + half_minus) / (0.25 * step * step)
     return (4.0 * fine - coarse) / 3.0
 
 
-def fd_jacobian(fn, x, step: float = FD_STEP_GRAD):
+def fd_jacobian(fn, x, step=FD_STEP_GRAD):
     """Central-difference Jacobian of a vectorized map R^n -> R^m.
 
     ``fn`` maps an (N, n) array to (N, m). Returns ``(J, fn(x))`` with J of
     shape (m, n); for a scalar ``fn``, mapping (N, n) to (N,), J is the
-    gradient, of shape (n,).
+    gradient, of shape (n,). For base points x of shape (P, n), with one step
+    or a step per point, all P stencils are evaluated in one call of ``fn``
+    and both results gain a leading axis of length P.
     """
-    x = np.asarray(x, dtype=float)
-    values = _on_stencil(fn, x, np.eye(x.size), step)
-    return _richardson_first(values, step).T, values[0]
+    base = np.atleast_2d(np.asarray(x, dtype=float))
+    values = _on_stencil(fn, base, np.eye(base.shape[-1]), step)
+    J = np.swapaxes(_richardson(values, step), 1, -1)
+    return (J, values[:, 0]) if np.ndim(x) == 2 else (J[0], values[0, 0])
 
 
 def fd_hessian(fn, x, step: float = FD_STEP_HESS):
@@ -103,7 +117,7 @@ def fd_hessian(fn, x, step: float = FD_STEP_HESS):
     eye = np.eye(n)
     pairs = list(itertools.combinations(range(n), 2))
     directions = np.array(list(eye) + [eye[i] + eye[j] for i, j in pairs])
-    second = _richardson_second(_on_stencil(fn, x, directions, step), step)
+    second = _richardson(_on_stencil(fn, x[None], directions, step), step, second=True)[0]
     out = np.diag(second[:n])
     for (i, j), d in zip(pairs, second[n:]):
         out[i, j] = out[j, i] = 0.5 * (d - second[i] - second[j])
@@ -111,14 +125,15 @@ def fd_hessian(fn, x, step: float = FD_STEP_HESS):
 
 
 def fd_directional(fn, x, direction, step: float = FD_STEP_GRAD):
-    """Directional derivative of a vectorized scalar function along a chart vector."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    scale = np.linalg.norm(d)
-    if scale == 0.0:
-        return 0.0
-    values = _on_stencil(fn, x, (d / scale)[None, :], step)
-    return scale * float(_richardson_first(values, step)[0])
+    """Directional derivative of a vectorized scalar function along a chart
+    vector. For base points and directions of shape (P, n), one derivative per
+    point, with all P stencils evaluated in one call of ``fn``."""
+    d = np.atleast_2d(np.asarray(direction, dtype=float))
+    scale = np.sqrt(_rowdot(d, d))
+    unit = d / np.where(scale > 0.0, scale, 1.0)[:, None]
+    values = _on_stencil(fn, np.atleast_2d(np.asarray(x, dtype=float)), unit[:, None, :], step)
+    out = scale * _richardson(values, step)[:, 0]
+    return out if np.ndim(x) == 2 else float(out[0])
 
 
 def orthonormal_complement(u, inner=np.dot) -> np.ndarray:
@@ -258,15 +273,24 @@ def sphere_rule(m: int) -> QuadratureRule:
     from a keyed Philox generator), 4(m+1) nodes of equal weight
     |S^m| / (4(m+1)). Each polytope integrates every polynomial of degree
     <= 3 exactly (Stroud 1971), so the union does too. S^0 is the two-point
-    counting rule.
+    counting rule. The rule is built once per m and its arrays are read-only.
     """
+    return _sphere_rule(m)
+
+
+# cached behind the plain sphere_rule, as _legendre is behind gauss_legendre,
+# so tracers that wrap the module's functions still see every call
+@functools.cache
+def _sphere_rule(m: int) -> QuadratureRule:
     if m == 0:
-        return QuadratureRule(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-    gaussian = _philox(SPHERE_RULE_KEY, m).standard_normal((m + 1, m + 1))
-    rotation, _ = np.linalg.qr(gaussian)
-    cross = np.concatenate([np.eye(m + 1), -np.eye(m + 1)])
-    nodes = np.concatenate([cross, cross @ rotation.T])
-    weights = np.full(nodes.shape[0], unit_sphere_area(m) / nodes.shape[0])
+        nodes, weights = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    else:
+        gaussian = _philox(SPHERE_RULE_KEY, m).standard_normal((m + 1, m + 1))
+        rotation, _ = np.linalg.qr(gaussian)
+        cross = np.concatenate([np.eye(m + 1), -np.eye(m + 1)])
+        nodes = np.concatenate([cross, cross @ rotation.T])
+        weights = np.full(nodes.shape[0], unit_sphere_area(m) / nodes.shape[0])
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes, weights)
 
 
@@ -303,23 +327,6 @@ class TestFunction:
         cube = u * u
         cube *= u
         return cube
-
-    def support_chart_box(self, margin: float = 0.05):
-        """Chart bounding box of the support ball (exact ball, then margin)."""
-        c = self.center.coords
-        R = self.radius
-        if self.model.is_hyperbolic:
-            # metric ball = Euclidean ball centered (xbar, z cosh R), radius z sinh R
-            ec = np.array(c, copy=True)
-            ec[-1] = c[-1] * math.cosh(R)
-            er = c[-1] * math.sinh(R)
-        else:
-            ec, er = np.array(c, copy=True), R
-        lo = ec - er * (1.0 + margin)
-        hi = ec + er * (1.0 + margin)
-        if self.model.is_hyperbolic:
-            lo[-1] = max(lo[-1], c[-1] * math.exp(-R) * (1.0 - margin))
-        return lo, hi
 
     def integral(self) -> float:
         """Integral in geodesic polar coordinates about the center on one 64-node

@@ -11,7 +11,9 @@ Contents:
   (raises b1 by t/2, lowers b2 by t/2) and the sum flow Y (raises both by
   s/2), with their closed-form flow maps and volume densities;
 * the oracles that verify all of the above from first principles: Runge-Kutta
-  flow maps, finite-difference divergences and Jacobians.
+  flow maps, finite-difference divergences and Jacobians. A :class:`FlowRun`
+  integrates every start the flows suite needs from one pair flow as one
+  recorded batch, so one run per pair flow serves the suite.
 
 For h > 0 the range of alpha is (m, infinity) with
 ``m = (1/h) ln(e^{h t0} - 1)``, so the image of F is the open horoball
@@ -39,7 +41,8 @@ from .manifold import (
     _same_model,
 )
 from .locus import PairConfig, make_pair_config
-from .numerics import fd_directional, fd_jacobian, ode_integrate, orthonormal_complement
+from .numerics import (FD_STEP_GRAD, _stencil_points, fd_directional, fd_jacobian, ode_integrate,
+                       orthonormal_complement)
 
 __all__ = [
     "SingularFlowError",
@@ -48,6 +51,8 @@ __all__ = [
     "AlphaMap",
     "VolumePreservingMap",
     "PairFlow",
+    "FlowRun",
+    "flow_stencil",
     "flow_density",
     "flow_density_fd",
     "divergence_fd",
@@ -206,9 +211,12 @@ class VolumePreservingMap:
     def __post_init__(self):
         if not (self.p.model == self.model == self.q.model):
             raise ModelMismatchError("map endpoints must live in the stated model")
-        t0 = float(self.model.distance(self.p.coords, self.q.coords))
+        with np.errstate(over="ignore"):
+            t0 = float(self.model.distance(self.p.coords, self.q.coords))
         if t0 == 0.0:
             raise GeometryError("map construction requires p != q")
+        if not math.isfinite(t0):
+            raise GeometryError("the distance t0 between the map endpoints overflows float64")
         v = self.model.log(self.p.coords, self.q.coords) / t0
         # boundary point of the ray leaving p away from q: grad b(p) = +v there
         xi = boundary_from_direction(TangentVec(self.p, -v))
@@ -248,13 +256,18 @@ class VolumePreservingMap:
         return riemannian_jacobian_det(self.model, self.apply_coords, coords, step=step)
 
 
-def _chart_jacobian(model: ModelSpace, chart_map, coords, step: float):
-    """:func:`fd_jacobian` of a vectorized chart map at validated coords, with
-    the step at the local chart scale (times z in the half-space, so the
-    stencil stays inside the chart and the result does not depend on z)."""
+def _chart_step(model: ModelSpace, coords, step: float):
+    """Validated coords (one point or a batch) and their finite-difference step
+    at the local chart scale: times z in the half-space, so the stencil stays
+    inside the chart and the result does not depend on z."""
     coords = model.check_coords(np.asarray(coords, dtype=float))
-    if model.is_hyperbolic:
-        step *= float(coords[-1])
+    return coords, step * coords[..., -1] if model.is_hyperbolic else step
+
+
+def _chart_jacobian(model: ModelSpace, chart_map, coords, step: float):
+    """:func:`fd_jacobian` of a vectorized chart map at one point or each row
+    of a batch, with the step of :func:`_chart_step`."""
+    coords, step = _chart_step(model, coords, step)
     return fd_jacobian(chart_map, coords, step=step)
 
 
@@ -400,18 +413,51 @@ def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
     return math.exp(expansion) * (1.0 + b0) / (1.0 + b1)
 
 
-def _flow_map(pf: PairFlow, duration: float):
-    """The time-``duration`` flow map on a batch of chart points by fixed-step
-    sixth-order Runge-Kutta (:func:`ode_integrate` at its default step): the
-    oracles' flow, independent of :meth:`PairFlow.flow`."""
-    return lambda pts: ode_integrate(pf.vector, pts, duration)
+def flow_stencil(model: ModelSpace, coords, fd_step: float = FD_STEP_GRAD) -> np.ndarray:
+    """The (1 + 4n, n) finite-difference stencil about coords, coords first,
+    whose flow :func:`flow_density_fd` and :func:`transport_gaps` difference."""
+    coords, step = _chart_step(model, coords, fd_step)
+    return _stencil_points(coords[None], np.eye(model.dim), step)[0]
 
 
-def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, fd_step: float = 1e-5) -> float:
+class FlowRun:
+    """Runge-Kutta trajectories of a pair flow, the oracles' flow, independent
+    of :meth:`PairFlow.flow`: all named ``blocks`` of starts (each (N, n) or
+    one point) integrate as one batch by :func:`ode_integrate` at its default
+    step, recorded at every step. Rows do not interact, so a block's states
+    after k steps are bitwise those of a separate integration of the block
+    for k steps, and one run serves every duration on its step grid."""
+
+    def __init__(self, pf: PairFlow, blocks: dict, duration: float):
+        self.pf, self.blocks = pf, blocks
+        rows = [np.asarray(b, dtype=float).reshape(-1, pf.model.dim) for b in blocks.values()]
+        ends = np.cumsum([len(r) for r in rows])
+        self._rows = {r.tobytes(): slice(end - len(r), end) for r, end in zip(rows, ends)}
+        times, self._states = ode_integrate(pf.vector, np.concatenate(rows), duration, record=True)
+        self.step = duration / (len(times) - 1)
+
+    def trajectories(self, starts, duration: float) -> np.ndarray:
+        """The (k + 1, N, n) states of the block ``starts`` at 0, step, ...,
+        duration = k steps; k must be a whole number, and is never rounded."""
+        k = float(duration) / self.step
+        if not (k.is_integer() and 0 <= k < len(self._states)):
+            raise ValueError(f"duration {duration} is not a whole number of the run's steps of {self.step}")
+        rows = self._rows.get(np.asarray(starts, dtype=float).reshape(-1, self.pf.model.dim).tobytes())
+        if rows is None:
+            raise ValueError("the run did not integrate these starts")
+        return self._states[: int(k) + 1, rows]
+
+    def flow_map(self, duration: float):
+        """The recorded time-``duration`` flow map, defined on the run's blocks."""
+        return lambda starts: self.trajectories(starts, duration)[-1]
+
+
+def flow_density_fd(run: FlowRun, x: Point, duration: float, *, fd_step: float = FD_STEP_GRAD) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
-    determinant of the Runge-Kutta flow map, with the volume-density correction.
-    The whole stencil integrates as one batch."""
-    return riemannian_jacobian_det(pf.model, _flow_map(pf, duration), x.coords, step=fd_step)
+    determinant of the Runge-Kutta flow map, with the volume-density
+    correction, from the flow of x's :func:`flow_stencil` recorded in ``run``,
+    so one run per pair flow serves every check of it."""
+    return riemannian_jacobian_det(run.pf.model, run.flow_map(duration), x.coords, step=fd_step)
 
 
 # --------------------------------------------------------------------------
@@ -419,8 +465,10 @@ def flow_density_fd(pf: PairFlow, x: Point, duration: float, *, fd_step: float =
 # --------------------------------------------------------------------------
 
 
-def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: float = 1e-5) -> float:
-    """Riemannian divergence (1/sqrt g) d_i (sqrt g V^i) by central differences.
+def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: float = 1e-5):
+    """Riemannian divergence (1/sqrt g) d_i (sqrt g V^i) by central differences,
+    at one point or at each row of an (P, n) batch, whose stencils are
+    evaluated in one call.
 
     ``vector_fn`` maps an (N, n) batch of chart points to their chart vectors."""
     coords = x.coords if isinstance(x, Point) else x
@@ -429,26 +477,31 @@ def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: 
         return np.asarray(vector_fn(c), dtype=float) * model.volume_density(c)[:, None]
 
     J, _ = _chart_jacobian(model, weighted, coords, step)
-    return float(np.trace(J) / model.volume_density(coords))
+    out = np.trace(J, axis1=-2, axis2=-1) / model.volume_density(coords)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def div_identity(pf: PairFlow, x: Point, *, step: float = 1e-5) -> tuple[float, float]:
-    """Both sides of the divergence identity of pf at x (finite differences):
+def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
+    """Both sides of the divergence identity of pf by finite differences, at
+    one point or at each row of an (P, n) batch:
     div X = X[ln(1/(1-beta))] for the difference flow and
     div Y = Y[ln(1/(1+beta))] + h/(1+beta) for the sum flow."""
+    coords = x.coords if isinstance(x, Point) else x
     sign = -1.0 if pf.kind == DIFFERENCE else 1.0
-    lhs = divergence_fd(pf.model, pf.vector, x, step=step)
+    lhs = divergence_fd(pf.model, pf.vector, coords, step=step)
     rhs = fd_directional(lambda c: -np.log(1.0 + sign * beta(pf.f1, pf.f2, c)),
-                         x.coords, pf.vector(x.coords), step=step)
+                         coords, pf.vector(coords), step=step)
     if pf.kind == SUM:
-        rhs += mean_curvature_h(pf.model) / (1.0 + float(beta(pf.f1, pf.f2, x.coords)))
-    return lhs, float(rhs)
+        rhs = rhs + mean_curvature_h(pf.model) / (1.0 + beta(pf.f1, pf.f2, coords))
+    return lhs, float(rhs) if np.ndim(rhs) == 0 else rhs
 
 
-def transport_gaps(pf: PairFlow, x: Point, duration: float, *,
-                   fd_step: float = 1e-5) -> tuple[float, float]:
-    """How far the time-``duration`` flow Phi fails to transport the Busemann
-    gradients and their 1-forms, from one Runge-Kutta flow Jacobian at x.
+def transport_gaps(run: FlowRun, x: Point, duration: float, *,
+                   fd_step: float = FD_STEP_GRAD) -> tuple[float, float]:
+    """How far the time-``duration`` flow Phi of ``run``'s pair flow fails to
+    transport the Busemann gradients and their 1-forms, from the Runge-Kutta
+    flow Jacobian at x, taken from the flow of x's :func:`flow_stencil` in
+    ``run`` (one run per pair flow serves the whole flows suite).
 
     Returns ``(push_gap, form_gap)``, each the worst over i = 1, 2 of:
 
@@ -459,8 +512,8 @@ def transport_gaps(pf: PairFlow, x: Point, duration: float, *,
       the differentiated level-tracking statement db_i(dPhi w) = db_i(w),
       which holds for both pair flows.
     """
-    m = pf.model
-    J, y = _chart_jacobian(m, _flow_map(pf, duration), x.coords, fd_step)
+    pf, m = run.pf, run.pf.model
+    J, y = _chart_jacobian(m, run.flow_map(duration), x.coords, fd_step)
     # chart components of db: the gradient with its index lowered by the metric
     lower_x, lower_y = (x.coords[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
     push_gap = form_gap = 0.0

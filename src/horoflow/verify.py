@@ -51,7 +51,7 @@ from .manifold import (
     boundary_finite,
     boundary_infinity,
 )
-from .numerics import ConvergenceError, TestFunction, fd_hessian, ode_integrate
+from .numerics import ConvergenceError, TestFunction, fd_hessian
 
 __all__ = ["CheckReport", "VerifyContext", "SUITES", "run_suite", "poincare_example_checks", "sweep_rows"]
 
@@ -115,6 +115,10 @@ class VerifyContext:
     The Busemann pair sits at the origin and infinity (two orthogonal
     directions in the Euclidean model), the basepoint at unit height, and the
     map target t0 below it (t0 along the first axis in the Euclidean model).
+
+    ``memo`` holds what the checks of one run share: the one Runge-Kutta run
+    per pair flow that serves the flows suite (:func:`_flow_run`). The
+    shallow clones of :func:`_isolated_context` share it.
     """
 
     model: ModelSpace
@@ -125,6 +129,7 @@ class VerifyContext:
     probe_outside_image: bool = False
     basepoint: Point = dc_field(init=False)
     rng: np.random.Generator = dc_field(init=False)
+    memo: dict = dc_field(init=False, default_factory=dict)
 
     def __post_init__(self):
         coords = np.zeros(self.model.dim)
@@ -435,20 +440,44 @@ def check_map_out_of_image(ctx, tol):
 # --------------------------------------------------------------------------
 
 
-def _tracking_check(ctx, pf, sign2: float, tol: float, count: int = 20, duration: float = 2.0):
+def _flow_run(ctx: VerifyContext, kind: str) -> tr.FlowRun:
+    """The one Runge-Kutta run of this pair flow, to the longest duration a
+    flows check reads, built by the first check that reads it. Its blocks are
+    the starts and flow-Jacobian stencils of the checks that run on the
+    model, each drawn from the generator :func:`_isolated_context` gives its
+    check. A run that raises GeometryError is not kept, so every check that
+    reads it records the error."""
+    if kind not in ctx.memo:
+        cfg = ctx.pair_config() if ctx.model.is_hyperbolic else None
+
+        def drawn(check, cfg, count, min_separation):
+            return np.array(_off_axis_points(_isolated_context(ctx, check), cfg, count, min_separation))
+
+        # keep sum-flow starts off the axis
+        tracking = ((check_difference_flow_tracking, None) if kind == tr.DIFFERENCE
+                    else (check_sum_flow_tracking, cfg))
+        blocks = {"tracking": drawn(*tracking, 20, 0.05),
+                  "transport": tr.flow_stencil(ctx.model, drawn(check_gradient_transport, cfg, 1, 0.1)[0])}
+        if cfg is not None:
+            blocks["densities"] = tr.flow_stencil(ctx.model, cfg.point_on_locus(0.7, 0.2).coords)
+        if kind == tr.SUM:
+            blocks["beta-monotone"] = cfg.point_on_locus(0.2, 0.3).coords
+        ctx.memo[kind] = tr.FlowRun(tr.PairFlow(*ctx.field_pair(), kind), blocks, 2.0)
+    return ctx.memo[kind]
+
+
+def _tracking_check(ctx, kind: str, sign2: float, tol: float, duration: float = 2.0):
     """Runge-Kutta trajectories of the pair flow: how far they miss the Busemann level
     changes (duration/2, sign2*duration/2) and the closed-form flow map."""
-    # keep sum-flow starts off the axis
-    cfg = lc.make_pair_config(pf.f1, pf.f2) if pf.kind == tr.SUM else None
-    starts = np.array(_off_axis_points(ctx, cfg, count, min_separation=0.05))
-    # the flow field is vectorized, so all trajectories integrate in one batch
-    ends = ode_integrate(pf.vector, starts, duration)
+    run = _flow_run(ctx, kind)
+    pf, starts = run.pf, run.blocks["tracking"]
+    ends = run.trajectories(starts, duration)[-1]
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
     e2 = np.abs(pf.f2.value(ends) - pf.f2.value(starts) - sign2 * duration / 2.0)
     tracking = float(max(np.max(e1), np.max(e2)))
     closed_form_gap = float(np.max(np.abs(pf.flow(starts, duration) - ends)))
     return ({"max_tracking_error": tracking, "max_closed_form_gap": closed_form_gap,
-             "trajectories": count, "duration": duration},
+             "trajectories": len(starts), "duration": duration},
             tracking <= tol and closed_form_gap <= tol)
 
 
@@ -457,8 +486,7 @@ def _tracking_check(ctx, pf, sign2: float, tol: float, count: int = 20, duration
         "its Runge-Kutta trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8)
 def check_difference_flow_tracking(ctx, tol):
-    f1, f2 = ctx.field_pair()
-    return _tracking_check(ctx, tr.PairFlow(f1, f2, tr.DIFFERENCE), -1.0, tol)
+    return _tracking_check(ctx, tr.DIFFERENCE, -1.0, tol)
 
 
 @check("sum-flow-level-tracking",
@@ -466,8 +494,7 @@ def check_difference_flow_tracking(ctx, tol):
         "its Runge-Kutta trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8, skip=NO_AXIS)
 def check_sum_flow_tracking(ctx, tol):
-    f1, f2 = ctx.field_pair()
-    return _tracking_check(ctx, tr.PairFlow(f1, f2, tr.SUM), +1.0, tol)
+    return _tracking_check(ctx, tr.SUM, +1.0, tol)
 
 
 def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float = 0.1):
@@ -488,18 +515,16 @@ def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float 
 def check_divergence_identities(ctx, tol):
     f1, f2 = ctx.field_pair()
     cfg = lc.make_pair_config(f1, f2) if ctx.model.is_hyperbolic else None
-    pf_x = tr.PairFlow(f1, f2, tr.DIFFERENCE)
-    pf_y = tr.PairFlow(f1, f2, tr.SUM) if ctx.model.is_hyperbolic else None
-    worst_raw, worst_x, worst_y = 0.0, 0.0, 0.0
-    for c in _off_axis_points(ctx, cfg, 50):
-        x = Point(ctx.model, c)
-        raw = tr.divergence_fd(ctx.model, lambda y: f1.grad_chart(y) - f2.grad_chart(y), x)
-        worst_raw = max(worst_raw, abs(raw))
-        lx, rx = tr.div_identity(pf_x, x)
-        worst_x = max(worst_x, abs(lx - rx))
-        if pf_y is not None:
-            ly, ry = tr.div_identity(pf_y, x)
-            worst_y = max(worst_y, abs(ly - ry))
+    pts = np.array(_off_axis_points(ctx, cfg, 50))
+    # each field evaluates the stencils of all points in one call
+    raw = tr.divergence_fd(ctx.model, lambda y: f1.grad_chart(y) - f2.grad_chart(y), pts)
+    worst_raw = float(np.max(np.abs(raw)))
+    lx, rx = tr.div_identity(tr.PairFlow(f1, f2, tr.DIFFERENCE), pts)
+    worst_x = float(np.max(np.abs(lx - rx)))
+    worst_y = 0.0
+    if ctx.model.is_hyperbolic:
+        ly, ry = tr.div_identity(tr.PairFlow(f1, f2, tr.SUM), pts)
+        worst_y = float(np.max(np.abs(ly - ry)))
     return ({"max_raw_divergence": worst_raw, "max_difference_gap": worst_x,
              "max_sum_gap": worst_y, "points": 50},
             worst_raw <= 1e-6 and worst_x <= tol and worst_y <= tol)
@@ -511,16 +536,14 @@ def check_divergence_identities(ctx, tol):
         "expansion times (1+beta)/(1+beta(end)) for the sum flow"),
        0.0, "cross-check", tol=1e-5, skip=NO_AXIS)
 def check_flow_densities(ctx, tol):
-    f1, f2 = ctx.field_pair()
-    cfg = lc.make_pair_config(f1, f2)
-    pf_x = tr.PairFlow(f1, f2, tr.DIFFERENCE)
-    pf_y = tr.PairFlow(f1, f2, tr.SUM)
-    x = cfg.point_on_locus(0.7, 0.2)
+    cfg = ctx.pair_config()
+    run_x, run_y = _flow_run(ctx, tr.DIFFERENCE), _flow_run(ctx, tr.SUM)
+    x = Point(ctx.model, run_x.blocks["densities"][0])
     dur = 0.9
-    dens_x = tr.flow_density(pf_x, x, dur)
-    fd_x = tr.flow_density_fd(pf_x, x, dur)
-    dens_y = tr.flow_density(pf_y, x, dur)
-    fd_y = tr.flow_density_fd(pf_y, x, dur)
+    dens_x = tr.flow_density(run_x.pf, x, dur)
+    fd_x = tr.flow_density_fd(run_x, x, dur)
+    dens_y = tr.flow_density(run_y.pf, x, dur)
+    fd_y = tr.flow_density_fd(run_y, x, dur)
     # symbolic antiderivative of the sum-flow expansion in the model pair
     s0 = cfg.separation(x)
     exact_y = ((math.exp(s0 + dur) - 1.0) / (math.exp(s0) - 1.0)) ** (ctx.h / 2.0 - 1.0) * math.exp(dur)
@@ -540,17 +563,14 @@ def check_flow_densities(ctx, tol):
         "both flows pull the level 1-forms back to themselves"),
        0.0, "cross-check", tol=1e-6)
 def check_gradient_transport(ctx, tol):
-    f1, f2 = ctx.field_pair()
-    pf_x = tr.PairFlow(f1, f2, tr.DIFFERENCE)
-    cfg = lc.make_pair_config(f1, f2) if ctx.model.is_hyperbolic else None
-    c = _off_axis_points(ctx, cfg, 1)[0]
-    x = Point(ctx.model, c)
-    push_x, form_x = tr.transport_gaps(pf_x, x, 0.8)
+    run_x = _flow_run(ctx, tr.DIFFERENCE)
+    x = Point(ctx.model, run_x.blocks["transport"][0])
+    push_x, form_x = tr.transport_gaps(run_x, x, 0.8)
     quantities = {"difference_gradient_gap": push_x, "difference_form_gap": form_x}
     ok = push_x <= tol and form_x <= tol
     if ctx.model.is_hyperbolic:
         # the sum flow carries the 1-forms but not the gradients
-        _, form_y = tr.transport_gaps(tr.PairFlow(f1, f2, tr.SUM), x, 0.8)
+        _, form_y = tr.transport_gaps(_flow_run(ctx, tr.SUM), x, 0.8)
         quantities["sum_form_gap"] = form_y
         ok = ok and form_y <= tol
     return quantities, ok
@@ -571,14 +591,13 @@ def check_axis_floor(ctx, tol):
        ">= 0", "exact", skip=NO_AXIS)
 def check_beta_monotone_along_sum_flow(ctx, tol):
     cfg = ctx.pair_config()
-    pf_y = tr.PairFlow(cfg.f1, cfg.f2, tr.SUM)
     eps_rows = []
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         start = cfg.point_on_locus(eps, 0.0)
         b_start = float(bu.beta(cfg.f1, cfg.f2, start))
         eps_rows.append({"epsilon": eps, "beta_at_start": b_start, "gap_to_minus_one": b_start + 1.0})
-    start = cfg.point_on_locus(0.2, 0.3)
-    _, states = ode_integrate(pf_y.vector, start.coords, 1.5, record=True)
+    run_y = _flow_run(ctx, tr.SUM)
+    states = run_y.trajectories(run_y.blocks["beta-monotone"], 1.5)[:, 0]
     bs = np.asarray(bu.beta(cfg.f1, cfg.f2, states))
     worst = float(np.min(np.diff(bs)))
     ok = worst >= -1e-12 and all(row["gap_to_minus_one"] <= 3.0 * row["epsilon"] for row in eps_rows)
@@ -890,7 +909,8 @@ SUITES["all"] = [fn for name in ("busemann", "map-f", "flows", "intersections", 
 
 def _isolated_context(ctx: VerifyContext, fn) -> VerifyContext:
     """Per-check context clone with a generator keyed by the check's name, so
-    a check reports the same numbers in every suite that runs it."""
+    a check reports the same numbers in every suite that runs it. The clone
+    shares the run's memo."""
     clone = copy.copy(ctx)
     clone.rng = np.random.default_rng([ctx.seed, zlib.crc32(fn.__name__.encode())])
     return clone

@@ -8,6 +8,8 @@ same checks pass, so a row fails when its check loses the power to see the
 mutant, not when the check breaks for another reason.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,12 +37,36 @@ def bound_is_max_v_w(monkeypatch):
     monkeypatch.setattr(lc, "locus_values", mutant)
 
 
+def flow_off_by_1e_7(monkeypatch):
+    """The closed-form pair-flow map is off by a factor 1 + 1e-7, ten times
+    the 1e-8 tolerance of the tracking checks."""
+    exact = tr.PairFlow.flow
+    monkeypatch.setattr(tr.PairFlow, "flow", lambda pf, pts, duration: exact(pf, pts, duration) * (1.0 + 1e-7))
+
+
+def sum_exponent_doubled(monkeypatch):
+    """The sum-flow density's expansion exponent (h/2) ln(x'/x), with
+    x = e^{s0} - 1 and x' = e^{s0 + duration} - 1, becomes h ln(x'/x)."""
+    exact = tr.flow_density
+
+    def mutant(pf, x, duration):
+        density = exact(pf, x, duration)
+        if pf.kind != tr.SUM:
+            return density
+        s0 = pf._config.separation(x)
+        return density * (math.expm1(s0 + duration) / math.expm1(s0)) ** (0.5 * pf._config.h)
+
+    monkeypatch.setattr(tr, "flow_density", mutant)
+
+
 HYPERBOLIC_MODELS = [f"h{n}" for n in range(2, 9)]
 
 # mutant -> (models, checks that must fail on each)
 MUTANTS = {
     alpha_h_plus_one: (HYPERBOLIC_MODELS, [verify.check_map_integral_invariance]),
     bound_is_max_v_w: (["h3", "h5"], [verify.check_strip_volume]),
+    flow_off_by_1e_7: (["h3", "h8"], [verify.check_difference_flow_tracking, verify.check_sum_flow_tracking]),
+    sum_exponent_doubled: (["h3", "h5"], [verify.check_flow_densities]),
 }
 
 
@@ -53,6 +79,8 @@ def test_mutant_is_caught(mutant, model, monkeypatch):
     for check in checks:
         assert check(ctx).status == "pass"
     mutant(monkeypatch)
+    # a fresh context, so nothing the unpatched checks memoized is reused
+    ctx = verify.VerifyContext(model=parse_model(model))
     for check in checks:
         rep = check(ctx)
         assert rep.status == "fail", rep.quantities

@@ -156,6 +156,19 @@ class TestVerifyCommand:
         assert statuses["map-integral-invariance"] == "error"
         assert "error: map-integral-invariance: degenerate integration box: lo = [" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t0", ["1e155", "1e300"])
+    def test_endpoint_distance_overflow_gives_map_error_records(self, t0, tmp_path, capsys):
+        # from t0 = 1e155 the squared distance between the E^3 map endpoints
+        # overflows; under the pytest filter the overflow would end the run
+        out = tmp_path / "rep.json"
+        assert main(["verify", "map-f", "--model", "e3", "--t0", t0, "--out", str(out)]) == 2
+        statuses = {c["name"]: c["status"] for c in _strict_json(out.read_text())["checks"]}
+        errors = {"map-sends-p-to-q", "map-unit-jacobian", "map-integral-invariance"}
+        assert {name for name, status in statuses.items() if status == "error"} == errors
+        err = capsys.readouterr().err
+        for name in errors:
+            assert f"error: {name}: the distance t0 between the map endpoints overflows float64" in err
+
     def test_overflowing_locus_grid_gives_error_records(self, tmp_path, capsys):
         # the pytest filter turns a RuntimeWarning into an error, as the CLI
         # smoke runs do, so an inf * 0 in the locus points would end the run

@@ -82,6 +82,33 @@ class TestFiniteDifferences:
         val = fd_directional(fn, np.array([1.0, 2.0]), np.array([2.0, 1.0]))
         assert val == pytest.approx(2 * 1 * 2 + 3 * 1, abs=1e-8)
 
+    def test_batched_stencils_equal_one_point_at_a_time(self, rng):
+        # P base points with a step each: one call of fn, and bitwise the
+        # results of P single-point calls
+        fn = lambda x: np.stack([np.sin(x[:, 0]) * x[:, 2], np.exp(x[:, 1]) + x[:, 0] ** 2], axis=-1)
+        pts = rng.normal(size=(6, 3))
+        steps = rng.uniform(1e-5, 1e-3, size=6)
+        directions = rng.normal(size=(6, 3))
+        batches = []
+
+        def counted(x):
+            batches.append(x.shape)
+            return fn(x)
+
+        J, center = fd_jacobian(counted, pts, step=steps)
+        assert batches == [(6 * 13, 3)]
+        scalar = lambda x: fn(x)[:, 1]
+        derivative = fd_directional(scalar, pts, directions, step=1e-4)
+        for p, h, d, Jp, cp, dp in zip(pts, steps, directions, J, center, derivative):
+            one_J, one_center = fd_jacobian(fn, p, step=h)
+            assert np.array_equal(Jp, one_J) and np.array_equal(cp, one_center)
+            assert dp == fd_directional(scalar, p, d, step=1e-4)
+
+    def test_directional_along_zero_is_zero(self):
+        fn = lambda x: x[..., 0] ** 2
+        assert fd_directional(fn, np.array([[1.0, 2.0], [0.5, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                              step=1e-3) == pytest.approx([0.0, 1.0], abs=1e-9)
+
 
 class TestQuadrature:
     def test_gauss_legendre_polynomial_exact(self):
@@ -96,6 +123,14 @@ class TestQuadrature:
         assert np.all(rule.weights > 0)
         assert rule.weights.sum() == pytest.approx(unit_sphere_area(m), rel=1e-12)
         assert np.max(np.abs(np.linalg.norm(np.atleast_2d(rule.nodes), axis=-1) - 1.0)) <= 1e-14
+
+    def test_sphere_rule_is_built_once_and_read_only(self):
+        rule = sphere_rule(3)
+        assert sphere_rule(3) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        assert not sphere_rule(0).nodes.flags.writeable
+        with pytest.raises(ValueError):
+            rule.nodes[0, 0] = 2.0
 
     def test_sphere_rule_linear_functional_vanishes(self):
         rule = sphere_rule(2)
@@ -247,15 +282,3 @@ class TestBump:
         expected = (1.0 - ratio[inside] ** 2) ** 3
         got = bump(pts)[inside]
         assert np.all(np.abs(got - expected) <= 4.0 * np.spacing(expected))
-
-
-class TestIntegrateRegion:
-    """The chart box that bounds a bump's support."""
-
-    def test_support_box_contains_ball(self, h3, rng):
-        bump = TestFunction(Point(h3, [0.4, -0.2, 1.5]), 0.8)
-        lo, hi = bump.support_chart_box()
-        pts = h3.random_points(rng, 2000, 1.0)
-        inside_support = bump(pts) > 0
-        in_box = np.all((pts >= lo) & (pts <= hi), axis=-1)
-        assert np.all(~inside_support | in_box)

@@ -25,6 +25,7 @@ from horoflow.transport import (
     DIFFERENCE,
     SUM,
     AlphaMap,
+    FlowRun,
     NormalFlow,
     PairFlow,
     SingularFlowError,
@@ -33,6 +34,7 @@ from horoflow.transport import (
     divergence_fd,
     flow_density,
     flow_density_fd,
+    flow_stencil,
     horosphere_jacobian,
     transport_gaps,
 )
@@ -386,20 +388,6 @@ class TestClosedFormFlow:
         with pytest.raises(SingularFlowError):
             pair_y.flow(x.coords, -(s + 0.5))
 
-    @pytest.mark.parametrize("model", [ModelSpace(HYPERBOLIC, 3), ModelSpace(HYPERBOLIC, 8)],
-                             ids=lambda m: f"{m.kind[0]}{m.dim}")
-    def test_tracking_checks_resolve_a_relative_error_of_1e_7(self, model, monkeypatch):
-        # the oracle at its default step must see a closed form that is off by
-        # a factor 1 + 1e-7, ten times the checks' 1e-8 tolerance
-        from horoflow import verify
-
-        exact = PairFlow.flow
-        monkeypatch.setattr(PairFlow, "flow", lambda pf, pts, duration: exact(pf, pts, duration) * (1.0 + 1e-7))
-        for check in (verify.check_difference_flow_tracking, verify.check_sum_flow_tracking):
-            rep = check(verify.VerifyContext(model=model))
-            assert rep.status == "fail", rep.quantities
-            assert rep.quantities["max_closed_form_gap"] > 1e-8
-
 
 class TestDivergence:
     def test_raw_difference_divergence_free(self, h3, f_origin, f_inf, rng):
@@ -434,6 +422,14 @@ class TestDivergence:
             lhs, rhs = div_identity(pair_y, x)
             assert abs(lhs - rhs) <= 1e-5
 
+    def test_batch_equals_one_point_at_a_time(self, h3, pair_y, rng):
+        pts = _off_axis_starts(h3, pair_y.f1, pair_y.f2, count=8, min_separation=0.1)
+        lhs, rhs = div_identity(pair_y, pts)
+        raw = divergence_fd(h3, pair_y.vector, pts)
+        for c, left, right, div in zip(pts, lhs, rhs, raw):
+            assert (left, right) == div_identity(pair_y, Point(h3, c))
+            assert div == divergence_fd(h3, pair_y.vector, Point(h3, c)) == left
+
     def test_euclidean_difference(self, e3, rng):
         f1 = BusemannField(e3, boundary_direction(e3, [1, 0, 0]), Point(e3, [0, 0, 0]))
         f2 = BusemannField(e3, boundary_direction(e3, [0, 1, 0]), Point(e3, [0, 0, 0]))
@@ -443,11 +439,56 @@ class TestDivergence:
             assert abs(lhs) <= 1e-8 and abs(rhs) <= 1e-8
 
 
+def _stencil_run(pf, x, duration):
+    """A run that integrated the flow-Jacobian stencil about x."""
+    return FlowRun(pf, {"stencil": flow_stencil(pf.model, x.coords)}, duration)
+
+
+class TestFlowRun:
+    """One recorded batch serves every duration on its step grid."""
+
+    @pytest.mark.parametrize("model_name", ["h3", "h8", "e5"])
+    @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
+    def test_recorded_rows_equal_separate_integrations(self, model_name, kind):
+        model = ModelSpace(HYPERBOLIC if model_name[0] == "h" else EUCLIDEAN, int(model_name[1:]))
+        f1, f2 = _generic_pair(model)
+        pf = PairFlow(f1, f2, kind)
+        starts = _off_axis_starts(model, f1, f2, count=5)
+        stencil = flow_stencil(model, starts[0])
+        single = starts[1]
+        run = FlowRun(pf, {"starts": starts, "stencil": stencil, "single": single}, 2.0)
+        assert run.step == 0.01
+        for block in (starts, stencil, single):
+            for steps, duration in ((80, 0.8), (90, 0.9), (150, 1.5), (200, 2.0)):
+                path = run.trajectories(block, duration)
+                assert path.shape == (steps + 1, len(np.atleast_2d(block)), model.dim)
+                assert np.array_equal(path[-1], np.atleast_2d(ode_integrate(pf.vector, block, duration)))
+        _, recorded = ode_integrate(pf.vector, single, 1.5, record=True)
+        assert np.array_equal(run.trajectories(single, 1.5)[:, 0], recorded)
+
+    @pytest.mark.parametrize("duration", [0.805, 1.0 / 3.0, 2.01, -0.1])
+    def test_duration_off_the_step_grid_raises(self, h3, pair_x, duration):
+        starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
+        run = FlowRun(pair_x, {"starts": starts}, 2.0)
+        with pytest.raises(ValueError, match="whole number"):
+            run.trajectories(starts, duration)
+
+    def test_starts_the_run_did_not_integrate_raise(self, h3, pair_x):
+        starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
+        run = FlowRun(pair_x, {"starts": starts}, 1.0)
+        with pytest.raises(ValueError, match="did not integrate"):
+            run.trajectories(starts[:1], 0.5)
+
+    def test_sum_run_through_the_axis_raises(self, h3, pair_y):
+        with pytest.raises(SingularFlowError):
+            FlowRun(pair_y, {"on the axis": np.array([0.0, 0.0, 1.3])}, 0.5)
+
+
 class TestFlowDensities:
     def test_difference_flow_preserves_volume(self, h3, pair_x):
         x = Point(h3, [0.6, -0.4, 0.9])
         assert flow_density(pair_x, x, 1.3) == pytest.approx(1.0, abs=1e-10)
-        assert flow_density_fd(pair_x, x, 1.3) == pytest.approx(1.0, abs=1e-6)
+        assert flow_density_fd(_stencil_run(pair_x, x, 1.3), x, 1.3) == pytest.approx(1.0, abs=1e-6)
 
     def test_sum_flow_density_closed_form(self, h3, pair_y, f_origin, f_inf):
         # symbolic oracle: integral of h/(1+beta) along the flow collapses to
@@ -457,7 +498,7 @@ class TestFlowDensities:
         s, h = 0.9, 2.0
         expected = ((math.exp(s0 + s) - 1.0) / (math.exp(s0) - 1.0)) ** (h / 2.0 - 1.0) * math.exp(s)
         assert flow_density(pair_y, x, s) == pytest.approx(expected, rel=1e-6)
-        assert flow_density_fd(pair_y, x, s) == pytest.approx(expected, rel=1e-5)
+        assert flow_density_fd(_stencil_run(pair_y, x, s), x, s) == pytest.approx(expected, rel=1e-5)
 
     def test_zero_duration(self, h3, pair_y):
         assert flow_density(pair_y, Point(h3, [0.5, 0, 1.0]), 0.0) == 1.0
@@ -476,19 +517,19 @@ class TestFlowDensities:
 class TestGradientTransport:
     def test_difference_flow_carries_gradients(self, h3, pair_x):
         x = Point(h3, [0.6, -0.4, 0.9])
-        push_gap, _ = transport_gaps(pair_x, x, 0.8)
+        push_gap, _ = transport_gaps(_stencil_run(pair_x, x, 0.8), x, 0.8)
         assert push_gap <= 1e-6
 
     def test_both_flows_preserve_level_forms(self, h3, pair_x, pair_y):
         x = Point(h3, [0.6, -0.4, 0.9])
         for pf in (pair_x, pair_y):
-            _, form_gap = transport_gaps(pf, x, 0.8)
+            _, form_gap = transport_gaps(_stencil_run(pf, x, 0.8), x, 0.8)
             assert form_gap <= 1e-6
 
     def test_sum_flow_does_not_carry_gradients(self, h3, pair_y):
         # the vector pushforward identity genuinely fails for the sum flow
         x = Point(h3, [0.6, -0.4, 0.9])
-        push_gap, _ = transport_gaps(pair_y, x, 0.8)
+        push_gap, _ = transport_gaps(_stencil_run(pair_y, x, 0.8), x, 0.8)
         assert push_gap > 1e-2
 
 
@@ -650,3 +691,39 @@ class TestPairFlowOracle:
         rep = verify.check_gradient_transport(verify.VerifyContext(model=request.getfixturevalue(model_name)))
         assert rep.status == "pass", rep.quantities
         assert len(calls) == integrations
+
+    @pytest.mark.parametrize("model_name, integrations", [("h3", 2), ("h8", 2), ("e5", 1)])
+    def test_flows_suite_integrates_each_pair_flow_once(self, monkeypatch, model_name, integrations):
+        from horoflow import verify
+        from horoflow.cli import parse_model
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return ode_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "ode_integrate", counted)
+        reports = verify.run_suite("flows", verify.VerifyContext(model=parse_model(model_name)))
+        assert {r.status for r in reports} == {"pass"}
+        assert calls == [2.0] * integrations
+
+    def test_a_failing_run_is_an_error_in_every_check_that_reads_it(self, monkeypatch):
+        from horoflow import verify
+
+        exact = PairFlow.vector
+
+        def vector(pf, coords):
+            if pf.kind == SUM:
+                raise SingularFlowError("sum flow evaluated on the singular set D")
+            return exact(pf, coords)
+
+        monkeypatch.setattr(PairFlow, "vector", vector)
+        reports = verify.run_suite("flows", verify.VerifyContext(model=ModelSpace(HYPERBOLIC, 3)))
+        errors = {r.name for r in reports if r.status == "error"}
+        # every sum-flow reader, and the divergence check, which evaluates the field itself
+        assert errors == {"sum-flow-level-tracking", "flow-divergence-identities", "flow-volume-densities",
+                          "flow-gradient-transport", "beta-monotone-along-sum-flow"}
+        assert {r.quantities["error"] for r in reports if r.status == "error"} == {
+            "sum flow evaluated on the singular set D"}
+        assert {r.status for r in reports if r.name not in errors} == {"pass"}
