@@ -429,6 +429,8 @@ class FlowRun:
     for k steps, and one run serves every duration on its step grid."""
 
     def __init__(self, pf: PairFlow, blocks: dict, duration: float):
+        if not duration > 0.0:
+            raise ValueError(f"a flow run needs a positive duration, got {duration}")
         self.pf, self.blocks = pf, blocks
         rows = [np.asarray(b, dtype=float).reshape(-1, pf.model.dim) for b in blocks.values()]
         ends = np.cumsum([len(r) for r in rows])

@@ -473,6 +473,11 @@ class TestFlowRun:
         with pytest.raises(ValueError, match="whole number"):
             run.trajectories(starts, duration)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
+    def test_a_run_needs_a_positive_duration(self, pair_x, duration):
+        with pytest.raises(ValueError, match="positive duration"):
+            FlowRun(pair_x, {"start": np.array([0.2, 0.1, 1.0])}, duration)
+
     def test_starts_the_run_did_not_integrate_raise(self, h3, pair_x):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
         run = FlowRun(pair_x, {"starts": starts}, 1.0)
