@@ -64,8 +64,10 @@ def _stencil_points(x, directions, step) -> np.ndarray:
     each point, then x + c*step*d for c in _STENCIL_SCALES and each direction
     d. ``step`` is one for all points or one per point; ``directions`` is
     (k, n), shared by all points, or (P, k, n)."""
-    scaled = _STENCIL_SCALES[:, None, None] * np.reshape(step, (-1, 1, 1, 1))
-    offsets = scaled * np.expand_dims(directions, -3)
+    # a step per point broadcasts as (P, 1, 1, 1); one step for all stays a
+    # scalar, which keeps single-point calls cheap
+    step = np.reshape(step, (-1, 1, 1, 1)) if getattr(step, "ndim", 0) else step
+    offsets = (_STENCIL_SCALES[:, None, None] * step) * directions[..., None, :, :]
     moved = (x[:, None, None, :] + offsets).reshape(x.shape[0], -1, x.shape[-1])
     return np.concatenate([x[:, None, :], moved], axis=1)
 
@@ -81,8 +83,8 @@ def _richardson(values, step, second: bool = False) -> np.ndarray:
     """First (or second) derivatives along each stencil direction from the
     (P, 1 + 4k, ...) values on :func:`_stencil_points`: shape (P, k, ...)."""
     blocks = values[:, 1:].reshape(values.shape[0], 4, -1, *values.shape[2:])
-    plus, minus, half_plus, half_minus = np.moveaxis(blocks, 1, 0)
-    step = np.reshape(step, (-1,) + (1,) * (plus.ndim - 1))
+    plus, minus, half_plus, half_minus = blocks.swapaxes(0, 1)
+    step = np.reshape(step, (-1,) + (1,) * (plus.ndim - 1)) if getattr(step, "ndim", 0) else step
     if not second:
         return (4.0 * (half_plus - half_minus) / step - (plus - minus) / (2.0 * step)) / 3.0
     center = values[:, :1]
@@ -100,10 +102,11 @@ def fd_jacobian(fn, x, step=FD_STEP_GRAD):
     or a step per point, all P stencils are evaluated in one call of ``fn``
     and both results gain a leading axis of length P.
     """
-    base = np.atleast_2d(np.asarray(x, dtype=float))
-    values = _on_stencil(fn, base, np.eye(base.shape[-1]), step)
-    J = np.swapaxes(_richardson(values, step), 1, -1)
-    return (J, values[:, 0]) if np.ndim(x) == 2 else (J[0], values[0, 0])
+    x = np.asarray(x, dtype=float)
+    base = x if x.ndim == 2 else x[None]
+    values = _on_stencil(fn, base, np.eye(x.shape[-1]), step)
+    J = _richardson(values, step).swapaxes(1, -1)
+    return (J, values[:, 0]) if x.ndim == 2 else (J[0], values[0, 0])
 
 
 def fd_hessian(fn, x, step: float = FD_STEP_HESS):
@@ -128,12 +131,13 @@ def fd_directional(fn, x, direction, step: float = FD_STEP_GRAD):
     """Directional derivative of a vectorized scalar function along a chart
     vector. For base points and directions of shape (P, n), one derivative per
     point, with all P stencils evaluated in one call of ``fn``."""
-    d = np.atleast_2d(np.asarray(direction, dtype=float))
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(direction, dtype=float).reshape(-1, x.shape[-1])
     scale = np.sqrt(_rowdot(d, d))
-    unit = d / np.where(scale > 0.0, scale, 1.0)[:, None]
-    values = _on_stencil(fn, np.atleast_2d(np.asarray(x, dtype=float)), unit[:, None, :], step)
+    unit = d / (scale + (scale == 0.0))[:, None]  # a zero direction stays zero
+    values = _on_stencil(fn, x if x.ndim == 2 else x[None], unit[:, None, :], step)
     out = scale * _richardson(values, step)[:, 0]
-    return out if np.ndim(x) == 2 else float(out[0])
+    return out if x.ndim == 2 else float(out[0])
 
 
 def orthonormal_complement(u, inner=np.dot) -> np.ndarray:
