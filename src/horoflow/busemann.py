@@ -149,39 +149,17 @@ class BusemannField:
         return -self.xi.data
 
     def hessian_matrix(self, coords) -> np.ndarray:
-        """Chart matrix of the shape operator w -> nabla_w grad b (a single point).
-
-        Symmetric, positive semi-definite, annihilates the gradient, and has
-        trace h. In the conformal half-space chart the (1,1) operator equals
-        z^2 times the covariant Hessian matrix, which is symmetric as written.
-        """
-        x = self.model.check_coords(np.asarray(coords, dtype=float))
-        if x.ndim != 1:
-            raise GeometryError("hessian_matrix expects a single point")
+        """Chart matrix of the shape operator w -> nabla_w grad b, one (n, n)
+        matrix per point of a (..., n) batch: z^2 times the covariant Hessian.
+        Horospheres of H^n are umbilic (Heintze and Im Hof, J. Diff. Geom. 12,
+        1977), so it is I - g g^T / z^2 with g = grad b: symmetric, positive
+        semi-definite, trace h, and it annihilates g. In E^n it vanishes."""
+        x = self.model.check_coords(coords)
         n = self.model.dim
         if not self.model.is_hyperbolic:
-            return np.zeros((n, n))
-        z = x[-1]
-        if self.xi.is_infinity:
-            U = np.eye(n)
-            U[-1, -1] = 0.0
-            return U
-        w = x[:-1] - self.xi.data
-        q = float(np.dot(w, w) + z * z)
-        # chart partials of b = ln((|w|^2 + z^2)/z)
-        db = np.empty(n)
-        db[:-1] = 2.0 * w / q
-        db[-1] = 2.0 * z / q - 1.0 / z
-        d2 = np.empty((n, n))
-        d2[:-1, :-1] = (2.0 / q) * np.eye(n - 1) - (4.0 / (q * q)) * np.outer(w, w)
-        d2[:-1, -1] = d2[-1, :-1] = -4.0 * w * z / (q * q)
-        d2[-1, -1] = 2.0 / q - 4.0 * z * z / (q * q) + 1.0 / (z * z)
-        # Christoffel correction of the half-space metric
-        hess = d2.copy()
-        hess[-1, :] += db / z
-        hess[:, -1] += db / z
-        hess -= np.eye(n) * (db[-1] / z)
-        return z * z * hess
+            return np.zeros(x.shape + (n,))
+        g = self._grad(x) / x[..., -1:]
+        return np.eye(n) - g[..., :, None] * g[..., None, :]
 
 
 # -- spec operation surface ---------------------------------------------------
@@ -196,8 +174,7 @@ def estimate_h(f: BusemannField, sample_coords) -> tuple[float, float]:
     """Trace of the horosphere shape operator over sample points: (mean, stddev).
 
     The standard deviation certifies that the mean curvature is constant."""
-    pts = np.atleast_2d(np.asarray(sample_coords, dtype=float))
-    traces = np.array([np.trace(f.hessian_matrix(p)) for p in pts])
+    traces = np.trace(f.hessian_matrix(np.atleast_2d(sample_coords)), axis1=-2, axis2=-1)
     return float(np.mean(traces)), float(np.std(traces))
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .busemann import BusemannField, beta, mean_curvature_h
-from .manifold import BoundaryConfigError, GeometryError, ModelMismatchError, Point, _rowdot
+from .manifold import BoundaryConfigError, GeometryError, ModelMismatchError, Point, _native, _rowdot
 from .numerics import (QuadratureRule, fd_jacobian, gauss_legendre, orthonormal_complement,
                        sphere_rule, unit_sphere_area)
 
@@ -63,12 +63,6 @@ class VisibilityError(GeometryError):
 class EmptyLocusError(GeometryError):
     """Requested intersection lies below the axis level (s < 0), or a strip
     region reaches the axis level (c1 + c2 <= c0)."""
-
-
-def _native(values: np.ndarray):
-    """A Python float for a 0-d result, so scalar callers keep float types; the
-    array otherwise."""
-    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -255,28 +249,24 @@ class IntersectionLocus:
     def measure_factors_fd(self, step: float = 1e-3) -> np.ndarray:
         """Induced density recomputed in original coordinates per node.
 
-        Maps the tangent plane of the unit sphere at each node onto the
-        sphere by normalizing, then into original coordinates through
-        :meth:`PairConfig.denormalize`; :func:`fd_jacobian` pushes the
-        orthonormal tangent frame through that map, and the density is the
-        pushed frame's :meth:`~horoflow.manifold.ModelSpace.frame_volume`.
+        The radial projection y -> rho y/|y| of R^(n-1) onto the sphere,
+        placed at height a and taken into original coordinates by
+        :meth:`PairConfig.denormalize`, has its Jacobian at all nodes from one
+        :func:`fd_jacobian` call; it pushes each node's orthonormal tangent
+        frame, and the density is the pushed frame's
+        :meth:`~horoflow.manifold.ModelSpace.frame_volume`.
         Cross-checks :meth:`measure_factor` (they agree by isometry invariance).
         """
         m = self.config.model
         if m.dim == 2 or self.degenerate:
             return np.full(self.sphere_nodes.shape[0], self.measure_factor())
-        out = []
-        for omega in self.sphere_nodes:
-            frame = orthonormal_complement(omega)
 
-            def chart(u):
-                y = omega + u @ frame
-                y = self.radius * y / np.sqrt(_rowdot(y, y))[..., None]
-                return self.config.denormalize(np.column_stack([y, np.full(len(y), self.height)]))
+        def chart(y):
+            y = self.radius * y / np.sqrt(_rowdot(y, y))[..., None]
+            return self.config.denormalize(np.column_stack([y, np.full(len(y), self.height)]))
 
-            jac, base = fd_jacobian(chart, np.zeros(len(frame)), step)
-            out.append(m.frame_volume(base, jac.T))
-        return np.array(out)
+        jac, base = fd_jacobian(chart, self.sphere_nodes, step)
+        return m.frame_volume(base, orthonormal_complement(self.sphere_nodes) @ jac.mT)
 
 
 def parametrize_locus(cfg: PairConfig, s: float, t: float) -> IntersectionLocus:

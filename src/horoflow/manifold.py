@@ -27,6 +27,12 @@ one row reduction, :func:`_rowdot`. Chart rows hold only 2 to 8 entries, and
 on such rows ``np.linalg.norm(v, axis=-1)`` and ``(u * v).sum(axis=-1)`` take
 1.5 to 3 times as long, both on the (20, n) batches of the ODE oracle and on
 the (3072, n) node grids of the level-slice integrals.
+
+The chart oracles take an (n,) point or a (P, n) batch and return one result
+per point, with no loop over points: ``frame_volume`` takes (P, n) bases
+with (P, k, n) frames, and ``BusemannField.hessian_matrix`` gives one (n, n)
+matrix per point. A scalar result for one point is a Python float
+(:func:`_native`).
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ def _rowdot(u, v) -> np.ndarray:
     """Dot product of u and v over the last axis (broadcasting the others);
     ``_rowdot(v, v)`` is the squared Euclidean length of each row."""
     return np.vecdot(u, v)
+
+
+def _native(values):
+    """A Python float for a 0-d result, so scalar callers keep float types; the
+    array otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _as_coords(x) -> np.ndarray:
@@ -130,15 +142,17 @@ class ModelSpace:
             raise GeometryError("cannot normalize a zero tangent vector")
         return u / np.expand_dims(np.asarray(n), -1) if np.ndim(n) else u / n
 
-    def frame_volume(self, base, vectors) -> float:
+    def frame_volume(self, base, vectors):
         """Riemannian k-volume of the parallelepiped spanned by the k rows of
         ``vectors`` at base: the square root of their metric Gram determinant.
-        Raises :class:`GeometryError` when that determinant is not positive."""
+        For (P, n) bases and (P, k, n) frames, one volume per frame. Raises
+        :class:`GeometryError` when any Gram determinant is not positive."""
         vectors = np.asarray(vectors, dtype=float)
-        det = float(np.linalg.det(self.inner(base, vectors[:, None, :], vectors[None, :, :])))
-        if not det > 0.0:
-            raise GeometryError(f"degenerate frame: Gram determinant {det:.3g}")
-        return float(np.sqrt(det))
+        base = np.asarray(base, dtype=float)[..., None, None, :]
+        det = np.linalg.det(self.inner(base, vectors[..., :, None, :], vectors[..., None, :, :]))
+        if not np.all(det > 0.0):
+            raise GeometryError(f"degenerate frame: Gram determinant {np.min(det):.3g}")
+        return _native(np.sqrt(det))
 
     def volume_density(self, x):
         """sqrt(det g) in chart coordinates: z^-n in H^n, 1 in E^n. Raises

@@ -12,6 +12,10 @@ in one call of ``fn``, so ``fn`` must be vectorized over a leading axis: it
 maps an (N, n) array of points to (N,) values or (N, m) vectors.
 ``fd_jacobian`` and ``fd_directional`` also take a batch of P base points,
 with a step per point, and evaluate all P stencils in that one call.
+
+The chart oracles built on them (``orthonormal_complement`` here, the
+Jacobians of :mod:`horoflow.transport`, the locus frames) take an (n,) point
+or a (P, n) batch and give one result per point, a batch from one call.
 """
 
 from __future__ import annotations
@@ -140,25 +144,20 @@ def fd_directional(fn, x, direction, step: float = FD_STEP_GRAD):
     return out if x.ndim == 2 else float(out[0])
 
 
-def orthonormal_complement(u, inner=np.dot) -> np.ndarray:
-    """Rows orthonormal in ``inner`` spanning the complement of the unit vector u.
-
-    Gram-Schmidt of the coordinate axes against u, skipping an axis whose
-    remainder is too short to normalize accurately.
-    """
+def orthonormal_complement(u) -> np.ndarray:
+    """Orthonormal rows spanning the complement of the unit vector u, (n,) ->
+    (n - 1, n), or one frame per row of a (P, n) batch: the Householder
+    reflection I - v v^T / (1 + |u_k|), v = u + sign(u_k) e_k, that swaps u
+    with -sign(u_k) e_k (Householder, J. ACM 5, 1958), without its row k.
+    k = argmax |u_k| keeps 1 + |u_k| >= 1 + 1/sqrt(n), so nothing cancels."""
     u = np.asarray(u, dtype=float)
-    n = u.size
-    frame = []
-    for e in np.eye(n):
-        w = e - inner(e, u) * u
-        for b in frame:
-            w = w - inner(w, b) * b
-        nrm = math.sqrt(float(inner(w, w)))
-        if nrm > 1e-8:
-            frame.append(w / nrm)
-        if len(frame) == n - 1:
-            break
-    return np.array(frame).reshape(n - 1, n)
+    n = u.shape[-1]
+    k = np.argmax(np.abs(u), axis=-1)[..., None]
+    u_k = np.take_along_axis(u, k, -1)
+    v = u.copy()
+    np.put_along_axis(v, k, u_k + np.copysign(1.0, u_k), -1)
+    H = np.eye(n) - v[..., :, None] * (v / (1.0 + np.abs(u_k)))[..., None, :]
+    return H[np.arange(n) != k].reshape(*u.shape[:-1], n - 1, n)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .manifold import (
     Point,
     TangentVec,
     boundary_from_direction,
+    _native,
     _rowdot,
     _same_model,
 )
@@ -83,21 +84,22 @@ class NormalFlow:
         return m._exp(coords, float(t) * self.field._grad(coords))
 
 
-def horosphere_jacobian(f: BusemannField, t: float, x: Point, *, step: float = 1e-5) -> float:
-    """Volume expansion of the normal flow restricted to the horosphere through x.
+def horosphere_jacobian(f: BusemannField, t: float, x: Point | np.ndarray, *, step: float = 1e-5):
+    """Volume expansion e^{h t} of the normal flow restricted to the horosphere
+    through x, at one point or at each row of a (P, n) batch.
 
-    Finite-difference pushforward of an orthonormal horosphere frame, with
-    the step in chart-scale units, then its
+    Finite-difference pushforward, with the step in chart-scale units, of the
+    frame |g|_chart orthonormal_complement(g / |g|_chart), g = grad b, which
+    the conformal metric makes orthonormal; then its
     :meth:`~horoflow.manifold.ModelSpace.frame_volume` at the image point.
-    Equals e^{h t}.
     """
-    _same_model(f, x)
-    m = f.model
-    x0 = x.coords
-    frame = orthonormal_complement(f.grad_chart(x0), lambda a, b: m.inner(x0, a, b))
-    flow = NormalFlow(f)
-    J, y0 = _chart_jacobian(m, lambda c: flow(t, c), x0, step)
-    return m.frame_volume(y0, frame @ J.T)
+    m = _same_model(f, x) if isinstance(x, Point) else f.model
+    coords = m.check_coords(x.coords if isinstance(x, Point) else x)
+    g = f._grad(coords)
+    length = np.sqrt(_rowdot(g, g))[..., None]
+    frame = length[..., None] * orthonormal_complement(g / length)
+    J, image = _chart_jacobian(m, lambda c: NormalFlow(f)(t, c), coords, step)
+    return m.frame_volume(image, frame @ J.mT)
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +132,7 @@ class AlphaMap:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = t + self.gap(t)
-        return float(out) if out.ndim == 0 else out
+        return _native(t + self.gap(t))
 
     def gap(self, t):
         """alpha(t) - t = (1/h) log1p((e^{h t0} - 1) e^{-h t}), or t0 when h = 0.
@@ -150,7 +151,7 @@ class AlphaMap:
                 raise GeometryError(f"(e^(h t0) - 1) e^(-h t) overflows float64 at h = {h}, "
                                     f"t0 = {self.t0}, t = {np.min(t):.6g}")
             out = np.log1p(scaled) / h
-        return float(out) if out.ndim == 0 else out
+        return _native(out)
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
@@ -159,7 +160,7 @@ class AlphaMap:
         else:
             eht = np.exp(self.h * t)
             out = eht / (eht + math.expm1(self.h * self.t0))
-        return float(out) if out.ndim == 0 else out
+        return _native(out)
 
     @property
     def range_infimum(self) -> float:
@@ -183,7 +184,7 @@ class AlphaMap:
                     f"alpha inverse undefined at or below the range infimum m = {self.range_infimum}"
                 )
             out = np.log(arg) / self.h
-        return float(out) if out.ndim == 0 else out
+        return _native(out)
 
     def residual(self, t) -> float:
         """|alpha'(t) e^{h(alpha(t)-t)} - 1| with the analytic derivative."""
@@ -248,8 +249,9 @@ class VolumePreservingMap:
         shift = np.asarray(self.alpha.inverse(b) - b)
         return m._exp(coords, shift[..., None] * self.field._grad(coords))
 
-    def jacobian_det(self, coords, *, step: float = 1e-3) -> float:
-        """Riemannian Jacobian determinant by central differences (expect 1).
+    def jacobian_det(self, coords, *, step: float = 1e-3):
+        """Riemannian Jacobian determinant by central differences (expect 1),
+        at one point or at each row of a (P, n) batch.
 
         The default step, in chart-scale units, is near eps^(1/5), where the
         O(step^4) truncation error of the stencil meets its roundoff."""
@@ -271,12 +273,11 @@ def _chart_jacobian(model: ModelSpace, chart_map, coords, step: float):
     return fd_jacobian(chart_map, coords, step=step)
 
 
-def riemannian_jacobian_det(model: ModelSpace, chart_map, coords: np.ndarray, *, step: float = 1e-5) -> float:
-    """|det d(chart_map)| corrected by the volume-density ratio at source and image."""
+def riemannian_jacobian_det(model: ModelSpace, chart_map, coords: np.ndarray, *, step: float = 1e-5):
+    """|det d(chart_map)| corrected by the volume-density ratio at source and
+    image, at one point or at each row of a (P, n) batch."""
     J, image = _chart_jacobian(model, chart_map, coords, step)
-    det_chart = abs(float(np.linalg.det(J)))
-    ratio = float(model.volume_density(image) / model.volume_density(coords))
-    return det_chart * ratio
+    return _native(np.abs(np.linalg.det(J)) * (model.volume_density(image) / model.volume_density(coords)))
 
 
 # --------------------------------------------------------------------------
@@ -479,8 +480,7 @@ def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: 
         return np.asarray(vector_fn(c), dtype=float) * model.volume_density(c)[:, None]
 
     J, _ = _chart_jacobian(model, weighted, coords, step)
-    out = np.trace(J, axis1=-2, axis2=-1) / model.volume_density(coords)
-    return float(out) if np.ndim(out) == 0 else out
+    return _native(np.trace(J, axis1=-2, axis2=-1) / model.volume_density(coords))
 
 
 def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
@@ -495,7 +495,7 @@ def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
                          coords, pf.vector(coords), step=step)
     if pf.kind == SUM:
         rhs = rhs + mean_curvature_h(pf.model) / (1.0 + beta(pf.f1, pf.f2, coords))
-    return lhs, float(rhs) if np.ndim(rhs) == 0 else rhs
+    return lhs, _native(rhs)
 
 
 def transport_gaps(run: FlowRun, x: Point, duration: float, *,

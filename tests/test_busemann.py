@@ -175,12 +175,20 @@ class TestHessians:
     def test_euclidean_zero(self, e3, f_e1):
         H = f_e1.hessian_matrix([1.0, 2.0, 3.0])
         assert np.array_equal(H, np.zeros((3, 3)))
+        assert np.array_equal(f_e1.hessian_matrix(np.ones((4, 3))), np.zeros((4, 3, 3)))
 
-    def test_matches_fd_oracle(self, h3, f_origin, f_inf, rng):
-        for f in (f_origin, f_inf):
-            for c in h3.random_points(rng, 5, 0.8):
-                gap = np.max(np.abs(_fd_shape_operator(f, c) - f.hessian_matrix(c)))
-                assert gap <= 1e-6
+    @pytest.mark.parametrize("n", range(2, 9), ids=lambda n: f"h{n}")
+    def test_matches_fd_oracle(self, n, rng):
+        m = ModelSpace(HYPERBOLIC, n)
+        base = Point(m, np.r_[np.zeros(n - 1), 1.0])
+        for xi in (boundary_finite(m, np.linspace(0.4, -0.3, n - 1)), boundary_infinity(m)):
+            f = BusemannField(m, xi, base)
+            pts = m.random_points(rng, 5, 0.8)
+            batch = f.hessian_matrix(pts)
+            assert batch.shape == (5, n, n)
+            for c, H in zip(pts, batch):
+                assert np.array_equal(H, f.hessian_matrix(c))
+                assert np.max(np.abs(_fd_shape_operator(f, c) - H)) <= 1e-6
 
     def test_symmetric_psd(self, h3, f_origin, rng):
         for c in h3.random_points(rng, 20, 1.0):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from horoflow import busemann as bu
 from horoflow import locus as lc
 from horoflow import transport as tr
 from horoflow import verify
@@ -59,6 +60,26 @@ def sum_exponent_doubled(monkeypatch):
     monkeypatch.setattr(tr, "flow_density", mutant)
 
 
+def shape_operator_without_z_squared(monkeypatch):
+    """The umbilic shape operator I - g g^T / z^2 loses its 1/z^2."""
+    def mutant(f, coords):
+        g = f._grad(f.model.check_coords(coords))
+        return np.eye(f.model.dim) - g[..., :, None] * g[..., None, :]
+
+    monkeypatch.setattr(bu.BusemannField, "hessian_matrix", mutant)
+
+
+def w_times_root_x(monkeypatch):
+    """The closed-form W gains a factor sqrt(x), x = e^s - 1."""
+    exact = lc.locus_values
+
+    def mutant(cfg, s, t):
+        q = exact(cfg, s, t)
+        return q._replace(W=q.W * np.sqrt(np.expm1(s)))
+
+    monkeypatch.setattr(lc, "locus_values", mutant)
+
+
 HYPERBOLIC_MODELS = [f"h{n}" for n in range(2, 9)]
 
 # mutant -> (models, checks that must fail on each)
@@ -67,6 +88,11 @@ MUTANTS = {
     bound_is_max_v_w: (["h3", "h5"], [verify.check_strip_volume]),
     flow_off_by_1e_7: (["h3", "h8"], [verify.check_difference_flow_tracking, verify.check_sum_flow_tracking]),
     sum_exponent_doubled: (["h3", "h5"], [verify.check_flow_densities]),
+    shape_operator_without_z_squared: (["h2", "h3", "h8"], [verify.check_laplacian_constancy,
+                                                            verify.check_hessian_bounds,
+                                                            verify.check_hessian_fd]),
+    w_times_root_x: (["h3", "h5"], [verify.check_vw_t_invariance, verify.check_dw_ds,
+                                    verify.check_isometry_invariance]),
 }
 
 

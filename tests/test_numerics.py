@@ -16,6 +16,7 @@ from horoflow.numerics import (
     fd_jacobian,
     gauss_legendre,
     ode_integrate,
+    orthonormal_complement,
     sphere_rule,
     unit_sphere_area,
 )
@@ -108,6 +109,26 @@ class TestFiniteDifferences:
         fn = lambda x: x[..., 0] ** 2
         assert fd_directional(fn, np.array([[1.0, 2.0], [0.5, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]),
                               step=1e-3) == pytest.approx([0.0, 1.0], abs=1e-9)
+
+
+class TestOrthonormalComplement:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_are_orthonormal_and_orthogonal_to_u(self, n, rng):
+        eye = np.eye(n)
+        nearly = eye + 1e-9 * rng.normal(size=(n, n))
+        u = np.concatenate([eye, -eye, nearly, -nearly, rng.normal(size=(20, n))])
+        u /= np.sqrt(np.einsum("pi,pi->p", u, u))[:, None]
+        frames = orthonormal_complement(u)
+        assert frames.shape == (u.shape[0], n - 1, n)
+        gram = frames @ frames.mT
+        assert np.max(np.abs(gram - np.eye(n - 1))) <= 1e-15
+        assert np.max(np.abs(frames @ u[:, :, None])) <= 1e-15
+        for one, frame in zip(u, frames):
+            assert np.array_equal(orthonormal_complement(one), frame)
+
+    def test_axis_vectors_give_the_other_axes(self):
+        assert np.array_equal(orthonormal_complement([0.0, 1.0, 0.0]), [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(orthonormal_complement([0.0, -1.0]), [[1.0, 0.0]])
 
 
 class TestQuadrature:

@@ -732,3 +732,65 @@ class TestPairFlowOracle:
         assert {r.quantities["error"] for r in reports if r.status == "error"} == {
             "sum flow evaluated on the singular set D"}
         assert {r.status for r in reports if r.name not in errors} == {"pass"}
+
+
+def _batch_setup(m, rng):
+    """A field with an off-origin pole (a direction in E^n), a map F, and
+    seven random chart points."""
+    n = m.dim
+    if m.is_hyperbolic:
+        base = np.r_[np.zeros(n - 1), 1.0]
+        xi, target = boundary_finite(m, np.linspace(0.4, -0.3, n - 1)), np.r_[np.full(n - 1, 0.2), 0.6]
+    else:
+        base = np.zeros(n)
+        xi, target = boundary_direction(m, np.arange(1.0, n + 1.0)), np.full(n, 0.7)
+    f = BusemannField(m, xi, Point(m, base))
+    F = VolumePreservingMap(m, Point(m, base), Point(m, target))
+    return f, F, m.random_points(rng, 7, 0.6)
+
+
+@pytest.mark.parametrize("m", [ModelSpace(HYPERBOLIC, 2), ModelSpace(HYPERBOLIC, 3),
+                               ModelSpace(HYPERBOLIC, 8), ModelSpace(EUCLIDEAN, 3)],
+                         ids=["h2", "h3", "h8", "e3"])
+class TestBatchedOracles:
+    """A (P, n) batch gives one value per row, equal to the row's own call
+    (bitwise for the map's Jacobian, whose reports must not move)."""
+
+    def test_jacobian_det_is_bitwise_the_per_row_value(self, m, rng):
+        _, F, pts = _batch_setup(m, rng)
+        batch = F.jacobian_det(pts)
+        assert batch.shape == (7,)
+        rows = [F.jacobian_det(c) for c in pts]
+        assert all(isinstance(r, float) for r in rows)
+        assert np.array_equal(batch, rows)
+
+    def test_riemannian_jacobian_det(self, m, rng):
+        f, _, pts = _batch_setup(m, rng)
+        flow = NormalFlow(f)
+        batch = transport.riemannian_jacobian_det(m, lambda c: flow(0.7, c), pts)
+        rows = [transport.riemannian_jacobian_det(m, lambda c: flow(0.7, c), c) for c in pts]
+        assert batch.shape == (7,)
+        np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0)
+
+    def test_horosphere_jacobian(self, m, rng):
+        f, _, pts = _batch_setup(m, rng)
+        batch = horosphere_jacobian(f, 0.8, pts)
+        rows = [horosphere_jacobian(f, 0.8, Point(m, c)) for c in pts]
+        assert batch.shape == (7,)
+        np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0)
+        assert np.allclose(batch, math.exp(mean_curvature_h(m) * 0.8), rtol=1e-8, atol=0.0)
+
+    def test_frame_volume(self, m, rng):
+        _, _, pts = _batch_setup(m, rng)
+        frames = rng.normal(size=(7, m.dim - 1, m.dim))
+        batch = m.frame_volume(pts, frames)
+        assert batch.shape == (7,)
+        rows = [m.frame_volume(c, frame) for c, frame in zip(pts, frames)]
+        np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0)
+
+    def test_frame_volume_raises_on_one_degenerate_frame_in_a_batch(self, m, rng):
+        _, _, pts = _batch_setup(m, rng)
+        frames = rng.normal(size=(7, m.dim - 1, m.dim))
+        frames[4, -1] = 0.0
+        with pytest.raises(GeometryError, match="degenerate frame"):
+            m.frame_volume(pts, frames)
