@@ -12,8 +12,8 @@ Contents:
   s/2), with their closed-form flow maps and volume densities;
 * the oracles that verify all of the above from first principles: Runge-Kutta
   flow maps, finite-difference divergences and Jacobians. A :class:`FlowRun`
-  integrates every start the flows suite needs from one pair flow as one
-  recorded batch, so one run per pair flow serves the suite.
+  integrates every start the flows suite needs from both pair flows as one
+  recorded batch, so one run serves the suite.
 
 For h > 0 the range of alpha is (m, infinity) with
 ``m = (1/h) ln(e^{h t0} - 1)``, so the image of F is the open horoball
@@ -286,9 +286,24 @@ def riemannian_jacobian_det(model: ModelSpace, chart_map, coords: np.ndarray, *,
 
 DIFFERENCE = "difference"
 SUM = "sum"
+# the sign of grad b2 in each pair flow's field
+SIGN = {DIFFERENCE: -1.0, SUM: 1.0}
 
 # treat beta <= -1 + this as membership in the singular set D
 D_MEMBERSHIP_TOL = 1e-9
+
+
+def _pair_vector(f1: BusemannField, f2: BusemannField, coords: np.ndarray, sign) -> np.ndarray:
+    """(g1 + sign g2) / (2 + 2 sign beta), beta = g1 . g2 / z^2 (z = 1 in E^n), at validated
+    chart points, for sign -1 (the difference flow, rounding exactly as (g1 - g2) / (2 - 2 beta)),
+    +1 (the sum flow) or one of them per row of a (P, n) batch. Raises on D in sum rows."""
+    g1, g2 = f1._grad(coords), f2._grad(coords)
+    z = coords[..., -1] if f1.model.is_hyperbolic else 1.0
+    sign, b = np.asarray(sign), _rowdot(g1, g2) / (z * z)
+    denom = 2.0 + 2.0 * sign * b
+    if ((denom <= 2.0 * D_MEMBERSHIP_TOL) & (sign > 0.0)).any():
+        raise SingularFlowError("sum flow evaluated on the singular set D")
+    return (g1 + sign[..., None] * g2) / denom[..., None]
 
 
 @dataclass(frozen=True)
@@ -309,7 +324,7 @@ class PairFlow:
     def __post_init__(self):
         if self.f1.model != self.f2.model:
             raise ModelMismatchError("fields belong to different models")
-        if self.kind not in (DIFFERENCE, SUM):
+        if self.kind not in SIGN:
             raise GeometryError(f"unknown pair-flow kind {self.kind!r}")
         if self.f1.xi.same_as(self.f2.xi):
             raise GeometryError("pair flows need distinct boundary points")
@@ -319,41 +334,20 @@ class PairFlow:
         return self.f1.model
 
     def vector(self, coords) -> np.ndarray:
-        """Chart components of the flow field at coords, validated once per call.
-
-        In E^n the field is the constant :attr:`_constant_vector`; in H^n it is
-        (g1 -+ g2) / (2 -+ 2 beta) with beta = (g1 . g2) / z^2."""
+        """Chart components of the flow field at coords, validated once per call:
+        :func:`_pair_vector` with the kind's sign, a constant in E^n."""
         coords = self.model.check_coords(coords)
         if not self.model.is_hyperbolic:
             out = np.empty_like(coords)
             out[...] = self._constant_vector
             return out
-        g1 = self.f1._grad(coords)
-        g2 = self.f2._grad(coords)
-        z = coords[..., -1]
-        b = _rowdot(g1, g2) / (z * z)
-        return self._normalized(g1, g2, b)
-
-    def _normalized(self, g1: np.ndarray, g2: np.ndarray, b) -> np.ndarray:
-        """(g1 -+ g2) / (2 -+ 2b), written into g1; raises on D for the sum flow."""
-        if self.kind == DIFFERENCE:
-            g1 -= g2
-            denom = 2.0 - 2.0 * b
-        else:
-            denom = 2.0 + 2.0 * b
-            if (denom <= 2.0 * D_MEMBERSHIP_TOL).any():
-                raise SingularFlowError("sum flow evaluated on the singular set D")
-            g1 += g2
-        g1 /= denom[..., None]
-        return g1
+        return _pair_vector(self.f1, self.f2, coords, SIGN[self.kind])
 
     @functools.cached_property
     def _constant_vector(self) -> np.ndarray:
         """The E^n flow field, constant because both gradients are; a sum pair
         whose gradients cancel raises on every access, as nothing is cached."""
-        g1 = -self.f1.xi.data
-        g2 = -self.f2.xi.data
-        return self._normalized(g1, g2, g1 @ g2)
+        return _pair_vector(self.f1, self.f2, np.zeros(self.model.dim), SIGN[self.kind])
 
     @functools.cached_property
     def _config(self) -> PairConfig:
@@ -409,9 +403,7 @@ def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
         expansion = 0.5 * pf._config.h * math.log(math.expm1(s0 + duration) / math.expm1(s0))
     b0 = float(beta(pf.f1, pf.f2, x.coords))
     b1 = float(beta(pf.f1, pf.f2, pf.flow(x.coords, duration)))
-    if pf.kind == DIFFERENCE:
-        return (1.0 - b0) / (1.0 - b1)
-    return math.exp(expansion) * (1.0 + b0) / (1.0 + b1)
+    return math.exp(expansion) * (1.0 + SIGN[pf.kind] * b0) / (1.0 + SIGN[pf.kind] * b1)
 
 
 def flow_stencil(model: ModelSpace, coords, fd_step: float = FD_STEP_GRAD) -> np.ndarray:
@@ -421,45 +413,67 @@ def flow_stencil(model: ModelSpace, coords, fd_step: float = FD_STEP_GRAD) -> np
     return _stencil_points(coords[None], np.eye(model.dim), step)[0]
 
 
-class FlowRun:
-    """Runge-Kutta trajectories of a pair flow, the oracles' flow, independent
-    of :meth:`PairFlow.flow`: all named ``blocks`` of starts (each (N, n) or
-    one point) integrate as one batch by :func:`ode_integrate` at its default
-    step, recorded at every step. Rows do not interact, so a block's states
-    after k steps are bitwise those of a separate integration of the block
-    for k steps, and one run serves every duration on its step grid."""
+class FlowRun(dict):
+    """Runge-Kutta trajectories of the pair flows of (f1, f2), independent of
+    :meth:`PairFlow.flow`: maps each kind of ``blocks`` (kind -> name -> (N, n)
+    starts or one point) to its :class:`KindRun`. All rows integrate as one
+    recorded :func:`ode_integrate` batch of :func:`_pair_vector`, each with its
+    kind's sign. Rows do not interact, so a block's states after k steps are
+    bitwise those of a separate run of its kind's flow for k steps, and one
+    run serves every duration on its step grid; a sum row on D raises."""
 
-    def __init__(self, pf: PairFlow, blocks: dict, duration: float):
+    def __init__(self, f1: BusemannField, f2: BusemannField, blocks: dict, duration: float):
         if not duration > 0.0:
             raise ValueError(f"a flow run needs a positive duration, got {duration}")
-        self.pf, self.blocks = pf, blocks
-        rows = [np.asarray(b, dtype=float).reshape(-1, pf.model.dim) for b in blocks.values()]
-        ends = np.cumsum([len(r) for r in rows])
-        self._rows = {r.tobytes(): slice(end - len(r), end) for r, end in zip(rows, ends)}
-        times, self._states = ode_integrate(pf.vector, np.concatenate(rows), duration, record=True)
-        self.step = duration / (len(times) - 1)
+        # each kind keys its own rows by start bytes: both kinds may integrate one block
+        rows, starts, sign = {kind: {} for kind in blocks}, [], []
+        for kind, named in blocks.items():
+            for block in named.values():
+                start = np.asarray(block, dtype=float).reshape(-1, f1.model.dim)
+                rows[kind][start.tobytes()] = slice(len(sign), len(sign) + len(start))
+                starts.append(start)
+                sign += [SIGN[kind]] * len(start)
+        pfs, sign = {kind: PairFlow(f1, f2, kind) for kind in blocks}, np.array(sign)
+        # a run of one kind keeps that flow's own field, which E^n caches as a constant
+        field = (next(iter(pfs.values())).vector if len(pfs) == 1
+                 else lambda c: _pair_vector(f1, f2, f1.model.check_coords(c), sign))
+        times, states = ode_integrate(field, np.concatenate(starts), duration, record=True)
+        step = duration / (len(times) - 1)
+        super().__init__({kind: KindRun(pfs[kind], blocks[kind], rows[kind], states, step) for kind in blocks})
+
+
+@dataclass(frozen=True)
+class KindRun:
+    """One kind's pair flow, named blocks and recorded trajectories in a :class:`FlowRun`."""
+
+    pf: PairFlow
+    blocks: dict
+    _rows: dict
+    _states: np.ndarray
+    step: float
 
     def trajectories(self, starts, duration: float) -> np.ndarray:
-        """The (k + 1, N, n) states of the block ``starts`` at 0, step, ...,
-        duration = k steps; k must be a whole number, and is never rounded."""
+        """The (k + 1, N, n) states of the block ``starts`` at 0, step, ..., duration
+        = k steps; k must be within 1e-9 of a whole number, as in :func:`ode_integrate`."""
         k = float(duration) / self.step
-        if not (k.is_integer() and 0 <= k < len(self._states)):
+        whole = np.rint(k)
+        if not (abs(k - whole) <= 1e-9 and 0 <= whole < len(self._states)):
             raise ValueError(f"duration {duration} is not a whole number of the run's steps of {self.step}")
         rows = self._rows.get(np.asarray(starts, dtype=float).reshape(-1, self.pf.model.dim).tobytes())
         if rows is None:
-            raise ValueError("the run did not integrate these starts")
-        return self._states[: int(k) + 1, rows]
+            raise ValueError(f"the run did not integrate these starts of the {self.pf.kind} flow")
+        return self._states[: int(whole) + 1, rows]
 
     def flow_map(self, duration: float):
-        """The recorded time-``duration`` flow map, defined on the run's blocks."""
+        """The recorded time-``duration`` flow map, defined on the kind's blocks."""
         return lambda starts: self.trajectories(starts, duration)[-1]
 
 
-def flow_density_fd(run: FlowRun, x: Point, duration: float, *, fd_step: float = FD_STEP_GRAD) -> float:
+def flow_density_fd(run: KindRun, x: Point, duration: float, *, fd_step: float = FD_STEP_GRAD) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
     determinant of the Runge-Kutta flow map, with the volume-density
     correction, from the flow of x's :func:`flow_stencil` recorded in ``run``,
-    so one run per pair flow serves every check of it."""
+    one kind of a :class:`FlowRun`."""
     return riemannian_jacobian_det(run.pf.model, run.flow_map(duration), x.coords, step=fd_step)
 
 
@@ -489,7 +503,7 @@ def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
     div X = X[ln(1/(1-beta))] for the difference flow and
     div Y = Y[ln(1/(1+beta))] + h/(1+beta) for the sum flow."""
     coords = x.coords if isinstance(x, Point) else x
-    sign = -1.0 if pf.kind == DIFFERENCE else 1.0
+    sign = SIGN[pf.kind]
     lhs = divergence_fd(pf.model, pf.vector, coords, step=step)
     rhs = fd_directional(lambda c: -np.log(1.0 + sign * beta(pf.f1, pf.f2, c)),
                          coords, pf.vector(coords), step=step)
@@ -498,12 +512,12 @@ def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
     return lhs, _native(rhs)
 
 
-def transport_gaps(run: FlowRun, x: Point, duration: float, *,
+def transport_gaps(run: KindRun, x: Point, duration: float, *,
                    fd_step: float = FD_STEP_GRAD) -> tuple[float, float]:
     """How far the time-``duration`` flow Phi of ``run``'s pair flow fails to
     transport the Busemann gradients and their 1-forms, from the Runge-Kutta
     flow Jacobian at x, taken from the flow of x's :func:`flow_stencil` in
-    ``run`` (one run per pair flow serves the whole flows suite).
+    ``run``, one kind of a :class:`FlowRun`.
 
     Returns ``(push_gap, form_gap)``, each the worst over i = 1, 2 of:
 

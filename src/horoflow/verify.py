@@ -118,7 +118,7 @@ class VerifyContext:
     map target t0 below it (t0 along the first axis in the Euclidean model).
 
     ``memo`` holds what the checks of one run share: the one Runge-Kutta run
-    per pair flow that serves the flows suite (:func:`_flow_run`). The
+    of both pair flows that serves the flows suite (:func:`_flow_run`). The
     shallow clones of :func:`_isolated_context` share it.
     """
 
@@ -430,40 +430,39 @@ def check_map_out_of_image(ctx, tol):
 # --------------------------------------------------------------------------
 
 
-def _flow_run(ctx: VerifyContext, kind: str) -> tr.FlowRun:
-    """The one Runge-Kutta run of this pair flow, to the longest duration a
-    flows check reads, built by the first check that reads it. Its blocks are
-    the starts and flow-Jacobian stencils of the checks that run on the
-    model, each drawn from the generator :func:`_isolated_context` gives its
-    check. A run that raises GeometryError is not kept, so every check that
-    reads it records the error."""
-    if kind not in ctx.memo:
+def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
+    """The one Runge-Kutta run of both pair flows (the difference flow alone in
+    E^n) to t = 2, built by the first flows check, of the starts and stencils
+    each check draws from the generator :func:`_isolated_context` gives it. A
+    run that raises is not kept, so every reader of either kind records the
+    error: a sum row on D is an error in the difference-flow checks too."""
+    if "flows" not in ctx.memo:
         cfg = ctx.pair_config() if ctx.model.is_hyperbolic else None
 
         def drawn(check, cfg, count, min_separation):
             return np.array(_off_axis_points(_isolated_context(ctx, check), cfg, count, min_separation))
 
-        # keep sum-flow starts off the axis
-        tracking = ((check_difference_flow_tracking, None) if kind == tr.DIFFERENCE
-                    else (check_sum_flow_tracking, cfg))
-        blocks = {"tracking": drawn(*tracking, 20, 0.05),
-                  "transport": tr.flow_stencil(ctx.model, drawn(check_gradient_transport, cfg, 1, 0.1)[0])}
+        transport = tr.flow_stencil(ctx.model, drawn(check_gradient_transport, cfg, 1, 0.1)[0])
+        blocks = {tr.DIFFERENCE: {"tracking": drawn(check_difference_flow_tracking, None, 20, 0.05),
+                                  "transport": transport}}
         if cfg is not None:
-            blocks["densities"] = tr.flow_stencil(ctx.model, cfg.point_on_locus(0.7, 0.2).coords)
-        if kind == tr.SUM:
-            blocks["beta-monotone"] = cfg.point_on_locus(0.2, 0.3).coords
-        ctx.memo[kind] = tr.FlowRun(tr.PairFlow(*ctx.field_pair(), kind), blocks, 2.0)
-    return ctx.memo[kind]
+            densities = tr.flow_stencil(ctx.model, cfg.point_on_locus(0.7, 0.2).coords)
+            blocks[tr.DIFFERENCE]["densities"] = densities
+            # keep sum-flow starts off the axis
+            blocks[tr.SUM] = {"tracking": drawn(check_sum_flow_tracking, cfg, 20, 0.05), "transport": transport,
+                              "densities": densities, "beta-monotone": cfg.point_on_locus(0.2, 0.3).coords}
+        ctx.memo["flows"] = tr.FlowRun(*ctx.field_pair(), blocks, 2.0)
+    return ctx.memo["flows"]
 
 
-def _tracking_check(ctx, kind: str, sign2: float, tol: float, duration: float = 2.0):
+def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
     """Runge-Kutta trajectories of the pair flow: how far they miss the Busemann level
-    changes (duration/2, sign2*duration/2) and the closed-form flow map."""
-    run = _flow_run(ctx, kind)
+    changes (duration/2, sign*duration/2) and the closed-form flow map."""
+    run = _flow_run(ctx)[kind]
     pf, starts = run.pf, run.blocks["tracking"]
     ends = run.trajectories(starts, duration)[-1]
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
-    e2 = np.abs(pf.f2.value(ends) - pf.f2.value(starts) - sign2 * duration / 2.0)
+    e2 = np.abs(pf.f2.value(ends) - pf.f2.value(starts) - tr.SIGN[kind] * duration / 2.0)
     tracking = float(max(np.max(e1), np.max(e2)))
     closed_form_gap = float(np.max(np.abs(pf.flow(starts, duration) - ends)))
     return ({"max_tracking_error": tracking, "max_closed_form_gap": closed_form_gap,
@@ -476,7 +475,7 @@ def _tracking_check(ctx, kind: str, sign2: float, tol: float, duration: float = 
         "its Runge-Kutta trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8)
 def check_difference_flow_tracking(ctx, tol):
-    return _tracking_check(ctx, tr.DIFFERENCE, -1.0, tol)
+    return _tracking_check(ctx, tr.DIFFERENCE, tol)
 
 
 @check("sum-flow-level-tracking",
@@ -484,7 +483,7 @@ def check_difference_flow_tracking(ctx, tol):
         "its Runge-Kutta trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8, skip=NO_AXIS)
 def check_sum_flow_tracking(ctx, tol):
-    return _tracking_check(ctx, tr.SUM, +1.0, tol)
+    return _tracking_check(ctx, tr.SUM, tol)
 
 
 def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float = 0.1):
@@ -527,13 +526,10 @@ def check_divergence_identities(ctx, tol):
        0.0, "cross-check", tol=1e-5, skip=NO_AXIS)
 def check_flow_densities(ctx, tol):
     cfg = ctx.pair_config()
-    run_x, run_y = _flow_run(ctx, tr.DIFFERENCE), _flow_run(ctx, tr.SUM)
-    x = Point(ctx.model, run_x.blocks["densities"][0])
-    dur = 0.9
-    dens_x = tr.flow_density(run_x.pf, x, dur)
-    fd_x = tr.flow_density_fd(run_x, x, dur)
-    dens_y = tr.flow_density(run_y.pf, x, dur)
-    fd_y = tr.flow_density_fd(run_y, x, dur)
+    run, dur = _flow_run(ctx), 0.9
+    x = Point(ctx.model, run[tr.DIFFERENCE].blocks["densities"][0])
+    dens_x, dens_y = (tr.flow_density(run[kind].pf, x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
+    fd_x, fd_y = (tr.flow_density_fd(run[kind], x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
     # symbolic antiderivative of the sum-flow expansion in the model pair
     s0 = cfg.separation(x)
     exact_y = ((math.exp(s0 + dur) - 1.0) / (math.exp(s0) - 1.0)) ** (ctx.h / 2.0 - 1.0) * math.exp(dur)
@@ -553,14 +549,14 @@ def check_flow_densities(ctx, tol):
         "both flows pull the level 1-forms back to themselves"),
        0.0, "cross-check", tol=1e-6)
 def check_gradient_transport(ctx, tol):
-    run_x = _flow_run(ctx, tr.DIFFERENCE)
+    run_x = _flow_run(ctx)[tr.DIFFERENCE]
     x = Point(ctx.model, run_x.blocks["transport"][0])
     push_x, form_x = tr.transport_gaps(run_x, x, 0.8)
     quantities = {"difference_gradient_gap": push_x, "difference_form_gap": form_x}
     ok = push_x <= tol and form_x <= tol
     if ctx.model.is_hyperbolic:
         # the sum flow carries the 1-forms but not the gradients
-        _, form_y = tr.transport_gaps(_flow_run(ctx, tr.SUM), x, 0.8)
+        _, form_y = tr.transport_gaps(_flow_run(ctx)[tr.SUM], x, 0.8)
         quantities["sum_form_gap"] = form_y
         ok = ok and form_y <= tol
     return quantities, ok
@@ -586,7 +582,7 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
         start = cfg.point_on_locus(eps, 0.0)
         b_start = float(bu.beta(cfg.f1, cfg.f2, start))
         eps_rows.append({"epsilon": eps, "beta_at_start": b_start, "gap_to_minus_one": b_start + 1.0})
-    run_y = _flow_run(ctx, tr.SUM)
+    run_y = _flow_run(ctx)[tr.SUM]
     states = run_y.trajectories(run_y.blocks["beta-monotone"], 1.5)[:, 0]
     bs = np.asarray(bu.beta(cfg.f1, cfg.f2, states))
     worst = float(np.min(np.diff(bs)))

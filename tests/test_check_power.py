@@ -60,6 +60,17 @@ def sum_exponent_doubled(monkeypatch):
     monkeypatch.setattr(tr, "flow_density", mutant)
 
 
+def shared_run_sum_rows_as_difference(monkeypatch):
+    """The shared Runge-Kutta run integrates its sum rows with sign -1, the
+    difference field, in place of +1."""
+    exact = tr._pair_vector
+
+    def mutant(f1, f2, coords, sign):
+        return exact(f1, f2, coords, -np.abs(sign) if np.ndim(sign) else sign)
+
+    monkeypatch.setattr(tr, "_pair_vector", mutant)
+
+
 def shape_operator_without_z_squared(monkeypatch):
     """The umbilic shape operator I - g g^T / z^2 loses its 1/z^2."""
     def mutant(f, coords):
@@ -88,6 +99,7 @@ MUTANTS = {
     bound_is_max_v_w: (["h3", "h5"], [verify.check_strip_volume]),
     flow_off_by_1e_7: (["h3", "h8"], [verify.check_difference_flow_tracking, verify.check_sum_flow_tracking]),
     sum_exponent_doubled: (["h3", "h5"], [verify.check_flow_densities]),
+    shared_run_sum_rows_as_difference: (["h3", "h8"], [verify.check_sum_flow_tracking]),
     shape_operator_without_z_squared: (["h2", "h3", "h8"], [verify.check_laplacian_constancy,
                                                             verify.check_hessian_bounds,
                                                             verify.check_hessian_fd]),

@@ -440,53 +440,100 @@ class TestDivergence:
 
 
 def _stencil_run(pf, x, duration):
-    """A run that integrated the flow-Jacobian stencil about x."""
-    return FlowRun(pf, {"stencil": flow_stencil(pf.model, x.coords)}, duration)
+    """pf's kind in a run that integrated the flow-Jacobian stencil about x."""
+    return FlowRun(pf.f1, pf.f2, {pf.kind: {"stencil": flow_stencil(pf.model, x.coords)}}, duration)[pf.kind]
+
+
+MODELS_H3_H8_E5 = pytest.mark.parametrize("model_name", ["h3", "h8", "e5"])
+
+
+def _model(name):
+    return ModelSpace(HYPERBOLIC if name[0] == "h" else EUCLIDEAN, int(name[1:]))
+
+
+def _assert_rows_equal_separate_integrations(run, kind, blocks):
+    """At 80, 90, 150 and 200 steps, every block of ``kind`` in ``run`` is
+    bitwise the end of its own integration by the kind's pair flow."""
+    pf = run[kind].pf
+    for block in blocks:
+        for steps, duration in ((80, 0.8), (90, 0.9), (150, 1.5), (200, 2.0)):
+            path = run[kind].trajectories(block, duration)
+            assert path.shape == (steps + 1, len(np.atleast_2d(block)), pf.model.dim)
+            separate = ode_integrate(PairFlow(pf.f1, pf.f2, kind).vector, block, duration)
+            assert np.array_equal(path[-1], np.atleast_2d(separate))
 
 
 class TestFlowRun:
     """One recorded batch serves every duration on its step grid."""
 
-    @pytest.mark.parametrize("model_name", ["h3", "h8", "e5"])
+    @MODELS_H3_H8_E5
     @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
     def test_recorded_rows_equal_separate_integrations(self, model_name, kind):
-        model = ModelSpace(HYPERBOLIC if model_name[0] == "h" else EUCLIDEAN, int(model_name[1:]))
+        model = _model(model_name)
         f1, f2 = _generic_pair(model)
-        pf = PairFlow(f1, f2, kind)
         starts = _off_axis_starts(model, f1, f2, count=5)
         stencil = flow_stencil(model, starts[0])
         single = starts[1]
-        run = FlowRun(pf, {"starts": starts, "stencil": stencil, "single": single}, 2.0)
-        assert run.step == 0.01
-        for block in (starts, stencil, single):
-            for steps, duration in ((80, 0.8), (90, 0.9), (150, 1.5), (200, 2.0)):
-                path = run.trajectories(block, duration)
-                assert path.shape == (steps + 1, len(np.atleast_2d(block)), model.dim)
-                assert np.array_equal(path[-1], np.atleast_2d(ode_integrate(pf.vector, block, duration)))
-        _, recorded = ode_integrate(pf.vector, single, 1.5, record=True)
-        assert np.array_equal(run.trajectories(single, 1.5)[:, 0], recorded)
+        run = FlowRun(f1, f2, {kind: {"starts": starts, "stencil": stencil, "single": single}}, 2.0)
+        assert run[kind].step == 0.01
+        _assert_rows_equal_separate_integrations(run, kind, (starts, stencil, single))
+        _, recorded = ode_integrate(run[kind].pf.vector, single, 1.5, record=True)
+        assert np.array_equal(run[kind].trajectories(single, 1.5)[:, 0], recorded)
+
+    @MODELS_H3_H8_E5
+    def test_both_kinds_in_one_batch_equal_separate_integrations(self, monkeypatch, model_name):
+        model = _model(model_name)
+        f1, f2 = _generic_pair(model)
+        starts = _off_axis_starts(model, f1, f2, count=6)
+        shared = flow_stencil(model, starts[0])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return ode_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "ode_integrate", counted)
+        run = FlowRun(f1, f2, {DIFFERENCE: {"starts": starts[:3], "shared": shared},
+                               SUM: {"shared": shared, "starts": starts[3:], "single": starts[5]}}, 2.0)
+        assert calls == [2.0]
+        monkeypatch.undo()
+        _assert_rows_equal_separate_integrations(run, DIFFERENCE, (starts[:3], shared))
+        _assert_rows_equal_separate_integrations(run, SUM, (shared, starts[3:], starts[5]))
+        # a block of both kinds is looked up under each kind's own flow
+        assert not np.array_equal(run[DIFFERENCE].trajectories(shared, 1.0), run[SUM].trajectories(shared, 1.0))
+        with pytest.raises(ValueError, match="did not integrate"):
+            run[SUM].trajectories(starts[:3], 1.0)
+
+    def test_every_duration_on_the_step_grid_is_accepted(self, pair_x):
+        start = np.array([0.2, 0.1, 1.0])
+        run = FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"start": start}}, 2.0)[DIFFERENCE]
+        # 0.29 / 0.01 is 28.999999999999996 in float64
+        for k in range(201):
+            assert run.trajectories(start, k * 0.01).shape == (k + 1, 1, 3)
 
     @pytest.mark.parametrize("duration", [0.805, 1.0 / 3.0, 2.01, -0.1])
     def test_duration_off_the_step_grid_raises(self, h3, pair_x, duration):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
-        run = FlowRun(pair_x, {"starts": starts}, 2.0)
+        run = FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"starts": starts}}, 2.0)[DIFFERENCE]
         with pytest.raises(ValueError, match="whole number"):
             run.trajectories(starts, duration)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
     def test_a_run_needs_a_positive_duration(self, pair_x, duration):
         with pytest.raises(ValueError, match="positive duration"):
-            FlowRun(pair_x, {"start": np.array([0.2, 0.1, 1.0])}, duration)
+            FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"start": np.array([0.2, 0.1, 1.0])}}, duration)
 
     def test_starts_the_run_did_not_integrate_raise(self, h3, pair_x):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
-        run = FlowRun(pair_x, {"starts": starts}, 1.0)
+        run = FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"starts": starts}}, 1.0)[DIFFERENCE]
         with pytest.raises(ValueError, match="did not integrate"):
             run.trajectories(starts[:1], 0.5)
 
-    def test_sum_run_through_the_axis_raises(self, h3, pair_y):
-        with pytest.raises(SingularFlowError):
-            FlowRun(pair_y, {"on the axis": np.array([0.0, 0.0, 1.3])}, 0.5)
+    def test_sum_run_through_the_axis_raises(self, h3, pair_x):
+        blocks = {DIFFERENCE: {"off the axis": np.array([0.2, 0.1, 1.0])},
+                  SUM: {"on the axis": np.array([0.0, 0.0, 1.3])}}
+        with pytest.raises(SingularFlowError, match="sum flow evaluated on the singular set D"):
+            FlowRun(pair_x.f1, pair_x.f2, blocks, 0.5)
 
 
 class TestFlowDensities:
@@ -681,9 +728,8 @@ class TestPairFlowOracle:
         expected = (g1 + sign * g2) / (2.0 + sign * 2.0 * b)[:, None]
         assert np.max(np.abs(pf.vector(pts) - expected)) <= 1e-15 * max(1.0, np.max(np.abs(expected)))
 
-    @pytest.mark.parametrize("model_name, integrations", [("h3", 2), ("e3", 1)])
-    def test_gradient_transport_integrates_each_flow_once(self, request, monkeypatch, model_name,
-                                                         integrations):
+    @pytest.mark.parametrize("model_name, kinds", [("h3", 2), ("e3", 1)])
+    def test_gradient_transport_integrates_each_flow_once(self, request, monkeypatch, model_name, kinds):
         from horoflow import verify
 
         calls = []
@@ -693,12 +739,14 @@ class TestPairFlowOracle:
             return ode_integrate(*args, **kwargs)
 
         monkeypatch.setattr(transport, "ode_integrate", counted)
-        rep = verify.check_gradient_transport(verify.VerifyContext(model=request.getfixturevalue(model_name)))
+        ctx = verify.VerifyContext(model=request.getfixturevalue(model_name))
+        rep = verify.check_gradient_transport(ctx)
         assert rep.status == "pass", rep.quantities
-        assert len(calls) == integrations
+        # one integration carries both pair flows in H^n, the difference flow alone in E^n
+        assert len(calls) == 1 and len(ctx.memo["flows"]) == kinds
 
-    @pytest.mark.parametrize("model_name, integrations", [("h3", 2), ("h8", 2), ("e5", 1)])
-    def test_flows_suite_integrates_each_pair_flow_once(self, monkeypatch, model_name, integrations):
+    @pytest.mark.parametrize("model_name, kinds", [("h3", 2), ("h8", 2), ("e5", 1)])
+    def test_flows_suite_integrates_each_pair_flow_once(self, monkeypatch, model_name, kinds):
         from horoflow import verify
         from horoflow.cli import parse_model
 
@@ -709,25 +757,31 @@ class TestPairFlowOracle:
             return ode_integrate(*args, **kwargs)
 
         monkeypatch.setattr(transport, "ode_integrate", counted)
-        reports = verify.run_suite("flows", verify.VerifyContext(model=parse_model(model_name)))
+        ctx = verify.VerifyContext(model=parse_model(model_name))
+        reports = verify.run_suite("flows", ctx)
         assert {r.status for r in reports} == {"pass"}
-        assert calls == [2.0] * integrations
+        assert calls == [2.0] and len(ctx.memo["flows"]) == kinds
+        calls.clear()
+        verify.run_suite("all", verify.VerifyContext(model=parse_model(model_name)))
+        assert calls == [2.0]
 
     def test_a_failing_run_is_an_error_in_every_check_that_reads_it(self, monkeypatch):
         from horoflow import verify
 
-        exact = PairFlow.vector
+        exact = transport._pair_vector
 
-        def vector(pf, coords):
-            if pf.kind == SUM:
-                raise SingularFlowError("sum flow evaluated on the singular set D")
-            return exact(pf, coords)
+        def on_the_axis(f1, f2, coords, sign):
+            # every sum row is evaluated at the axis point (0, 0, 1) of D
+            axis = np.asarray(sign)[..., None] > 0.0
+            return exact(f1, f2, np.where(axis, [0.0, 0.0, 1.0], coords), sign)
 
-        monkeypatch.setattr(PairFlow, "vector", vector)
+        monkeypatch.setattr(transport, "_pair_vector", on_the_axis)
         reports = verify.run_suite("flows", verify.VerifyContext(model=ModelSpace(HYPERBOLIC, 3)))
         errors = {r.name for r in reports if r.status == "error"}
-        # every sum-flow reader, and the divergence check, which evaluates the field itself
-        assert errors == {"sum-flow-level-tracking", "flow-divergence-identities", "flow-volume-densities",
+        # every reader of the shared run, of either kind, and the divergence
+        # check, which evaluates the sum field itself
+        assert errors == {"difference-flow-level-tracking", "sum-flow-level-tracking",
+                          "flow-divergence-identities", "flow-volume-densities",
                           "flow-gradient-transport", "beta-monotone-along-sum-flow"}
         assert {r.quantities["error"] for r in reports if r.status == "error"} == {
             "sum flow evaluated on the singular set D"}
