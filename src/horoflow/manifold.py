@@ -173,7 +173,10 @@ class ModelSpace:
         p = self.check_coords(p)
         q = self.check_coords(q)
         d = q - p
-        sep = np.sqrt(_rowdot(d, d))
+        with np.errstate(over="ignore"):
+            sep = np.sqrt(_rowdot(d, d))
+        if not np.isfinite(sep).all():  # a sum of squares overflowed: scale those rows as hypot does
+            sep = np.where(np.isfinite(sep), sep, np.hypot.reduce(d, axis=-1))
         if self.is_hyperbolic:
             return 2.0 * np.arcsinh(sep / (2.0 * np.sqrt(p[..., -1] * q[..., -1])))
         return sep

@@ -2,9 +2,10 @@
 
 These are the independent oracles of the package: the finite-difference
 operators check closed-form derivatives, Gauss-Legendre rules integrate over
-Busemann-level slices and geodesic polar coordinates, and the ODE
-integrators realize flows whose conserved quantities are asserted
-elsewhere. They deliberately avoid the closed forms they are used to verify.
+Busemann-level slices and geodesic polar coordinates, and the
+Chebyshev-Picard integrator realizes flows whose conserved quantities are
+asserted elsewhere. They deliberately avoid the closed forms they are used to
+verify.
 
 Every finite-difference operator (``fd_jacobian``, ``fd_hessian``,
 ``fd_directional``) evaluates its whole Richardson stencil, center included,
@@ -12,6 +13,11 @@ in one call of ``fn``, so ``fn`` must be vectorized over a leading axis: it
 maps an (N, n) array of points to (N,) values or (N, m) vectors.
 ``fd_jacobian`` and ``fd_directional`` also take a batch of P base points,
 with a step per point, and evaluate all P stencils in that one call.
+
+``ode_integrate`` splits a duration into equal segments of at most 0.5, each
+with 25 Chebyshev-Lobatto nodes, and calls ``field`` once per Picard iteration
+on every node of every row, an (N + 1, *x0.shape) array. A row stops once its
+last correction is within 4 eps of its state, so no row depends on another.
 
 The chart oracles built on them (``orthonormal_complement`` here, the
 Jacobians of :mod:`horoflow.transport`, the locus frames) take an (n,) point
@@ -165,58 +171,114 @@ def orthonormal_complement(u) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-# Butcher's seven-stage sixth-order explicit Runge-Kutta method (J. C. Butcher,
-# "On Runge-Kutta processes of high order", J. Austral. Math. Soc. 4, 1964):
-# stage i evaluates the field at x + dt * sum_j _RK_A[i][j] k_j, and the step
-# ends at x + dt * sum_i _RK_B[i] k_i.
-_RK_A = ((), (1 / 3,), (0.0, 2 / 3), (1 / 12, 1 / 3, -1 / 12),
-         (-1 / 16, 9 / 8, -3 / 16, -3 / 8), (0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2),
-         (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11))
-_RK_B = (11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
+# Chebyshev-Picard iteration (C. W. Clenshaw and H. J. Norton, Comput. J. 6,
+# 1963; X. Bai and J. L. Junkins, J. Astronaut. Sci. 59, 2011). Segments: the
+# duration splits into ceil(|duration| / PICARD_SEGMENT) equal segments, taken
+# in turn. On a segment of signed length h each row's state is the polynomial
+# through its values at the PICARD_NODES + 1 Chebyshev-Lobatto nodes, and an
+# iteration evaluates the field once at every node of every row and sets the
+# node values to x0 + (h/2) S F, S the node-to-node integration matrix. Stop
+# rule: a row stops once its last correction is within PICARD_TOL of its
+# largest node value and is frozen from then on, so no row depends on another.
+PICARD_NODES, PICARD_SEGMENT, PICARD_MAX_ITERATIONS = 24, 0.5, 64
+PICARD_TOL = 4.0 * np.finfo(float).eps
 
 
-def _rk_step(field, x, dt):
-    """One step of the tableau above; the stage values the field returns are
-    never written to."""
-    ks = []
-    for row in _RK_A:
-        stage = x
-        for a, k in zip(row, ks):
-            if a:
-                stage = stage + (a * dt) * k
-        ks.append(field(stage))
-    for b, k in zip(_RK_B, ks):
-        if b:
-            x = x + (b * dt) * k
-    return x
+@functools.cache
+def _picard_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The ascending Chebyshev-Lobatto nodes on [-1, 1], both ends exact, and S:
+    S[i, j] integrates the j-th Lagrange polynomial from -1 to node i."""
+    from numpy.polynomial import chebyshev as cheb
+
+    N = PICARD_NODES
+    tau = np.sin(np.pi * np.arange(-N, N + 1, 2) / (2 * N))
+    S = cheb.chebvander(tau, N + 1) @ cheb.chebint(np.eye(N + 1), lbnd=-1.0) @ np.linalg.inv(cheb.chebvander(tau, N))
+    S[0] = 0.0  # the first node is the segment's start
+    tau.flags.writeable = S.flags.writeable = False
+    return tau, S
 
 
-def ode_integrate(field, x0, duration, *, step: float = 1e-2, record: bool = False):
-    """Integrate dx/dt = field(x) for the signed duration by fixed-step
-    sixth-order Runge-Kutta (seven field evaluations per step). With
-    ``record=True`` returns ``(times, states)`` arrays instead of the final state.
+@functools.cache
+def _interpolation(r: tuple, count: int) -> np.ndarray:
+    """Barycentric weights (Berrut and Trefethen, SIAM Rev. 46, 2004) of the node
+    values at the positions 2 r / count - 1; a position on a node reads it exactly."""
+    tau = _picard_nodes()[0]
+    u = ((2 * np.array(r) - count) / count)[:, None]
+    w = (-1.0) ** np.arange(len(tau)) * np.where(np.abs(tau) == 1.0, 0.5, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = w / (u - tau)
+        terms /= terms.sum(axis=1, keepdims=True)
+    weights = np.where((u == tau).any(axis=1, keepdims=True), u == tau, terms)
+    weights.flags.writeable = False
+    return weights
 
-    The duration is split into ``ceil(|duration|/step)`` equal steps, none
-    longer than ``step`` (a ratio within 1e-9 of an integer counts as that
-    integer, so roundoff in ``duration/step`` adds no extra step).
+
+def _rowwise(matrix, values) -> np.ndarray:
+    """matrix @ values over the node axis of (N + 1, rows, n) values, one small
+    product per row, so that no row's result depends on the batch."""
+    out = np.empty((len(matrix),) + values.shape[1:])
+    np.matmul(matrix, values.swapaxes(0, 1), out=out.swapaxes(0, 1))
+    return out
+
+
+def _picard_segment(field, x0, slope, h, shape, stats):
+    """The (N + 1, rows, n) node values of one segment of length h from the
+    (rows, n) states x0, first iterate x0 + (t - t0) slope, and each row's
+    field at the end node in the iteration that stopped it."""
+    tau, S = _picard_nodes()
+    x, hS = x0 + (0.5 * h) * (tau + 1.0)[:, None, None] * slope, (0.5 * h) * S
+    active = np.ones(len(x0), dtype=bool)
+    for _ in range(PICARD_MAX_ITERATIONS):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = np.asarray(field(x.reshape((len(S),) + shape)), dtype=float).reshape(x.shape)
+            new = _rowwise(hS, f) + x0
+            change = np.abs(new - x).max(axis=0).max(axis=1)
+        stats["field_calls"] += 1
+        if not np.isfinite(change).all():
+            raise ConvergenceError("Chebyshev-Picard iterate is not finite")
+        stops = active & (change <= PICARD_TOL * np.abs(new).max(axis=0).max(axis=1))
+        stats["correction"] = max(stats["correction"], float(np.max(change, where=stops, initial=0.0)))
+        x = new if active.all() else np.where(active[:, None], new, x)
+        slope = np.where(stops[:, None], f[-1], slope)
+        active &= ~stops
+        if not active.any():
+            return x, slope
+    raise ConvergenceError(f"Chebyshev-Picard iteration did not converge in {PICARD_MAX_ITERATIONS} iterations")
+
+
+def ode_integrate(field, x0, duration, *, step: float = 1e-2, record: bool = False, stats: dict | None = None):
+    """Integrate dx/dt = field(x) for the signed duration by Chebyshev-Picard
+    iteration; ``field`` maps an (N + 1, *x0.shape) array of node states to
+    their derivatives. With ``record=True`` returns ``(times, states)`` on a grid
+    of ``ceil(|duration|/step)`` equal steps (a ratio within 1e-9 of an integer
+    counts as that integer), read from the segments' polynomials; otherwise the
+    final state. ``stats`` receives the oracle's error estimate, the largest
+    last correction (``"correction"``), and ``"field_calls"``. Raises
+    :class:`ConvergenceError` on a non-finite iterate or past the iteration cap.
     """
     if not step > 0.0:
         raise ValueError(f"ODE step must be positive, got {step}")
-    x = np.array(x0, dtype=float)
-    T = float(duration)
+    x, T = np.array(x0, dtype=float), float(duration)
+    stats = {} if stats is None else stats
+    stats.update(correction=0.0, field_calls=0)
     if T == 0.0:
         return (np.zeros(1), x[None]) if record else x
-
+    segments = max(1, math.ceil(abs(T) / PICARD_SEGMENT - 1e-9))
+    rows = x.reshape(-1, x.shape[-1])
+    slope, nodes = np.zeros_like(rows), []
+    for _ in range(segments):
+        values, slope = _picard_segment(field, rows, slope, T / segments, x.shape, stats)
+        nodes.append(values)
+        rows = values[-1]
+    if not record:
+        return rows.reshape(x.shape)
+    # grid point j lies in segment k = j segments // count at r = j segments - k count
     count = max(1, math.ceil(abs(T) / step - 1e-9))
-    dt = T / count
-    xs = [x]
-    for _ in range(count):
-        x = _rk_step(field, x, dt)
-        if record:
-            xs.append(x)
-    if record:
-        return np.linspace(0.0, T, count + 1), np.array(xs)
-    return x
+    j = np.arange(count + 1)
+    k = np.minimum(j * segments // count, segments - 1)
+    states = np.concatenate([_rowwise(_interpolation(tuple((j[k == seg] * segments - seg * count).tolist()), count),
+                                      values) for seg, values in enumerate(nodes)])
+    return np.linspace(0.0, T, count + 1), states.reshape((count + 1,) + x.shape)
 
 
 # --------------------------------------------------------------------------

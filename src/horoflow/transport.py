@@ -10,10 +10,10 @@ Contents:
 * the pair flows driven by two Busemann fields: the difference flow X
   (raises b1 by t/2, lowers b2 by t/2) and the sum flow Y (raises both by
   s/2), with their closed-form flow maps and volume densities;
-* the oracles that verify all of the above from first principles: Runge-Kutta
-  flow maps, finite-difference divergences and Jacobians. A :class:`FlowRun`
-  integrates every start the flows suite needs from both pair flows as one
-  recorded batch, so one run serves the suite.
+* the oracles that verify all of the above from first principles:
+  Chebyshev-Picard flow maps, finite-difference divergences and Jacobians. A
+  :class:`FlowRun` integrates every start the flows suite needs from both pair
+  flows as one recorded batch, so one run serves the suite.
 
 For h > 0 the range of alpha is (m, infinity) with
 ``m = (1/h) ln(e^{h t0} - 1)``, so the image of F is the open horoball
@@ -336,18 +336,7 @@ class PairFlow:
     def vector(self, coords) -> np.ndarray:
         """Chart components of the flow field at coords, validated once per call:
         :func:`_pair_vector` with the kind's sign, a constant in E^n."""
-        coords = self.model.check_coords(coords)
-        if not self.model.is_hyperbolic:
-            out = np.empty_like(coords)
-            out[...] = self._constant_vector
-            return out
-        return _pair_vector(self.f1, self.f2, coords, SIGN[self.kind])
-
-    @functools.cached_property
-    def _constant_vector(self) -> np.ndarray:
-        """The E^n flow field, constant because both gradients are; a sum pair
-        whose gradients cancel raises on every access, as nothing is cached."""
-        return _pair_vector(self.f1, self.f2, np.zeros(self.model.dim), SIGN[self.kind])
+        return _pair_vector(self.f1, self.f2, self.model.check_coords(coords), SIGN[self.kind])
 
     @functools.cached_property
     def _config(self) -> PairConfig:
@@ -414,13 +403,15 @@ def flow_stencil(model: ModelSpace, coords, fd_step: float = FD_STEP_GRAD) -> np
 
 
 class FlowRun(dict):
-    """Runge-Kutta trajectories of the pair flows of (f1, f2), independent of
-    :meth:`PairFlow.flow`: maps each kind of ``blocks`` (kind -> name -> (N, n)
+    """Chebyshev-Picard trajectories of the pair flows of (f1, f2), independent
+    of :meth:`PairFlow.flow`: maps each kind of ``blocks`` (kind -> name -> (N, n)
     starts or one point) to its :class:`KindRun`. All rows integrate as one
     recorded :func:`ode_integrate` batch of :func:`_pair_vector`, each with its
-    kind's sign. Rows do not interact, so a block's states after k steps are
-    bitwise those of a separate run of its kind's flow for k steps, and one
-    run serves every duration on its step grid; a sum row on D raises."""
+    kind's sign. Rows do not interact, so a block's recorded states are bitwise
+    those of a separate run of its kind's flow, and one run serves every
+    duration on its step grid; a sum row on D raises. ``correction`` is the
+    oracle's error estimate, its largest last Picard correction, and
+    ``field_calls`` the number of field evaluations."""
 
     def __init__(self, f1: BusemannField, f2: BusemannField, blocks: dict, duration: float):
         if not duration > 0.0:
@@ -433,13 +424,13 @@ class FlowRun(dict):
                 rows[kind][start.tobytes()] = slice(len(sign), len(sign) + len(start))
                 starts.append(start)
                 sign += [SIGN[kind]] * len(start)
-        pfs, sign = {kind: PairFlow(f1, f2, kind) for kind in blocks}, np.array(sign)
-        # a run of one kind keeps that flow's own field, which E^n caches as a constant
-        field = (next(iter(pfs.values())).vector if len(pfs) == 1
-                 else lambda c: _pair_vector(f1, f2, f1.model.check_coords(c), sign))
-        times, states = ode_integrate(field, np.concatenate(starts), duration, record=True)
+        sign, stats = np.array(sign), {}
+        times, states = ode_integrate(lambda c: _pair_vector(f1, f2, f1.model.check_coords(c), sign),
+                                      np.concatenate(starts), duration, record=True, stats=stats)
+        self.correction, self.field_calls = stats["correction"], stats["field_calls"]
         step = duration / (len(times) - 1)
-        super().__init__({kind: KindRun(pfs[kind], blocks[kind], rows[kind], states, step) for kind in blocks})
+        super().__init__({kind: KindRun(PairFlow(f1, f2, kind), blocks[kind], rows[kind], states, step)
+                          for kind in blocks})
 
 
 @dataclass(frozen=True)
@@ -471,7 +462,7 @@ class KindRun:
 
 def flow_density_fd(run: KindRun, x: Point, duration: float, *, fd_step: float = FD_STEP_GRAD) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
-    determinant of the Runge-Kutta flow map, with the volume-density
+    determinant of the Chebyshev-Picard flow map, with the volume-density
     correction, from the flow of x's :func:`flow_stencil` recorded in ``run``,
     one kind of a :class:`FlowRun`."""
     return riemannian_jacobian_det(run.pf.model, run.flow_map(duration), x.coords, step=fd_step)
@@ -515,7 +506,7 @@ def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
 def transport_gaps(run: KindRun, x: Point, duration: float, *,
                    fd_step: float = FD_STEP_GRAD) -> tuple[float, float]:
     """How far the time-``duration`` flow Phi of ``run``'s pair flow fails to
-    transport the Busemann gradients and their 1-forms, from the Runge-Kutta
+    transport the Busemann gradients and their 1-forms, from the Chebyshev-Picard
     flow Jacobian at x, taken from the flow of x's :func:`flow_stencil` in
     ``run``, one kind of a :class:`FlowRun`.
 

@@ -117,8 +117,8 @@ class VerifyContext:
     directions in the Euclidean model), the basepoint at unit height, and the
     map target t0 below it (t0 along the first axis in the Euclidean model).
 
-    ``memo`` holds what the checks of one run share: the one Runge-Kutta run
-    of both pair flows that serves the flows suite (:func:`_flow_run`). The
+    ``memo`` holds what the checks of one run share: the one Chebyshev-Picard
+    run of both pair flows that serves the flows suite (:func:`_flow_run`). The
     shallow clones of :func:`_isolated_context` share it.
     """
 
@@ -431,7 +431,7 @@ def check_map_out_of_image(ctx, tol):
 
 
 def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
-    """The one Runge-Kutta run of both pair flows (the difference flow alone in
+    """The one Chebyshev-Picard run of both pair flows (the difference flow alone in
     E^n) to t = 2, built by the first flows check, of the starts and stencils
     each check draws from the generator :func:`_isolated_context` gives it. A
     run that raises is not kept, so every reader of either kind records the
@@ -456,9 +456,11 @@ def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
 
 
 def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
-    """Runge-Kutta trajectories of the pair flow: how far they miss the Busemann level
-    changes (duration/2, sign*duration/2) and the closed-form flow map."""
-    run = _flow_run(ctx)[kind]
+    """Chebyshev-Picard trajectories of the pair flow: how far they miss the Busemann
+    level changes (duration/2, sign*duration/2) and the closed-form flow map, with
+    the shared run's error estimate and field calls."""
+    flows = _flow_run(ctx)
+    run = flows[kind]
     pf, starts = run.pf, run.blocks["tracking"]
     ends = run.trajectories(starts, duration)[-1]
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
@@ -466,13 +468,14 @@ def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
     tracking = float(max(np.max(e1), np.max(e2)))
     closed_form_gap = float(np.max(np.abs(pf.flow(starts, duration) - ends)))
     return ({"max_tracking_error": tracking, "max_closed_form_gap": closed_form_gap,
-             "trajectories": len(starts), "duration": duration},
+             "trajectories": len(starts), "duration": duration,
+             "oracle_correction": flows.correction, "oracle_field_calls": flows.field_calls},
             tracking <= tol and closed_form_gap <= tol)
 
 
 @check("difference-flow-level-tracking",
        ("the difference flow raises b1 by t/2 and lowers b2 by t/2; "
-        "its Runge-Kutta trajectories end on the closed-form flow map"),
+        "its Chebyshev-Picard trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8)
 def check_difference_flow_tracking(ctx, tol):
     return _tracking_check(ctx, tr.DIFFERENCE, tol)
@@ -480,7 +483,7 @@ def check_difference_flow_tracking(ctx, tol):
 
 @check("sum-flow-level-tracking",
        ("the sum flow raises both Busemann values by s/2; "
-        "its Runge-Kutta trajectories end on the closed-form flow map"),
+        "its Chebyshev-Picard trajectories end on the closed-form flow map"),
        0.0, "exact", tol=1e-8, skip=NO_AXIS)
 def check_sum_flow_tracking(ctx, tol):
     return _tracking_check(ctx, tr.SUM, tol)

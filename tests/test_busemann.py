@@ -133,6 +133,20 @@ class TestGradients:
             chart_grad = fd_jacobian(f_origin.value, c, step=1e-5 * z)[0]
             assert np.max(np.abs(z * z * chart_grad - f_origin.grad_chart(c))) <= 1e-8
 
+    @pytest.mark.parametrize("model", [ModelSpace(kind, n) for kind in (HYPERBOLIC, EUCLIDEAN)
+                                       for n in range(2, 9)], ids=lambda m: f"{m.kind[0]}{m.dim}")
+    def test_gradient_is_the_raised_differential_of_the_value(self, model):
+        for f in _finite_and_infinite_poles(model):
+            assert _raised_gradient_gap(f, model.random_points(np.random.default_rng(5), 20, 0.8)) <= 1e-8
+
+    @pytest.mark.parametrize("model", [ModelSpace(HYPERBOLIC, 3), ModelSpace(EUCLIDEAN, 3)],
+                             ids=lambda m: f"{m.kind[0]}{m.dim}")
+    def test_reversed_gradient_fails_the_raised_differential(self, model, monkeypatch):
+        exact = BusemannField._grad
+        monkeypatch.setattr(BusemannField, "_grad", lambda f, coords: -exact(f, coords))
+        for f in _finite_and_infinite_poles(model):
+            assert _raised_gradient_gap(f, model.random_points(np.random.default_rng(5), 20, 0.8)) >= 1.0
+
     def test_directional_derivative_along_gradient_is_one(self, h3, f_origin, rng):
         from horoflow.numerics import fd_directional
 
@@ -141,6 +155,26 @@ class TestGradients:
             val = fd_directional(f_origin.value, c, g)
             # df(grad b) = |grad b|^2 = 1
             assert val == pytest.approx(1.0, abs=1e-8)
+
+
+def _finite_and_infinite_poles(model):
+    """Busemann fields of a finite pole and of infinity in H^n; of two directions in E^n."""
+    if model.is_hyperbolic:
+        return (BusemannField(model, boundary_finite(model, np.linspace(0.4, -0.3, model.dim - 1))),
+                BusemannField(model, boundary_infinity(model)))
+    u = np.linspace(1.0, 0.2, model.dim)
+    return (BusemannField(model, boundary_direction(model, u)),
+            BusemannField(model, boundary_direction(model, np.roll(u, 1))))
+
+
+def _raised_gradient_gap(f, pts):
+    """Largest Riemannian length of grad_chart minus the finite-difference
+    differential of ``value`` with its index raised by the metric (z^2 I in the
+    half-space), the step scaled by z."""
+    z = pts[:, -1] if f.model.is_hyperbolic else np.ones(len(pts))
+    db, _ = fd_jacobian(f.value, pts, step=1e-5 * z)
+    gap = f.grad_chart(pts) - (z * z)[:, None] * db
+    return float(np.max(f.model.norm(pts, gap)))
 
 
 def _fd_shape_operator(f, c):

@@ -61,7 +61,7 @@ def sum_exponent_doubled(monkeypatch):
 
 
 def shared_run_sum_rows_as_difference(monkeypatch):
-    """The shared Runge-Kutta run integrates its sum rows with sign -1, the
+    """The shared Chebyshev-Picard run integrates its sum rows with sign -1, the
     difference field, in place of +1."""
     exact = tr._pair_vector
 

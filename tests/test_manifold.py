@@ -1,6 +1,7 @@
 """Model-space geometry: metric, distance, geodesics, the pair normalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestDistance:
 
     def test_euclidean(self, e3):
         assert distance(Point(e3, [0, 0, 0]), Point(e3, [3, 4, 0])) == 5.0
+
+    def test_euclidean_separation_past_the_sum_of_squares(self, e3):
+        # 1e155^2 overflows float64; the distance itself does not
+        p = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [-5e154, 0.0, 0.0]])
+        q = np.array([[1e155, 0.0, 0.0], [1.0, 5.0, 6.0], [5e154, 1e155, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = e3.distance(p, q)
+        assert d[0] == 1e155 and d[1] == 5.0
+        assert d[2] == pytest.approx(math.sqrt(2.0) * 1e155, rel=1e-15)
 
     def test_symmetry_and_triangle(self, h3, rng):
         pts = h3.random_points(rng, 300, 1.0)

@@ -142,7 +142,7 @@ class TestAlpha:
         # independent oracle: integrate alpha' = e^{-h (alpha - t)} from alpha(0) = t0
         h, t0 = 2.0, 1.0
         a = AlphaMap(h, t0)
-        field = lambda s: np.array([1.0, math.exp(-h * (s[1] - s[0]))])
+        field = lambda s: np.stack([np.ones(s.shape[:-1]), np.exp(-h * (s[..., 1] - s[..., 0]))], axis=-1)
         end = ode_integrate(field, np.array([0.0, t0]), 1.0)
         assert a(1.0) == pytest.approx(end[1], abs=1e-11)
         assert a(1.0) == pytest.approx(0.5 * math.log(2.0 * math.e ** 2 - 1.0), abs=1e-15)
@@ -453,14 +453,20 @@ def _model(name):
 
 def _assert_rows_equal_separate_integrations(run, kind, blocks):
     """At 80, 90, 150 and 200 steps, every block of ``kind`` in ``run`` is
-    bitwise the end of its own integration by the kind's pair flow."""
+    bitwise the states of its own recorded integration by the kind's pair flow
+    over the run's duration; at 150 and 200 steps, ends of the run's segments,
+    it is also bitwise the end of its own integration to that duration."""
     pf = run[kind].pf
+    vector = PairFlow(pf.f1, pf.f2, kind).vector
     for block in blocks:
+        _, separate = ode_integrate(vector, block, 2.0, record=True)
+        separate = separate.reshape(len(separate), -1, pf.model.dim)
         for steps, duration in ((80, 0.8), (90, 0.9), (150, 1.5), (200, 2.0)):
             path = run[kind].trajectories(block, duration)
             assert path.shape == (steps + 1, len(np.atleast_2d(block)), pf.model.dim)
-            separate = ode_integrate(PairFlow(pf.f1, pf.f2, kind).vector, block, duration)
-            assert np.array_equal(path[-1], np.atleast_2d(separate))
+            assert np.array_equal(path, separate[: steps + 1])
+            if duration in (1.5, 2.0):
+                assert np.array_equal(path[-1], np.atleast_2d(ode_integrate(vector, block, duration)))
 
 
 class TestFlowRun:
@@ -670,13 +676,14 @@ class TestChartValidation:
         run(pts)
         assert check_calls == [pts.shape, pts.shape]
 
-    def test_runge_kutta_stage_driven_off_the_chart_raises(self, h3, pair_x, rng):
-        # the (origin, infinity) difference field is x/2, so one backward step
-        # of 10 sends the first stage, at c = 1/3, to x - (5/3)x = -(2/3)x,
-        # below z = 0
+    def test_picard_iterate_driven_off_the_chart_raises(self, h3, pair_x, rng):
+        # the (origin, infinity) difference field is x/2; less 10 e_z it sends
+        # the first Picard iterate of a 0.5 segment from z = 1 to 1.25 - 5 < 0
+        # at the segment's end, and the field validates every node it is given
         pts = h3.random_points(rng, 4, 0.8)
+        pts[:, -1] = 1.0
         with pytest.raises(ChartDomainError):
-            ode_integrate(pair_x.vector, pts, -10.0, step=10.0)
+            ode_integrate(lambda c: pair_x.vector(c) - [0.0, 0.0, 10.0], pts, 0.5)
 
 
 def _euclidean_pair(model: ModelSpace, u1, u2) -> tuple[BusemannField, BusemannField]:
