@@ -125,6 +125,8 @@ class RunConfig:
             grid = getattr(self, key)
             if not isinstance(grid, list) or not grid or not all(map(_is_finite, grid)):
                 raise ConfigError(f"{key} must be a nonempty list of finite numbers")
+        if min(self.s_grid) <= 0:
+            raise ConfigError("s_grid values must be positive: V and W are undefined on the s = 0 locus")
         if not _is_finite(self.t0) or self.t0 <= 0:
             raise ConfigError("t0 must be a finite positive number")
         if not isinstance(self.probe_outside_image, bool):

@@ -24,12 +24,16 @@ in the original ones) at the 4(n-1) nodes of a degree-3 spherical design
 (the two points of S^0 in H^2). Both are constant on the locus, so a rule
 that integrates constants exactly is all the oracle needs: its nodes test
 the constancy, and its weighted sums the closed forms.
+
+Both paths broadcast over arrays of s and t: s[:, None] and t[None, :] give
+one (len s, len t) table per quantity, of closed forms from
+:func:`locus_values` or of quadratures from :func:`parametrize_locus` and
+:func:`locus_quadrature`, and scalar s and t give Python floats.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -189,17 +193,27 @@ def make_pair_config(f1: BusemannField, f2: BusemannField) -> PairConfig:
     return replace(cfg, c0=c0, k1=k1, k2=k2)
 
 
+# central-difference step of the locus oracles: in s for dw_ds_check, in the
+# chart for measure_factors_fd
+LOCUS_FD_STEP = 1e-3
+
+
 @dataclass(frozen=True)
 class IntersectionLocus:
-    """S(s, t) as a round chart sphere in normalized coordinates; the oracle's
-    degree-3 spherical design on S^{n-2} is built on first use of its nodes or
-    weights."""
+    """The loci S(s, t) of a broadcast grid of cells, each a round chart sphere
+    in normalized coordinates.
+
+    ``s``, ``t``, ``height`` and ``radius`` share the broadcast shape of the s
+    and t given to :func:`parametrize_locus`, written (...) below; for scalar
+    s and t they are Python floats and (...) is empty. Every cell carries the
+    oracle's degree-3 spherical design on S^{n-2}, which is built on first use
+    of its nodes or weights."""
 
     config: PairConfig
-    s: float
-    t: float
-    height: float          # normalized chart height a
-    radius: float          # normalized chart sphere radius rho
+    s: float | np.ndarray
+    t: float | np.ndarray
+    height: float | np.ndarray  # normalized chart height a
+    radius: float | np.ndarray  # normalized chart sphere radius rho
 
     @functools.cached_property
     def _rule(self) -> QuadratureRule:
@@ -216,38 +230,42 @@ class IntersectionLocus:
         return self._rule.weights
 
     @property
-    def degenerate(self) -> bool:
-        return self.radius == 0.0
+    def degenerate(self):
+        """Per cell: the s = 0 locus, the single axis point."""
+        return np.equal(self.radius, 0.0)
 
     def points(self) -> np.ndarray:
-        """Locus points in the original (un-normalized) coordinates."""
-        pts = np.empty((self.sphere_nodes.shape[0], self.config.model.dim))
-        pts[:, :-1] = self.radius * self.sphere_nodes
-        pts[:, -1] = self.height
+        """(..., K, n) locus points in the original (un-normalized) coordinates."""
+        nodes = self.sphere_nodes
+        pts = np.empty(np.shape(self.radius) + (nodes.shape[0], self.config.model.dim))
+        pts[..., :-1] = np.asarray(self.radius)[..., None, None] * nodes
+        pts[..., -1] = np.asarray(self.height)[..., None]
         return self.config.denormalize(pts)
 
-    def measure_factor(self) -> float:
-        """Constant induced (n-2)-density against the unit-sphere weights."""
-        if self.degenerate:
-            return 0.0
-        return (self.radius / self.height) ** (self.config.model.dim - 2)
+    def measure_factor(self):
+        """Per cell, the constant induced (n-2)-density against the unit-sphere
+        weights; 0 on a degenerate cell."""
+        ratio = np.asarray(self.radius) / self.height
+        return _native(np.where(self.degenerate, 0.0, ratio ** (self.config.model.dim - 2)))
 
     def beta_values(self) -> np.ndarray:
-        """beta at the quadrature nodes, evaluated with the original fields."""
+        """(..., K) beta at the quadrature nodes, evaluated with the original fields."""
         return np.asarray(beta(self.config.f1, self.config.f2, self.points()))
 
     def membership_residual(self) -> float:
-        """Worst deviation of the node Busemann values from the two levels."""
+        """Worst deviation, over all nodes of all cells, of the node Busemann
+        values from the two levels."""
         pts = self.points()
-        c0 = self.config.c0
-        r1 = np.max(np.abs(self.config.f1.value(pts) - 0.5 * (self.s + c0 + self.t)))
-        r2 = np.max(np.abs(self.config.f2.value(pts) - 0.5 * (self.s + c0 - self.t)))
-        return float(max(r1, r2))
+        s, t, c0 = np.asarray(self.s)[..., None], np.asarray(self.t)[..., None], self.config.c0
+        r1 = np.abs(self.config.f1.value(pts) - 0.5 * (s + c0 + t))
+        r2 = np.abs(self.config.f2.value(pts) - 0.5 * (s + c0 - t))
+        return float(np.max(np.maximum(r1, r2)))
 
     # -- independent general-coordinates measure ---------------------------------
 
-    def measure_factors_fd(self, step: float = 1e-3) -> np.ndarray:
-        """Induced density recomputed in original coordinates per node.
+    def measure_factors_fd(self) -> np.ndarray:
+        """Induced density recomputed in original coordinates per node, on a
+        locus of one cell (scalar s and t).
 
         The radial projection y -> rho y/|y| of R^(n-1) onto the sphere,
         placed at height a and taken into original coordinates by
@@ -265,27 +283,36 @@ class IntersectionLocus:
             y = self.radius * y / np.sqrt(_rowdot(y, y))[..., None]
             return self.config.denormalize(np.column_stack([y, np.full(len(y), self.height)]))
 
-        jac, base = fd_jacobian(chart, self.sphere_nodes, step)
+        jac, base = fd_jacobian(chart, self.sphere_nodes, LOCUS_FD_STEP)
         return m.frame_volume(base, orthonormal_complement(self.sphere_nodes) @ jac.mT)
 
 
-def parametrize_locus(cfg: PairConfig, s: float, t: float) -> IntersectionLocus:
-    """S(s, t), for the closed forms and the quadrature oracle.
+def _require_cells(ok, s, t, failure: str) -> None:
+    """Raise :class:`GeometryError` with ``failure`` naming the first (s, t) cell
+    of the broadcast arrays s and t where ``ok`` is false."""
+    if not np.all(ok):
+        i = np.flatnonzero(~np.asarray(ok))[0]
+        raise GeometryError(f"{failure} at s = {float(s.flat[i])}, t = {float(t.flat[i])}")
+
+
+def parametrize_locus(cfg: PairConfig, s, t) -> IntersectionLocus:
+    """S(s, t) for every cell of the broadcast grid of s and t, for the closed
+    forms and the quadrature oracle.
 
     s > 0 gives the genuine locus; s = 0 degenerates to the single axis
     point; s < 0 raises :class:`EmptyLocusError` (the sum of the Busemann
-    values never drops below c0), and :class:`GeometryError` names an (s, t)
-    whose height or radius leaves the float64 range. The oracle's sphere
-    rule is not built here.
+    values never drops below c0), and :class:`GeometryError` names the first
+    (s, t) whose height or radius leaves the float64 range. The oracle's
+    sphere rule is not built here.
     """
     a, rho = cfg.locus_geometry(s, t)
-    if not (0.0 < a < math.inf and math.isfinite(rho)):
-        raise GeometryError(f"locus geometry leaves float64 at s = {float(s)}, t = {float(t)}")
-    return IntersectionLocus(config=cfg, s=float(s), t=float(t), height=a, radius=rho)
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    _require_cells((a > 0.0) & np.isfinite(a) & np.isfinite(rho), s, t, "locus geometry leaves float64")
+    return IntersectionLocus(config=cfg, s=_native(s), t=_native(t), height=a, radius=rho)
 
 
 class LocusValues(NamedTuple):
-    """The locus quantities of one S(s, t), in the column order of a sweep."""
+    """The locus quantities of S(s, t), one per cell, in the column order of a sweep."""
 
     vol: float        # (n-2)-dimensional volume
     V: float          # integral of sqrt((1-beta)/(1+beta))
@@ -322,11 +349,7 @@ def locus_values(cfg: PairConfig, s, t) -> LocusValues:
         bound = 0.5 * (v + w)
         beta_max = 1.0 - 2.0 * np.exp(-s)
     finite = np.isfinite(vol) & np.isfinite(v) & np.isfinite(w) & np.isfinite(bound)
-    overflow = ~(degenerate | finite)
-    if overflow.any():
-        i = np.flatnonzero(overflow)[0]
-        raise GeometryError(f"locus quantities overflow float64 at s = {float(s.flat[i])}, "
-                            f"t = {float(t.flat[i])}")
+    _require_cells(degenerate | finite, s, t, "locus quantities overflow float64")
     vol = np.where(degenerate, 0.0, vol)
     v, w, bound = (np.where(degenerate, np.nan, q) for q in (v, w, bound))
     return LocusValues(*(_native(q) for q in (vol, v, w, bound, beta_max)))
@@ -334,42 +357,45 @@ def locus_values(cfg: PairConfig, s, t) -> LocusValues:
 
 def locus_quadrature(L: IntersectionLocus, *, general: bool = False) -> LocusValues:
     """Oracle of :func:`locus_values`: the same quantities by the sphere rule,
-    with beta evaluated at the nodes from the original fields.
+    with beta evaluated at the nodes from the original fields, one entry per
+    cell of L. A degenerate s = 0 cell gives (0, nan, nan, nan, -1).
 
     The induced density is the constant (rho/a)^(n-2) of normalized
     coordinates, or with ``general`` the per-node density of
-    :meth:`IntersectionLocus.measure_factors_fd`. Raises
-    :class:`GeometryError` where |beta| reaches 1 and the weights are singular.
+    :meth:`IntersectionLocus.measure_factors_fd`, which takes a locus of one
+    cell. Raises :class:`GeometryError` where |beta| reaches 1 on a genuine
+    cell and the weights are singular.
     """
-    if L.degenerate:
-        return LocusValues(0.0, math.nan, math.nan, math.nan, -1.0)
     b = L.beta_values()
-    if np.any(np.abs(b) >= 1.0 - 1e-12):
+    degenerate = L.degenerate
+    live = ~degenerate[..., None]
+    if np.any(live & (np.abs(b) >= 1.0 - 1e-12)):
         raise GeometryError("weight singularity: |beta| reached 1 on the locus")
     if general:
         weights, density = L.sphere_weights * L.measure_factors_fd(), 1.0
     else:
         weights, density = L.sphere_weights, L.measure_factor()
+    beta_max = np.where(degenerate, -1.0, np.max(b, axis=-1))
+    b = np.where(live, b, 0.0)  # finite weights on degenerate cells, whose density is 0
+    integrands = [np.ones_like(b), np.sqrt((1.0 - b) / (1.0 + b)), np.sqrt((1.0 + b) / (1.0 - b)),
+                  1.0 / np.sqrt(1.0 - b * b)]
+    vol, v, w, bound = (np.stack(integrands) @ weights) * density
+    v, w, bound = np.where(degenerate, np.nan, [v, w, bound])
+    return LocusValues(*(_native(q) for q in (vol, v, w, bound, beta_max)))
 
-    def integral(values) -> float:
-        return float(np.dot(weights, values) * density)
 
-    return LocusValues(integral(np.ones_like(b)), integral(np.sqrt((1.0 - b) / (1.0 + b))),
-                       integral(np.sqrt((1.0 + b) / (1.0 - b))), integral(1.0 / np.sqrt(1.0 - b * b)),
-                       float(np.max(b)))
-
-
-def dw_ds_check(cfg: PairConfig, s: float, t: float, *, step: float = 1e-3) -> tuple[float, float]:
+def dw_ds_check(cfg: PairConfig, s, t) -> tuple:
     """Central difference in s of the quadrature W against the closed form
-    (h/2)(W + V) at (s, t)."""
-    if s <= step:
+    (h/2)(W + V), at every cell of the broadcast grid of s and t."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if np.any(s <= LOCUS_FD_STEP):
         raise GeometryError("s must exceed the differencing step")
-    w_plus = locus_quadrature(parametrize_locus(cfg, s + step, t)).W
-    w_minus = locus_quadrature(parametrize_locus(cfg, s - step, t)).W
-    lhs = (w_plus - w_minus) / (2.0 * step)
+    w = locus_quadrature(parametrize_locus(cfg, s[..., None] + [-LOCUS_FD_STEP, LOCUS_FD_STEP],
+                                           t[..., None])).W
+    lhs = (w[..., 1] - w[..., 0]) / (2.0 * LOCUS_FD_STEP)
     closed = locus_values(cfg, s, t)
     rhs = 0.5 * cfg.h * (closed.W + closed.V)
-    return lhs, rhs
+    return _native(lhs), _native(rhs)
 
 
 # --------------------------------------------------------------------------

@@ -172,14 +172,15 @@ class ModelSpace:
     def distance(self, p, q):
         p = self.check_coords(p)
         q = self.check_coords(q)
-        d = q - p
-        with np.errstate(over="ignore"):
-            sep = np.sqrt(_rowdot(d, d))
-        if not np.isfinite(sep).all():  # a sum of squares overflowed: scale those rows as hypot does
-            sep = np.where(np.isfinite(sep), sep, np.hypot.reduce(d, axis=-1))
-        if self.is_hyperbolic:
-            return 2.0 * np.arcsinh(sep / (2.0 * np.sqrt(p[..., -1] * q[..., -1])))
-        return sep
+        with np.errstate(over="ignore"):  # E^n gives inf only where the distance exceeds float64
+            d = q - p
+            half = 0.5 * np.sqrt(_rowdot(d, d))
+            wide = ~np.isfinite(half)
+            if wide.any():  # q - p or its sum of squares overflowed: halve, then scale as hypot does
+                half = np.where(wide, np.hypot.reduce(0.5 * q - 0.5 * p, axis=-1), half)
+            if not self.is_hyperbolic:
+                return 2.0 * half
+        return 2.0 * np.arcsinh(half / np.sqrt(p[..., -1] * q[..., -1]))
 
     def exp(self, p, w):
         """Exponential map: endpoint of the geodesic from p with initial

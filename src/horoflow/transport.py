@@ -84,11 +84,11 @@ class NormalFlow:
         return m._exp(coords, float(t) * self.field._grad(coords))
 
 
-def horosphere_jacobian(f: BusemannField, t: float, x: Point | np.ndarray, *, step: float = 1e-5):
+def horosphere_jacobian(f: BusemannField, t: float, x: Point | np.ndarray):
     """Volume expansion e^{h t} of the normal flow restricted to the horosphere
     through x, at one point or at each row of a (P, n) batch.
 
-    Finite-difference pushforward, with the step in chart-scale units, of the
+    Finite-difference pushforward, with the step FD_STEP_GRAD in chart-scale units, of the
     frame |g|_chart orthonormal_complement(g / |g|_chart), g = grad b, which
     the conformal metric makes orthonormal; then its
     :meth:`~horoflow.manifold.ModelSpace.frame_volume` at the image point.
@@ -98,7 +98,7 @@ def horosphere_jacobian(f: BusemannField, t: float, x: Point | np.ndarray, *, st
     g = f._grad(coords)
     length = np.sqrt(_rowdot(g, g))[..., None]
     frame = length[..., None] * orthonormal_complement(g / length)
-    J, image = _chart_jacobian(m, lambda c: NormalFlow(f)(t, c), coords, step)
+    J, image = _chart_jacobian(m, lambda c: NormalFlow(f)(t, c), coords, FD_STEP_GRAD)
     return m.frame_volume(image, frame @ J.mT)
 
 
@@ -109,6 +109,9 @@ def horosphere_jacobian(f: BusemannField, t: float, x: Point | np.ndarray, *, st
 
 # the largest h*t0 whose e^(h t0) - 1 is a finite float64
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# the finite-difference step of VolumePreservingMap.jacobian_det, in chart-scale units:
+# near eps^(1/5), where the O(step^4) truncation error of the stencil meets its roundoff
+MAP_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -249,13 +252,10 @@ class VolumePreservingMap:
         shift = np.asarray(self.alpha.inverse(b) - b)
         return m._exp(coords, shift[..., None] * self.field._grad(coords))
 
-    def jacobian_det(self, coords, *, step: float = 1e-3):
+    def jacobian_det(self, coords):
         """Riemannian Jacobian determinant by central differences (expect 1),
-        at one point or at each row of a (P, n) batch.
-
-        The default step, in chart-scale units, is near eps^(1/5), where the
-        O(step^4) truncation error of the stencil meets its roundoff."""
-        return riemannian_jacobian_det(self.model, self.apply_coords, coords, step=step)
+        at one point or at each row of a (P, n) batch, with the step MAP_FD_STEP."""
+        return riemannian_jacobian_det(self.model, self.apply_coords, coords, step=MAP_FD_STEP)
 
 
 def _chart_step(model: ModelSpace, coords, step: float):
@@ -395,10 +395,11 @@ def flow_density(pf: PairFlow, x: Point, duration: float) -> float:
     return math.exp(expansion) * (1.0 + SIGN[pf.kind] * b0) / (1.0 + SIGN[pf.kind] * b1)
 
 
-def flow_stencil(model: ModelSpace, coords, fd_step: float = FD_STEP_GRAD) -> np.ndarray:
+def flow_stencil(model: ModelSpace, coords) -> np.ndarray:
     """The (1 + 4n, n) finite-difference stencil about coords, coords first,
-    whose flow :func:`flow_density_fd` and :func:`transport_gaps` difference."""
-    coords, step = _chart_step(model, coords, fd_step)
+    whose flow :func:`flow_density_fd` and :func:`transport_gaps` difference;
+    all three take the step FD_STEP_GRAD."""
+    coords, step = _chart_step(model, coords, FD_STEP_GRAD)
     return _stencil_points(coords[None], np.eye(model.dim), step)[0]
 
 
@@ -460,12 +461,12 @@ class KindRun:
         return lambda starts: self.trajectories(starts, duration)[-1]
 
 
-def flow_density_fd(run: KindRun, x: Point, duration: float, *, fd_step: float = FD_STEP_GRAD) -> float:
+def flow_density_fd(run: KindRun, x: Point, duration: float) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
     determinant of the Chebyshev-Picard flow map, with the volume-density
     correction, from the flow of x's :func:`flow_stencil` recorded in ``run``,
     one kind of a :class:`FlowRun`."""
-    return riemannian_jacobian_det(run.pf.model, run.flow_map(duration), x.coords, step=fd_step)
+    return riemannian_jacobian_det(run.pf.model, run.flow_map(duration), x.coords, step=FD_STEP_GRAD)
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def flow_density_fd(run: KindRun, x: Point, duration: float, *, fd_step: float =
 # --------------------------------------------------------------------------
 
 
-def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: float = 1e-5):
+def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray):
     """Riemannian divergence (1/sqrt g) d_i (sqrt g V^i) by central differences,
     at one point or at each row of an (P, n) batch, whose stencils are
     evaluated in one call.
@@ -484,27 +485,25 @@ def divergence_fd(model: ModelSpace, vector_fn, x: Point | np.ndarray, *, step: 
     def weighted(c):
         return np.asarray(vector_fn(c), dtype=float) * model.volume_density(c)[:, None]
 
-    J, _ = _chart_jacobian(model, weighted, coords, step)
+    J, _ = _chart_jacobian(model, weighted, coords, FD_STEP_GRAD)
     return _native(np.trace(J, axis1=-2, axis2=-1) / model.volume_density(coords))
 
 
-def div_identity(pf: PairFlow, x: Point | np.ndarray, *, step: float = 1e-5):
+def div_identity(pf: PairFlow, x: Point | np.ndarray):
     """Both sides of the divergence identity of pf by finite differences, at
     one point or at each row of an (P, n) batch:
     div X = X[ln(1/(1-beta))] for the difference flow and
     div Y = Y[ln(1/(1+beta))] + h/(1+beta) for the sum flow."""
     coords = x.coords if isinstance(x, Point) else x
     sign = SIGN[pf.kind]
-    lhs = divergence_fd(pf.model, pf.vector, coords, step=step)
-    rhs = fd_directional(lambda c: -np.log(1.0 + sign * beta(pf.f1, pf.f2, c)),
-                         coords, pf.vector(coords), step=step)
+    lhs = divergence_fd(pf.model, pf.vector, coords)
+    rhs = fd_directional(lambda c: -np.log(1.0 + sign * beta(pf.f1, pf.f2, c)), coords, pf.vector(coords))
     if pf.kind == SUM:
         rhs = rhs + mean_curvature_h(pf.model) / (1.0 + beta(pf.f1, pf.f2, coords))
     return lhs, _native(rhs)
 
 
-def transport_gaps(run: KindRun, x: Point, duration: float, *,
-                   fd_step: float = FD_STEP_GRAD) -> tuple[float, float]:
+def transport_gaps(run: KindRun, x: Point, duration: float) -> tuple[float, float]:
     """How far the time-``duration`` flow Phi of ``run``'s pair flow fails to
     transport the Busemann gradients and their 1-forms, from the Chebyshev-Picard
     flow Jacobian at x, taken from the flow of x's :func:`flow_stencil` in
@@ -520,12 +519,11 @@ def transport_gaps(run: KindRun, x: Point, duration: float, *,
       which holds for both pair flows.
     """
     pf, m = run.pf, run.pf.model
-    J, y = _chart_jacobian(m, run.flow_map(duration), x.coords, fd_step)
+    J, y = _chart_jacobian(m, run.flow_map(duration), x.coords, FD_STEP_GRAD)
     # chart components of db: the gradient with its index lowered by the metric
     lower_x, lower_y = (x.coords[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
-    push_gap = form_gap = 0.0
+    gaps = []
     for f in (pf.f1, pf.f2):
         g_x, g_y = f.grad_chart(x.coords), f.grad_chart(y)
-        push_gap = max(push_gap, float(m.norm(y, J @ g_x - g_y)))
-        form_gap = max(form_gap, float(np.max(np.abs((lower_y * g_y) @ J - lower_x * g_x))))
-    return push_gap, form_gap
+        gaps.append((m.norm(y, J @ g_x - g_y), np.max(np.abs((lower_y * g_y) @ J - lower_x * g_x))))
+    return tuple(np.max(gaps, axis=0).tolist())

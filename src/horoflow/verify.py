@@ -216,12 +216,9 @@ LOCUS_SKIP = "intersection loci require the visibility model"
 @check("busemann-gradient-unit-norm", "the Busemann gradient has unit Riemannian length everywhere",
        0.0, "exact", tol=1e-9)
 def check_gradient_norm(ctx, tol):
-    f1, f2 = ctx.field_pair()
     pts = ctx.random_points(200)
-    worst = 0.0
-    for f in (f1, f2):
-        norms = ctx.model.norm(pts, f.grad_chart(pts))
-        worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+    norms = ctx.model.norm(pts, np.array([f.grad_chart(pts) for f in ctx.field_pair()]))
+    worst = float(np.max(np.abs(norms - 1.0)))
     return {"max_norm_error": worst, "points": pts.shape[0]}, worst <= tol
 
 
@@ -251,14 +248,15 @@ def check_hessian_fd(ctx, tol):
     f1, _ = ctx.field_pair()
     eye = np.eye(m.dim)
     directions = list(eye) + [a + b for a, b in itertools.combinations(eye, 2)]
-    worst = 0.0
+    gaps = []
     pts = ctx.random_points(5)
     for c, H in zip(pts, f1.hessian_matrix(pts)):
         for d in directions:
             # Hess b(v, v) is the second derivative of b along the unit-speed geodesic
             v = d / float(m.norm(c, d))
             along = fd_hessian(lambda t: f1.value(m.exp(c, t * v)), np.zeros(1), step=1e-3)
-            worst = max(worst, abs(float(along[0, 0]) - float(m.inner(c, H @ v, v))))
+            gaps.append(abs(float(along[0, 0]) - float(m.inner(c, H @ v, v))))
+    worst = float(np.max(gaps))
     return {"max_hessian_gap": worst, "directions": len(directions)}, worst <= tol
 
 
@@ -281,7 +279,7 @@ def check_truncation_monotone(ctx, tol):
         w = pts - f1.basepoint.coords
         along = _rowdot(w, f1.xi.data)
         rho_sq = _rowdot(w, w) - along * along
-        worst_excess = max(0.0, float(np.max(gap - rho_sq / (2.0 * (ts[-1] - along)))))
+        worst_excess = float(np.maximum(0.0, np.max(gap - rho_sq / (2.0 * (ts[-1] - along)))))
         converged = worst_excess <= 1e-12  # algebraic tail, within its envelope
     return ({"max_increase": worst_increase, "final_gap": worst_gap, "envelope_excess": worst_excess},
             worst_increase <= 1e-12 and converged)
@@ -291,13 +289,9 @@ def check_truncation_monotone(ctx, tol):
        0.0, "exact", tol=1e-10, skip="no bi-asymptotic geodesic in the Euclidean model")
 def check_axis_gradient_cancellation(ctx, tol):
     cfg = ctx.pair_config()
-    worst = 0.0
-    worst_beta = -1.0
-    for z in (0.25, 0.5, 1.0, 2.0, 4.0):
-        x = cfg.axis_point(z)
-        gsum = cfg.f1.grad_chart(x.coords) + cfg.f2.grad_chart(x.coords)
-        worst = max(worst, float(ctx.model.norm(x.coords, gsum)))
-        worst_beta = max(worst_beta, float(bu.beta(cfg.f1, cfg.f2, x)))
+    x = np.array([cfg.axis_point(z).coords for z in (0.25, 0.5, 1.0, 2.0, 4.0)])
+    worst = float(np.max(ctx.model.norm(x, cfg.f1.grad_chart(x) + cfg.f2.grad_chart(x))))
+    worst_beta = float(np.max(bu.beta(cfg.f1, cfg.f2, x)))
     return ({"max_gradient_sum_norm": worst, "max_beta_on_axis": worst_beta},
             worst <= tol and worst_beta <= -1.0 + 1e-9)
 
@@ -363,10 +357,9 @@ def check_map_unit_jacobian(ctx, tol):
        1.0, "closed-form", tol=1e-6, tol_kind="rel")
 def check_horosphere_expansion(ctx, tol):
     f1, _ = ctx.field_pair()
-    worst = 0.0
-    for t in (0.5, 1.0, 2.0):
-        j = tr.horosphere_jacobian(f1, t, ctx.random_points(20, spread=0.5))
-        worst = max(worst, float(np.max(np.abs(j / math.exp(ctx.h * t) - 1.0))))
+    ratios = [tr.horosphere_jacobian(f1, t, ctx.random_points(20, spread=0.5)) / math.exp(ctx.h * t)
+              for t in (0.5, 1.0, 2.0)]
+    worst = float(np.max(np.abs(np.array(ratios) - 1.0)))
     return {"max_ratio_error": worst, "h": ctx.h}, worst <= tol
 
 
@@ -386,15 +379,14 @@ def check_map_integral_invariance(ctx, tol):
     F = tr.VolumePreservingMap(ctx.model, p, q)
     flow = tr.NormalFlow(F.field)
     radius = 0.3
-    worst = 0.0
     rows = []
     for level in _bump_levels(ctx, F, radius):
         bump = TestFunction(Point(ctx.model, flow(level, p.coords)), radius)
         exact = bump.integral()
         pulled = bu.coarea_slice_integral(bump, F.field, pull=F, **SLICE_RULE)
-        gap = abs(pulled / exact - 1.0)
-        worst = max(worst, gap)
-        rows.append({"level": level, "exact": exact, "pulled": pulled, "relative_gap": gap})
+        rows.append({"level": level, "exact": exact, "pulled": pulled,
+                     "relative_gap": abs(pulled / exact - 1.0)})
+    worst = float(np.max([row["relative_gap"] for row in rows]))
     return {"bumps": rows, "worst_relative_gap": worst}, worst <= tol
 
 
@@ -465,7 +457,7 @@ def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
     ends = run.trajectories(starts, duration)[-1]
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
     e2 = np.abs(pf.f2.value(ends) - pf.f2.value(starts) - tr.SIGN[kind] * duration / 2.0)
-    tracking = float(max(np.max(e1), np.max(e2)))
+    tracking = float(np.max([e1, e2]))
     closed_form_gap = float(np.max(np.abs(pf.flow(starts, duration) - ends)))
     return ({"max_tracking_error": tracking, "max_closed_form_gap": closed_form_gap,
              "trajectories": len(starts), "duration": duration,
@@ -601,12 +593,8 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
 @check("locus-membership", "every quadrature node satisfies both horosphere level equations",
        0.0, "exact", tol=1e-10, skip=LOCUS_SKIP)
 def check_locus_membership(ctx, tol):
-    cfg = ctx.pair_config()
-    worst = 0.0
-    for s in ctx.s_grid:
-        for t in ctx.t_grid:
-            L = lc.parametrize_locus(cfg, s, t)
-            worst = max(worst, L.membership_residual())
+    s, t = np.asarray(ctx.s_grid, dtype=float), np.asarray(ctx.t_grid, dtype=float)
+    worst = lc.parametrize_locus(ctx.pair_config(), s[:, None], t).membership_residual()
     return {"max_residual": worst}, worst <= tol
 
 
@@ -615,23 +603,15 @@ def check_locus_membership(ctx, tol):
        "constant in t", "closed-form", tol=1e-8, tol_kind="rel", skip=LOCUS_SKIP)
 def check_vw_t_invariance(ctx, tol):
     cfg = ctx.pair_config()
-    worst_spread = 0.0
-    worst_closed = 0.0
-    rows = []
-    for s in ctx.s_grid:
-        vs, ws = [], []
-        for t in ctx.t_grid:
-            q = lc.locus_quadrature(lc.parametrize_locus(cfg, s, t))
-            vs.append(q.V)
-            ws.append(q.W)
-        closed = lc.locus_values(cfg, s, ctx.t_grid[0])
-        v_exp, w_exp = closed.V, closed.W
-        spread_v = (max(vs) - min(vs)) / abs(v_exp)
-        spread_w = (max(ws) - min(ws)) / abs(w_exp)
-        worst_spread = max(worst_spread, spread_v, spread_w)
-        worst_closed = max(worst_closed, abs(vs[0] / v_exp - 1.0), abs(ws[0] / w_exp - 1.0))
-        rows.append({"s": s, "V": vs[0], "W": ws[0], "V_expected": v_exp, "W_expected": w_exp,
-                     "spread_V": spread_v, "spread_W": spread_w})
+    s, t = np.asarray(ctx.s_grid, dtype=float), np.asarray(ctx.t_grid, dtype=float)
+    q = lc.locus_quadrature(lc.parametrize_locus(cfg, s[:, None], t))
+    closed = lc.locus_values(cfg, s, t[0])
+    spread_v, spread_w = np.ptp(q.V, axis=1) / np.abs(closed.V), np.ptp(q.W, axis=1) / np.abs(closed.W)
+    worst_spread = float(np.max([spread_v, spread_w]))
+    worst_closed = float(np.max(np.abs([q.V[:, 0] / closed.V - 1.0, q.W[:, 0] / closed.W - 1.0])))
+    columns = {"V": q.V[:, 0], "W": q.W[:, 0], "V_expected": closed.V, "W_expected": closed.W,
+               "spread_V": spread_v, "spread_W": spread_w}
+    rows = [{"s": si, **{key: float(c[i]) for key, c in columns.items()}} for i, si in enumerate(ctx.s_grid)]
     return ({"rows": rows, "worst_relative_spread": worst_spread,
              "worst_closed_form_gap": worst_closed},
             worst_spread <= tol and worst_closed <= tol)
@@ -640,14 +620,12 @@ def check_vw_t_invariance(ctx, tol):
 @check("w-growth-rate", "the s-derivative of W equals (h/2)(W + V)",
        0.0, "cross-check", tol=1e-4, tol_kind="rel", skip=LOCUS_SKIP)
 def check_dw_ds(ctx, tol):
-    cfg = ctx.pair_config()
-    worst = 0.0
-    rows = []
-    for s in (0.5, 1.0, 2.0):
-        lhs, rhs = lc.dw_ds_check(cfg, s, 0.4)
-        rel = abs(lhs - rhs) / abs(rhs)
-        worst = max(worst, rel)
-        rows.append({"s": s, "lhs": lhs, "rhs": rhs, "relative_gap": rel})
+    s = np.array([0.5, 1.0, 2.0])
+    lhs, rhs = lc.dw_ds_check(ctx.pair_config(), s, 0.4)
+    rel = np.abs(lhs - rhs) / np.abs(rhs)
+    rows = [{"s": si, "lhs": l, "rhs": r, "relative_gap": g}
+            for si, l, r, g in zip(s.tolist(), lhs.tolist(), rhs.tolist(), rel.tolist())]
+    worst = float(np.max(rel))
     return {"rows": rows, "worst_relative_gap": worst}, worst <= tol
 
 
@@ -659,21 +637,12 @@ def check_volume_bound(ctx, tol):
     cfg = ctx.pair_config()
     s_vals = np.concatenate([[math.log(2.0)], np.linspace(0.2, 2.6, 9)])
     t_vals = np.linspace(-3.0, 3.0, 10)
-    worst_violation = -math.inf
-    equality_gap = math.inf
-    bound_spread = 0.0
-    for s in s_vals:
-        bounds_this_s = []
-        for t in t_vals:
-            q = lc.locus_quadrature(lc.parametrize_locus(cfg, float(s), float(t)))
-            worst_violation = max(worst_violation, q.vol - q.bound)
-            bounds_this_s.append(q.bound)
-            if abs(s - math.log(2.0)) < 1e-12:
-                equality_gap = min(equality_gap, abs(q.vol - q.bound))
-        # the spread covers the closed-form bound too
-        closed = lc.locus_values(cfg, float(s), 0.0).bound
-        bounds_this_s.append(closed)
-        bound_spread = max(bound_spread, (max(bounds_this_s) - min(bounds_this_s)) / abs(closed))
+    q = lc.locus_quadrature(lc.parametrize_locus(cfg, s_vals[:, None], t_vals))
+    worst_violation = float(np.max(q.vol - q.bound))
+    equality_gap = float(np.min(np.abs(q.vol[0] - q.bound[0])))  # the row s = ln 2
+    # the spread covers the closed-form bound too
+    closed = lc.locus_values(cfg, s_vals, 0.0).bound
+    bound_spread = float(np.max(np.ptp(np.column_stack([q.bound, closed]), axis=1) / np.abs(closed)))
     return ({"worst_violation": worst_violation, "equality_gap_at_ln2": equality_gap,
              "bound_relative_spread": bound_spread, "grid": [len(s_vals), len(t_vals)]},
             worst_violation <= tol and equality_gap <= 1e-8 and bound_spread <= 1e-8)
@@ -685,24 +654,23 @@ def check_volume_bound(ctx, tol):
        "beta <= bound", "closed-form", tol=1e-9, skip=LOCUS_SKIP)
 def check_beta_bound_and_monotone_volume(ctx, tol):
     cfg = ctx.pair_config()
-    ok_beta = True
-    margins = []
-    for s in (0.1, 0.5, 1.0, 2.0, 3.0):
-        max_beta = float(np.max(lc.parametrize_locus(cfg, s, 0.7).beta_values()))
-        bound = 1.0 - 2.0 * math.exp(-ctx.h * s)
-        ok_beta = (ok_beta and max_beta <= bound + 1e-9
-                   and abs(max_beta - lc.locus_values(cfg, s, 0.7).beta_max) <= tol)
-        margins.append({"s": s, "max_beta": max_beta, "bound": bound})
-    grid = np.linspace(0.3, 2.7, 9)
-    vols = [lc.locus_quadrature(lc.parametrize_locus(cfg, float(s), 0.0)).vol for s in grid]
+    s = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
+    max_beta = np.max(lc.parametrize_locus(cfg, s, 0.7).beta_values(), axis=-1)
+    bound = 1.0 - 2.0 * np.exp(-ctx.h * s)
+    ok_beta = bool(np.all(max_beta <= bound + 1e-9)
+                   and np.all(np.abs(max_beta - lc.locus_values(cfg, s, 0.7).beta_max) <= tol))
+    margins = [{"s": si, "max_beta": mb, "bound": b}
+               for si, mb, b in zip(s.tolist(), max_beta.tolist(), bound.tolist())]
+    vols = lc.locus_quadrature(lc.parametrize_locus(cfg, np.linspace(0.3, 2.7, 9), 0.0)).vol
     if ctx.model.dim == 2:
         # point-pair loci have constant counting volume 2
         monotone = bool(np.all(np.diff(vols) >= -1e-12))
     else:
         monotone = bool(np.all(np.diff(vols) > 0))
     # hypothesis of the t-invariance theorem: gradients never cancel on the locus
-    hyp = all(-1.0 + 1e-12 < row["max_beta"] < 1.0 - 1e-12 for row in margins)
-    return {"margins": margins, "volumes": vols, "monotone": monotone}, ok_beta and monotone and hyp
+    hyp = bool(np.all((-1.0 + 1e-12 < max_beta) & (max_beta < 1.0 - 1e-12)))
+    return ({"margins": margins, "volumes": vols.tolist(), "monotone": monotone},
+            ok_beta and monotone and hyp)
 
 
 @check("locus-isometry-invariance",
@@ -719,7 +687,7 @@ def check_isometry_invariance(ctx, tol):
     L = lc.parametrize_locus(cfg, 1.3, 0.7)
     closed = lc.locus_values(cfg, L.s, L.t)
     general = lc.locus_quadrature(L, general=True)
-    worst = max(abs(a - b) for a, b in zip(closed[:3], general[:3]))
+    worst = float(np.max(np.abs(np.subtract(closed[:3], general[:3]))))
     return {"max_gap": worst, "nodes": L.sphere_weights.size}, worst <= tol
 
 
@@ -737,7 +705,7 @@ def check_strip_volume(ctx, tol):
     gap = abs(sliced / quad - 1.0)
 
     def section(s, t):
-        return np.array([lc.locus_quadrature(lc.parametrize_locus(cfg, si, t)).bound for si in s])
+        return lc.locus_quadrature(lc.parametrize_locus(cfg, s, t)).bound
 
     shifted = lc.strip_volume(cfg, c1 + 1.0, c2 - 1.0, r, section=section)
     shift_gap = abs(shifted - quad) / quad

@@ -91,6 +91,30 @@ def w_times_root_x(monkeypatch):
     monkeypatch.setattr(lc, "locus_values", mutant)
 
 
+def horosphere_expansion_nan_at_half(monkeypatch):
+    """The horosphere volume expansion is NaN at flow time t = 0.5."""
+    exact = tr.horosphere_jacobian
+
+    def mutant(f, t, x):
+        j = exact(f, t, x)
+        return j * np.nan if t == 0.5 else j
+
+    monkeypatch.setattr(tr, "horosphere_jacobian", mutant)
+
+
+def gradient_at_infinity_nan(monkeypatch):
+    """The Busemann gradient of a pole at infinity is NaN."""
+    exact = bu.BusemannField.grad_chart
+    monkeypatch.setattr(bu.BusemannField, "grad_chart",
+                        lambda f, coords: exact(f, coords) * (np.nan if f.xi.is_infinity else 1.0))
+
+
+def beta_nan(monkeypatch):
+    """The gradient correlation beta is NaN everywhere."""
+    exact = bu.beta
+    monkeypatch.setattr(bu, "beta", lambda f1, f2, x: exact(f1, f2, x) * np.nan)
+
+
 HYPERBOLIC_MODELS = [f"h{n}" for n in range(2, 9)]
 
 # mutant -> (models, checks that must fail on each)
@@ -105,6 +129,10 @@ MUTANTS = {
                                                             verify.check_hessian_fd]),
     w_times_root_x: (["h3", "h5"], [verify.check_vw_t_invariance, verify.check_dw_ds,
                                     verify.check_isometry_invariance]),
+    # a NaN among the values a check takes the worst of fails the check
+    horosphere_expansion_nan_at_half: (["h3", "e3"], [verify.check_horosphere_expansion]),
+    gradient_at_infinity_nan: (["h3", "h8"], [verify.check_gradient_norm]),
+    beta_nan: (["h3", "h8"], [verify.check_axis_gradient_cancellation]),
 }
 
 

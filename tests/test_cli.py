@@ -273,7 +273,10 @@ class TestVerifyCommand:
         {"s_grid": 3},
         {"probe_outside_image": "no"},
         {"samples": 1.5},
-    ], ids=["seed-string", "s_grid-scalar", "probe-string", "samples-float"])
+        {"s_grid": [0.0, 0.5]},
+        {"s_grid": [-0.1]},
+    ], ids=["seed-string", "s_grid-scalar", "probe-string", "samples-float",
+            "s_grid-zero", "s_grid-negative"])
     def test_malformed_config_value_exits_2(self, bad, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))

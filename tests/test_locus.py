@@ -488,3 +488,51 @@ class TestBroadcastClosedForms:
         cfg = _default_config(dim)
         with pytest.raises(GeometryError, match=rf"s = {first}, t = -3\.0"):
             sweep_rows(cfg, s_grid, self.T_GRID)
+
+
+class TestBroadcastOracle:
+    """The quadrature oracle on a grid of cells against the same calls one cell at a time."""
+
+    S_GRID = np.array([0.0, 0.05, 0.4, 1.0, 2.7])
+    T_GRID = np.array([-3.0, 0.0, 1.1])
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_grid_matches_scalar_cells(self, dim):
+        cfg = _default_config(dim)
+        L = parametrize_locus(cfg, self.S_GRID[:, None], self.T_GRID)
+        shape, nodes = (len(self.S_GRID), len(self.T_GRID)), L.sphere_weights.size
+        points, betas, grid = L.points(), L.beta_values(), locus_quadrature(L)
+        assert points.shape == shape + (nodes, dim) and betas.shape == shape + (nodes,)
+        assert np.shape(L.measure_factor()) == shape and all(np.shape(q) == shape for q in grid)
+        residuals = []
+        for i, s in enumerate(self.S_GRID):
+            for j, t in enumerate(self.T_GRID):
+                cell = parametrize_locus(cfg, float(s), float(t))
+                assert np.array_equal(points[i, j], cell.points())
+                assert np.array_equal(betas[i, j], cell.beta_values())
+                assert all(_agree(q[i, j], value) for q, value in zip(grid, locus_quadrature(cell)))
+                residuals.append(cell.membership_residual())
+        assert L.membership_residual() == max(residuals)
+        # the s = 0 row is the degenerate axis locus
+        assert np.all(grid.vol[0] == 0.0) and np.all(grid.beta_max[0] == -1.0)
+        assert np.all(np.isnan(grid.V[0]) & np.isnan(grid.W[0]) & np.isnan(grid.bound[0]))
+
+    def test_scalar_cell_gives_python_floats(self):
+        cfg = _default_config(4)
+        L = parametrize_locus(cfg, 0.8, -0.5)
+        assert all(type(q) is float for q in (L.s, L.t, L.height, L.radius, L.measure_factor()))
+        assert all(type(q) is float for q in locus_quadrature(L))
+        assert all(type(q) is float for q in locus_quadrature(parametrize_locus(cfg, 0.0, 0.5)))
+
+    def test_dw_ds_grid_matches_scalar_cells(self):
+        cfg = _default_config(5)
+        s = np.array([0.5, 1.0, 2.0])
+        lhs, rhs = dw_ds_check(cfg, s, 0.4)
+        for i, si in enumerate(s):
+            one_lhs, one_rhs = dw_ds_check(cfg, float(si), 0.4)
+            assert lhs[i] == pytest.approx(one_lhs, rel=1e-12) and rhs[i] == pytest.approx(one_rhs, rel=1e-14)
+
+    def test_first_overflowing_cell_is_named(self):
+        cfg = _default_config(3)
+        with pytest.raises(GeometryError, match=r"locus geometry leaves float64 at s = 800\.0, t = 0\.0"):
+            parametrize_locus(cfg, np.array([1.0, 800.0, 900.0])[:, None], np.array([0.0, 1.0]))

@@ -102,6 +102,30 @@ class TestDistance:
         assert d[0] == 1e155 and d[1] == 5.0
         assert d[2] == pytest.approx(math.sqrt(2.0) * 1e155, rel=1e-15)
 
+    def test_euclidean_difference_past_float64_is_inf(self, e3):
+        # q - p overflows; the distance 2e308 does too, and the other row is exact
+        p = np.array([[-1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        q = np.array([[1e308, 0.0, 0.0], [3.0, 4.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert e3.distance(p, q).tolist() == [math.inf, 5.0]
+
+    def test_euclidean_hypot_past_float64_is_inf(self, e3):
+        # q - p is finite, but its sum of squares and its hypot overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert e3.distance([0.0, 0.0, 0.0], [1.5e308, 1.5e308, 0.0]) == math.inf
+
+    def test_hyperbolic_separation_past_float64(self, h3):
+        # the chart separation overflows; the distance 2 arcsinh(|q - p| / 2) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = h3.distance([0.0, 0.0, 1.0], [1.5e308, 1.5e308, 1.0])
+            wide = h3.distance([-1e308, 0.0, 1.0], [1e308, 0.0, 1.0])
+        assert d == pytest.approx(2.0 * math.asinh(math.hypot(7.5e307, 7.5e307)), rel=1e-15)
+        assert d == pytest.approx(1419.8964946811084, rel=1e-15)
+        assert wide == pytest.approx(2.0 * math.asinh(1e308), rel=1e-15)
+
     def test_symmetry_and_triangle(self, h3, rng):
         pts = h3.random_points(rng, 300, 1.0)
         a, b, c = pts[:100], pts[100:200], pts[200:]
