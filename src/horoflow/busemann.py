@@ -226,36 +226,35 @@ def sublevel_bounded_probe(f1: BusemannField, f2: BusemannField, c1: float, c2: 
     """Probe whether {b1 <= c1} intersect {b2 <= c2} is bounded.
 
     Curvature -1 forces every geodesic ray to leave the intersection of two
-    horoballs (visibility); flat space does not. The probe shoots random
-    geodesic rays from a point of the region and reports the first ray that
-    fails to exit by ``t_max``, if any.
+    horoballs (visibility); flat space does not. The probe draws ``rays``
+    random geodesic rays from a point of the region in one batch and reports
+    the first, in draw order, that is still inside at ``t_max``, if any.
     """
     if f1.model != f2.model:
         raise ModelMismatchError("fields belong to different models")
     m = f1.model
     rng = rng or np.random.default_rng(0)
 
+    def inside(path):
+        return (f1.value(path) <= c1) & (f2.value(path) <= c2)
+
     # find a start point inside the region: walk down both fields from the basepoint
     x = np.array(f1.basepoint.coords, copy=True)
     for _ in range(200):
-        if f1.value(x) <= c1 and f2.value(x) <= c2:
+        if inside(x):
             break
         g = f1.grad_chart(x) if f1.value(x) > c1 else f2.grad_chart(x)
         x = m.exp(x, -0.25 * g)
     else:
         raise GeometryError("could not locate a point in the sublevel region")
 
-    max_exit = 0.0
     ts = np.linspace(0.05, t_max, 400)
-    for _ in range(rays):
-        v = m.random_unit_vectors(x, rng)
-        path = m.geodesic(np.broadcast_to(x, (ts.size, m.dim)), v, ts)
-        inside = (f1.value(path) <= c1) & (f2.value(path) <= c2)
-        if inside[-1]:
-            return BoundednessReport(False, rays, float("inf"), v)
-        exit_idx = int(np.argmin(inside))  # first False
-        max_exit = max(max_exit, float(ts[exit_idx]))
-    return BoundednessReport(True, rays, max_exit, None)
+    v = m.random_unit_vectors(np.broadcast_to(x, (rays, m.dim)), rng)
+    stuck = inside(m.geodesic(x, v, ts[-1]))  # the endpoints alone settle an unbounded region
+    if stuck.any():
+        return BoundednessReport(False, rays, float("inf"), v[np.argmax(stuck)])
+    exit_idx = np.argmin(inside(m.geodesic(x, v[:, None, :], ts)), axis=1)  # first False per ray
+    return BoundednessReport(True, rays, float(np.max(ts[exit_idx], initial=0.0)), None)
 
 
 # -- coarea slicing ---------------------------------------------------------------

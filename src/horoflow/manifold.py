@@ -70,6 +70,11 @@ def _rowdot(u, v) -> np.ndarray:
     return np.vecdot(u, v)
 
 
+def _normal(values):
+    """Where values are positive normal floats: not 0, subnormal, inf or nan."""
+    return (values >= np.finfo(float).tiny) & (values <= np.finfo(float).max)
+
+
 def _native(values):
     """A Python float for a 0-d result, so scalar callers keep float types; the
     array otherwise."""
@@ -174,13 +179,17 @@ class ModelSpace:
         q = self.check_coords(q)
         with np.errstate(over="ignore"):  # E^n gives inf only where the distance exceeds float64
             d = q - p
-            half = 0.5 * np.sqrt(_rowdot(d, d))
-            wide = ~np.isfinite(half)
-            if wide.any():  # q - p or its sum of squares overflowed: halve, then scale as hypot does
-                half = np.where(wide, np.hypot.reduce(0.5 * q - 0.5 * p, axis=-1), half)
+            squared = _rowdot(d, d)
+            half, odd = 0.5 * np.sqrt(squared), ~_normal(squared)
+            if odd.any():  # q - p or its sum of squares over- or underflowed: halve, then scale as hypot does
+                half = np.where(odd, np.hypot.reduce(0.5 * q - 0.5 * p, axis=-1), half)
             if not self.is_hyperbolic:
                 return 2.0 * half
-        return 2.0 * np.arcsinh(half / np.sqrt(p[..., -1] * q[..., -1]))
+            heights = p[..., -1] * q[..., -1]
+            root, odd = np.sqrt(heights), ~_normal(heights)
+            if odd.any():  # the product of the two heights over- or underflowed
+                root = np.where(odd, np.sqrt(p[..., -1]) * np.sqrt(q[..., -1]), root)
+        return 2.0 * np.arcsinh(half / root)
 
     def exp(self, p, w):
         """Exponential map: endpoint of the geodesic from p with initial

@@ -52,7 +52,7 @@ from .manifold import (
     boundary_infinity,
     _rowdot,
 )
-from .numerics import ConvergenceError, TestFunction, fd_hessian
+from .numerics import ConvergenceError, TestFunction, _richardson, _stencil_points
 
 __all__ = ["CheckReport", "VerifyContext", "SUITES", "run_suite", "poincare_example_checks", "sweep_rows"]
 
@@ -247,16 +247,17 @@ def check_hessian_fd(ctx, tol):
     m = ctx.model
     f1, _ = ctx.field_pair()
     eye = np.eye(m.dim)
-    directions = list(eye) + [a + b for a, b in itertools.combinations(eye, 2)]
-    gaps = []
+    directions = np.array(list(eye) + [a + b for a, b in itertools.combinations(eye, 2)])
     pts = ctx.random_points(5)
-    for c, H in zip(pts, f1.hessian_matrix(pts)):
-        for d in directions:
-            # Hess b(v, v) is the second derivative of b along the unit-speed geodesic
-            v = d / float(m.norm(c, d))
-            along = fd_hessian(lambda t: f1.value(m.exp(c, t * v)), np.zeros(1), step=1e-3)
-            gaps.append(abs(float(along[0, 0]) - float(m.inner(c, H @ v, v))))
-    worst = float(np.max(gaps))
+    v = directions / m.norm(pts[:, None, :], directions)[..., None]  # unit, per point in H^n
+    # Hess b(v, v) is the second derivative of b along the unit-speed geodesic:
+    # every (point, direction) pair on one Richardson stencil in one call
+    step = 1e-3
+    ts = _stencil_points(np.zeros((1, 1)), np.ones((1, 1)), step)[0]
+    values = f1.value(m.exp(pts[:, None, None, :], ts * v[..., None, :]))  # (point, direction, stencil)
+    along = _richardson(values.reshape(-1, ts.shape[0]), step, second=True).reshape(values.shape[:-1])
+    Hv = (f1.hessian_matrix(pts)[:, None] @ v[..., None])[..., 0]
+    worst = float(np.max(np.abs(along - m.inner(pts[:, None, :], Hv, v))))
     return {"max_hessian_gap": worst, "directions": len(directions)}, worst <= tol
 
 
@@ -432,7 +433,7 @@ def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
         cfg = ctx.pair_config() if ctx.model.is_hyperbolic else None
 
         def drawn(check, cfg, count, min_separation):
-            return np.array(_off_axis_points(_isolated_context(ctx, check), cfg, count, min_separation))
+            return _off_axis_points(_isolated_context(ctx, check), cfg, count, min_separation)
 
         transport = tr.flow_stencil(ctx.model, drawn(check_gradient_transport, cfg, 1, 0.1)[0])
         blocks = {tr.DIFFERENCE: {"tracking": drawn(check_difference_flow_tracking, None, 20, 0.05),
@@ -481,15 +482,19 @@ def check_sum_flow_tracking(ctx, tol):
     return _tracking_check(ctx, tr.SUM, tol)
 
 
-def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float = 0.1):
-    """count random points, drawn one at a time, at separation at least
-    min_separation from the axis D of cfg (any point when cfg is None)."""
-    pts = []
+def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float = 0.1) -> np.ndarray:
+    """The count random points at separation at least min_separation from the
+    axis D of cfg (any point when cfg is None) that draws of one point at a time
+    accept. Candidates come count per draw, so the generator ends past the last
+    accepted one: no caller may draw from it after (each :func:`_flow_run` block
+    has its own :func:`_isolated_context`; flow-divergence-identities draws no more)."""
+    pts = np.empty((0, ctx.model.dim))
     while len(pts) < count:
-        c = ctx.random_points(1, spread=0.8)[0]
-        if cfg is None or cfg.separation(Point(ctx.model, c)) >= min_separation:
-            pts.append(c)
-    return pts
+        c = ctx.random_points(count)
+        if cfg is not None:  # PairConfig.separation, in its float order
+            c = c[cfg.f1.value(c) + cfg.f2.value(c) - cfg.c0 >= min_separation]
+        pts = np.concatenate([pts, c])
+    return pts[:count]
 
 
 @check("flow-divergence-identities",
@@ -499,7 +504,7 @@ def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float 
 def check_divergence_identities(ctx, tol):
     f1, f2 = ctx.field_pair()
     cfg = lc.make_pair_config(f1, f2) if ctx.model.is_hyperbolic else None
-    pts = np.array(_off_axis_points(ctx, cfg, 50))
+    pts = _off_axis_points(ctx, cfg, 50)
     # each field evaluates the stencils of all points in one call
     raw = tr.divergence_fd(ctx.model, lambda y: f1.grad_chart(y) - f2.grad_chart(y), pts)
     worst_raw = float(np.max(np.abs(raw)))

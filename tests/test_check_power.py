@@ -115,6 +115,15 @@ def beta_nan(monkeypatch):
     monkeypatch.setattr(bu, "beta", lambda f1, f2, x: exact(f1, f2, x) * np.nan)
 
 
+def busemann_value_negated(monkeypatch):
+    """The Busemann value changes sign, so the probe's two-horoball region
+    becomes the outside of both horoballs, which holds whole cones of rays.
+    (A probe that drops one horoball is not caught: almost every geodesic ray
+    leaves a single horoball too.)"""
+    exact = bu.BusemannField.value
+    monkeypatch.setattr(bu.BusemannField, "value", lambda f, coords: -exact(f, coords))
+
+
 HYPERBOLIC_MODELS = [f"h{n}" for n in range(2, 9)]
 
 # mutant -> (models, checks that must fail on each)
@@ -127,6 +136,7 @@ MUTANTS = {
     shape_operator_without_z_squared: (["h2", "h3", "h8"], [verify.check_laplacian_constancy,
                                                             verify.check_hessian_bounds,
                                                             verify.check_hessian_fd]),
+    busemann_value_negated: (["h2", "h3", "h8"], [verify.check_visibility_probe]),
     w_times_root_x: (["h3", "h5"], [verify.check_vw_t_invariance, verify.check_dw_ds,
                                     verify.check_isometry_invariance]),
     # a NaN among the values a check takes the worst of fails the check

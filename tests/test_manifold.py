@@ -126,6 +126,32 @@ class TestDistance:
         assert d == pytest.approx(1419.8964946811084, rel=1e-15)
         assert wide == pytest.approx(2.0 * math.asinh(1e308), rel=1e-15)
 
+    @pytest.mark.parametrize("p, q, expected", [
+        # the product of the heights overflows
+        ([0.0, 0.0, 1e200], [1e200, 0.0, 1e200], 2.0 * math.asinh(0.5)),
+        # the product of the heights and the sum of squares underflow
+        ([0.0, 0.0, 1e-200], [1e-200, 0.0, 1e-200], 2.0 * math.asinh(0.5)),
+        ([0.0, 0.0, 1e-200], [0.0, 0.0, 1e-200], 0.0),
+    ], ids=["heights-overflow", "heights-underflow", "same-point-underflow"])
+    def test_hyperbolic_heights_past_float64(self, h3, p, q, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = h3.distance(p, q)
+        assert d == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_normal_heights_keep_their_bits_beside_extreme_ones(self, h3, rng):
+        # the rescued rows do not move the others: each row equals its own call
+        p = np.vstack([h3.random_points(rng, 20, 1.0), [[0.0, 0.0, 1e200], [0.0, 0.0, 1e-200]]])
+        q = np.vstack([h3.random_points(rng, 20, 1.0), [[1e200, 0.0, 1e200], [1e-200, 0.0, 1e-200]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = h3.distance(p, q)
+            rows = [float(h3.distance(a, b)) for a, b in zip(p, q)]
+        assert batch.tolist() == rows
+        p, q = p[:20], q[:20]
+        assert batch[:20].tolist() == (2.0 * np.arcsinh(0.5 * np.sqrt(_rowdot(q - p, q - p))
+                                                        / np.sqrt(p[:, -1] * q[:, -1]))).tolist()
+
     def test_symmetry_and_triangle(self, h3, rng):
         pts = h3.random_points(rng, 300, 1.0)
         a, b, c = pts[:100], pts[100:200], pts[200:]
