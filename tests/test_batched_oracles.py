@@ -130,14 +130,3 @@ class TestOffAxisPoints:
         assert pts.shape == (count, m.dim) and pts.tobytes() == ref.tobytes()
         if with_config and min_separation == 2.0:
             assert drawn > count  # rejections make the batch draw again
-
-    def test_every_flows_block_matches_one_draw_at_a_time(self):
-        # the blocks of the shared flows run, each from its check's own generator
-        ctx = verify.VerifyContext(model=parse_model("h3"))
-        cfg = ctx.pair_config()
-        for check, block_cfg, count, sep in [(verify.check_gradient_transport, cfg, 1, 0.1),
-                                             (verify.check_difference_flow_tracking, None, 20, 0.05),
-                                             (verify.check_sum_flow_tracking, cfg, 20, 0.05)]:
-            pts = verify._off_axis_points(verify._isolated_context(ctx, check), block_cfg, count, sep)
-            ref, _ = _reference_off_axis_points(verify._isolated_context(ctx, check), block_cfg, count, sep)
-            assert pts.tobytes() == ref.tobytes()
