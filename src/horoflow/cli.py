@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as exc:  # a grid or a batch too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

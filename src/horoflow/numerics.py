@@ -188,11 +188,24 @@ PICARD_TOL = 4.0 * np.finfo(float).eps
 def _picard_nodes() -> tuple[np.ndarray, np.ndarray]:
     """The ascending Chebyshev-Lobatto nodes on [-1, 1], both ends exact, and S:
     S[i, j] integrates the j-th Lagrange polynomial from -1 to node i."""
-    from numpy.polynomial import chebyshev as cheb
-
     N = PICARD_NODES
     tau = np.sin(np.pi * np.arange(-N, N + 1, 2) / (2 * N))
-    S = cheb.chebvander(tau, N + 1) @ cheb.chebint(np.eye(N + 1), lbnd=-1.0) @ np.linalg.inv(cheb.chebvander(tau, N))
+    # S = V_{N+1} C V_N^-1: V_d[i, k] = T_k(tau_i), k <= d, by T_{k+1} = 2x T_k - T_{k-1};
+    # column j of C holds the Chebyshev coefficients of the integral of T_j
+    # from -1, its constant row by Clenshaw summation at -1. Both follow
+    # numpy.polynomial.chebyshev's chebvander and chebint operation for
+    # operation, so S is theirs bit for bit without importing the package.
+    T = np.empty((N + 2, N + 1))
+    T[0], T[1] = 1.0, tau
+    for k in range(1, N + 1):
+        T[k + 1] = T[k] * (2 * tau) - T[k - 1]
+    C, j = np.zeros((N + 2, N + 1)), np.arange(2, N + 1)
+    C[1, 0], C[2, 1], C[j + 1, j], C[j - 1, j] = 1.0, 0.25, 1.0 / (2 * (j + 1)), -1.0 / (2 * (j - 1))
+    b0, b1 = C[-2], C[-1]
+    for row in C[-3::-1]:
+        b0, b1 = row - b1, b0 - 2.0 * b1
+    C[0] = -(b0 - b1)
+    S = T.T @ C @ np.linalg.inv(T[:-1].T)
     S[0] = 0.0  # the first node is the segment's start
     tau.flags.writeable = S.flags.writeable = False
     return tau, S
@@ -300,9 +313,20 @@ class QuadratureRule:
 @functools.cache
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1], computed
-    once per n: numpy's eigenvalue solve and Newton steps for them cost more
-    than a level-slice integral on a few thousand nodes."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    once per n (G. H. Golub and J. H. Welsch, Math. Comp. 23, 1969): the nodes
+    are the eigenvalues of the symmetric Jacobi matrix, off-diagonal
+    k / sqrt(4k^2 - 1), and one pass of the three-term recurrence for P_n and
+    P_{n-1} gives a Newton step and the weights 2 / ((1 - x^2) P_n'(x)^2).
+    Eigenvalues only: an eigenvector solve costs more than the whole rule."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    p, q = x, np.ones_like(x)  # P_k, P_{k-1}
+    for k in range(1, n):
+        p, q = ((2 * k + 1) * x * p - k * q) / (k + 1), p
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    dp = n * (q - x * p) / one_minus_x2  # P_n'(x)
+    x, w = x - p / dp, 2.0 / (one_minus_x2 * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

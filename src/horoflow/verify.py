@@ -117,9 +117,10 @@ class VerifyContext:
     directions in the Euclidean model), the basepoint at unit height, and the
     map target t0 below it (t0 along the first axis in the Euclidean model).
 
-    ``memo`` holds what the checks of one run share: the one Chebyshev-Picard
-    run of both pair flows that serves the flows suite (:func:`_flow_run`). The
-    shallow clones of :func:`_isolated_context` share it.
+    ``memo`` holds what the checks of one run share: the pair configuration
+    (:meth:`pair_config`) and the one Chebyshev-Picard run of both pair flows
+    that serves the flows suite (:func:`_flow_run`). The shallow clones of
+    :func:`_isolated_context` share it.
     """
 
     model: ModelSpace
@@ -156,8 +157,9 @@ class VerifyContext:
                 bu.BusemannField(m, xi2, self.basepoint))
 
     def pair_config(self) -> lc.PairConfig:
-        f1, f2 = self.field_pair()
-        return lc.make_pair_config(f1, f2)
+        if "pair_config" not in self.memo:
+            self.memo["pair_config"] = lc.make_pair_config(*self.field_pair())
+        return self.memo["pair_config"]
 
     def map_endpoints(self) -> tuple[Point, Point]:
         p = self.basepoint
@@ -503,7 +505,7 @@ def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float 
        0.0, "cross-check", tol=1e-5)
 def check_divergence_identities(ctx, tol):
     f1, f2 = ctx.field_pair()
-    cfg = lc.make_pair_config(f1, f2) if ctx.model.is_hyperbolic else None
+    cfg = ctx.pair_config() if ctx.model.is_hyperbolic else None
     pts = _off_axis_points(ctx, cfg, 50)
     # each field evaluates the stencils of all points in one call
     raw = tr.divergence_fd(ctx.model, lambda y: f1.grad_chart(y) - f2.grad_chart(y), pts)

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from horoflow import verify
+from horoflow import cli, verify
 from horoflow.cli import main, parse_grid, parse_model
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError
 from horoflow.numerics import ConvergenceError
@@ -306,6 +310,19 @@ class TestVerifyCommand:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("model", ["h3", "e3"])
+    def test_verify_all_never_imports_numpy_polynomial(self, model, tmp_path):
+        # the oracles build their quadrature and Picard rules themselves; the
+        # package costs a fresh process about 10 ms to import
+        script = (f"import sys; from horoflow import cli; "
+                  f"code = cli.main(['verify', 'all', '--model', '{model}', '--out', sys.argv[1]]); "
+                  f"print(code, 'numpy.polynomial' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "rep.json")],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.split() == ["0", "False"]
+
 
 class TestExampleCommand:
     def test_values_and_determinism(self, tmp_path):
@@ -373,6 +390,19 @@ class TestSweepCommand:
 
     def test_euclidean_rejected(self):
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2
+
+    def test_out_of_memory_exits_2_without_traceback(self, monkeypatch, tmp_path, capsys):
+        # a grid too large for memory is a usage error, not a failed check
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 67.1 TiB for an array with shape (3000000, 3000000)")
+
+        monkeypatch.setattr(cli, "sweep_rows", too_large)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "h3", "--s=0.1:1:3000000", "--t=0:1:3000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate 67.1 TiB")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_flag_rejected(self, tmp_path):
         # a sweep reads its inputs from flags only; argparse refuses --config

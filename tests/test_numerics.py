@@ -10,6 +10,7 @@ import pytest
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, ModelSpace, Point
 from horoflow.numerics import (
     PICARD_MAX_ITERATIONS,
+    PICARD_NODES,
     ConvergenceError,
     TestFunction,
     fd_directional,
@@ -20,6 +21,8 @@ from horoflow.numerics import (
     orthonormal_complement,
     sphere_rule,
     unit_sphere_area,
+    _legendre,
+    _picard_nodes,
 )
 
 from conftest import exact_euclidean_integral
@@ -138,6 +141,45 @@ class TestQuadrature:
         val = rule.integrate(rule.nodes ** 7 - 2.0 * rule.nodes ** 3)
         exact = (3.0 ** 8 - 1.0) / 8.0 - 2.0 * (3.0 ** 4 - 1.0) / 4.0
         assert val == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [40, 48, 64])
+    def test_legendre_rule_matches_mpmath(self, n):
+        # 40-digit rule: Newton on the three-term recurrence from the
+        # asymptotic nodes cos(pi (i - 1/4) / (n + 1/2)), weights 2 / ((1 - x^2) P_n'^2)
+        mp = pytest.importorskip("mpmath")
+
+        def p_and_dp(x):
+            p, q = x, mp.mpf(1)
+            for k in range(1, n):
+                p, q = ((2 * k + 1) * x * p - k * q) / (k + 1), p
+            return p, n * (q - x * p) / (1 - x * x)
+
+        x, w = _legendre(n)
+        with mp.workdps(40):
+            node_error = weight_error = mp.mpf(0)
+            for i, a, b in zip(range(n, 0, -1), x, w):
+                ref = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+                for _ in range(50):
+                    p, dp = p_and_dp(ref)
+                    ref -= p / dp
+                    if abs(p / dp) < mp.mpf(10) ** -38:
+                        break
+                ref_w = 2 / ((1 - ref * ref) * p_and_dp(ref)[1] ** 2)
+                node_error = max(node_error, abs(mp.mpf(float(a)) - ref))
+                weight_error = max(weight_error, abs(mp.mpf(float(b)) / ref_w - 1))
+        assert node_error <= 2.3e-16
+        assert weight_error <= 5e-13
+        assert not x.flags.writeable and not w.flags.writeable
+
+    def test_picard_matrix_equals_numpy_chebyshev_construction(self):
+        # the Picard stop rule is sensitive to the last bit of S
+        from numpy.polynomial import chebyshev as cheb
+
+        tau, S = _picard_nodes()
+        want = cheb.chebvander(tau, PICARD_NODES + 1) @ cheb.chebint(np.eye(PICARD_NODES + 1), lbnd=-1.0) \
+            @ np.linalg.inv(cheb.chebvander(tau, PICARD_NODES))
+        want[0] = 0.0
+        assert np.array_equal(S, want)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_sphere_rule_total_measure(self, m):
