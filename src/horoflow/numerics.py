@@ -194,7 +194,9 @@ def _picard_nodes() -> tuple[np.ndarray, np.ndarray]:
     # column j of C holds the Chebyshev coefficients of the integral of T_j
     # from -1, its constant row by Clenshaw summation at -1. Both follow
     # numpy.polynomial.chebyshev's chebvander and chebint operation for
-    # operation, so S is theirs bit for bit without importing the package.
+    # operation, so S is theirs bit for bit without importing that package:
+    # the stop rule is sensitive to S's last bits (T_k = cos(k arccos x) in
+    # the Vandermonde matrices moves the h3 flows run from 50 to 51 field calls).
     T = np.empty((N + 2, N + 1))
     T[0], T[1] = 1.0, tau
     for k in range(1, N + 1):
