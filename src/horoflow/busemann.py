@@ -102,16 +102,19 @@ class BusemannField:
         """:meth:`value` at chart points that are already validated."""
         return self._raw_value(coords) - self._offset
 
-    def value_truncated(self, coords, T: float) -> np.ndarray:
-        """Pre-limit quantity d(x, ray(T)) - T along the ray from the basepoint.
+    def value_truncated(self, coords, T) -> np.ndarray:
+        """Pre-limit quantity d(x, ray(T)) - T along the ray from the basepoint,
+        for one T or an array of them: the result has shape T.shape + coords.shape[:-1].
 
         Non-increasing in T and converging to :meth:`value` as T grows."""
-        if T <= 0:
+        T = np.asarray(T, dtype=float)
+        if np.any(T <= 0):
             raise GeometryError("truncation parameter must be positive")
         v = direction_to_boundary(self.basepoint, self.xi)
-        ray_pt = self.model.geodesic(self.basepoint.coords, v.components, float(T))
         coords = self.model.check_coords(np.asarray(coords, dtype=float))
-        return self.model.distance(coords, ray_pt) - float(T)
+        T = T.reshape(T.shape + (1,) * (coords.ndim - 1))  # the ray points broadcast over the points
+        ray_pt = self.model.geodesic(self.basepoint.coords, v.components, T)
+        return self.model.distance(coords, ray_pt) - T
 
     # -- derivatives -----------------------------------------------------------
 
@@ -253,8 +256,23 @@ def sublevel_bounded_probe(f1: BusemannField, f2: BusemannField, c1: float, c2: 
     stuck = inside(m.geodesic(x, v, ts[-1]))  # the endpoints alone settle an unbounded region
     if stuck.any():
         return BoundednessReport(False, rays, float("inf"), v[np.argmax(stuck)])
-    exit_idx = np.argmin(inside(m.geodesic(x, v[:, None, :], ts)), axis=1)  # first False per ray
-    return BoundednessReport(True, rays, float(np.max(ts[exit_idx], initial=0.0)), None)
+    # horoballs, and so their intersections, are convex (Bridson and Haefliger, II.8)
+    exits = _first_outside(lambda t: inside(m.geodesic(x, v, t)), ts, rays)
+    return BoundednessReport(True, rays, float(np.max(ts[exits], initial=0.0)), None)
+
+
+def _first_outside(inside_at, ts: np.ndarray, rays: int) -> np.ndarray:
+    """For each of ``rays`` rays from a point of a convex region, the first index into ts at
+    which the ray is outside it: ``inside_at`` maps one time per ray to one bool per ray, and
+    every ray is outside at ts[-1]. Convexity makes inside True and then False along a ray,
+    so a bisection between lo (inside, or -1) and hi (outside) gives the dense
+    argmin(inside, axis=1) in about log2(ts.size) calls, each on all the rays."""
+    lo, hi = np.full(rays, -1), np.full(rays, ts.size - 1)
+    while (wide := hi - lo > 1).any():
+        mid = np.where(wide, (lo + hi) // 2, hi)
+        ins = inside_at(ts[mid])
+        lo, hi = np.where(wide & ins, mid, lo), np.where(wide & ~ins, mid, hi)
+    return hi
 
 
 # -- coarea slicing ---------------------------------------------------------------

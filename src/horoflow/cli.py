@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .locus import make_pair_config
 from .manifold import EUCLIDEAN, HYPERBOLIC, GeometryError, ModelSpace
 from .verify import (
     ERROR,
@@ -33,6 +34,7 @@ from .verify import (
     SWEEP_COLUMNS,
     CheckReport,
     VerifyContext,
+    canonical_pair,
     poincare_example_checks,
     run_suite,
     sweep_rows,
@@ -197,7 +199,7 @@ def cmd_sweep(args) -> int:
     t_grid = parse_grid(args.t)
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
-    rows = sweep_rows(VerifyContext(model=model).pair_config(), s_grid, t_grid)
+    rows = sweep_rows(make_pair_config(*canonical_pair(model)), s_grid, t_grid)
     fmt = ",".join(["%.17g"] * len(SWEEP_COLUMNS))
     text = "\n".join([",".join(SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
     if args.out:

@@ -296,14 +296,30 @@ D_MEMBERSHIP_TOL = 1e-9
 def _pair_vector(f1: BusemannField, f2: BusemannField, coords: np.ndarray, sign) -> np.ndarray:
     """(g1 + sign g2) / (2 + 2 sign beta), beta = g1 . g2 / z^2 (z = 1 in E^n), at validated
     chart points, for sign -1 (the difference flow, rounding exactly as (g1 - g2) / (2 - 2 beta)),
-    +1 (the sum flow) or one of them per row of a (P, n) batch. Raises on D in sum rows."""
-    g1, g2 = f1._grad(coords), f2._grad(coords)
-    z = coords[..., -1] if f1.model.is_hyperbolic else 1.0
-    sign, b = np.asarray(sign), _rowdot(g1, g2) / (z * z)
+    +1 (the sum flow) or one of them per row of a (P, n) batch. Raises on D in sum rows.
+
+    A pole at infinity has the gradient (0, ..., 0, -z), so beta z^2 = -(g_n z) for the other
+    field's gradient g, and every other product of the general formula is an exact zero: that
+    branch adds only the +-0 it contributes, and so rounds bit for bit as the general one."""
+    sign, z = np.asarray(sign), coords[..., -1] if f1.model.is_hyperbolic else 1.0
+    if f2.xi.is_infinity:
+        g = f1._grad(coords)
+        b = -(g[..., -1] * z) / (z * z)
+        g += sign[..., None] * 0.0  # g1 + sign (0, ..., 0)
+        g[..., -1] -= sign * z
+    elif f1.xi.is_infinity:
+        g = f2._grad(coords)
+        b = -(g[..., -1] * z) / (z * z)
+        g *= sign[..., None]
+        g += 0.0  # (0, ..., 0) + sign g2
+        g[..., -1] -= z
+    else:
+        g1, g2 = f1._grad(coords), f2._grad(coords)
+        b, g = _rowdot(g1, g2) / (z * z), g1 + sign[..., None] * g2
     denom = 2.0 + 2.0 * sign * b
     if ((denom <= 2.0 * D_MEMBERSHIP_TOL) & (sign > 0.0)).any():
         raise SingularFlowError("sum flow evaluated on the singular set D")
-    return (g1 + sign[..., None] * g2) / denom[..., None]
+    return g / denom[..., None]
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ from .manifold import (
 )
 from .numerics import ConvergenceError, TestFunction, _richardson, _stencil_points
 
-__all__ = ["CheckReport", "VerifyContext", "SUITES", "run_suite", "poincare_example_checks", "sweep_rows"]
+__all__ = ["CheckReport", "VerifyContext", "canonical_pair", "SUITES", "run_suite", "poincare_example_checks",
+           "sweep_rows"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -109,13 +110,25 @@ def _jsonable(obj):
     return repr(obj)
 
 
+def canonical_pair(m: ModelSpace) -> tuple[bu.BusemannField, bu.BusemannField]:
+    """The Busemann pair of every verify run and sweep: poles at the origin and infinity
+    (two orthogonal directions in the Euclidean model), with the default basepoint at unit
+    height (the origin in the Euclidean model)."""
+    if m.is_hyperbolic:
+        xi1, xi2 = boundary_finite(m, np.zeros(m.dim - 1)), boundary_infinity(m)
+    else:
+        u1, u2 = np.zeros(m.dim), np.zeros(m.dim)
+        u1[0], u2[1] = 1.0, 1.0
+        xi1, xi2 = boundary_direction(m, u1), boundary_direction(m, u2)
+    return bu.BusemannField(m, xi1), bu.BusemannField(m, xi2)
+
+
 @dataclass
 class VerifyContext:
     """Resolved inputs shared by the checks of one run.
 
-    The Busemann pair sits at the origin and infinity (two orthogonal
-    directions in the Euclidean model), the basepoint at unit height, and the
-    map target t0 below it (t0 along the first axis in the Euclidean model).
+    The Busemann pair is :func:`canonical_pair`, the basepoint is the pair's, and
+    the map target t0 below it (t0 along the first axis in the Euclidean model).
 
     ``memo`` holds what the checks of one run share: the pair configuration
     (:meth:`pair_config`) and the one Chebyshev-Picard run of both pair flows
@@ -145,16 +158,7 @@ class VerifyContext:
         return bu.mean_curvature_h(self.model)
 
     def field_pair(self) -> tuple[bu.BusemannField, bu.BusemannField]:
-        m = self.model
-        if m.is_hyperbolic:
-            xi1 = boundary_finite(m, np.zeros(m.dim - 1))
-            xi2 = boundary_infinity(m)
-        else:
-            u1, u2 = np.zeros(m.dim), np.zeros(m.dim)
-            u1[0], u2[1] = 1.0, 1.0
-            xi1, xi2 = boundary_direction(m, u1), boundary_direction(m, u2)
-        return (bu.BusemannField(m, xi1, self.basepoint),
-                bu.BusemannField(m, xi2, self.basepoint))
+        return canonical_pair(self.model)
 
     def pair_config(self) -> lc.PairConfig:
         if "pair_config" not in self.memo:
@@ -270,7 +274,7 @@ def check_truncation_monotone(ctx, tol):
     f1, _ = ctx.field_pair()
     ts = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0])
     pts = ctx.random_points(20, spread=0.5)
-    vals = np.array([f1.value_truncated(pts, T) for T in ts])
+    vals = f1.value_truncated(pts, ts)
     worst_increase = float(np.max(np.diff(vals, axis=0)))
     gap = vals[-1] - f1.value(pts)
     worst_gap = float(np.max(np.abs(gap)))

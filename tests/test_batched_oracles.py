@@ -1,9 +1,11 @@
 """The batched oracles against their one-item-at-a-time references.
 
-The visibility probe draws all its rays at once, the Hessian cross-check
-evaluates every (point, direction) pair on one stencil, and the off-axis
-draws take their candidates in blocks. Each reference below is the loop it
-replaced, kept here to show the batch gives the same numbers.
+The visibility probe draws all its rays at once and bisects for their exits,
+the Hessian cross-check evaluates every (point, direction) pair on one stencil,
+the off-axis draws take their candidates in blocks, the truncated Busemann
+value takes all its horizons in one call, and the pair field skips the zero
+components of a pole at infinity. Each reference below is the loop or the dense
+form it replaced, kept here to show the new code gives the same numbers.
 """
 
 import itertools
@@ -12,26 +14,33 @@ import numpy as np
 import pytest
 
 from horoflow import verify
-from horoflow.busemann import BoundednessReport, sublevel_bounded_probe
+from horoflow.busemann import BoundednessReport, BusemannField, _first_outside, sublevel_bounded_probe
 from horoflow.cli import parse_model
-from horoflow.manifold import GeometryError, Point
+from horoflow.manifold import (HYPERBOLIC as HALF_SPACE, GeometryError, ModelSpace, Point, _rowdot,
+                               boundary_finite, boundary_infinity, direction_to_boundary)
 from horoflow.numerics import fd_hessian
+from horoflow.transport import _pair_vector
 
 HYPERBOLIC = [f"h{n}" for n in range(2, 9)]
 EUCLIDEAN = [f"e{n}" for n in range(2, 9)]
 
 
-def _reference_probe(f1, f2, c1, c2, rays, t_max, rng):
-    """One ray at a time: (report, index of the first ray still inside at t_max)."""
+def _start_point(f1, f2, c1, c2):
+    """The probe's walk from the basepoint into {b1 <= c1} and {b2 <= c2}."""
     m = f1.model
     x = np.array(f1.basepoint.coords, copy=True)
     for _ in range(200):
         if f1.value(x) <= c1 and f2.value(x) <= c2:
-            break
+            return x
         g = f1.grad_chart(x) if f1.value(x) > c1 else f2.grad_chart(x)
         x = m.exp(x, -0.25 * g)
-    else:
-        raise GeometryError("could not locate a point in the sublevel region")
+    raise GeometryError("could not locate a point in the sublevel region")
+
+
+def _reference_probe(f1, f2, c1, c2, rays, t_max, rng):
+    """One ray at a time: (report, index of the first ray still inside at t_max)."""
+    m = f1.model
+    x = _start_point(f1, f2, c1, c2)
     max_exit = 0.0
     ts = np.linspace(0.05, t_max, 400)
     for i in range(rays):
@@ -42,6 +51,22 @@ def _reference_probe(f1, f2, c1, c2, rays, t_max, rng):
             return BoundednessReport(False, rays, float("inf"), v), i
         max_exit = max(max_exit, float(ts[int(np.argmin(inside))]))
     return BoundednessReport(True, rays, max_exit, None), None
+
+
+def _reference_value_truncated(f, coords, T):
+    """d(x, ray(T)) - T for one horizon T, as the truncation check took it per T."""
+    v = direction_to_boundary(f.basepoint, f.xi)
+    ray_pt = f.model.geodesic(f.basepoint.coords, v.components, float(T))
+    return f.model.distance(f.model.check_coords(np.asarray(coords, dtype=float)), ray_pt) - float(T)
+
+
+def _dense_pair_vector(f1, f2, coords, sign):
+    """(g1 + sign g2) / (2 + 2 sign beta) with both gradients built in full, as
+    transport._pair_vector took it for every pair."""
+    g1, g2 = f1._grad(coords), f2._grad(coords)
+    z = coords[..., -1]
+    sign, b = np.asarray(sign), _rowdot(g1, g2) / (z * z)
+    return (g1 + sign[..., None] * g2) / (2.0 + 2.0 * sign * b)[..., None]
 
 
 def _reference_off_axis_points(ctx, cfg, count, min_separation):
@@ -90,6 +115,39 @@ class TestVisibilityProbe:
         rep = sublevel_bounded_probe(f1, f2, 0.5, 0.5, rays=0, rng=np.random.default_rng(1))
         assert rep == _reference_probe(f1, f2, 0.5, 0.5, 0, 60.0, np.random.default_rng(1))[0]
 
+    @pytest.mark.parametrize("model", HYPERBOLIC)
+    def test_bisected_exits_are_the_dense_first_exits(self, model):
+        f1, f2 = verify.canonical_pair(parse_model(model))
+        m, ts = f1.model, np.linspace(0.05, 50.0, 400)
+        for c1, c2 in [(0.5, 0.5), (2.0, 0.5), (0.5, 2.0), (-0.3, 1.0)]:
+            def inside(path):
+                return (f1.value(path) <= c1) & (f2.value(path) <= c2)
+
+            x = _start_point(f1, f2, c1, c2)
+            for seed in range(50):
+                v = m.random_unit_vectors(np.broadcast_to(x, (48, m.dim)), np.random.default_rng(seed))
+                assert not inside(m.geodesic(x, v, ts[-1])).any()
+                exits = _first_outside(lambda t: inside(m.geodesic(x, v, t)), ts, 48)
+                # the dense grid up to the last exit holds every ray's first False
+                dense = inside(m.geodesic(x, v[:, None, :], ts[: exits.max() + 1]))
+                assert not dense[np.arange(48), exits].any()
+                assert np.array_equal(exits, np.argmin(dense, axis=1))
+            rep = sublevel_bounded_probe(f1, f2, c1, c2, rays=48, t_max=50.0, rng=np.random.default_rng(seed))
+            assert rep.bounded and rep.max_exit_time == ts[exits].max()
+
+    def test_bisection_finds_exits_at_either_end_and_takes_no_rays(self):
+        ts = np.linspace(0.05, 50.0, 400)
+        # a ray outside from ts[0] on, one inside up to ts[-2], and rays between
+        limits = np.concatenate([[0.0, 0.05, ts[-2] + 1e-9], np.random.default_rng(5).uniform(0.0, 50.0, 61)])
+        exits = _first_outside(lambda t: t < limits, ts, limits.size)
+        assert np.array_equal(exits, np.argmin(ts < limits[:, None], axis=1))
+        assert exits[:3].tolist() == [0, 0, 399]
+
+        def never(t):
+            raise AssertionError("no ray to probe")
+
+        assert _first_outside(never, ts, 0).size == 0
+
 
 class TestHessianCrossCheck:
     @pytest.mark.parametrize("model", ["h2", "h3", "h8", "e3"])
@@ -130,3 +188,46 @@ class TestOffAxisPoints:
         assert pts.shape == (count, m.dim) and pts.tobytes() == ref.tobytes()
         if with_config and min_separation == 2.0:
             assert drawn > count  # rejections make the batch draw again
+
+
+class TestTruncatedValue:
+    @pytest.mark.parametrize("model", ["h2", "h3", "h8", "e3", "e5"])
+    def test_array_of_horizons_equals_one_call_per_horizon(self, model):
+        f1, _ = verify.canonical_pair(parse_model(model))
+        ts = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0])
+        pts = verify.VerifyContext(model=parse_model(model)).random_points(20, spread=0.5)
+        vals = f1.value_truncated(pts, ts)
+        assert vals.shape == (6, 20)
+        assert vals.tobytes() == np.array([_reference_value_truncated(f1, pts, T) for T in ts]).tobytes()
+        one = f1.value_truncated(pts[0], ts)
+        assert one.shape == (6,) and one.tobytes() == vals[:, 0].tobytes()
+        scalar = f1.value_truncated(pts[0], 4.0)
+        assert np.ndim(scalar) == 0 and scalar == _reference_value_truncated(f1, pts[0], 4.0)
+
+    @pytest.mark.parametrize("horizons", [[1.0, 0.0], [-1.0], [[2.0], [1e-300 * -1.0]]])
+    def test_a_nonpositive_horizon_anywhere_raises(self, horizons):
+        f1, _ = verify.canonical_pair(parse_model("h3"))
+        with pytest.raises(GeometryError):
+            f1.value_truncated([[0.1, 0.2, 1.0]], horizons)
+
+
+class TestPairVectorWithAPoleAtInfinity:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("infinity_first", [False, True])
+    def test_bitwise_the_general_formula(self, n, infinity_first):
+        m = ModelSpace(HALF_SPACE, n)
+        rng = np.random.default_rng(n)
+        pole = np.concatenate([[0.0], rng.normal(size=n - 2)])
+        base = Point(m, m.random_points(rng, 1)[0])
+        finite = BusemannField(m, boundary_finite(m, pole), base)
+        at_infinity = BusemannField(m, boundary_infinity(m))
+        f1, f2 = (at_infinity, finite) if infinity_first else (finite, at_infinity)
+        pts = m.random_points(rng, 64, 1.0)
+        pts[::4, 0], pts[1::4, 0] = 0.0, -0.0  # zero gradient components of either sign
+        # sum rows stay off the axis above the finite pole, where the sum field is singular
+        off_axis = ~np.all(pts[:, :-1] == pole, axis=1)
+        mixed = np.where(off_axis & (rng.random(64) < 0.5), 1.0, -1.0)
+        for rows, sign in [(pts, -1.0), (pts[off_axis], 1.0), (pts, mixed)]:
+            want = _dense_pair_vector(f1, f2, rows, sign)
+            assert _pair_vector(f1, f2, rows, sign).tobytes() == want.tobytes()
+        assert (np.signbit(want) & (want == 0.0)).any() != infinity_first  # -0 only without the +0 of g1

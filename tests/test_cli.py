@@ -388,6 +388,26 @@ class TestSweepCommand:
         assert out.read_text() == "\n".join(lines) + "\n"
         assert lines[1].split(",")[3:6] == ["nan", "nan", "nan"]
 
+    def test_never_imports_numpy_random_and_keeps_its_bytes(self, tmp_path):
+        # a sweep draws nothing; numpy.random costs a fresh process 16-19 ms to import
+        models = ["h2", "h4", "h8"]
+        script = ("import sys; from horoflow import cli; "
+                  "codes = [cli.main(['sweep', '--model', model, '--s=0:3:4', '--t=-2:2:5', '--out', out]) "
+                  "for model, out in zip(sys.argv[1::2], sys.argv[2::2])]; "
+                  "print(*codes, 'numpy.random' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        args = [str(a) for model in models for a in (model, tmp_path / f"{model}.csv")]
+        done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.split() == ["0", "0", "0", "False"]
+        # the rows of the pair configuration of a verify run, formatted as the sweep did
+        fmt = ",".join(["%.17g"] * len(verify.SWEEP_COLUMNS))
+        for model in models:
+            cfg = verify.VerifyContext(model=parse_model(model)).pair_config()
+            rows = verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5"))
+            text = "\n".join([",".join(verify.SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
+            assert (tmp_path / f"{model}.csv").read_bytes() == text.encode()
+
     def test_euclidean_rejected(self):
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2
 

@@ -12,6 +12,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _spec = importlib.util.spec_from_file_location("golden_regenerate",
@@ -57,3 +58,21 @@ def test_report_matches_golden(case):
         problems += _mismatches(g["quantities"], w["quantities"], 1e-3 * w["tolerance"],
                                 f"{w['name']}.quantities")
     assert not problems, "\n".join(problems)
+
+
+def test_diff_ledger_counts_bitwise_moves_against_the_slack(monkeypatch, tmp_path):
+    # a copy of the poincare file with one float moved by half its slack and one by its last bit
+    payload = json.loads(golden.path("example-poincare").read_text())
+    check = payload["checks"][2]
+    length = check["quantities"]
+    length["length"] += 0.5 * max(1e-12 * length["length"], 1e-3 * check["tolerance"])
+    length["exact"] = float(np.nextafter(length["exact"], 10.0))
+    (tmp_path / "example-poincare.json").write_text(json.dumps(payload))
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(golden, "CASES", {"example-poincare": golden.CASES["example-poincare"]})
+    ledger = golden.diff_ledger()
+    assert len(ledger) == 2 and ledger[1] == "total: 2 of 9 quantity floats moved bitwise"
+    head, _, worst = ledger[0].partition("largest move ")
+    assert head == "example-poincare example-circle-length: 2 of 3 floats moved, "
+    assert float(worst.split()[0]) == pytest.approx(0.5, rel=1e-3)
+    assert [p.name for p in tmp_path.iterdir()] == ["example-poincare.json"]
