@@ -130,8 +130,8 @@ class VerifyContext:
     The Busemann pair is :func:`canonical_pair`, the basepoint is the pair's, and
     the map target t0 below it (t0 along the first axis in the Euclidean model).
 
-    ``memo`` holds what the checks of one run share: the pair configuration
-    (:meth:`pair_config`) and the one Chebyshev-Picard run of both pair flows
+    ``memo`` holds what the checks of one run share: the field pair and its
+    configuration (:meth:`pair_config`) and the one Chebyshev-Picard run of both pair flows
     that serves the flows suite (:func:`_flow_run`). The shallow clones of
     :func:`_isolated_context` share it.
     """
@@ -158,7 +158,9 @@ class VerifyContext:
         return bu.mean_curvature_h(self.model)
 
     def field_pair(self) -> tuple[bu.BusemannField, bu.BusemannField]:
-        return canonical_pair(self.model)
+        if "field_pair" not in self.memo:
+            self.memo["field_pair"] = canonical_pair(self.model)
+        return self.memo["field_pair"]
 
     def pair_config(self) -> lc.PairConfig:
         if "pair_config" not in self.memo:
