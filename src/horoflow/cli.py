@@ -9,8 +9,8 @@ Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
 configuration error, or a check that stopped with an error (2 wins over 1).
 Reports are JSON (one record per check, an ``error`` record for a check that
 raised); sweeps are CSV with a stable column order and 17-significant-digit
-decimals. A sweep evaluates the closed forms of the locus quantities, in
-O(1) per cell, on any hN with 2 <= N <= 8.
+decimals. On any hN with 2 <= N <= 8 a sweep is an s-table: the closed forms
+depend on s alone, so each s row is evaluated and formatted once for all t.
 """
 
 from __future__ import annotations
@@ -199,14 +199,22 @@ def cmd_sweep(args) -> int:
     t_grid = parse_grid(args.t)
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
-    rows = sweep_rows(make_pair_config(*canonical_pair(model)), s_grid, t_grid)
-    fmt = ",".join(["%.17g"] * len(SWEEP_COLUMNS))
-    text = "\n".join([",".join(SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
+    try:
+        rows = sweep_rows(make_pair_config(*canonical_pair(model)), s_grid, t_grid)
+        # one text per block of len(t) rows: each t formatted once, its s and tail once
+        ts = ["%.17g" % row[1] for row in rows[:len(t_grid)]]
+        fmt = ",".join(["%.17g"] * (len(SWEEP_COLUMNS) - 2))
+        blocks = [",".join(SWEEP_COLUMNS) + "\n"]
+        for row in rows[::len(t_grid)]:
+            head, tail = "%.17g," % row[0], "," + fmt % row[2:] + "\n"
+            blocks.append(head + (tail + head).join(ts) + tail)
+    except MemoryError as exc:  # a list allocation raises it without a message
+        raise MemoryError(str(exc) or f"a grid of {len(s_grid)} x {len(t_grid)} = {len(s_grid) * len(t_grid)} cells")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0
 
 

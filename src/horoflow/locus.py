@@ -69,6 +69,12 @@ class EmptyLocusError(GeometryError):
     region reaches the axis level (c1 + c2 <= c0)."""
 
 
+def _reject_below_axis(s: np.ndarray) -> None:
+    """Raise :class:`EmptyLocusError`, naming the first s < 0 (below the axis level)."""
+    if np.any(s < 0):
+        raise EmptyLocusError(f"s = {float(s[s < 0][0])} < 0: empty intersection")
+
+
 @dataclass(frozen=True)
 class PairConfig:
     """A normalized pair of Busemann fields with the constants of their axis.
@@ -137,9 +143,7 @@ class PairConfig:
         :class:`EmptyLocusError`, naming the first s < 0 (below the axis level).
         """
         s = np.asarray(s, dtype=float)
-        below = s < 0
-        if below.any():
-            raise EmptyLocusError(f"s = {float(s[below][0])} < 0: empty intersection")
+        _reject_below_axis(s)
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.exp(self.k2 - 0.5 * (s + self.c0 - t))
             rho = a * np.sqrt(np.expm1(s))
@@ -337,7 +341,7 @@ def locus_values(cfg: PairConfig, s, t) -> LocusValues:
     :class:`GeometryError` naming the first (s, t) with s > 0 where a value
     overflows float64.
     """
-    cfg.locus_geometry(s, t)  # rejects s < 0; the values depend on s alone
+    _reject_below_axis(np.asarray(s, dtype=float))  # the values depend on s alone
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     n = cfg.model.dim
     degenerate = s == 0.0

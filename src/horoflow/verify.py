@@ -816,17 +816,19 @@ SWEEP_COLUMNS = ("s", "t") + lc.LocusValues._fields
 
 
 def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid):
-    """Closed-form locus quantities, one row per (s, t) cell.
+    """Closed-form locus quantities, one row per (s, t) cell, as an s-table.
 
-    One broadcast :func:`locus.locus_values` call evaluates the whole grid.
-    The rows are s-major (every t of the first s, then the next s), and each
-    is a tuple of Python floats in the column order of ``SWEEP_COLUMNS``.
-    Raises what ``locus_values`` raises for any cell.
+    They depend on s alone, so one :func:`locus.locus_values` call on the s
+    axis gives each s_i its tail, and the row of (s_i, t_j) is (s_i, t_j,
+    *tail_i). The rows are s-major, each a tuple of Python floats in the
+    column order of ``SWEEP_COLUMNS``. Raises what ``locus_values`` raises,
+    naming (s, t_grid[0]).
     """
-    s = np.asarray(s_grid, dtype=float)[:, None]
-    t = np.asarray(t_grid, dtype=float)[None, :]
-    columns = (c.ravel().tolist() for c in np.broadcast_arrays(s, t, *lc.locus_values(cfg, s, t)))
-    return list(zip(*columns))
+    s, t = np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float)
+    rows, ts = [None] * (s.size * t.size), t.tolist()  # an impossible grid fails here, before any row
+    tails = zip(*(q.ravel().tolist() for q in lc.locus_values(cfg, s[:, None], t[:1])))
+    rows[:] = [(si, tj) + tail for si, tail in zip(s.tolist(), tails) for tj in ts]
+    return rows
 
 
 # --------------------------------------------------------------------------

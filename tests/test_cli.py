@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from horoflow import cli, verify
+from horoflow import locus as lc
 from horoflow.cli import main, parse_grid, parse_model
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError
 from horoflow.numerics import ConvergenceError
@@ -26,6 +28,21 @@ def _reject_constant(name):
 def _strict_json(text: str):
     """json.loads that rejects NaN, Infinity and -Infinity."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+def _broadcast_rows(cfg, s_grid, t_grid) -> list:
+    """The sweep rows as one broadcast locus_values call over every (s, t) cell
+    gives them: the reference of the s-table that verify.sweep_rows builds."""
+    s = np.asarray(s_grid, dtype=float)[:, None]
+    t = np.asarray(t_grid, dtype=float)[None, :]
+    columns = (c.ravel().tolist() for c in np.broadcast_arrays(s, t, *lc.locus_values(cfg, s, t)))
+    return list(zip(*columns))
+
+
+def _per_cell_csv(rows) -> str:
+    """The sweep CSV text with every cell formatted on its own."""
+    fmt = ",".join(["%.17g"] * len(verify.SWEEP_COLUMNS))
+    return "\n".join([",".join(verify.SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
 
 
 def _strip_wall_times(payload: dict) -> dict:
@@ -423,6 +440,86 @@ class TestSweepCommand:
         assert err.startswith("error: out of memory: Unable to allocate 67.1 TiB")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_bare_out_of_memory_names_the_grid(self, monkeypatch, tmp_path, capsys):
+        # a list allocation raises MemoryError without a message
+        def too_large(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sweep_rows", too_large)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--s=0.1:1:3", "--t=0:1:4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: a grid of 3 x 4 = 12 cells\n"
+        assert not out.exists()
+
+    def test_impossible_grid_exits_2_before_building_rows(self, tmp_path):
+        # unpatched, under a 2 GiB address-space limit, so that a sweep that
+        # builds rows before it fails is stopped by the limit, not by the host
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "sweep.csv"
+        peak_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        done = subprocess.run([sys.executable, "-m", "horoflow.cli", "sweep", "--model", "h3",
+                               "--s=0.1:1:3000000", "--t=0:1:3000000", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=30,
+                              preexec_fn=limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: out of memory")
+        assert done.stderr.strip() != "error: out of memory:"
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+        # it failed at its row list: a sweep that grows its rows until the
+        # limit stops it peaks near 1.9 GiB, this one near 0.3 GiB (KiB here)
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= max(peak_before, 2 ** 20)
+
+    @pytest.mark.parametrize("model", ["h2", "h8"])
+    @pytest.mark.parametrize("s_arg, t_arg", [
+        ("--s=0:3:5", "--t=-3:3:4"),
+        ("--s=0:2:3", "--t=-0:0:1"),
+        ("--s=0.5:0.5:1", "--t=0:0:1"),
+        ("--s=1.25:1.25:1", "--t=-2:2:7"),
+        ("--s=0:2:6", "--t=-1.5:-1.5:1"),
+    ], ids=["s-zero-row-negative-t", "minus-zero-t", "one-cell", "one-by-k", "k-by-one"])
+    def test_csv_bytes_match_per_cell_format(self, model, s_arg, t_arg, tmp_path, capsys):
+        cfg = lc.make_pair_config(*verify.canonical_pair(parse_model(model)))
+        rows = _broadcast_rows(cfg, parse_grid(s_arg[4:]), parse_grid(t_arg[4:]))
+        expected = _per_cell_csv(rows)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", model, s_arg, t_arg, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        capsys.readouterr()
+        assert main(["sweep", "--model", model, s_arg, t_arg]) == 0
+        assert capsys.readouterr().out == expected
+        if t_arg == "--t=-0:0:1":
+            assert all(line.split(",")[1] == "-0" for line in expected.splitlines()[1:])
+        if s_arg.startswith("--s=0:"):
+            assert expected.splitlines()[1].split(",")[3:6] == ["nan", "nan", "nan"]
+
+    @pytest.mark.parametrize("model", ["h2", "h3", "h5", "h8"])
+    def test_sweep_rows_equal_broadcast_rows_bitwise(self, model):
+        cfg = lc.make_pair_config(*verify.canonical_pair(parse_model(model)))
+        rng = np.random.default_rng(int(model[1:]))
+        grids = [(parse_grid("0:3:7"), parse_grid("-3:3:5")),
+                 ([0.0, *rng.uniform(0.0, 60.0, 40), *(10.0 ** rng.uniform(-300.0, 1.0, 40))],
+                  [-0.0, *rng.uniform(-10.0, 10.0, 9)]),
+                 ([0.7], [2.0]), ([0.7], [-1.0, 0.0, 1.0]), ([0.0, 0.2, 0.4], [0.0])]
+        for s_grid, t_grid in grids:
+            rows, reference = verify.sweep_rows(cfg, s_grid, t_grid), _broadcast_rows(cfg, s_grid, t_grid)
+            assert type(rows) is list and len(rows) == len(s_grid) * len(t_grid)
+            assert all(type(row) is tuple and len(row) == len(verify.SWEEP_COLUMNS) for row in rows)
+            assert all(type(value) is float for row in rows for value in row)
+            assert np.array(rows).tobytes() == np.array(reference).tobytes()
+        for s_grid in ([0.5, -0.1, 1.0], [0.5, 800.0, 900.0]):
+            with pytest.raises(GeometryError) as new:
+                verify.sweep_rows(cfg, s_grid, [-1.0, 2.0])
+            with pytest.raises(GeometryError) as old:
+                _broadcast_rows(cfg, s_grid, [-1.0, 2.0])
+            assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
+            assert f"s = {s_grid[1]}" in str(new.value)
 
     def test_config_flag_rejected(self, tmp_path):
         # a sweep reads its inputs from flags only; argparse refuses --config

@@ -479,6 +479,22 @@ class TestBroadcastClosedForms:
             with pytest.raises(EmptyLocusError, match=r"s = -0\.25 < 0"):
                 call()
 
+    def test_values_reject_negative_s_without_the_geometry(self, monkeypatch):
+        # the s < 0 check of locus_values evaluates no height or radius
+        cfg = _default_config(3)
+        s, t = np.array([0.5, -0.25, -1.0])[:, None], self.T_GRID[None, :]
+        with pytest.raises(EmptyLocusError) as geometry:
+            cfg.locus_geometry(s, t)
+
+        def forbidden(*args):
+            raise AssertionError("locus_values must not evaluate the locus geometry")
+
+        monkeypatch.setattr(type(cfg), "locus_geometry", forbidden)
+        with pytest.raises(EmptyLocusError) as values:
+            locus_values(cfg, s, t)
+        assert str(values.value) == str(geometry.value) == "s = -0.25 < 0: empty intersection"
+        assert len(sweep_rows(cfg, [0.0, 0.5], [-1.0, 1.0])) == 4
+
     @pytest.mark.parametrize("dim, s_grid, first", [
         (4, [1.0, 700.0, 710.0], 700.0),
         (2, [1.0, 1500.0], 1500.0),
