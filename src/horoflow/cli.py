@@ -63,7 +63,7 @@ def parse_model(token: str) -> ModelSpace:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_grid(token: str) -> list[float]:
+def parse_grid(token: str) -> np.ndarray:
     """Grid syntax a:b:k = k equally spaced values from a to b inclusive, for
     finite numbers a and b and an integer k >= 1."""
     parts = token.split(":")
@@ -77,7 +77,8 @@ def parse_grid(token: str) -> list[float]:
         raise ConfigError(f"grid bounds must be finite, got {token!r}")
     if k < 1:
         raise ConfigError("grid needs at least one point")
-    return [a] if k == 1 else list(np.linspace(a, b, k))
+    # one point keeps a's sign: np.linspace(-0.0, 0.0, 1) gives +0
+    return np.array([a]) if k == 1 else np.linspace(a, b, k)
 
 
 def _is_int(value) -> bool:

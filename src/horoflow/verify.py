@@ -131,9 +131,9 @@ class VerifyContext:
     the map target t0 below it (t0 along the first axis in the Euclidean model).
 
     ``memo`` holds what the checks of one run share: the field pair and its
-    configuration (:meth:`pair_config`) and the one Chebyshev-Picard run of both pair flows
-    that serves the flows suite (:func:`_flow_run`). The shallow clones of
-    :func:`_isolated_context` share it.
+    configuration (:meth:`pair_config`), the map F (:meth:`volume_map`) and the
+    one Chebyshev-Picard run of both pair flows that serves the flows suite
+    (:func:`_flow_run`). The shallow clones of :func:`_isolated_context` share it.
     """
 
     model: ModelSpace
@@ -167,14 +167,17 @@ class VerifyContext:
             self.memo["pair_config"] = lc.make_pair_config(*self.field_pair())
         return self.memo["pair_config"]
 
-    def map_endpoints(self) -> tuple[Point, Point]:
-        p = self.basepoint
-        qc = np.array(p.coords, copy=True)
-        if self.model.is_hyperbolic:
-            qc[-1] *= math.exp(-self.t0)
-        else:
-            qc[0] += self.t0
-        return p, Point(self.model, qc)
+    def volume_map(self) -> tr.VolumePreservingMap:
+        """The map F from the basepoint p to the target q at distance t0."""
+        if "volume_map" not in self.memo:
+            p = self.basepoint
+            qc = np.array(p.coords, copy=True)
+            if self.model.is_hyperbolic:
+                qc[-1] *= math.exp(-self.t0)
+            else:
+                qc[0] += self.t0
+            self.memo["volume_map"] = tr.VolumePreservingMap(self.model, p, Point(self.model, qc))
+        return self.memo["volume_map"]
 
     def random_points(self, count: int, spread: float = 0.8) -> np.ndarray:
         return self.model.random_points(self.rng, count, spread)
@@ -347,17 +350,15 @@ def check_alpha_gap_monotone(ctx, tol):
 @check("map-sends-p-to-q", "the volume-preserving map sends the chosen source point to the target",
        0.0, "exact", tol=1e-10)
 def check_map_endpoint(ctx, tol):
-    p, q = ctx.map_endpoints()
-    F = tr.VolumePreservingMap(ctx.model, p, q)
-    gap = float(np.max(np.abs(F(p).coords - q.coords)))
+    F = ctx.volume_map()
+    gap = float(np.max(np.abs(F(F.p).coords - F.q.coords)))
     return {"chart_gap": gap, "t0": F.t0}, gap <= tol
 
 
 @check("map-unit-jacobian", "the Riemannian Jacobian determinant of the map is 1 everywhere",
        1.0, "cross-check", tol=1e-7)
 def check_map_unit_jacobian(ctx, tol):
-    p, q = ctx.map_endpoints()
-    F = tr.VolumePreservingMap(ctx.model, p, q)
+    F = ctx.volume_map()
     worst = float(np.max(np.abs(F.jacobian_det(ctx.random_points(100)) - 1.0)))
     return {"max_det_error": worst, "points": 100}, worst <= tol
 
@@ -384,13 +385,12 @@ def _bump_levels(ctx: VerifyContext, F: tr.VolumePreservingMap, radius: float):
         "level-slice integral of the pulled bump matches the bump's exact polar integral"),
        0.0, "cross-check", tol=1e-10, tol_kind="rel")
 def check_map_integral_invariance(ctx, tol):
-    p, q = ctx.map_endpoints()
-    F = tr.VolumePreservingMap(ctx.model, p, q)
+    F = ctx.volume_map()
     flow = tr.NormalFlow(F.field)
     radius = 0.3
     rows = []
     for level in _bump_levels(ctx, F, radius):
-        bump = TestFunction(Point(ctx.model, flow(level, p.coords)), radius)
+        bump = TestFunction(Point(ctx.model, flow(level, F.p.coords)), radius)
         exact = bump.integral()
         pulled = bu.coarea_slice_integral(bump, F.field, pull=F, **SLICE_RULE)
         rows.append({"level": level, "exact": exact, "pulled": pulled,
@@ -406,12 +406,11 @@ def check_map_integral_invariance(ctx, tol):
 def check_map_out_of_image(ctx, tol):
     """Documented deviation: the map is not onto, so mass below the image
     threshold is invisible to the pullback integral."""
-    p, q = ctx.map_endpoints()
-    F = tr.VolumePreservingMap(ctx.model, p, q)
+    F = ctx.volume_map()
     flow = tr.NormalFlow(F.field)
     radius = 0.3
     level = F.image_threshold - radius - 0.5
-    bump = TestFunction(Point(ctx.model, flow(level, p.coords)), radius)
+    bump = TestFunction(Point(ctx.model, flow(level, F.p.coords)), radius)
 
     class Pulled:  # bump o F, integrated on the slice nodes of the bump's own support
         center, radius = bump.center, bump.radius

@@ -66,8 +66,8 @@ class TestParsing:
                 parse_model(bad)
 
     def test_grid(self):
-        assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
-        assert parse_grid("2:2:1") == [2.0]
+        assert parse_grid("0:1:3").tolist() == [0.0, 0.5, 1.0]
+        assert parse_grid("2:2:1").tolist() == [2.0]
         from horoflow.cli import ConfigError
 
         with pytest.raises(ConfigError):
@@ -473,8 +473,8 @@ class TestSweepCommand:
         assert "Traceback" not in done.stderr
         assert not out.exists()
         # it failed at its row list: a sweep that grows its rows until the
-        # limit stops it peaks near 1.9 GiB, this one near 0.3 GiB (KiB here)
-        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= max(peak_before, 2 ** 20)
+        # limit stops it peaks near 1.9 GiB, this one near 74 MiB (KiB here)
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= max(peak_before, 2 ** 18)
 
     @pytest.mark.parametrize("model", ["h2", "h8"])
     @pytest.mark.parametrize("s_arg, t_arg", [
