@@ -224,7 +224,7 @@ class BoundednessReport:
 
 
 def sublevel_bounded_probe(f1: BusemannField, f2: BusemannField, c1: float, c2: float,
-                           *, rays: int = 64, t_max: float = 60.0,
+                           *, rays: int = 48, t_max: float = 50.0,
                            rng: np.random.Generator | None = None) -> BoundednessReport:
     """Probe whether {b1 <= c1} intersect {b2 <= c2} is bounded.
 
@@ -278,8 +278,8 @@ def _first_outside(inside_at, ts: np.ndarray, rays: int) -> np.ndarray:
 # -- coarea slicing ---------------------------------------------------------------
 
 
-def coarea_slice_integral(f, field: BusemannField, *, pull=None, t_nodes: int = 80,
-                          x_nodes: int = 64) -> float:
+def coarea_slice_integral(f, field: BusemannField, *, pull=None, t_nodes: int = 64,
+                          x_nodes: int = 48) -> float:
     """Integrate a radial bump, or its pullback by a map, by slicing along Busemann levels.
 
     Realizes the identity  integral_M f dmu = integral_R ( integral_{b=t} f dmu_t ) dt,

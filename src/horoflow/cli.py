@@ -91,14 +91,15 @@ def _is_finite(value) -> bool:
 
 @dataclass
 class RunConfig:
-    """Inputs of one verification run; JSON file values, then flag overrides."""
+    """Inputs of one verification run; JSON file values, then flag overrides, over
+    the defaults of :class:`VerifyContext`."""
 
     model: str = "h3"
-    seed: int = 42
-    s_grid: list = field(default_factory=lambda: [0.5, math.log(2.0), 2.0])
-    t_grid: list = field(default_factory=lambda: [-3.0, -1.0, 0.0, 1.0, 3.0])
-    t0: float = 1.0
-    probe_outside_image: bool = False
+    seed: int = VerifyContext.seed
+    s_grid: list = field(default_factory=lambda: list(VerifyContext.s_grid))
+    t_grid: list = field(default_factory=lambda: list(VerifyContext.t_grid))
+    t0: float = VerifyContext.t0
+    probe_outside_image: bool = VerifyContext.probe_outside_image
     out: str | None = None
 
     @staticmethod

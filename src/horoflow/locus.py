@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .busemann import BusemannField, beta, mean_curvature_h
+from .busemann import BusemannField, beta, busemann_value, mean_curvature_h
 from .manifold import BoundaryConfigError, GeometryError, ModelMismatchError, Point, _native, _rowdot
 from .numerics import (QuadratureRule, fd_jacobian, gauss_legendre, orthonormal_complement,
                        sphere_rule, unit_sphere_area)
@@ -129,8 +129,6 @@ class PairConfig:
 
     def separation(self, x: Point) -> float:
         """s-coordinate b1(x) + b2(x) - c0 (>= 0 everywhere)."""
-        from .busemann import busemann_value
-
         return busemann_value(self.f1, x) + busemann_value(self.f2, x) - self.c0
 
     def locus_geometry(self, s, t):

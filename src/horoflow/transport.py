@@ -299,20 +299,15 @@ def _pair_vector(f1: BusemannField, f2: BusemannField, coords: np.ndarray, sign)
     +1 (the sum flow) or one of them per row of a (P, n) batch. Raises on D in sum rows.
 
     A pole at infinity has the gradient (0, ..., 0, -z), so beta z^2 = -(g_n z) for the other
-    field's gradient g, and every other product of the general formula is an exact zero: that
-    branch adds only the +-0 it contributes, and so rounds bit for bit as the general one."""
+    field's gradient g, and every other product of the general formula is an exact zero: the
+    branch for f2's pole at infinity (the canonical pair's) adds only the +-0 it contributes,
+    and so rounds bit for bit as the general one, which takes a pole at infinity in f1."""
     sign, z = np.asarray(sign), coords[..., -1] if f1.model.is_hyperbolic else 1.0
     if f2.xi.is_infinity:
         g = f1._grad(coords)
         b = -(g[..., -1] * z) / (z * z)
         g += sign[..., None] * 0.0  # g1 + sign (0, ..., 0)
         g[..., -1] -= sign * z
-    elif f1.xi.is_infinity:
-        g = f2._grad(coords)
-        b = -(g[..., -1] * z) / (z * z)
-        g *= sign[..., None]
-        g += 0.0  # (0, ..., 0) + sign g2
-        g[..., -1] -= z
     else:
         g1, g2 = f1._grad(coords), f2._grad(coords)
         b, g = _rowdot(g1, g2) / (z * z), g1 + sign[..., None] * g2

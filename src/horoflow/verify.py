@@ -13,22 +13,21 @@ and ``all`` (their union in declaration order).
 
 Adding a check: register its body with :func:`check`, which takes the
 report's ``name``, ``statement``, ``expected`` (a value, or a function of the
-context when it depends on the model), ``provenance``, ``tol`` and
-``tol_kind``. The body receives the context and ``tol`` and returns
-``(quantities, verdict)``: a dict of what it computed and whether the claim
-holds. The decorator builds the report: status ``pass`` or ``fail`` from the
-verdict, or ``paper-discrepancy`` for a holding verdict when the provenance is
-``counterexample``; an ``error`` record when the body raises
-:class:`GeometryError` or :class:`ConvergenceError`; and, for a check given
-``skip=<reason>``, a passing record with quantities ``{"skipped": reason}`` on
-the Euclidean models, where the body does not run. Keep the body's
-``__name__``: it keys the check's random generator. Then list the check in a
-suite of :data:`SUITES`.
+context when it depends on the model), ``provenance``, ``tol``, ``tol_kind``
+and the ``suite`` it joins, in declaration order, in :data:`SUITES`. The body
+receives the context and ``tol`` and returns ``(quantities, verdict)``: a dict
+of what it computed and whether the claim holds. The decorator builds the
+report: status ``pass`` or ``fail`` from the verdict, or ``paper-discrepancy``
+for a holding verdict when the provenance is ``counterexample``; an ``error``
+record when the body raises :class:`GeometryError` or
+:class:`ConvergenceError`; and, for a check given ``skip=<reason>``, a passing
+record with quantities ``{"skipped": reason}`` on the Euclidean models, where
+the body does not run. Keep the body's ``__name__``: it keys the check's
+random generator.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -125,15 +124,16 @@ def canonical_pair(m: ModelSpace) -> tuple[bu.BusemannField, bu.BusemannField]:
 
 @dataclass
 class VerifyContext:
-    """Resolved inputs shared by the checks of one run.
+    """Resolved inputs of one run, and what its checks share.
 
     The Busemann pair is :func:`canonical_pair`, the basepoint is the pair's, and
     the map target t0 below it (t0 along the first axis in the Euclidean model).
-
-    ``memo`` holds what the checks of one run share: the field pair and its
-    configuration (:meth:`pair_config`), the map F (:meth:`volume_map`) and the
-    one Chebyshev-Picard run of both pair flows that serves the flows suite
-    (:func:`_flow_run`). The shallow clones of :func:`_isolated_context` share it.
+    The pair, its configuration, the map F and the one Chebyshev-Picard run of both
+    pair flows that serves the flows suite (:func:`_flow_run`) are built once, by
+    the first check that reads them; a build that raises is not kept, so every
+    check that reads it records the error. :func:`run_suite` sets ``rng`` to
+    :meth:`rng_for` of each check before it runs; a check called directly draws
+    from ``default_rng(seed)``.
     """
 
     model: ModelSpace
@@ -142,51 +142,60 @@ class VerifyContext:
     t_grid: tuple = (-3.0, -1.0, 0.0, 1.0, 3.0)
     t0: float = 1.0
     probe_outside_image: bool = False
-    basepoint: Point = dc_field(init=False)
     rng: np.random.Generator = dc_field(init=False)
-    memo: dict = dc_field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        coords = np.zeros(self.model.dim)
-        if self.model.is_hyperbolic:
-            coords[-1] = 1.0
-        self.basepoint = Point(self.model, coords)
         self.rng = np.random.default_rng(self.seed)
+
+    def rng_for(self, check) -> np.random.Generator:
+        """A generator keyed by the check's name, so a check reports the same
+        numbers in every suite that runs it."""
+        return np.random.default_rng([self.seed, zlib.crc32(check.__name__.encode())])
 
     @property
     def h(self) -> float:
         return bu.mean_curvature_h(self.model)
 
+    @functools.cached_property
     def field_pair(self) -> tuple[bu.BusemannField, bu.BusemannField]:
-        if "field_pair" not in self.memo:
-            self.memo["field_pair"] = canonical_pair(self.model)
-        return self.memo["field_pair"]
+        return canonical_pair(self.model)
 
+    @functools.cached_property
     def pair_config(self) -> lc.PairConfig:
-        if "pair_config" not in self.memo:
-            self.memo["pair_config"] = lc.make_pair_config(*self.field_pair())
-        return self.memo["pair_config"]
+        return lc.make_pair_config(*self.field_pair)
 
+    @property
+    def basepoint(self) -> Point:
+        return self.field_pair[0].basepoint
+
+    @functools.cached_property
     def volume_map(self) -> tr.VolumePreservingMap:
         """The map F from the basepoint p to the target q at distance t0."""
-        if "volume_map" not in self.memo:
-            p = self.basepoint
-            qc = np.array(p.coords, copy=True)
-            if self.model.is_hyperbolic:
-                qc[-1] *= math.exp(-self.t0)
-            else:
-                qc[0] += self.t0
-            self.memo["volume_map"] = tr.VolumePreservingMap(self.model, p, Point(self.model, qc))
-        return self.memo["volume_map"]
+        p = self.basepoint
+        qc = np.array(p.coords, copy=True)
+        if self.model.is_hyperbolic:
+            qc[-1] *= math.exp(-self.t0)
+        else:
+            qc[0] += self.t0
+        return tr.VolumePreservingMap(self.model, p, Point(self.model, qc))
+
+    @functools.cached_property
+    def flows(self) -> tr.FlowRun:
+        return _flow_run(self)
 
     def random_points(self, count: int, spread: float = 0.8) -> np.ndarray:
         return self.model.random_points(self.rng, count, spread)
 
 
+# each suite's checks in declaration order, appended by @check; "all" is their union
+SUITES: dict[str, list] = {name: [] for name in ("busemann", "map-f", "flows", "intersections", "coarea", "all")}
+
+
 def check(name: str, statement: str, expected, provenance: str, *, tol: float = 0.0,
-          tol_kind: str = "abs", skip: str | None = None):
+          tol_kind: str = "abs", skip: str | None = None, suite: str | None = None):
     """Register a check body ``(ctx, tol) -> (quantities, verdict)``; the
-    wrapper builds its named and timed report (see the module docstring)."""
+    wrapper builds its named and timed report (see the module docstring) and,
+    given a suite, joins it and ``all``."""
     def decorate(body):
         @functools.wraps(body)
         def run(ctx) -> CheckReport:
@@ -208,14 +217,15 @@ def check(name: str, statement: str, expected, provenance: str, *, tol: float = 
             rep.wall_time_s = time.perf_counter() - start
             return rep
 
+        if suite is not None:
+            SUITES[suite].append(run)
+            SUITES["all"].append(run)
         return run
 
     return decorate
 
 
 NO_AXIS = "Euclidean pair has no axis constant"
-# Gauss-Legendre nodes in level and along each slice radius of every level-slice integral
-SLICE_RULE = {"t_nodes": 64, "x_nodes": 48}
 LOCUS_SKIP = "intersection loci require the visibility model"
 
 
@@ -225,38 +235,38 @@ LOCUS_SKIP = "intersection loci require the visibility model"
 
 
 @check("busemann-gradient-unit-norm", "the Busemann gradient has unit Riemannian length everywhere",
-       0.0, "exact", tol=1e-9)
+       0.0, "exact", tol=1e-9, suite="busemann")
 def check_gradient_norm(ctx, tol):
     pts = ctx.random_points(200)
-    norms = ctx.model.norm(pts, np.array([f.grad_chart(pts) for f in ctx.field_pair()]))
+    norms = ctx.model.norm(pts, np.array([f.grad_chart(pts) for f in ctx.field_pair]))
     worst = float(np.max(np.abs(norms - 1.0)))
     return {"max_norm_error": worst, "points": pts.shape[0]}, worst <= tol
 
 
 @check("busemann-laplacian-constant", "trace of the horosphere shape operator is the constant h",
-       lambda ctx: ctx.h, "closed-form", tol=1e-6)
+       lambda ctx: ctx.h, "closed-form", tol=1e-6, suite="busemann")
 def check_laplacian_constancy(ctx, tol):
-    f1, _ = ctx.field_pair()
+    f1, _ = ctx.field_pair
     mean, std = bu.estimate_h(f1, ctx.random_points(100))
     ok = abs(mean - ctx.h) <= 1e-8 and std <= tol
     return {"mean": mean, "stddev": std, "h": ctx.h}, ok
 
 
 @check("busemann-hessian-psd-and-bounded", "shape-operator eigenvalues lie in [0, h]",
-       lambda ctx: f"[0, {ctx.h}]", "closed-form", tol=1e-9)
+       lambda ctx: f"[0, {ctx.h}]", "closed-form", tol=1e-9, suite="busemann")
 def check_hessian_bounds(ctx, tol):
     pts = ctx.random_points(50)
-    ev = np.linalg.eigvalsh([f.hessian_matrix(pts) for f in ctx.field_pair()])
+    ev = np.linalg.eigvalsh([f.hessian_matrix(pts) for f in ctx.field_pair])
     lo, hi = float(np.min(ev[..., 0])), float(np.max(ev[..., -1]))
     return {"min_eigenvalue": lo, "max_eigenvalue": hi, "h": ctx.h}, lo >= -tol and hi <= ctx.h + tol
 
 
 @check("busemann-hessian-fd-crosscheck",
        "closed-form shape operator matches second derivatives of b along geodesics",
-       0.0, "cross-check", tol=1e-6)
+       0.0, "cross-check", tol=1e-6, suite="busemann")
 def check_hessian_fd(ctx, tol):
     m = ctx.model
-    f1, _ = ctx.field_pair()
+    f1, _ = ctx.field_pair
     eye = np.eye(m.dim)
     directions = np.array(list(eye) + [a + b for a, b in itertools.combinations(eye, 2)])
     pts = ctx.random_points(5)
@@ -274,9 +284,9 @@ def check_hessian_fd(ctx, tol):
 
 @check("busemann-truncation-monotone",
        "d(x, ray(T)) - T is non-increasing in T and converges to the Busemann value",
-       0.0, "exact", tol=1e-6)
+       0.0, "exact", tol=1e-6, suite="busemann")
 def check_truncation_monotone(ctx, tol):
-    f1, _ = ctx.field_pair()
+    f1, _ = ctx.field_pair
     ts = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0])
     pts = ctx.random_points(20, spread=0.5)
     vals = f1.value_truncated(pts, ts)
@@ -298,9 +308,9 @@ def check_truncation_monotone(ctx, tol):
 
 
 @check("busemann-axis-gradient-cancellation", "gradients of the pair cancel on the axis, where beta = -1",
-       0.0, "exact", tol=1e-10, skip="no bi-asymptotic geodesic in the Euclidean model")
+       0.0, "exact", tol=1e-10, skip="no bi-asymptotic geodesic in the Euclidean model", suite="busemann")
 def check_axis_gradient_cancellation(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     x = np.array([cfg.axis_point(z).coords for z in (0.25, 0.5, 1.0, 2.0, 4.0)])
     worst = float(np.max(ctx.model.norm(x, cfg.f1.grad_chart(x) + cfg.f2.grad_chart(x))))
     worst_beta = float(np.max(bu.beta(cfg.f1, cfg.f2, x)))
@@ -310,11 +320,10 @@ def check_axis_gradient_cancellation(ctx, tol):
 
 @check("busemann-sublevel-boundedness",
        "two-horoball intersections are bounded exactly when the space is negatively curved",
-       lambda ctx: ctx.model.is_hyperbolic, "exact")
+       lambda ctx: ctx.model.is_hyperbolic, "exact", suite="busemann")
 def check_visibility_probe(ctx, tol):
-    f1, f2 = ctx.field_pair()
-    rep = bu.sublevel_bounded_probe(f1, f2, 0.5, 0.5, rays=48, t_max=50.0,
-                                    rng=np.random.default_rng(ctx.seed + 1))
+    f1, f2 = ctx.field_pair
+    rep = bu.sublevel_bounded_probe(f1, f2, 0.5, 0.5, rng=np.random.default_rng(ctx.seed + 1))
     return ({"bounded": rep.bounded, "rays": rep.rays_probed,
              "max_exit_time": rep.max_exit_time},
             rep.bounded == ctx.model.is_hyperbolic)
@@ -326,7 +335,7 @@ def check_visibility_probe(ctx, tol):
 
 
 @check("alpha-defining-equation", "alpha'(t) e^{h(alpha(t)-t)} = 1 with the analytic derivative",
-       0.0, "exact", tol=1e-10)
+       0.0, "exact", tol=1e-10, suite="map-f")
 def check_alpha_residual(ctx, tol):
     a = tr.AlphaMap(ctx.h, ctx.t0)
     res = a.residual(np.linspace(-30.0, 30.0, 121))
@@ -336,7 +345,7 @@ def check_alpha_residual(ctx, tol):
 
 @check("alpha-gap-monotone",
        "alpha(t) - t is strictly decreasing when h > 0 and the constant t0 when h = 0",
-       lambda ctx: "decreasing" if ctx.h > 0 else ctx.t0, "closed-form")
+       lambda ctx: "decreasing" if ctx.h > 0 else ctx.t0, "closed-form", suite="map-f")
 def check_alpha_gap_monotone(ctx, tol):
     gaps = tr.AlphaMap(ctx.h, ctx.t0).gap(np.linspace(-10.0, 10.0, 201))
     diffs = np.diff(gaps)
@@ -348,25 +357,25 @@ def check_alpha_gap_monotone(ctx, tol):
 
 
 @check("map-sends-p-to-q", "the volume-preserving map sends the chosen source point to the target",
-       0.0, "exact", tol=1e-10)
+       0.0, "exact", tol=1e-10, suite="map-f")
 def check_map_endpoint(ctx, tol):
-    F = ctx.volume_map()
+    F = ctx.volume_map
     gap = float(np.max(np.abs(F(F.p).coords - F.q.coords)))
     return {"chart_gap": gap, "t0": F.t0}, gap <= tol
 
 
 @check("map-unit-jacobian", "the Riemannian Jacobian determinant of the map is 1 everywhere",
-       1.0, "cross-check", tol=1e-7)
+       1.0, "cross-check", tol=1e-7, suite="map-f")
 def check_map_unit_jacobian(ctx, tol):
-    F = ctx.volume_map()
+    F = ctx.volume_map
     worst = float(np.max(np.abs(F.jacobian_det(ctx.random_points(100)) - 1.0)))
     return {"max_det_error": worst, "points": 100}, worst <= tol
 
 
 @check("horosphere-volume-expansion", "the normal flow expands horosphere volume by exactly e^{h t}",
-       1.0, "closed-form", tol=1e-6, tol_kind="rel")
+       1.0, "closed-form", tol=1e-6, tol_kind="rel", suite="map-f")
 def check_horosphere_expansion(ctx, tol):
-    f1, _ = ctx.field_pair()
+    f1, _ = ctx.field_pair
     ratios = [tr.horosphere_jacobian(f1, t, ctx.random_points(20, spread=0.5)) / math.exp(ctx.h * t)
               for t in (0.5, 1.0, 2.0)]
     worst = float(np.max(np.abs(np.array(ratios) - 1.0)))
@@ -383,16 +392,16 @@ def _bump_levels(ctx: VerifyContext, F: tr.VolumePreservingMap, radius: float):
 @check("map-integral-invariance",
        ("integrals of bumps supported in the image agree with their pullbacks: each "
         "level-slice integral of the pulled bump matches the bump's exact polar integral"),
-       0.0, "cross-check", tol=1e-10, tol_kind="rel")
+       0.0, "cross-check", tol=1e-10, tol_kind="rel", suite="map-f")
 def check_map_integral_invariance(ctx, tol):
-    F = ctx.volume_map()
+    F = ctx.volume_map
     flow = tr.NormalFlow(F.field)
     radius = 0.3
     rows = []
     for level in _bump_levels(ctx, F, radius):
         bump = TestFunction(Point(ctx.model, flow(level, F.p.coords)), radius)
         exact = bump.integral()
-        pulled = bu.coarea_slice_integral(bump, F.field, pull=F, **SLICE_RULE)
+        pulled = bu.coarea_slice_integral(bump, F.field, pull=F)
         rows.append({"level": level, "exact": exact, "pulled": pulled,
                      "relative_gap": abs(pulled / exact - 1.0)})
     worst = float(np.max([row["relative_gap"] for row in rows]))
@@ -406,7 +415,7 @@ def check_map_integral_invariance(ctx, tol):
 def check_map_out_of_image(ctx, tol):
     """Documented deviation: the map is not onto, so mass below the image
     threshold is invisible to the pullback integral."""
-    F = ctx.volume_map()
+    F = ctx.volume_map
     flow = tr.NormalFlow(F.field)
     radius = 0.3
     level = F.image_threshold - radius - 0.5
@@ -418,7 +427,7 @@ def check_map_out_of_image(ctx, tol):
         def __call__(self, coords):
             return bump(F.apply_coords(coords))
 
-    pulled = bu.coarea_slice_integral(Pulled(), F.field, **SLICE_RULE)
+    pulled = bu.coarea_slice_integral(Pulled(), F.field)
     exact = bump.integral()
     ratio = pulled / exact
     return ({"image_threshold": F.image_threshold, "bump_level": level,
@@ -432,34 +441,30 @@ def check_map_out_of_image(ctx, tol):
 
 def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
     """The one Chebyshev-Picard run of both pair flows (the difference flow alone in
-    E^n) to t = 2, built by the first flows check, of the starts and stencils
-    each check draws from the generator :func:`_isolated_context` gives it. A
-    run that raises is not kept, so every reader of either kind records the
-    error: a sum row on D is an error in the difference-flow checks too."""
-    if "flows" not in ctx.memo:
-        cfg = ctx.pair_config() if ctx.model.is_hyperbolic else None
-
-        def drawn(check, cfg, count, min_separation):
-            return _off_axis_points(_isolated_context(ctx, check), cfg, count, min_separation)
-
-        transport = tr.flow_stencil(ctx.model, drawn(check_gradient_transport, cfg, 1, 0.1)[0])
-        blocks = {tr.DIFFERENCE: {"tracking": drawn(check_difference_flow_tracking, None, 20, 0.05),
-                                  "transport": transport}}
-        if cfg is not None:
-            densities = tr.flow_stencil(ctx.model, cfg.point_on_locus(0.7, 0.2).coords)
-            blocks[tr.DIFFERENCE]["densities"] = densities
-            # keep sum-flow starts off the axis
-            blocks[tr.SUM] = {"tracking": drawn(check_sum_flow_tracking, cfg, 20, 0.05), "transport": transport,
-                              "densities": densities, "beta-monotone": cfg.point_on_locus(0.2, 0.3).coords}
-        ctx.memo["flows"] = tr.FlowRun(*ctx.field_pair(), blocks, 2.0)
-    return ctx.memo["flows"]
+    E^n) to t = 2 that :attr:`VerifyContext.flows` keeps, of the starts and stencils
+    each check draws from its generator :meth:`VerifyContext.rng_for`. A run that
+    raises is not kept, so every reader of either kind records the error: a sum
+    row on D is an error in the difference-flow checks too."""
+    m = ctx.model
+    cfg = ctx.pair_config if m.is_hyperbolic else None
+    tracking = _off_axis_points(m, ctx.rng_for(check_difference_flow_tracking), None, 20, 0.05)
+    transport = tr.flow_stencil(m, _off_axis_points(m, ctx.rng_for(check_gradient_transport), cfg, 1, 0.1)[0])
+    blocks = {tr.DIFFERENCE: {"tracking": tracking, "transport": transport}}
+    if cfg is not None:
+        densities = tr.flow_stencil(m, cfg.point_on_locus(0.7, 0.2).coords)
+        blocks[tr.DIFFERENCE]["densities"] = densities
+        # keep sum-flow starts off the axis
+        tracking = _off_axis_points(m, ctx.rng_for(check_sum_flow_tracking), cfg, 20, 0.05)
+        blocks[tr.SUM] = {"tracking": tracking, "transport": transport, "densities": densities,
+                          "beta-monotone": cfg.point_on_locus(0.2, 0.3).coords}
+    return tr.FlowRun(*ctx.field_pair, blocks, 2.0)
 
 
 def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
     """Chebyshev-Picard trajectories of the pair flow: how far they miss the Busemann
     level changes (duration/2, sign*duration/2) and the closed-form flow map, with
     the shared run's error estimate and field calls."""
-    flows = _flow_run(ctx)
+    flows = ctx.flows
     run = flows[kind]
     pf, starts = run.pf, run.blocks["tracking"]
     ends = run.trajectories(starts, duration)[-1]
@@ -476,7 +481,7 @@ def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
 @check("difference-flow-level-tracking",
        ("the difference flow raises b1 by t/2 and lowers b2 by t/2; "
         "its Chebyshev-Picard trajectories end on the closed-form flow map"),
-       0.0, "exact", tol=1e-8)
+       0.0, "exact", tol=1e-8, suite="flows")
 def check_difference_flow_tracking(ctx, tol):
     return _tracking_check(ctx, tr.DIFFERENCE, tol)
 
@@ -484,20 +489,21 @@ def check_difference_flow_tracking(ctx, tol):
 @check("sum-flow-level-tracking",
        ("the sum flow raises both Busemann values by s/2; "
         "its Chebyshev-Picard trajectories end on the closed-form flow map"),
-       0.0, "exact", tol=1e-8, skip=NO_AXIS)
+       0.0, "exact", tol=1e-8, skip=NO_AXIS, suite="flows")
 def check_sum_flow_tracking(ctx, tol):
     return _tracking_check(ctx, tr.SUM, tol)
 
 
-def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float = 0.1) -> np.ndarray:
+def _off_axis_points(model: ModelSpace, rng: np.random.Generator, cfg, count: int,
+                     min_separation: float) -> np.ndarray:
     """The count random points at separation at least min_separation from the
     axis D of cfg (any point when cfg is None) that draws of one point at a time
-    accept. Candidates come count per draw, so the generator ends past the last
+    from rng accept. Candidates come count per draw, so rng ends past the last
     accepted one: no caller may draw from it after (each :func:`_flow_run` block
-    has its own :func:`_isolated_context`; flow-divergence-identities draws no more)."""
-    pts = np.empty((0, ctx.model.dim))
+    draws from a generator of its own; flow-divergence-identities draws no more)."""
+    pts = np.empty((0, model.dim))
     while len(pts) < count:
-        c = ctx.random_points(count)
+        c = model.random_points(rng, count, 0.8)
         if cfg is not None:  # PairConfig.separation, in its float order
             c = c[cfg.f1.value(c) + cfg.f2.value(c) - cfg.c0 >= min_separation]
         pts = np.concatenate([pts, c])
@@ -507,11 +513,11 @@ def _off_axis_points(ctx: VerifyContext, cfg, count: int, min_separation: float 
 @check("flow-divergence-identities",
        ("the raw difference field is divergence free; the normalized flows "
         "satisfy their logarithmic divergence identities"),
-       0.0, "cross-check", tol=1e-5)
+       0.0, "cross-check", tol=1e-5, suite="flows")
 def check_divergence_identities(ctx, tol):
-    f1, f2 = ctx.field_pair()
-    cfg = ctx.pair_config() if ctx.model.is_hyperbolic else None
-    pts = _off_axis_points(ctx, cfg, 50)
+    f1, f2 = ctx.field_pair
+    cfg = ctx.pair_config if ctx.model.is_hyperbolic else None
+    pts = _off_axis_points(ctx.model, ctx.rng, cfg, 50, 0.1)
     # each field evaluates the stencils of all points in one call
     raw = tr.divergence_fd(ctx.model, lambda y: f1.grad_chart(y) - f2.grad_chart(y), pts)
     worst_raw = float(np.max(np.abs(raw)))
@@ -530,10 +536,10 @@ def check_divergence_identities(ctx, tol):
        ("flow-map volume densities match their closed forms: "
         "(1-beta)/(1-beta(end)) for the difference flow, the exponential "
         "expansion times (1+beta)/(1+beta(end)) for the sum flow"),
-       0.0, "cross-check", tol=1e-5, skip=NO_AXIS)
+       0.0, "cross-check", tol=1e-5, skip=NO_AXIS, suite="flows")
 def check_flow_densities(ctx, tol):
-    cfg = ctx.pair_config()
-    run, dur = _flow_run(ctx), 0.9
+    cfg = ctx.pair_config
+    run, dur = ctx.flows, 0.9
     x = Point(ctx.model, run[tr.DIFFERENCE].blocks["densities"][0])
     dens_x, dens_y = (tr.flow_density(run[kind].pf, x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
     fd_x, fd_y = (tr.flow_density_fd(run[kind], x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
@@ -554,25 +560,25 @@ def check_flow_densities(ctx, tol):
 @check("flow-gradient-transport",
        ("the difference flow carries both gradient fields to themselves; "
         "both flows pull the level 1-forms back to themselves"),
-       0.0, "cross-check", tol=1e-6)
+       0.0, "cross-check", tol=1e-6, suite="flows")
 def check_gradient_transport(ctx, tol):
-    run_x = _flow_run(ctx)[tr.DIFFERENCE]
+    run_x = ctx.flows[tr.DIFFERENCE]
     x = Point(ctx.model, run_x.blocks["transport"][0])
     push_x, form_x = tr.transport_gaps(run_x, x, 0.8)
     quantities = {"difference_gradient_gap": push_x, "difference_form_gap": form_x}
     ok = push_x <= tol and form_x <= tol
     if ctx.model.is_hyperbolic:
         # the sum flow carries the 1-forms but not the gradients
-        _, form_y = tr.transport_gaps(_flow_run(ctx)[tr.SUM], x, 0.8)
+        _, form_y = tr.transport_gaps(ctx.flows[tr.SUM], x, 0.8)
         quantities["sum_form_gap"] = form_y
         ok = ok and form_y <= tol
     return quantities, ok
 
 
 @check("pair-sum-floor", "b1 + b2 never drops below its axis value c0",
-       0.0, "exact", tol=1e-9, skip=NO_AXIS)
+       0.0, "exact", tol=1e-9, skip=NO_AXIS, suite="flows")
 def check_axis_floor(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     pts = ctx.random_points(4000, spread=1.5)
     floor = float(np.min(cfg.f1.value(pts) + cfg.f2.value(pts) - cfg.c0))
     return {"min_separation": floor, "c0": cfg.c0, "points": pts.shape[0]}, floor >= -tol
@@ -581,15 +587,15 @@ def check_axis_floor(ctx, tol):
 @check("beta-monotone-along-sum-flow",
        ("beta is non-decreasing along sum-flow trajectories; starts regularized "
         "at separation epsilon approach beta = -1 linearly in epsilon"),
-       ">= 0", "exact", skip=NO_AXIS)
+       ">= 0", "exact", skip=NO_AXIS, suite="flows")
 def check_beta_monotone_along_sum_flow(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     eps_rows = []
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         start = cfg.point_on_locus(eps, 0.0)
         b_start = float(bu.beta(cfg.f1, cfg.f2, start))
         eps_rows.append({"epsilon": eps, "beta_at_start": b_start, "gap_to_minus_one": b_start + 1.0})
-    run_y = _flow_run(ctx)[tr.SUM]
+    run_y = ctx.flows[tr.SUM]
     states = run_y.trajectories(run_y.blocks["beta-monotone"], 1.5)[:, 0]
     bs = np.asarray(bu.beta(cfg.f1, cfg.f2, states))
     worst = float(np.min(np.diff(bs)))
@@ -603,18 +609,18 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
 
 
 @check("locus-membership", "every quadrature node satisfies both horosphere level equations",
-       0.0, "exact", tol=1e-10, skip=LOCUS_SKIP)
+       0.0, "exact", tol=1e-10, skip=LOCUS_SKIP, suite="intersections")
 def check_locus_membership(ctx, tol):
     s, t = np.asarray(ctx.s_grid, dtype=float), np.asarray(ctx.t_grid, dtype=float)
-    worst = lc.parametrize_locus(ctx.pair_config(), s[:, None], t).membership_residual()
+    worst = lc.parametrize_locus(ctx.pair_config, s[:, None], t).membership_residual()
     return {"max_residual": worst}, worst <= tol
 
 
 @check("weighted-integrals-t-invariance",
        "V and W are independent of the level difference and match their closed forms",
-       "constant in t", "closed-form", tol=1e-8, tol_kind="rel", skip=LOCUS_SKIP)
+       "constant in t", "closed-form", tol=1e-8, tol_kind="rel", skip=LOCUS_SKIP, suite="intersections")
 def check_vw_t_invariance(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     s, t = np.asarray(ctx.s_grid, dtype=float), np.asarray(ctx.t_grid, dtype=float)
     q = lc.locus_quadrature(lc.parametrize_locus(cfg, s[:, None], t))
     closed = lc.locus_values(cfg, s, t[0])
@@ -630,10 +636,10 @@ def check_vw_t_invariance(ctx, tol):
 
 
 @check("w-growth-rate", "the s-derivative of W equals (h/2)(W + V)",
-       0.0, "cross-check", tol=1e-4, tol_kind="rel", skip=LOCUS_SKIP)
+       0.0, "cross-check", tol=1e-4, tol_kind="rel", skip=LOCUS_SKIP, suite="intersections")
 def check_dw_ds(ctx, tol):
     s = np.array([0.5, 1.0, 2.0])
-    lhs, rhs = lc.dw_ds_check(ctx.pair_config(), s, 0.4)
+    lhs, rhs = lc.dw_ds_check(ctx.pair_config, s, 0.4)
     rel = np.abs(lhs - rhs) / np.abs(rhs)
     rows = [{"s": si, "lhs": l, "rhs": r, "relative_gap": g}
             for si, l, r, g in zip(s.tolist(), lhs.tolist(), rhs.tolist(), rel.tolist())]
@@ -644,9 +650,9 @@ def check_dw_ds(ctx, tol):
 @check("locus-volume-bound",
        ("the locus volume never exceeds (V+W)/2; the bound is level-difference "
         "invariant and is attained at s = ln 2 in H^3"),
-       "vol <= bound", "closed-form", tol=1e-9, skip=LOCUS_SKIP)
+       "vol <= bound", "closed-form", tol=1e-9, skip=LOCUS_SKIP, suite="intersections")
 def check_volume_bound(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     s_vals = np.concatenate([[math.log(2.0)], np.linspace(0.2, 2.6, 9)])
     t_vals = np.linspace(-3.0, 3.0, 10)
     q = lc.locus_quadrature(lc.parametrize_locus(cfg, s_vals[:, None], t_vals))
@@ -663,9 +669,9 @@ def check_volume_bound(ctx, tol):
 @check("locus-beta-bound",
        ("beta on the locus stays below 1 - 2 e^{-h s} and equals its closed form, the "
         "gradients never cancel there, and the locus volume is non-decreasing in s"),
-       "beta <= bound", "closed-form", tol=1e-9, skip=LOCUS_SKIP)
+       "beta <= bound", "closed-form", tol=1e-9, skip=LOCUS_SKIP, suite="intersections")
 def check_beta_bound_and_monotone_volume(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     s = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
     max_beta = np.max(lc.parametrize_locus(cfg, s, 0.7).beta_values(), axis=-1)
     bound = 1.0 - 2.0 * np.exp(-ctx.h * s)
@@ -688,7 +694,7 @@ def check_beta_bound_and_monotone_volume(ctx, tol):
 @check("locus-isometry-invariance",
        ("the closed-form volume, V and W equal the general-coordinates "
         "quadrature built from finite-difference tangent frames"),
-       0.0, "cross-check", tol=1e-8, skip=LOCUS_SKIP)
+       0.0, "cross-check", tol=1e-8, skip=LOCUS_SKIP, suite="intersections")
 def check_isometry_invariance(ctx, tol):
     m = ctx.model
     a, b = np.zeros(m.dim - 1), np.zeros(m.dim - 1)
@@ -707,9 +713,9 @@ def check_isometry_invariance(ctx, tol):
        ("the volume of a two-sided horosphere slab, sliced in s through the closed-form "
         "sections, matches its slicing along the heights of b2 and is invariant under "
         "shifting the level difference"),
-       0.0, "cross-check", tol=1e-10, tol_kind="rel", skip=LOCUS_SKIP)
+       0.0, "cross-check", tol=1e-10, tol_kind="rel", skip=LOCUS_SKIP, suite="intersections")
 def check_strip_volume(ctx, tol):
-    cfg = ctx.pair_config()
+    cfg = ctx.pair_config
     c1 = c2 = 0.5 * (math.log(2.0) + cfg.c0)
     r = 0.5
     quad = lc.strip_volume(cfg, c1, c2, r)
@@ -734,12 +740,12 @@ def check_strip_volume(ctx, tol):
 @check("coarea-slicing",
        ("integrating a bump by Busemann-level slices (unit gradient makes the "
         "coarea weight 1) agrees with its exact integral in geodesic polar coordinates"),
-       0.0, "cross-check", tol=1e-10, tol_kind="rel")
+       0.0, "cross-check", tol=1e-10, tol_kind="rel", suite="coarea")
 def check_coarea_identity(ctx, tol):
     m = ctx.model
     xi = boundary_infinity(m) if m.is_hyperbolic else boundary_direction(m, np.eye(m.dim)[0])
     bump = TestFunction(ctx.basepoint, 0.5)
-    sliced = bu.coarea_slice_integral(bump, bu.BusemannField(m, xi, ctx.basepoint), **SLICE_RULE)
+    sliced = bu.coarea_slice_integral(bump, bu.BusemannField(m, xi, ctx.basepoint))
     polar = bump.integral()
     gap = abs(sliced / polar - 1.0)
     return {"sliced": sliced, "polar": polar, "relative_gap": gap}, gap <= tol
@@ -831,60 +837,8 @@ def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid):
 
 
 # --------------------------------------------------------------------------
-# suite registry and runner
+# runner
 # --------------------------------------------------------------------------
-
-SUITES: dict[str, list] = {
-    "busemann": [
-        check_gradient_norm,
-        check_laplacian_constancy,
-        check_hessian_bounds,
-        check_hessian_fd,
-        check_truncation_monotone,
-        check_axis_gradient_cancellation,
-        check_visibility_probe,
-    ],
-    "map-f": [
-        check_alpha_residual,
-        check_alpha_gap_monotone,
-        check_map_endpoint,
-        check_map_unit_jacobian,
-        check_horosphere_expansion,
-        check_map_integral_invariance,
-    ],
-    "flows": [
-        check_difference_flow_tracking,
-        check_sum_flow_tracking,
-        check_divergence_identities,
-        check_flow_densities,
-        check_gradient_transport,
-        check_axis_floor,
-        check_beta_monotone_along_sum_flow,
-    ],
-    "intersections": [
-        check_locus_membership,
-        check_vw_t_invariance,
-        check_dw_ds,
-        check_volume_bound,
-        check_beta_bound_and_monotone_volume,
-        check_isometry_invariance,
-        check_strip_volume,
-    ],
-    "coarea": [
-        check_coarea_identity,
-    ],
-}
-SUITES["all"] = [fn for name in ("busemann", "map-f", "flows", "intersections", "coarea")
-                 for fn in SUITES[name]]
-
-
-def _isolated_context(ctx: VerifyContext, fn) -> VerifyContext:
-    """Per-check context clone with a generator keyed by the check's name, so
-    a check reports the same numbers in every suite that runs it. The clone
-    shares the run's memo."""
-    clone = copy.copy(ctx)
-    clone.rng = np.random.default_rng([ctx.seed, zlib.crc32(fn.__name__.encode())])
-    return clone
 
 
 def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
@@ -893,11 +847,15 @@ def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
     A check that raises :class:`GeometryError` or :class:`ConvergenceError`
     becomes a record with status ``error`` that carries the message; the checks after it still run. With
     ``ctx.probe_outside_image``, a run that includes the map-f checks ends
-    with the out-of-image probe.
+    with the out-of-image probe. Each check draws from ``ctx.rng_for(check)``.
     """
     if suite not in SUITES:
         raise GeometryError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     checks = list(SUITES[suite])
     if ctx.probe_outside_image and set(SUITES["map-f"]) <= set(checks):
         checks.append(check_map_out_of_image)
-    return [fn(_isolated_context(ctx, fn)) for fn in checks]
+    reports = []
+    for fn in checks:
+        ctx.rng = ctx.rng_for(fn)
+        reports.append(fn(ctx))
+    return reports

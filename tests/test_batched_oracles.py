@@ -81,7 +81,7 @@ def _reference_off_axis_points(ctx, cfg, count, min_separation):
 
 
 def _probe_cases(model):
-    fields = verify.VerifyContext(model=parse_model(model)).field_pair()
+    fields = verify.VerifyContext(model=parse_model(model)).field_pair
     # the probe of busemann-sublevel-boundedness at seeds 42 and 7, and wider regions
     return [(fields, c, seed) for c in (0.5, 2.0) for seed in (43, 8)]
 
@@ -111,7 +111,7 @@ class TestVisibilityProbe:
         assert max(firsts) > 0
 
     def test_no_rays_report_bounded_as_the_loop_did(self):
-        f1, f2 = verify.VerifyContext(model=parse_model("h3")).field_pair()
+        f1, f2 = verify.VerifyContext(model=parse_model("h3")).field_pair
         rep = sublevel_bounded_probe(f1, f2, 0.5, 0.5, rays=0, rng=np.random.default_rng(1))
         assert rep == _reference_probe(f1, f2, 0.5, 0.5, 0, 60.0, np.random.default_rng(1))[0]
 
@@ -166,7 +166,7 @@ class TestHessianCrossCheck:
         (batched,) = seen
         # the same five points, from a fresh generator of the same seed
         pts = verify.VerifyContext(model=parse_model(model)).random_points(5)
-        m, (f1, _) = ctx.model, ctx.field_pair()
+        m, (f1, _) = ctx.model, ctx.field_pair
         eye = np.eye(m.dim)
         directions = list(eye) + [a + b for a, b in itertools.combinations(eye, 2)]
         reference = np.array([[fd_hessian(lambda t: f1.value(m.exp(c, t * v)), np.zeros(1), step=1e-3)[0, 0]
@@ -182,8 +182,8 @@ class TestOffAxisPoints:
     def test_same_points_as_one_draw_at_a_time(self, model, with_config, count, min_separation):
         m = parse_model(model)
         ctx, ref_ctx = (verify.VerifyContext(model=m, seed=11) for _ in range(2))
-        cfg = ctx.pair_config() if with_config else None
-        pts = verify._off_axis_points(ctx, cfg, count, min_separation)
+        cfg = ctx.pair_config if with_config else None
+        pts = verify._off_axis_points(m, ctx.rng, cfg, count, min_separation)
         ref, drawn = _reference_off_axis_points(ref_ctx, cfg, count, min_separation)
         assert pts.shape == (count, m.dim) and pts.tobytes() == ref.tobytes()
         if with_config and min_separation == 2.0:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, sweeps, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -100,13 +101,22 @@ class TestVerifyCommand:
         pb = _strip_wall_times(json.loads(b.read_text()))
         assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
 
-    def test_check_results_do_not_depend_on_the_suite(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "map-f", "--model", "h2", "--out", str(a)]) == 0
-        assert main(["verify", "all", "--model", "h2", "--out", str(b)]) == 0
-        alone = _strip_wall_times(json.loads(a.read_text()))["checks"]
-        by_name = {c["name"]: c for c in _strip_wall_times(json.loads(b.read_text()))["checks"]}
-        assert alone == [by_name[c["name"]] for c in alone]
+    @pytest.mark.parametrize("model", ["h2", "h3", "h8", "e3", "e8"])
+    def test_check_results_do_not_depend_on_the_suite(self, model):
+        suites = ["busemann", "map-f", "flows", "intersections", "coarea"]
+        assert list(verify.SUITES) == suites + ["all"]
+        assert [len(verify.SUITES[suite]) for suite in suites] == [7, 6, 7, 7, 1]
+        assert [fn for suite in suites for fn in verify.SUITES[suite]] == verify.SUITES["all"]
+        assert verify.check_map_out_of_image not in verify.SUITES["all"]
+
+        def records(suite):
+            reports = verify.run_suite(suite, verify.VerifyContext(model=parse_model(model), seed=42))
+            return [{**r.to_json_dict(), "wall_time_s": None} for r in reports]
+
+        by_name = {r["name"]: r for r in records("all")}
+        for suite in suites:
+            alone = records(suite)
+            assert alone == [by_name[r["name"]] for r in alone], suite
 
     @pytest.mark.parametrize("model", ["h6", "h7", "h8"])
     def test_intersections_pass_in_high_hyperbolic_dimensions(self, model, tmp_path):
@@ -281,6 +291,12 @@ class TestVerifyCommand:
         assert payload["model"] == "h2"
         assert payload["seed"] == 9  # flag wins over the file
 
+    def test_default_run_is_the_default_context(self):
+        run, default = cli.RunConfig().context(), verify.VerifyContext(model=parse_model("h3"))
+        for f in dataclasses.fields(verify.VerifyContext):
+            if f.init:
+                assert getattr(run, f.name) == getattr(default, f.name), f.name
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "h3", "weird_key": 1}))
@@ -398,7 +414,7 @@ class TestSweepCommand:
         # the s = 0 row is the axis point, where V, W and the bound are nan
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--model", "h4", "--s", "0:3:4", "--t", "-2:2:5", "--out", str(out)]) == 0
-        cfg = verify.VerifyContext(model=parse_model("h4")).pair_config()
+        cfg = verify.VerifyContext(model=parse_model("h4")).pair_config
         rows = verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5"))
         lines = [",".join(verify.SWEEP_COLUMNS)]
         lines.extend(",".join(f"{value:.17g}" for value in row) for row in rows)
@@ -420,7 +436,7 @@ class TestSweepCommand:
         # the rows of the pair configuration of a verify run, formatted as the sweep did
         fmt = ",".join(["%.17g"] * len(verify.SWEEP_COLUMNS))
         for model in models:
-            cfg = verify.VerifyContext(model=parse_model(model)).pair_config()
+            cfg = verify.VerifyContext(model=parse_model(model)).pair_config
             rows = verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5"))
             text = "\n".join([",".join(verify.SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
             assert (tmp_path / f"{model}.csv").read_bytes() == text.encode()

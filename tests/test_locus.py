@@ -35,7 +35,7 @@ from horoflow.verify import SWEEP_COLUMNS, VerifyContext, sweep_rows
 
 def _default_config(dim):
     """The pair configuration a sweep uses on h<dim>."""
-    return VerifyContext(model=ModelSpace(HYPERBOLIC, dim)).pair_config()
+    return VerifyContext(model=ModelSpace(HYPERBOLIC, dim)).pair_config
 
 
 def _random_pair_configs(dim, count, seed):
