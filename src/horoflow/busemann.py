@@ -186,9 +186,7 @@ def beta(f1: BusemannField, f2: BusemannField, x: Point | np.ndarray):
 
     Equals -1 exactly on the set D where the gradients cancel, and +1 only
     when the fields share a boundary point."""
-    if f1.model != f2.model:
-        raise ModelMismatchError("fields belong to different models")
-    coords = f1.model.check_coords(x.coords if isinstance(x, Point) else x)
+    coords = _same_model(f1, f2).check_coords(x.coords if isinstance(x, Point) else x)
     val = f1.model._inner(coords, f1._grad(coords), f2._grad(coords))
     if isinstance(x, Point):
         return float(val)
@@ -233,9 +231,7 @@ def sublevel_bounded_probe(f1: BusemannField, f2: BusemannField, c1: float, c2: 
     random geodesic rays from a point of the region in one batch and reports
     the first, in draw order, that is still inside at ``t_max``, if any.
     """
-    if f1.model != f2.model:
-        raise ModelMismatchError("fields belong to different models")
-    m = f1.model
+    m = _same_model(f1, f2)
     rng = rng or np.random.default_rng(0)
 
     def inside(path):

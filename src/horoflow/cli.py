@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .verify import (
     SUITES,
     SWEEP_COLUMNS,
     CheckReport,
+    ConfigError,
     VerifyContext,
     canonical_pair,
     poincare_example_checks,
@@ -41,10 +42,6 @@ from .verify import (
 )
 
 USAGE_ERROR = 2
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_model(token: str) -> ModelSpace:
@@ -81,88 +78,21 @@ def parse_grid(token: str) -> np.ndarray:
     return np.array([a]) if k == 1 else np.linspace(a, b, k)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _write(out: str | None, chunks) -> None:
+    """Write the text chunks to the file out, or to stdout when out is empty."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-@dataclass
-class RunConfig:
-    """Inputs of one verification run; JSON file values, then flag overrides, over
-    the defaults of :class:`VerifyContext`."""
-
-    model: str = "h3"
-    seed: int = VerifyContext.seed
-    s_grid: list = field(default_factory=lambda: list(VerifyContext.s_grid))
-    t_grid: list = field(default_factory=lambda: list(VerifyContext.t_grid))
-    t0: float = VerifyContext.t0
-    probe_outside_image: bool = VerifyContext.probe_outside_image
-    out: str | None = None
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        cfg = RunConfig()
-        unknown = set(raw) - set(vars(cfg))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            setattr(cfg, key, value)
-        return cfg
-
-    def validate(self) -> None:
-        """Reject a value of the wrong type or out of range, from the file or a flag."""
-        if not isinstance(self.model, str):
-            raise ConfigError("model must be a string such as h3")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must be a nonnegative 64-bit integer")
-        for key in ("s_grid", "t_grid"):
-            grid = getattr(self, key)
-            if not isinstance(grid, list) or not grid or not all(map(_is_finite, grid)):
-                raise ConfigError(f"{key} must be a nonempty list of finite numbers")
-        if min(self.s_grid) <= 0:
-            raise ConfigError("s_grid values must be positive: V and W are undefined on the s = 0 locus")
-        if not _is_finite(self.t0) or self.t0 <= 0:
-            raise ConfigError("t0 must be a finite positive number")
-        if not isinstance(self.probe_outside_image, bool):
-            raise ConfigError("probe_outside_image must be true or false")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError("out must be a path")
-        parse_model(self.model)
-
-    def context(self) -> VerifyContext:
-        return VerifyContext(
-            model=parse_model(self.model),
-            seed=self.seed,
-            s_grid=tuple(self.s_grid),
-            t_grid=tuple(self.t_grid),
-            t0=float(self.t0),
-            probe_outside_image=self.probe_outside_image,
-        )
-
-
-def _emit_report(suite: str, cfg: RunConfig, reports: list[CheckReport]) -> int:
-    payload = {
-        "suite": suite,
-        "model": cfg.model,
-        "seed": cfg.seed,
-        "checks": [r.to_json_dict() for r in reports],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit_report(suite: str, model: str, seed: int, out: str | None, reports: list[CheckReport]) -> int:
+    payload = {"suite": suite, "model": model, "seed": seed, "checks": [r.to_json_dict() for r in reports]}
+    _write(out, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     for r in reports:
         print(f"{MARKERS[r.status]:12s} {r.name}", file=sys.stderr)
     errors = [r for r in reports if r.status == ERROR]
@@ -174,25 +104,38 @@ def _emit_report(suite: str, cfg: RunConfig, reports: list[CheckReport]) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    """The run's inputs: JSON config values, then flag overrides, over the
+    defaults of :class:`VerifyContext`, which validates them."""
+    raw = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        unknown = set(raw) - {f.name for f in fields(VerifyContext) if f.init} - {"out"}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("model", "seed", "out", "t0"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     if args.probe_outside_image:
-        cfg.probe_outside_image = True
-    cfg.validate()
-    ctx = cfg.context()
-    reports = run_suite(args.suite, ctx)
-    return _emit_report(args.suite, cfg, reports)
+        raw["probe_outside_image"] = True
+    model, out = raw.pop("model", "h3"), raw.pop("out", None)
+    if not isinstance(model, str):
+        raise ConfigError("model must be a string such as h3")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out must be a path")
+    ctx = VerifyContext(parse_model(model), **raw)
+    return _emit_report(args.suite, model, ctx.seed, out, run_suite(args.suite, ctx))
 
 
 def cmd_example(args) -> int:
     if args.which != "poincare":
         raise ConfigError(f"unknown example {args.which!r}; available: poincare")
-    cfg = RunConfig(model="h3", out=args.out)
-    reports = poincare_example_checks()
-    return _emit_report("example-poincare", cfg, reports)
+    return _emit_report("example-poincare", "h3", VerifyContext.seed, args.out, poincare_example_checks())
 
 
 def cmd_sweep(args) -> int:
@@ -212,11 +155,7 @@ def cmd_sweep(args) -> int:
             blocks.append(head + (tail + head).join(ts) + tail)
     except MemoryError as exc:  # a list allocation raises it without a message
         raise MemoryError(str(exc) or f"a grid of {len(s_grid)} x {len(t_grid)} = {len(s_grid) * len(t_grid)} cells")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(blocks)
-    else:
-        sys.stdout.writelines(blocks)
+    _write(args.out, blocks)
     return 0
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .busemann import BusemannField, beta, busemann_value, mean_curvature_h
-from .manifold import BoundaryConfigError, GeometryError, ModelMismatchError, Point, _native, _rowdot
+from .manifold import BoundaryConfigError, GeometryError, Point, _native, _rowdot, _same_model
 from .numerics import (QuadratureRule, fd_jacobian, gauss_legendre, orthonormal_complement,
                        sphere_rule, unit_sphere_area)
 
@@ -162,13 +162,11 @@ def make_pair_config(f1: BusemannField, f2: BusemannField) -> PairConfig:
     Rejects the Euclidean model: its horoball intersections are unbounded, so
     no axis constant c0 exists (no visibility).
     """
-    if f1.model != f2.model:
-        raise ModelMismatchError("fields belong to different models")
-    if not f1.model.is_hyperbolic:
+    m = _same_model(f1, f2)
+    if not m.is_hyperbolic:
         raise VisibilityError("Euclidean space is not a visibility manifold; no pair configuration")
     if f1.xi.same_as(f2.xi):
         raise BoundaryConfigError("pair configuration needs distinct boundary points")
-    m = f1.model
     xi1, xi2 = f1.xi, f2.xi
     if xi2.is_infinity:
         steps = () if np.allclose(xi1.data, 0.0) else (-xi1.data,)

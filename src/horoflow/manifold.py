@@ -301,10 +301,6 @@ class Point:
         if self.coords.ndim != 1:
             raise GeometryError("Point holds a single coordinate vector")
 
-    @property
-    def z(self) -> float:
-        return float(self.coords[-1])
-
     def __repr__(self):
         return f"Point({self.model.kind}, {np.array2string(self.coords, precision=6)})"
 

@@ -333,8 +333,7 @@ class PairFlow:
     kind: str
 
     def __post_init__(self):
-        if self.f1.model != self.f2.model:
-            raise ModelMismatchError("fields belong to different models")
+        _same_model(self.f1, self.f2)
         if self.kind not in SIGN:
             raise GeometryError(f"unknown pair-flow kind {self.kind!r}")
         if self.f1.xi.same_as(self.f2.xi):

@@ -53,8 +53,8 @@ from .manifold import (
 )
 from .numerics import ConvergenceError, TestFunction, _richardson, _stencil_points
 
-__all__ = ["CheckReport", "VerifyContext", "canonical_pair", "SUITES", "run_suite", "poincare_example_checks",
-           "sweep_rows"]
+__all__ = ["CheckReport", "ConfigError", "VerifyContext", "canonical_pair", "SUITES", "run_suite",
+           "poincare_example_checks", "sweep_rows"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -66,8 +66,9 @@ MARKERS = {PASS: "PASS", FAIL: "FAIL", DISCREPANCY: "DISCREPANCY", ERROR: "ERROR
 
 @dataclass
 class CheckReport:
-    """One verification record."""
+    """One verification record; its fields in the order of the report's keys."""
 
+    name: str
     statement: str
     quantities: dict
     expected: object
@@ -76,20 +77,9 @@ class CheckReport:
     tol_kind: str = "abs"
     status: str = PASS
     wall_time_s: float = 0.0
-    name: str = ""  # set by @check
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "quantities": _jsonable(self.quantities),
-            "expected": _jsonable(self.expected),
-            "provenance": self.provenance,
-            "tolerance": self.tolerance,
-            "tol_kind": self.tol_kind,
-            "status": self.status,
-            "wall_time_s": self.wall_time_s,
-        }
+        return _jsonable(vars(self))
 
 
 def _jsonable(obj):
@@ -100,7 +90,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
@@ -122,9 +112,22 @@ def canonical_pair(m: ModelSpace) -> tuple[bu.BusemannField, bu.BusemannField]:
     return bu.BusemannField(m, xi1), bu.BusemannField(m, xi2)
 
 
+class ConfigError(ValueError):
+    """A run input of the wrong type or out of range."""
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class VerifyContext:
-    """Resolved inputs of one run, and what its checks share.
+    """Inputs of one run, and what its checks share.
+
+    Construction validates the inputs: it raises :class:`ConfigError` for a seed
+    that is not a nonnegative 64-bit integer, a grid that is empty or holds a
+    non-finite number, an s <= 0, a t0 that is not finite and positive, or a
+    non-bool ``probe_outside_image``, and keeps the grids as tuples, t0 as a float.
 
     The Busemann pair is :func:`canonical_pair`, the basepoint is the pair's, and
     the map target t0 below it (t0 along the first axis in the Euclidean model).
@@ -145,6 +148,20 @@ class VerifyContext:
     rng: np.random.Generator = dc_field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must be a nonnegative 64-bit integer")
+        for key in ("s_grid", "t_grid"):
+            grid = getattr(self, key)
+            if not isinstance(grid, (list, tuple)) or not grid or not all(map(_is_finite, grid)):
+                raise ConfigError(f"{key} must be a nonempty list of finite numbers")
+            setattr(self, key, tuple(grid))
+        if min(self.s_grid) <= 0:
+            raise ConfigError("s_grid values must be positive: V and W are undefined on the s = 0 locus")
+        if not _is_finite(self.t0) or self.t0 <= 0:
+            raise ConfigError("t0 must be a finite positive number")
+        self.t0 = float(self.t0)
+        if not isinstance(self.probe_outside_image, bool):
+            raise ConfigError("probe_outside_image must be true or false")
         self.rng = np.random.default_rng(self.seed)
 
     def rng_for(self, check) -> np.random.Generator:
@@ -201,19 +218,18 @@ def check(name: str, statement: str, expected, provenance: str, *, tol: float = 
         def run(ctx) -> CheckReport:
             start = time.perf_counter()
             if skip is not None and not ctx.model.is_hyperbolic:
-                rep = CheckReport(statement, {"skipped": skip}, None, "exact", 0.0)
+                rep = CheckReport(name, statement, {"skipped": skip}, None, "exact", 0.0)
             else:
                 try:
                     quantities, ok = body(ctx, tol)
                 except (GeometryError, ConvergenceError) as exc:
-                    rep = CheckReport("the check stopped with an error", {"error": str(exc)},
+                    rep = CheckReport(name, "the check stopped with an error", {"error": str(exc)},
                                       None, "none", 0.0, status=ERROR)
                 else:
                     status = (DISCREPANCY if provenance == "counterexample" else PASS) if ok else FAIL
-                    rep = CheckReport(statement, quantities,
+                    rep = CheckReport(name, statement, quantities,
                                       expected(ctx) if callable(expected) else expected,
                                       provenance, tol, tol_kind, status)
-            rep.name = name
             rep.wall_time_s = time.perf_counter() - start
             return rep
 

@@ -16,10 +16,12 @@ from horoflow.busemann import (
     mean_curvature_h,
     sublevel_bounded_probe,
 )
+from horoflow.locus import make_pair_config
 from horoflow.manifold import (
     EUCLIDEAN,
     HYPERBOLIC,
     GeometryError,
+    ModelMismatchError,
     ModelSpace,
     Point,
     boundary_direction,
@@ -27,7 +29,7 @@ from horoflow.manifold import (
     boundary_infinity,
 )
 from horoflow.numerics import TestFunction, fd_hessian, fd_jacobian
-from horoflow.transport import NormalFlow, VolumePreservingMap
+from horoflow.transport import NormalFlow, PairFlow, VolumePreservingMap
 
 from conftest import exact_euclidean_integral
 
@@ -277,6 +279,21 @@ class TestBeta:
     def test_range(self, h3, f_origin, f_inf, rng):
         vals = beta(f_origin, f_inf, h3.random_points(rng, 500, 1.5))
         assert np.all(vals >= -1.0) and np.all(vals < 1.0)
+
+
+@pytest.mark.parametrize("pair_op", [
+    lambda f1, f2: PairFlow(f1, f2, "difference"),
+    make_pair_config,
+    lambda f1, f2: beta(f1, f2, np.array([[0.0, 0.0, 1.0]])),
+    lambda f1, f2: sublevel_bounded_probe(f1, f2, 0.5, 0.5),
+], ids=["PairFlow", "make_pair_config", "beta", "sublevel_bounded_probe"])
+def test_fields_of_two_models_are_rejected(pair_op):
+    h3, h4 = ModelSpace(HYPERBOLIC, 3), ModelSpace(HYPERBOLIC, 4)
+    f3 = BusemannField(h3, boundary_finite(h3, np.zeros(2)))
+    f4 = BusemannField(h4, boundary_infinity(h4))
+    for f1, f2 in ((f3, f4), (f4, f3)):
+        with pytest.raises(ModelMismatchError):
+            pair_op(f1, f2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, report schema, sweeps, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -247,9 +246,9 @@ class TestVerifyCommand:
 
     def test_non_finite_floats_have_one_encoding(self):
         payload = {"a": math.inf, "b": [-math.inf, np.float64("nan")], "c": np.array([1.0, np.inf]),
-                   "d": (np.float32(2.5), 3)}
+                   "d": (np.float32(2.5), 3), "e": np.True_}
         assert verify._jsonable(payload) == {"a": "inf", "b": ["-inf", "nan"], "c": [1.0, "inf"],
-                                             "d": [2.5, 3]}
+                                             "d": [2.5, 3], "e": True}
 
     @pytest.mark.parametrize("model", ["e6", "e7", "e8"])
     def test_verify_all_passes_in_high_flat_dimensions(self, model, tmp_path):
@@ -291,11 +290,33 @@ class TestVerifyCommand:
         assert payload["model"] == "h2"
         assert payload["seed"] == 9  # flag wins over the file
 
-    def test_default_run_is_the_default_context(self):
-        run, default = cli.RunConfig().context(), verify.VerifyContext(model=parse_model("h3"))
-        for f in dataclasses.fields(verify.VerifyContext):
-            if f.init:
-                assert getattr(run, f.name) == getattr(default, f.name), f.name
+    @pytest.mark.parametrize("key, bad, message", [
+        ("seed", -1, "seed must be a nonnegative 64-bit integer"),
+        ("seed", 2 ** 64, "seed must be a nonnegative 64-bit integer"),
+        ("seed", True, "seed must be a nonnegative 64-bit integer"),
+        ("s_grid", [], "s_grid must be a nonempty list of finite numbers"),
+        ("s_grid", [0.0], "s_grid values must be positive: V and W are undefined on the s = 0 locus"),
+        ("t0", 0, "t0 must be a finite positive number"),
+        ("t0", math.nan, "t0 must be a finite positive number"),
+        ("probe_outside_image", "no", "probe_outside_image must be true or false"),
+    ], ids=["seed-negative", "seed-past-64-bits", "seed-bool", "s_grid-empty", "s_grid-zero", "t0-zero", "t0-nan",
+            "probe-string"])
+    def test_context_rejects_a_malformed_input_as_the_cli_does(self, key, bad, message, tmp_path, capsys):
+        with pytest.raises(verify.ConfigError) as exc:
+            verify.VerifyContext(model=parse_model("h3"), **{key: bad})
+        assert str(exc.value) == message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: bad}))
+        assert main(["verify", "coarea", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_context_keeps_grids_as_tuples_and_t0_as_a_float(self):
+        ctx = verify.VerifyContext(model=parse_model("h3"),
+                                   **json.loads('{"s_grid": [0.5, 2], "t_grid": [-1, 0.0], "t0": 3}'))
+        assert type(ctx.s_grid) is type(ctx.t_grid) is tuple
+        assert ctx.s_grid == (0.5, 2) and ctx.t_grid == (-1, 0.0)
+        assert type(ctx.t0) is float and ctx.t0 == 3.0
+        assert cli.ConfigError is verify.ConfigError
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -591,3 +612,17 @@ class TestSweepCommand:
             assert bound == pytest.approx(0.5 * (expected[1] + expected[2]), rel=1e-12)
             assert beta_max == pytest.approx(1.0 - 2.0 * math.exp(-s), rel=1e-12)
             assert vol <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "map-f"],
+    ["example", "poincare"],
+    ["sweep", "--s=0.5:1:2", "--t=0:1:2"],
+], ids=["verify", "example", "sweep"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(argv, where, tmp_path, capsys):
+    # exit 1 is a failed check; a report or CSV that cannot be written is a usage error
+    out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: [Errno ") and err.count("\n") == 1
