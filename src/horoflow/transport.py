@@ -12,8 +12,8 @@ Contents:
   s/2), with their closed-form flow maps and volume densities;
 * the oracles that verify all of the above from first principles:
   Chebyshev-Picard flow maps, finite-difference divergences and Jacobians. A
-  :class:`FlowRun` integrates every start the flows suite needs from both pair
-  flows as one recorded batch, so one run serves the suite.
+  :class:`FlowRun` integrates named blocks of starts, each of one pair flow, as
+  one recorded batch, so one run serves the flows suite.
 
 For h > 0 the range of alpha is (m, infinity) with
 ``m = (1/h) ln(e^{h t0} - 1)``, so the image of F is the open horoball
@@ -413,70 +413,58 @@ def flow_stencil(model: ModelSpace, coords) -> np.ndarray:
     return _stencil_points(coords[None], np.eye(model.dim), step)[0]
 
 
-class FlowRun(dict):
-    """Chebyshev-Picard trajectories of the pair flows of (f1, f2), independent
-    of :meth:`PairFlow.flow`: maps each kind of ``blocks`` (kind -> name -> (N, n)
-    starts or one point) to its :class:`KindRun`. All rows integrate as one
-    recorded :func:`ode_integrate` batch of :func:`_pair_vector`, each with its
-    kind's sign. Rows do not interact, so a block's recorded states are bitwise
-    those of a separate run of its kind's flow, and one run serves every
-    duration on its step grid; a sum row on D raises. ``correction`` is the
-    oracle's error estimate, its largest last Picard correction, and
-    ``field_calls`` the number of field evaluations."""
+class FlowRun:
+    """Chebyshev-Picard trajectories of the pair flows of (f1, f2), independent of
+    :meth:`PairFlow.flow`, of ``blocks``: name -> (kind, (N, n) starts or one point).
+    All rows integrate, in order, as one recorded :func:`ode_integrate` batch of
+    :func:`_pair_vector`, each with its kind's sign. Rows do not interact, so a
+    block's states are bitwise those of a separate run of its kind's flow, and one
+    run serves every duration on its step grid; a sum row on D raises. ``flows``
+    maps each kind to its :class:`PairFlow`; ``kind`` and ``starts`` map each name
+    to its kind and (N, n) starts; ``correction`` is the oracle's error estimate,
+    its largest last Picard correction, and ``field_calls`` its field evaluations."""
 
     def __init__(self, f1: BusemannField, f2: BusemannField, blocks: dict, duration: float):
         if not duration > 0.0:
             raise ValueError(f"a flow run needs a positive duration, got {duration}")
-        # each kind keys its own rows by start bytes: both kinds may integrate one block
-        rows, starts, sign = {kind: {} for kind in blocks}, [], []
-        for kind, named in blocks.items():
-            for block in named.values():
-                start = np.asarray(block, dtype=float).reshape(-1, f1.model.dim)
-                rows[kind][start.tobytes()] = slice(len(sign), len(sign) + len(start))
-                starts.append(start)
-                sign += [SIGN[kind]] * len(start)
-        sign, stats = np.array(sign), {}
+        self.kind = {name: kind for name, (kind, _) in blocks.items()}
+        self.starts = {name: np.asarray(s, dtype=float).reshape(-1, f1.model.dim) for name, (_, s) in blocks.items()}
+        self.flows = {kind: PairFlow(f1, f2, kind) for kind in self.kind.values()}
+        lengths = [len(s) for s in self.starts.values()]
+        sign, stats = np.repeat([SIGN[kind] for kind in self.kind.values()], lengths), {}
         times, states = ode_integrate(lambda c: _pair_vector(f1, f2, f1.model.check_coords(c), sign),
-                                      np.concatenate(starts), duration, record=True, stats=stats)
+                                      np.concatenate(list(self.starts.values())), duration, record=True, stats=stats)
         self.correction, self.field_calls = stats["correction"], stats["field_calls"]
-        step = duration / (len(times) - 1)
-        super().__init__({kind: KindRun(PairFlow(f1, f2, kind), blocks[kind], rows[kind], states, step)
-                          for kind in blocks})
+        self.step = duration / (len(times) - 1)
+        self._states = dict(zip(self.starts, np.split(states, np.cumsum(lengths)[:-1], axis=1)))
 
-
-@dataclass(frozen=True)
-class KindRun:
-    """One kind's pair flow, named blocks and recorded trajectories in a :class:`FlowRun`."""
-
-    pf: PairFlow
-    blocks: dict
-    _rows: dict
-    _states: np.ndarray
-    step: float
-
-    def trajectories(self, starts, duration: float) -> np.ndarray:
-        """The (k + 1, N, n) states of the block ``starts`` at 0, step, ..., duration
+    def trajectories(self, name: str, duration: float) -> np.ndarray:
+        """The (k + 1, N, n) states of the block ``name`` at 0, step, ..., duration
         = k steps; k must be within 1e-9 of a whole number, as in :func:`ode_integrate`."""
-        k = float(duration) / self.step
+        states, k = self._states[name], float(duration) / self.step
         whole = np.rint(k)
-        if not (abs(k - whole) <= 1e-9 and 0 <= whole < len(self._states)):
+        if not (abs(k - whole) <= 1e-9 and 0 <= whole < len(states)):
             raise ValueError(f"duration {duration} is not a whole number of the run's steps of {self.step}")
-        rows = self._rows.get(np.asarray(starts, dtype=float).reshape(-1, self.pf.model.dim).tobytes())
-        if rows is None:
-            raise ValueError(f"the run did not integrate these starts of the {self.pf.kind} flow")
-        return self._states[: int(whole) + 1, rows]
+        return states[: int(whole) + 1]
 
-    def flow_map(self, duration: float):
-        """The recorded time-``duration`` flow map, defined on the kind's blocks."""
-        return lambda starts: self.trajectories(starts, duration)[-1]
+    def flow_map(self, name: str, duration: float):
+        """The recorded time-``duration`` flow map of the block ``name``, defined
+        on its starts alone: other points raise ``ValueError``."""
+        ends = self.trajectories(name, duration)[-1]
+
+        def recorded(points):
+            if not np.array_equal(points, self.starts[name]):
+                raise ValueError(f"the run did not integrate these points of block {name!r}")
+            return ends
+        return recorded
 
 
-def flow_density_fd(run: KindRun, x: Point, duration: float) -> float:
+def flow_density_fd(run: FlowRun, name: str, duration: float) -> float:
     """Independent check of :func:`flow_density`: finite-difference Jacobian
     determinant of the Chebyshev-Picard flow map, with the volume-density
-    correction, from the flow of x's :func:`flow_stencil` recorded in ``run``,
-    one kind of a :class:`FlowRun`."""
-    return riemannian_jacobian_det(run.pf.model, run.flow_map(duration), x.coords, step=FD_STEP_GRAD)
+    correction, at the centre of the :func:`flow_stencil` block ``name`` of ``run``."""
+    model = run.flows[run.kind[name]].model
+    return riemannian_jacobian_det(model, run.flow_map(name, duration), run.starts[name][0], step=FD_STEP_GRAD)
 
 
 # --------------------------------------------------------------------------
@@ -513,11 +501,10 @@ def div_identity(pf: PairFlow, x: Point | np.ndarray):
     return lhs, _native(rhs)
 
 
-def transport_gaps(run: KindRun, x: Point, duration: float) -> tuple[float, float]:
-    """How far the time-``duration`` flow Phi of ``run``'s pair flow fails to
-    transport the Busemann gradients and their 1-forms, from the Chebyshev-Picard
-    flow Jacobian at x, taken from the flow of x's :func:`flow_stencil` in
-    ``run``, one kind of a :class:`FlowRun`.
+def transport_gaps(run: FlowRun, name: str, duration: float) -> tuple[float, float]:
+    """How far the time-``duration`` flow Phi of the pair flow of ``run``'s block
+    ``name`` fails to transport the Busemann gradients and their 1-forms, from the
+    Chebyshev-Picard flow Jacobian at x, the centre of that :func:`flow_stencil` block.
 
     Returns ``(push_gap, form_gap)``, each the worst over i = 1, 2 of:
 
@@ -528,12 +515,13 @@ def transport_gaps(run: KindRun, x: Point, duration: float) -> tuple[float, floa
       the differentiated level-tracking statement db_i(dPhi w) = db_i(w),
       which holds for both pair flows.
     """
-    pf, m = run.pf, run.pf.model
-    J, y = _chart_jacobian(m, run.flow_map(duration), x.coords, FD_STEP_GRAD)
+    pf, x = run.flows[run.kind[name]], run.starts[name][0]
+    m = pf.model
+    J, y = _chart_jacobian(m, run.flow_map(name, duration), x, FD_STEP_GRAD)
     # chart components of db: the gradient with its index lowered by the metric
-    lower_x, lower_y = (x.coords[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
+    lower_x, lower_y = (x[-1] ** -2, y[-1] ** -2) if m.is_hyperbolic else (1.0, 1.0)
     gaps = []
     for f in (pf.f1, pf.f2):
-        g_x, g_y = f.grad_chart(x.coords), f.grad_chart(y)
+        g_x, g_y = f.grad_chart(x), f.grad_chart(y)
         gaps.append((m.norm(y, J @ g_x - g_y), np.max(np.abs((lower_y * g_y) @ J - lower_x * g_x))))
     return tuple(np.max(gaps, axis=0).tolist())

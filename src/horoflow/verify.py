@@ -457,22 +457,23 @@ def check_map_out_of_image(ctx, tol):
 
 def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
     """The one Chebyshev-Picard run of both pair flows (the difference flow alone in
-    E^n) to t = 2 that :attr:`VerifyContext.flows` keeps, of the starts and stencils
-    each check draws from its generator :meth:`VerifyContext.rng_for`. A run that
-    raises is not kept, so every reader of either kind records the error: a sum
-    row on D is an error in the difference-flow checks too."""
+    E^n) to t = 2 that :attr:`VerifyContext.flows` keeps, of the blocks "<kind>-tracking",
+    "<kind>-transport" and "<kind>-densities" (starts, and the stencils about a random and
+    a locus point) and "beta-monotone", whose random points each check draws from its
+    generator :meth:`VerifyContext.rng_for`. A run that raises is not kept, so every reader
+    of either kind records the error: a sum row on D is an error in the difference-flow checks too."""
     m = ctx.model
     cfg = ctx.pair_config if m.is_hyperbolic else None
     tracking = _off_axis_points(m, ctx.rng_for(check_difference_flow_tracking), None, 20, 0.05)
     transport = tr.flow_stencil(m, _off_axis_points(m, ctx.rng_for(check_gradient_transport), cfg, 1, 0.1)[0])
-    blocks = {tr.DIFFERENCE: {"tracking": tracking, "transport": transport}}
+    blocks = {"difference-tracking": (tr.DIFFERENCE, tracking), "difference-transport": (tr.DIFFERENCE, transport)}
     if cfg is not None:
         densities = tr.flow_stencil(m, cfg.point_on_locus(0.7, 0.2).coords)
-        blocks[tr.DIFFERENCE]["densities"] = densities
         # keep sum-flow starts off the axis
         tracking = _off_axis_points(m, ctx.rng_for(check_sum_flow_tracking), cfg, 20, 0.05)
-        blocks[tr.SUM] = {"tracking": tracking, "transport": transport, "densities": densities,
-                          "beta-monotone": cfg.point_on_locus(0.2, 0.3).coords}
+        blocks.update({"difference-densities": (tr.DIFFERENCE, densities), "sum-tracking": (tr.SUM, tracking),
+                       "sum-transport": (tr.SUM, transport), "sum-densities": (tr.SUM, densities),
+                       "beta-monotone": (tr.SUM, cfg.point_on_locus(0.2, 0.3).coords)})
     return tr.FlowRun(*ctx.field_pair, blocks, 2.0)
 
 
@@ -480,17 +481,16 @@ def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
     """Chebyshev-Picard trajectories of the pair flow: how far they miss the Busemann
     level changes (duration/2, sign*duration/2) and the closed-form flow map, with
     the shared run's error estimate and field calls."""
-    flows = ctx.flows
-    run = flows[kind]
-    pf, starts = run.pf, run.blocks["tracking"]
-    ends = run.trajectories(starts, duration)[-1]
+    run, name = ctx.flows, f"{kind}-tracking"
+    pf, starts = run.flows[kind], run.starts[name]
+    ends = run.trajectories(name, duration)[-1]
     e1 = np.abs(pf.f1.value(ends) - pf.f1.value(starts) - duration / 2.0)
     e2 = np.abs(pf.f2.value(ends) - pf.f2.value(starts) - tr.SIGN[kind] * duration / 2.0)
     tracking = float(np.max([e1, e2]))
     closed_form_gap = float(np.max(np.abs(pf.flow(starts, duration) - ends)))
     return ({"max_tracking_error": tracking, "max_closed_form_gap": closed_form_gap,
              "trajectories": len(starts), "duration": duration,
-             "oracle_correction": flows.correction, "oracle_field_calls": flows.field_calls},
+             "oracle_correction": run.correction, "oracle_field_calls": run.field_calls},
             tracking <= tol and closed_form_gap <= tol)
 
 
@@ -556,9 +556,9 @@ def check_divergence_identities(ctx, tol):
 def check_flow_densities(ctx, tol):
     cfg = ctx.pair_config
     run, dur = ctx.flows, 0.9
-    x = Point(ctx.model, run[tr.DIFFERENCE].blocks["densities"][0])
-    dens_x, dens_y = (tr.flow_density(run[kind].pf, x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
-    fd_x, fd_y = (tr.flow_density_fd(run[kind], x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
+    x = Point(ctx.model, run.starts["difference-densities"][0])
+    dens_x, dens_y = (tr.flow_density(run.flows[kind], x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
+    fd_x, fd_y = (tr.flow_density_fd(run, f"{kind}-densities", dur) for kind in (tr.DIFFERENCE, tr.SUM))
     # symbolic antiderivative of the sum-flow expansion in the model pair
     s0 = cfg.separation(x)
     exact_y = ((math.exp(s0 + dur) - 1.0) / (math.exp(s0) - 1.0)) ** (ctx.h / 2.0 - 1.0) * math.exp(dur)
@@ -578,14 +578,12 @@ def check_flow_densities(ctx, tol):
         "both flows pull the level 1-forms back to themselves"),
        0.0, "cross-check", tol=1e-6, suite="flows")
 def check_gradient_transport(ctx, tol):
-    run_x = ctx.flows[tr.DIFFERENCE]
-    x = Point(ctx.model, run_x.blocks["transport"][0])
-    push_x, form_x = tr.transport_gaps(run_x, x, 0.8)
+    push_x, form_x = tr.transport_gaps(ctx.flows, "difference-transport", 0.8)
     quantities = {"difference_gradient_gap": push_x, "difference_form_gap": form_x}
     ok = push_x <= tol and form_x <= tol
     if ctx.model.is_hyperbolic:
         # the sum flow carries the 1-forms but not the gradients
-        _, form_y = tr.transport_gaps(ctx.flows[tr.SUM], x, 0.8)
+        _, form_y = tr.transport_gaps(ctx.flows, "sum-transport", 0.8)
         quantities["sum_form_gap"] = form_y
         ok = ok and form_y <= tol
     return quantities, ok
@@ -611,8 +609,7 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
         start = cfg.point_on_locus(eps, 0.0)
         b_start = float(bu.beta(cfg.f1, cfg.f2, start))
         eps_rows.append({"epsilon": eps, "beta_at_start": b_start, "gap_to_minus_one": b_start + 1.0})
-    run_y = ctx.flows[tr.SUM]
-    states = run_y.trajectories(run_y.blocks["beta-monotone"], 1.5)[:, 0]
+    states = ctx.flows.trajectories("beta-monotone", 1.5)[:, 0]
     bs = np.asarray(bu.beta(cfg.f1, cfg.f2, states))
     worst = float(np.min(np.diff(bs)))
     ok = worst >= -1e-12 and all(row["gap_to_minus_one"] <= 3.0 * row["epsilon"] for row in eps_rows)

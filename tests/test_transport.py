@@ -440,8 +440,8 @@ class TestDivergence:
 
 
 def _stencil_run(pf, x, duration):
-    """pf's kind in a run that integrated the flow-Jacobian stencil about x."""
-    return FlowRun(pf.f1, pf.f2, {pf.kind: {"stencil": flow_stencil(pf.model, x.coords)}}, duration)[pf.kind]
+    """A run of pf's kind whose block "stencil" is the flow-Jacobian stencil about x."""
+    return FlowRun(pf.f1, pf.f2, {"stencil": (pf.kind, flow_stencil(pf.model, x.coords))}, duration)
 
 
 MODELS_H3_H8_E5 = pytest.mark.parametrize("model_name", ["h3", "h8", "e5"])
@@ -451,18 +451,20 @@ def _model(name):
     return ModelSpace(HYPERBOLIC if name[0] == "h" else EUCLIDEAN, int(name[1:]))
 
 
-def _assert_rows_equal_separate_integrations(run, kind, blocks):
-    """At 80, 90, 150 and 200 steps, every block of ``kind`` in ``run`` is
-    bitwise the states of its own recorded integration by the kind's pair flow
-    over the run's duration; at 150 and 200 steps, ends of the run's segments,
-    it is also bitwise the end of its own integration to that duration."""
-    pf = run[kind].pf
-    vector = PairFlow(pf.f1, pf.f2, kind).vector
-    for block in blocks:
+def _assert_rows_equal_separate_integrations(run, blocks):
+    """At 80, 90, 150 and 200 steps, every block of ``blocks`` (name -> (kind,
+    starts)) in ``run`` is bitwise the states of its own recorded integration by
+    its kind's pair flow over the run's duration; at 150 and 200 steps, ends of
+    the run's segments, it is also bitwise the end of its own integration to that
+    duration."""
+    for name, (kind, block) in blocks.items():
+        pf = run.flows[kind]
+        assert run.kind[name] == kind and np.array_equal(run.starts[name], np.atleast_2d(block))
+        vector = PairFlow(pf.f1, pf.f2, kind).vector
         _, separate = ode_integrate(vector, block, 2.0, record=True)
         separate = separate.reshape(len(separate), -1, pf.model.dim)
         for steps, duration in ((80, 0.8), (90, 0.9), (150, 1.5), (200, 2.0)):
-            path = run[kind].trajectories(block, duration)
+            path = run.trajectories(name, duration)
             assert path.shape == (steps + 1, len(np.atleast_2d(block)), pf.model.dim)
             assert np.array_equal(path, separate[: steps + 1])
             if duration in (1.5, 2.0):
@@ -480,11 +482,12 @@ class TestFlowRun:
         starts = _off_axis_starts(model, f1, f2, count=5)
         stencil = flow_stencil(model, starts[0])
         single = starts[1]
-        run = FlowRun(f1, f2, {kind: {"starts": starts, "stencil": stencil, "single": single}}, 2.0)
-        assert run[kind].step == 0.01
-        _assert_rows_equal_separate_integrations(run, kind, (starts, stencil, single))
-        _, recorded = ode_integrate(run[kind].pf.vector, single, 1.5, record=True)
-        assert np.array_equal(run[kind].trajectories(single, 1.5)[:, 0], recorded)
+        blocks = {"starts": (kind, starts), "stencil": (kind, stencil), "single": (kind, single)}
+        run = FlowRun(f1, f2, blocks, 2.0)
+        assert run.step == 0.01 and list(run.flows) == [kind]
+        _assert_rows_equal_separate_integrations(run, blocks)
+        _, recorded = ode_integrate(run.flows[kind].vector, single, 1.5, record=True)
+        assert np.array_equal(run.trajectories("single", 1.5)[:, 0], recorded)
 
     @MODELS_H3_H8_E5
     def test_both_kinds_in_one_batch_equal_separate_integrations(self, monkeypatch, model_name):
@@ -499,45 +502,57 @@ class TestFlowRun:
             return ode_integrate(*args, **kwargs)
 
         monkeypatch.setattr(transport, "ode_integrate", counted)
-        run = FlowRun(f1, f2, {DIFFERENCE: {"starts": starts[:3], "shared": shared},
-                               SUM: {"shared": shared, "starts": starts[3:], "single": starts[5]}}, 2.0)
+        blocks = {"difference-starts": (DIFFERENCE, starts[:3]), "difference-shared": (DIFFERENCE, shared),
+                  "sum-shared": (SUM, shared), "sum-starts": (SUM, starts[3:]), "single": (SUM, starts[5])}
+        run = FlowRun(f1, f2, blocks, 2.0)
         assert calls == [2.0]
         monkeypatch.undo()
-        _assert_rows_equal_separate_integrations(run, DIFFERENCE, (starts[:3], shared))
-        _assert_rows_equal_separate_integrations(run, SUM, (shared, starts[3:], starts[5]))
-        # a block of both kinds is looked up under each kind's own flow
-        assert not np.array_equal(run[DIFFERENCE].trajectories(shared, 1.0), run[SUM].trajectories(shared, 1.0))
+        _assert_rows_equal_separate_integrations(run, blocks)
+        # the same starts in two blocks of two kinds follow each kind's own flow
+        assert not np.array_equal(run.trajectories("difference-shared", 1.0), run.trajectories("sum-shared", 1.0))
         with pytest.raises(ValueError, match="did not integrate"):
-            run[SUM].trajectories(starts[:3], 1.0)
+            run.flow_map("sum-starts", 1.0)(starts[:3])
 
     def test_every_duration_on_the_step_grid_is_accepted(self, pair_x):
         start = np.array([0.2, 0.1, 1.0])
-        run = FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"start": start}}, 2.0)[DIFFERENCE]
+        run = FlowRun(pair_x.f1, pair_x.f2, {"start": (DIFFERENCE, start)}, 2.0)
         # 0.29 / 0.01 is 28.999999999999996 in float64
         for k in range(201):
-            assert run.trajectories(start, k * 0.01).shape == (k + 1, 1, 3)
+            assert run.trajectories("start", k * 0.01).shape == (k + 1, 1, 3)
 
     @pytest.mark.parametrize("duration", [0.805, 1.0 / 3.0, 2.01, -0.1])
     def test_duration_off_the_step_grid_raises(self, h3, pair_x, duration):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
-        run = FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"starts": starts}}, 2.0)[DIFFERENCE]
+        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, starts)}, 2.0)
         with pytest.raises(ValueError, match="whole number"):
-            run.trajectories(starts, duration)
+            run.trajectories("starts", duration)
+        with pytest.raises(ValueError, match="whole number"):
+            run.flow_map("starts", duration)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
     def test_a_run_needs_a_positive_duration(self, pair_x, duration):
         with pytest.raises(ValueError, match="positive duration"):
-            FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"start": np.array([0.2, 0.1, 1.0])}}, duration)
+            FlowRun(pair_x.f1, pair_x.f2, {"start": (DIFFERENCE, np.array([0.2, 0.1, 1.0]))}, duration)
 
     def test_starts_the_run_did_not_integrate_raise(self, h3, pair_x):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
-        run = FlowRun(pair_x.f1, pair_x.f2, {DIFFERENCE: {"starts": starts}}, 1.0)[DIFFERENCE]
-        with pytest.raises(ValueError, match="did not integrate"):
-            run.trajectories(starts[:1], 0.5)
+        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, starts)}, 1.0)
+        flow_map = run.flow_map("starts", 0.5)
+        assert np.array_equal(flow_map(starts.copy()), run.trajectories("starts", 0.5)[-1])
+        for other in (starts[:1], starts[::-1], starts + 1e-12):
+            with pytest.raises(ValueError, match="did not integrate"):
+                flow_map(other)
+
+    def test_an_unknown_block_name_raises(self, h3, pair_x):
+        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, np.array([0.2, 0.1, 1.0]))}, 1.0)
+        for read in (run.trajectories, run.flow_map, lambda *a: flow_density_fd(run, *a),
+                     lambda *a: transport_gaps(run, *a)):
+            with pytest.raises(KeyError):
+                read("tracking", 0.5)
 
     def test_sum_run_through_the_axis_raises(self, h3, pair_x):
-        blocks = {DIFFERENCE: {"off the axis": np.array([0.2, 0.1, 1.0])},
-                  SUM: {"on the axis": np.array([0.0, 0.0, 1.3])}}
+        blocks = {"off the axis": (DIFFERENCE, np.array([0.2, 0.1, 1.0])),
+                  "on the axis": (SUM, np.array([0.0, 0.0, 1.3]))}
         with pytest.raises(SingularFlowError, match="sum flow evaluated on the singular set D"):
             FlowRun(pair_x.f1, pair_x.f2, blocks, 0.5)
 
@@ -546,7 +561,7 @@ class TestFlowDensities:
     def test_difference_flow_preserves_volume(self, h3, pair_x):
         x = Point(h3, [0.6, -0.4, 0.9])
         assert flow_density(pair_x, x, 1.3) == pytest.approx(1.0, abs=1e-10)
-        assert flow_density_fd(_stencil_run(pair_x, x, 1.3), x, 1.3) == pytest.approx(1.0, abs=1e-6)
+        assert flow_density_fd(_stencil_run(pair_x, x, 1.3), "stencil", 1.3) == pytest.approx(1.0, abs=1e-6)
 
     def test_sum_flow_density_closed_form(self, h3, pair_y, f_origin, f_inf):
         # symbolic oracle: integral of h/(1+beta) along the flow collapses to
@@ -556,7 +571,7 @@ class TestFlowDensities:
         s, h = 0.9, 2.0
         expected = ((math.exp(s0 + s) - 1.0) / (math.exp(s0) - 1.0)) ** (h / 2.0 - 1.0) * math.exp(s)
         assert flow_density(pair_y, x, s) == pytest.approx(expected, rel=1e-6)
-        assert flow_density_fd(_stencil_run(pair_y, x, s), x, s) == pytest.approx(expected, rel=1e-5)
+        assert flow_density_fd(_stencil_run(pair_y, x, s), "stencil", s) == pytest.approx(expected, rel=1e-5)
 
     def test_zero_duration(self, h3, pair_y):
         assert flow_density(pair_y, Point(h3, [0.5, 0, 1.0]), 0.0) == 1.0
@@ -575,19 +590,19 @@ class TestFlowDensities:
 class TestGradientTransport:
     def test_difference_flow_carries_gradients(self, h3, pair_x):
         x = Point(h3, [0.6, -0.4, 0.9])
-        push_gap, _ = transport_gaps(_stencil_run(pair_x, x, 0.8), x, 0.8)
+        push_gap, _ = transport_gaps(_stencil_run(pair_x, x, 0.8), "stencil", 0.8)
         assert push_gap <= 1e-6
 
     def test_both_flows_preserve_level_forms(self, h3, pair_x, pair_y):
         x = Point(h3, [0.6, -0.4, 0.9])
         for pf in (pair_x, pair_y):
-            _, form_gap = transport_gaps(_stencil_run(pf, x, 0.8), x, 0.8)
+            _, form_gap = transport_gaps(_stencil_run(pf, x, 0.8), "stencil", 0.8)
             assert form_gap <= 1e-6
 
     def test_sum_flow_does_not_carry_gradients(self, h3, pair_y):
         # the vector pushforward identity genuinely fails for the sum flow
         x = Point(h3, [0.6, -0.4, 0.9])
-        push_gap, _ = transport_gaps(_stencil_run(pair_y, x, 0.8), x, 0.8)
+        push_gap, _ = transport_gaps(_stencil_run(pair_y, x, 0.8), "stencil", 0.8)
         assert push_gap > 1e-2
 
 
@@ -750,7 +765,7 @@ class TestPairFlowOracle:
         rep = verify.check_gradient_transport(ctx)
         assert rep.status == "pass", rep.quantities
         # one integration carries both pair flows in H^n, the difference flow alone in E^n
-        assert len(ctx.flows) == kinds and len(calls) == 1  # the run the check built, not a second
+        assert len(ctx.flows.flows) == kinds and len(calls) == 1  # the run the check built, not a second
 
     @pytest.mark.parametrize("model_name, kinds", [("h3", 2), ("h8", 2), ("e5", 1)])
     def test_flows_suite_integrates_each_pair_flow_once(self, monkeypatch, model_name, kinds):
@@ -767,7 +782,7 @@ class TestPairFlowOracle:
         ctx = verify.VerifyContext(model=parse_model(model_name))
         reports = verify.run_suite("flows", ctx)
         assert {r.status for r in reports} == {"pass"}
-        assert len(ctx.flows) == kinds and calls == [2.0]
+        assert len(ctx.flows.flows) == kinds and calls == [2.0]
         calls.clear()
         verify.run_suite("all", verify.VerifyContext(model=parse_model(model_name)))
         assert calls == [2.0]
