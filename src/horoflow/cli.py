@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import fields
@@ -81,7 +82,13 @@ def parse_grid(token: str) -> np.ndarray:
 def _write(out: str | None, chunks) -> None:
     """Write the text chunks to the file out, or to stdout when out is empty."""
     if not out:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader closed the pipe: what stdout still buffers goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w") as fh:

@@ -360,25 +360,28 @@ def locus_quadrature(L: IntersectionLocus, *, general: bool = False) -> LocusVal
     with beta evaluated at the nodes from the original fields, one entry per
     cell of L. A degenerate s = 0 cell gives (0, nan, nan, nan, -1).
 
-    The induced density is the constant (rho/a)^(n-2) of normalized
-    coordinates, or with ``general`` the per-node density of
+    The weights take 1 -+ beta as |g1 -+ g2|^2 / 2 from the unit gradients g1, g2
+    at the nodes, which keeps their digits where |beta| nears 1 (1 - beta =
+    2 e^-s on S(s, t)). The induced density is the constant (rho/a)^(n-2) of
+    normalized coordinates, or with ``general`` the per-node density of
     :meth:`IntersectionLocus.measure_factors_fd`, which takes a locus of one
-    cell. Raises :class:`GeometryError` where |beta| reaches 1 on a genuine
-    cell and the weights are singular.
+    cell. Raises :class:`GeometryError` where 1 - beta or 1 + beta reaches 0 on
+    a genuine cell and the weights are singular.
     """
-    b = L.beta_values()
+    cfg, pts, b = L.config, L.points(), L.beta_values()
     degenerate = L.degenerate
     live = ~degenerate[..., None]
-    if np.any(live & (np.abs(b) >= 1.0 - 1e-12)):
+    g1, g2 = cfg.f1.grad_chart(pts), cfg.f2.grad_chart(pts)
+    # finite weights on degenerate cells, whose density is 0
+    om, op = (np.where(live, 0.5 * cfg.model._inner(pts, g, g), 1.0) for g in (g1 - g2, g1 + g2))
+    if np.any(np.minimum(om, op) <= 0.0):
         raise GeometryError("weight singularity: |beta| reached 1 on the locus")
     if general:
         weights, density = L.sphere_weights * L.measure_factors_fd(), 1.0
     else:
         weights, density = L.sphere_weights, L.measure_factor()
     beta_max = np.where(degenerate, -1.0, np.max(b, axis=-1))
-    b = np.where(live, b, 0.0)  # finite weights on degenerate cells, whose density is 0
-    integrands = [np.ones_like(b), np.sqrt((1.0 - b) / (1.0 + b)), np.sqrt((1.0 + b) / (1.0 - b)),
-                  1.0 / np.sqrt(1.0 - b * b)]
+    integrands = [np.ones_like(b), np.sqrt(om / op), np.sqrt(op / om), 1.0 / np.sqrt(om * op)]
     vol, v, w, bound = (np.stack(integrands) @ weights) * density
     v, w, bound = np.where(degenerate, np.nan, [v, w, bound])
     return LocusValues(*(_native(q) for q in (vol, v, w, bound, beta_max)))

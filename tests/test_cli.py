@@ -615,6 +615,26 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize("argv", [
+    ["example", "poincare"],
+    ["sweep", "--s=0.1:1:2000", "--t=0:1:200"],
+], ids=["example", "sweep"])
+def test_closed_stdout_pipe_exits_2(argv):
+    # as in `horoflow sweep ... | head -1`: a reader that has gone is a usage error
+    # with one error line, not a traceback and the exit code of a failed check
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "horoflow.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "map-f"],
     ["example", "poincare"],
     ["sweep", "--s=0.5:1:2", "--t=0:1:2"],

@@ -30,7 +30,7 @@ from horoflow.manifold import (
     boundary_infinity,
 )
 from horoflow.numerics import unit_sphere_area
-from horoflow.verify import SWEEP_COLUMNS, VerifyContext, sweep_rows
+from horoflow.verify import SWEEP_COLUMNS, VerifyContext, run_suite, sweep_rows
 
 
 def _default_config(dim):
@@ -206,6 +206,22 @@ class TestWeightedIntegrals:
         assert general.vol == pytest.approx(closed.vol, abs=1e-8)
         assert general.V == pytest.approx(closed.V, abs=1e-8)
         assert general.W == pytest.approx(closed.W, abs=1e-8)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_oracle_keeps_its_digits_at_large_s(self, dim):
+        # on S(s, t) 1 - beta = 2 e^-s: weights formed from beta itself kept about
+        # 8 digits at s = 20 and were singular at s = 40, where beta rounds to 1
+        cfg = _default_config(dim)
+        for s in (20.0, 40.0, 80.0):
+            oracle, closed = locus_quadrature(parametrize_locus(cfg, s, 0.7)), locus_values(cfg, s, 0.7)
+            assert all(q == pytest.approx(c, rel=1e-13) for q, c in zip(oracle[:4], closed[:4]))
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("s", [20.0, 40.0])
+    def test_intersections_suite_passes_at_large_s(self, dim, s):
+        # with weights formed from beta, s = 20 failed weighted-integrals-t-invariance and s = 40 stopped it
+        reports = run_suite("intersections", VerifyContext(model=ModelSpace(HYPERBOLIC, dim), s_grid=[s]))
+        assert {r.name: r.status for r in reports if r.status != "pass"} == {}
 
     def test_h2_two_point_sums(self, cfg_h2):
         s = 0.8

@@ -787,6 +787,16 @@ class TestPairFlowOracle:
         verify.run_suite("all", verify.VerifyContext(model=parse_model(model_name)))
         assert calls == [2.0]
 
+    @pytest.mark.parametrize("model_name, seed", [("h6", 49), ("h8", 49), ("h8", 76)])
+    def test_flows_suite_passes_where_a_row_sits_at_its_roundoff_floor(self, model_name, seed):
+        # one row's relative Picard correction cycles between 5 and 10 eps there;
+        # a 4 eps stop rule never stopped it, and the five readers of the run recorded errors
+        from horoflow import verify
+        from horoflow.cli import parse_model
+
+        reports = verify.run_suite("flows", verify.VerifyContext(model=parse_model(model_name), seed=seed))
+        assert {r.name: r.status for r in reports if r.status != "pass"} == {}
+
     def test_a_failing_run_is_an_error_in_every_check_that_reads_it(self, monkeypatch):
         from horoflow import verify
 
