@@ -616,15 +616,18 @@ class TestSweepCommand:
 
 @pytest.mark.parametrize("argv", [
     ["example", "poincare"],
+    ["sweep", "--s=0.5:1:2", "--t=0:1:2"],
     ["sweep", "--s=0.1:1:2000", "--t=0:1:200"],
-], ids=["example", "sweep"])
+], ids=["example", "small-sweep", "large-sweep"])
 def test_closed_stdout_pipe_exits_2(argv):
     # as in `horoflow sweep ... | head -1`: a reader that has gone is a usage error
-    # with one error line, not a traceback and the exit code of a failed check
+    # with one error line, not a traceback and the exit code of a failed check;
+    # the small sweep fits stdout's buffer, so only its flush meets the closed pipe
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
     try:
         done = subprocess.run([sys.executable, "-m", "horoflow.cli", *argv], stdout=write_end,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=60)
