@@ -368,10 +368,10 @@ def locus_quadrature(L: IntersectionLocus, *, general: bool = False) -> LocusVal
     cell. Raises :class:`GeometryError` where 1 - beta or 1 + beta reaches 0 on
     a genuine cell and the weights are singular.
     """
-    cfg, pts, b = L.config, L.points(), L.beta_values()
-    degenerate = L.degenerate
+    cfg, pts, degenerate = L.config, L.points(), L.degenerate
     live = ~degenerate[..., None]
     g1, g2 = cfg.f1.grad_chart(pts), cfg.f2.grad_chart(pts)
+    b = cfg.model._inner(pts, g1, g2)  # beta_values, from the gradients in hand
     # finite weights on degenerate cells, whose density is 0
     om, op = (np.where(live, 0.5 * cfg.model._inner(pts, g, g), 1.0) for g in (g1 - g2, g1 + g2))
     if np.any(np.minimum(om, op) <= 0.0):
