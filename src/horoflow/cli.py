@@ -151,17 +151,19 @@ def cmd_sweep(args) -> int:
     t_grid = parse_grid(args.t)
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
+    cells = len(s_grid) * len(t_grid)
     try:
-        rows = sweep_rows(make_pair_config(*canonical_pair(model)), s_grid, t_grid)
-        # one text per block of len(t) rows: each t formatted once, its s and tail once
-        ts = ["%.17g" % row[1] for row in rows[:len(t_grid)]]
+        if cells * 2 * len(SWEEP_COLUMNS) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise MemoryError  # the CSV text needs a character and a separator per column of a row
+        ts, rows = sweep_rows(make_pair_config(*canonical_pair(model)), s_grid, t_grid)
+        ts = ["%.17g" % t for t in ts]  # one text per s row: each t formatted once, each s and tail once
         fmt = ",".join(["%.17g"] * (len(SWEEP_COLUMNS) - 2))
         blocks = [",".join(SWEEP_COLUMNS) + "\n"]
-        for row in rows[::len(t_grid)]:
-            head, tail = "%.17g," % row[0], "," + fmt % row[2:] + "\n"
+        for row in rows:
+            head, tail = "%.17g," % row[0], "," + fmt % row[1:] + "\n"
             blocks.append(head + (tail + head).join(ts) + tail)
-    except MemoryError as exc:  # a list allocation raises it without a message
-        raise MemoryError(str(exc) or f"a grid of {len(s_grid)} x {len(t_grid)} = {len(s_grid) * len(t_grid)} cells")
+    except MemoryError as exc:  # the up-front check raises it without a message
+        raise MemoryError(str(exc) or f"a grid of {len(s_grid)} x {len(t_grid)} = {cells} cells")
     _write(args.out, blocks)
     return 0
 

@@ -834,19 +834,17 @@ SWEEP_COLUMNS = ("s", "t") + lc.LocusValues._fields
 
 
 def sweep_rows(cfg: lc.PairConfig, s_grid, t_grid):
-    """Closed-form locus quantities, one row per (s, t) cell, as an s-table.
+    """Closed-form locus quantities over the (s, t) grid, as an s-table.
 
     They depend on s alone, so one :func:`locus.locus_values` call on the s
-    axis gives each s_i its tail, and the row of (s_i, t_j) is (s_i, t_j,
-    *tail_i). The rows are s-major, each a tuple of Python floats in the
-    column order of ``SWEEP_COLUMNS``. Raises what ``locus_values`` raises,
-    naming (s, t_grid[0]).
+    axis gives ``(ts, rows)``: the t values, and one tuple (s_i, vol, V, W,
+    bound, beta_max) of Python floats per s_i in grid order. The cell
+    (s_i, t_j) in ``SWEEP_COLUMNS`` order is (s_i, t_j, *rows[i][1:]).
+    Raises what ``locus_values`` raises, naming (s, t_grid[0]).
     """
     s, t = np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float)
-    rows, ts = [None] * (s.size * t.size), t.tolist()  # an impossible grid fails here, before any row
-    tails = zip(*(q.ravel().tolist() for q in lc.locus_values(cfg, s[:, None], t[:1])))
-    rows[:] = [(si, tj) + tail for si, tail in zip(s.tolist(), tails) for tj in ts]
-    return rows
+    values = lc.locus_values(cfg, s[:, None], t[:1])
+    return t.tolist(), list(zip(s.tolist(), *(q.ravel().tolist() for q in values)))
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,13 @@ def exact_euclidean_integral(bump) -> float:
     return bump.radius ** n * math.pi ** (n / 2.0) * 6.0 / math.gamma(n / 2.0 + 4.0)
 
 
+def sweep_cells(table) -> list:
+    """The s-table of ``verify.sweep_rows`` expanded to one tuple per (s, t)
+    cell, s-major, in the column order of ``verify.SWEEP_COLUMNS``."""
+    ts, rows = table
+    return [(row[0], t) + row[1:] for row in rows for t in ts]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -17,6 +17,8 @@ from horoflow.cli import main, parse_grid, parse_model
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError
 from horoflow.numerics import ConvergenceError
 
+from conftest import sweep_cells
+
 REPORT_KEYS = {"name", "statement", "quantities", "expected", "provenance",
                "tolerance", "tol_kind", "status", "wall_time_s"}
 
@@ -32,7 +34,7 @@ def _strict_json(text: str):
 
 def _broadcast_rows(cfg, s_grid, t_grid) -> list:
     """The sweep rows as one broadcast locus_values call over every (s, t) cell
-    gives them: the reference of the s-table that verify.sweep_rows builds."""
+    gives them: the reference of the s-table that verify.sweep_rows returns."""
     s = np.asarray(s_grid, dtype=float)[:, None]
     t = np.asarray(t_grid, dtype=float)[None, :]
     columns = (c.ravel().tolist() for c in np.broadcast_arrays(s, t, *lc.locus_values(cfg, s, t)))
@@ -436,7 +438,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--model", "h4", "--s", "0:3:4", "--t", "-2:2:5", "--out", str(out)]) == 0
         cfg = verify.VerifyContext(model=parse_model("h4")).pair_config
-        rows = verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5"))
+        rows = sweep_cells(verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5")))
         lines = [",".join(verify.SWEEP_COLUMNS)]
         lines.extend(",".join(f"{value:.17g}" for value in row) for row in rows)
         assert out.read_text() == "\n".join(lines) + "\n"
@@ -458,7 +460,7 @@ class TestSweepCommand:
         fmt = ",".join(["%.17g"] * len(verify.SWEEP_COLUMNS))
         for model in models:
             cfg = verify.VerifyContext(model=parse_model(model)).pair_config
-            rows = verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5"))
+            rows = sweep_cells(verify.sweep_rows(cfg, parse_grid("0:3:4"), parse_grid("-2:2:5")))
             text = "\n".join([",".join(verify.SWEEP_COLUMNS)] + [fmt % row for row in rows]) + "\n"
             assert (tmp_path / f"{model}.csv").read_bytes() == text.encode()
 
@@ -466,15 +468,16 @@ class TestSweepCommand:
         assert main(["sweep", "--s", "0.5:1:2", "--t", "0:1:2", "--model", "e3"]) == 2
 
     def test_out_of_memory_exits_2_without_traceback(self, monkeypatch, tmp_path, capsys):
-        # a grid too large for memory is a usage error, not a failed check
+        # a batch too large for memory is a usage error, not a failed check; the
+        # grid passes the up-front cell-count check, so that sweep_rows raises
         def too_large(*args):
-            raise MemoryError("Unable to allocate 67.1 TiB for an array with shape (3000000, 3000000)")
+            raise MemoryError("Unable to allocate 68.7 MiB for an array with shape (3000, 3000)")
 
         monkeypatch.setattr(cli, "sweep_rows", too_large)
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--model", "h3", "--s=0.1:1:3000000", "--t=0:1:3000000", "--out", str(out)]) == 2
+        assert main(["sweep", "--model", "h3", "--s=0.1:1:3000", "--t=0:1:3000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: Unable to allocate 67.1 TiB")
+        assert err.startswith("error: out of memory: Unable to allocate 68.7 MiB")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -509,8 +512,8 @@ class TestSweepCommand:
         assert done.stderr.strip() != "error: out of memory:"
         assert "Traceback" not in done.stderr
         assert not out.exists()
-        # it failed at its row list: a sweep that grows its rows until the
-        # limit stops it peaks near 1.9 GiB, this one near 74 MiB (KiB here)
+        # it failed at its up-front cell-count check: a sweep that grows its
+        # rows until the limit stops it peaks near 1.9 GiB, this one near 77 MiB (KiB here)
         assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= max(peak_before, 2 ** 18)
 
     @pytest.mark.parametrize("model", ["h2", "h8"])
@@ -545,10 +548,16 @@ class TestSweepCommand:
                   [-0.0, *rng.uniform(-10.0, 10.0, 9)]),
                  ([0.7], [2.0]), ([0.7], [-1.0, 0.0, 1.0]), ([0.0, 0.2, 0.4], [0.0])]
         for s_grid, t_grid in grids:
-            rows, reference = verify.sweep_rows(cfg, s_grid, t_grid), _broadcast_rows(cfg, s_grid, t_grid)
-            assert type(rows) is list and len(rows) == len(s_grid) * len(t_grid)
-            assert all(type(row) is tuple and len(row) == len(verify.SWEEP_COLUMNS) for row in rows)
-            assert all(type(value) is float for row in rows for value in row)
+            table, reference = verify.sweep_rows(cfg, s_grid, t_grid), _broadcast_rows(cfg, s_grid, t_grid)
+            ts, s_rows = table
+            # one row per s, without its t, and the t column once
+            assert type(ts) is list and len(ts) == len(t_grid)
+            assert type(s_rows) is list and len(s_rows) == len(s_grid)
+            assert all(type(row) is tuple and len(row) == len(verify.SWEEP_COLUMNS) - 1 for row in s_rows)
+            assert all(type(value) is float for value in ts)
+            assert all(type(value) is float for row in s_rows for value in row)
+            rows = sweep_cells(table)
+            assert len(rows) == len(s_grid) * len(t_grid)
             assert np.array(rows).tobytes() == np.array(reference).tobytes()
         for s_grid in ([0.5, -0.1, 1.0], [0.5, 800.0, 900.0]):
             with pytest.raises(GeometryError) as new:

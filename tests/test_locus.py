@@ -32,6 +32,8 @@ from horoflow.manifold import (
 from horoflow.numerics import unit_sphere_area
 from horoflow.verify import SWEEP_COLUMNS, VerifyContext, run_suite, sweep_rows
 
+from conftest import sweep_cells
+
 
 def _default_config(dim):
     """The pair configuration a sweep uses on h<dim>."""
@@ -384,7 +386,7 @@ class TestClosedFormProductPath:
         monkeypatch.setattr("horoflow.locus.beta", forbidden)
         monkeypatch.setattr("horoflow.busemann.beta", forbidden)
         s_grid, t_grid = np.linspace(0.1, 3.0, 20), np.linspace(-3.0, 3.0, 20)
-        rows = sweep_rows(cfg, s_grid, t_grid)
+        rows = sweep_cells(sweep_rows(cfg, s_grid, t_grid))
         assert [row[:2] for row in rows] == [(s, t) for s in s_grid for t in t_grid]
         assert all(row[2] > 0.0 for row in rows)
         L = parametrize_locus(cfg, 1.0, 0.5)
@@ -394,7 +396,7 @@ class TestClosedFormProductPath:
     def test_sweep_matches_quadrature_oracle(self, dim):
         cfg = _default_config(dim)
         s_grid, t_grid = (0.0, 0.3, 2.0), (-1.5, 0.4)
-        for row in sweep_rows(cfg, s_grid, t_grid):
+        for row in sweep_cells(sweep_rows(cfg, s_grid, t_grid)):
             row = dict(zip(SWEEP_COLUMNS, row))
             oracle = locus_quadrature(parametrize_locus(cfg, row["s"], row["t"]))
             if row["s"] == 0.0:
@@ -474,9 +476,10 @@ class TestBroadcastClosedForms:
 
     def test_sweep_rows_keep_order_and_keys(self):
         cfg = _default_config(5)
-        rows = sweep_rows(cfg, list(self.S_GRID), list(self.T_GRID))
-        # a list, whose truth value is defined, not an ndarray
-        assert type(rows) is list
+        table = sweep_rows(cfg, list(self.S_GRID), list(self.T_GRID))
+        # lists, whose truth values are defined, not ndarrays
+        assert type(table) is tuple and all(type(part) is list for part in table)
+        rows = sweep_cells(table)
         cells = [(float(s), float(t)) for s in self.S_GRID for t in self.T_GRID]
         assert [row[:2] for row in rows] == cells
         for row, (s, t) in zip(rows, cells):
@@ -509,7 +512,7 @@ class TestBroadcastClosedForms:
         with pytest.raises(EmptyLocusError) as values:
             locus_values(cfg, s, t)
         assert str(values.value) == str(geometry.value) == "s = -0.25 < 0: empty intersection"
-        assert len(sweep_rows(cfg, [0.0, 0.5], [-1.0, 1.0])) == 4
+        assert len(sweep_cells(sweep_rows(cfg, [0.0, 0.5], [-1.0, 1.0]))) == 4
 
     @pytest.mark.parametrize("dim, s_grid, first", [
         (4, [1.0, 700.0, 710.0], 700.0),
