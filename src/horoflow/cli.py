@@ -16,6 +16,7 @@ depend on s alone, so each s row is evaluated and formatted once for all t.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -61,6 +62,11 @@ def parse_model(token: str) -> ModelSpace:
         raise ConfigError(str(exc)) from exc
 
 
+def _fits(nbytes: int) -> bool:
+    """Whether nbytes fit in this machine's physical memory."""
+    return nbytes <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def parse_grid(token: str) -> np.ndarray:
     """Grid syntax a:b:k = k equally spaced values from a to b inclusive, for
     finite numbers a and b and an integer k >= 1."""
@@ -75,31 +81,35 @@ def parse_grid(token: str) -> np.ndarray:
         raise ConfigError(f"grid bounds must be finite, got {token!r}")
     if k < 1:
         raise ConfigError("grid needs at least one point")
+    if not _fits(8 * k):  # k float64 values; past 2**59 or so NumPy raises no MemoryError
+        raise MemoryError(f"a grid of {k} points")
     # one point keeps a's sign: np.linspace(-0.0, 0.0, 1) gives +0
     return np.array([a]) if k == 1 else np.linspace(a, b, k)
 
 
-def _write(out: str | None, chunks) -> None:
-    """Write the text chunks to the file out, or to stdout when out is empty."""
-    if not out:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except BrokenPipeError as exc:
-            # the reader closed the pipe: what stdout still buffers goes nowhere at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ConfigError(f"cannot write stdout: {exc}") from exc
-        return
+def _open(out: str | None):
+    """The file out opened for writing, before any work is done, or stdout when out is empty."""
     try:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
+        return open(out, "w") if out else sys.stdout
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
-def _emit_report(suite: str, model: str, seed: int, out: str | None, reports: list[CheckReport]) -> int:
+def _write(fh, chunks) -> None:
+    """Write the text chunks to fh from :func:`_open`, and close it unless it is stdout."""
+    try:
+        with contextlib.nullcontext() if fh is sys.stdout else fh:
+            fh.writelines(chunks)
+            fh.flush()
+    except OSError as exc:
+        if fh is sys.stdout:  # say a closed pipe: what stdout still buffers goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        raise ConfigError(f"cannot write {'stdout' if fh is sys.stdout else fh.name}: {exc}") from exc
+
+
+def _emit_report(suite: str, model: str, seed: int, fh, reports: list[CheckReport]) -> int:
     payload = {"suite": suite, "model": model, "seed": seed, "checks": [r.to_json_dict() for r in reports]}
-    _write(out, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
+    _write(fh, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     for r in reports:
         print(f"{MARKERS[r.status]:12s} {r.name}", file=sys.stderr)
     errors = [r for r in reports if r.status == ERROR]
@@ -136,24 +146,25 @@ def cmd_verify(args) -> int:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path")
     ctx = VerifyContext(parse_model(model), **raw)
-    return _emit_report(args.suite, model, ctx.seed, out, run_suite(args.suite, ctx))
+    fh = _open(out)
+    return _emit_report(args.suite, model, ctx.seed, fh, run_suite(args.suite, ctx))
 
 
 def cmd_example(args) -> int:
     if args.which != "poincare":
         raise ConfigError(f"unknown example {args.which!r}; available: poincare")
-    return _emit_report("example-poincare", "h3", VerifyContext.seed, args.out, poincare_example_checks())
+    fh = _open(args.out)
+    return _emit_report("example-poincare", "h3", VerifyContext.seed, fh, poincare_example_checks())
 
 
 def cmd_sweep(args) -> int:
     model = parse_model(args.model)
-    s_grid = parse_grid(args.s)
-    t_grid = parse_grid(args.t)
+    s_grid, t_grid = parse_grid(args.s), parse_grid(args.t)
     if not model.is_hyperbolic:
         raise ConfigError("sweeps need the visibility model (hyperbolic)")
     cells = len(s_grid) * len(t_grid)
     try:
-        if cells * 2 * len(SWEEP_COLUMNS) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        if not _fits(cells * 2 * len(SWEEP_COLUMNS)):
             raise MemoryError  # the CSV text needs a character and a separator per column of a row
         ts, rows = sweep_rows(make_pair_config(*canonical_pair(model)), s_grid, t_grid)
         ts = ["%.17g" % t for t in ts]  # one text per s row: each t formatted once, each s and tail once
@@ -164,7 +175,7 @@ def cmd_sweep(args) -> int:
             blocks.append(head + (tail + head).join(ts) + tail)
     except MemoryError as exc:  # the up-front check raises it without a message
         raise MemoryError(str(exc) or f"a grid of {len(s_grid)} x {len(t_grid)} = {cells} cells")
-    _write(args.out, blocks)
+    _write(_open(args.out), blocks)
     return 0
 
 

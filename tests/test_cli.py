@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -516,6 +517,31 @@ class TestSweepCommand:
         # rows until the limit stops it peaks near 1.9 GiB, this one near 77 MiB (KiB here)
         assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= max(peak_before, 2 ** 18)
 
+    @pytest.mark.parametrize("axis", ["s", "t"])
+    @pytest.mark.parametrize("k", [2 ** 60, 2 ** 63 - 1, 10 ** 20], ids=["2**60", "2**63-1", "10**20"])
+    def test_huge_grid_count_exits_2(self, axis, k, monkeypatch, tmp_path, capsys):
+        # np.linspace raises ValueError or IndexError at such counts, not MemoryError
+        def forbidden(*args):
+            raise AssertionError("a grid that cannot be built must not reach sweep_rows")
+
+        monkeypatch.setattr(cli, "sweep_rows", forbidden)
+        grids = {"s": "0.1:1:2", "t": "0:1:2", axis: f"0:1:{k}"}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", f"--s={grids['s']}", f"--t={grids['t']}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: out of memory: a grid of {k} points\n"
+        assert not out.exists()
+
+    def test_file_sweep_peaks_near_its_csv_size(self, tmp_path):
+        # the s-table holds one row per s; one tuple per cell took 1.8x the CSV's bytes
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--model", "h4", "--s=0.1:3:300", "--t=-3:3:300", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.stat().st_size
+
     @pytest.mark.parametrize("model", ["h2", "h8"])
     @pytest.mark.parametrize("s_arg, t_arg", [
         ("--s=0:3:5", "--t=-3:3:4"),
@@ -658,3 +684,18 @@ def test_unwritable_out_exits_2(argv, where, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: [Errno ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["verify", "all", "--model", "h8"], "run_suite"),
+    (["example", "poincare"], "poincare_example_checks"),
+], ids=["verify", "example"])
+def test_unwritable_out_exits_2_before_the_first_check(argv, work, monkeypatch, tmp_path, capsys):
+    # the report file is opened once the inputs are valid, before any check runs
+    def forbidden(*args):
+        raise AssertionError("no check may run before the report file is open")
+
+    monkeypatch.setattr(cli, work, forbidden)
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
