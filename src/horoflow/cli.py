@@ -6,11 +6,11 @@
     horoflow sweep --s a:b:k --t a:b:k [--model hN] [--out path]
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 usage or
-configuration error, or a check that stopped with an error (2 wins over 1).
-Reports are JSON (one record per check, an ``error`` record for a check that
-raised); sweeps are CSV with a stable column order and 17-significant-digit
-decimals. On any hN with 2 <= N <= 8 a sweep is an s-table: the closed forms
-depend on s alone, so each s row is evaluated and formatted once for all t.
+configuration error (an unwritable --out is found before the run), or a check
+that stopped with an error (2 wins over 1). Reports are JSON (one record per
+check, an ``error`` record for a check that raised); sweeps are CSV with a
+stable column order and 17-significant-digit decimals. The closed forms depend
+on s alone: a sweep's table is the t column and one row per s, each formatted once.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _write(fh, chunks) -> None:
             fh.writelines(chunks)
             fh.flush()
     except OSError as exc:
-        if fh is sys.stdout:  # say a closed pipe: what stdout still buffers goes nowhere at exit
+        if fh is sys.stdout:  # a closed pipe, say: what stdout still buffers goes nowhere at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
         raise ConfigError(f"cannot write {'stdout' if fh is sys.stdout else fh.name}: {exc}") from exc
 
@@ -158,6 +158,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Write the CSV of ``sweep_rows``' s-table, one line per (s, t) cell, s-major."""
     model = parse_model(args.model)
     s_grid, t_grid = parse_grid(args.s), parse_grid(args.t)
     if not model.is_hyperbolic:
