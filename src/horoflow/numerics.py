@@ -16,8 +16,10 @@ with a step per point, and evaluate all P stencils in that one call.
 
 ``ode_integrate`` splits a duration into equal segments of at most 0.5, each
 with 25 Chebyshev-Lobatto nodes, and calls ``field`` once per Picard iteration
-on every node of every row, an (N + 1, *x0.shape) array. A row stops once its
-last correction is within 16 eps of its state, so no row depends on another.
+on every node of every row still integrated, an (N + 1, *x0.shape) array. A row
+stops once its last correction is within 16 eps of its state, so no row depends
+on another; with per-row end times a row leaves the batch after the segment
+that reaches its end.
 
 The chart oracles built on them (``orthonormal_complement`` here, the
 Jacobians of :mod:`horoflow.transport`, the locus frames) take an (n,) point
@@ -176,10 +178,11 @@ def orthonormal_complement(u) -> np.ndarray:
 # duration splits into ceil(|duration| / PICARD_SEGMENT) equal segments, taken
 # in turn. On a segment of signed length h each row's state is the polynomial
 # through its values at the PICARD_NODES + 1 Chebyshev-Lobatto nodes, and an
-# iteration evaluates the field once at every node of every row and sets the
-# node values to x0 + (h/2) S F, S the node-to-node integration matrix. Stop
-# rule: a row stops once its last correction is within PICARD_TOL of its
-# largest node value and is frozen from then on, so no row depends on another.
+# iteration evaluates the field once at every node of every row the segment
+# carries and sets the node values to x0 + (h/2) S F, S the node-to-node
+# integration matrix. Stop rule: a row stops once its last correction is within
+# PICARD_TOL of its largest node value and is frozen from then on, so no row
+# depends on another.
 # A converged row's relative correction can cycle at its roundoff floor, up to
 # 10 eps, without ever falling further, so the rule sits above that floor.
 PICARD_NODES, PICARD_SEGMENT, PICARD_MAX_ITERATIONS = 24, 0.5, 64
@@ -268,33 +271,56 @@ def ode_integrate(field, x0, duration, *, step: float = 1e-2, record: bool = Fal
     iteration; ``field`` maps an (N + 1, *x0.shape) array of node states to
     their derivatives. With ``record=True`` returns ``(times, states)`` on a grid
     of ``ceil(|duration|/step)`` equal steps (a ratio within 1e-9 of an integer
-    counts as that integer), read from the segments' polynomials; otherwise the
-    final state. ``stats`` receives the oracle's error estimate, the largest
-    last correction (``"correction"``), and ``"field_calls"``. Raises
-    :class:`ConvergenceError` on a non-finite iterate or past the iteration cap.
+    counts as that integer), read from the segments' polynomials, a grid time on
+    a segment boundary from the segment that ends there; otherwise the final state.
+
+    With ``record=True`` and (rows, n) states, ``duration`` may instead be a
+    (rows,) array of per-row end times of one sign, non-increasing in size; the
+    largest spans the grid. A row leaves the batch after the segment that
+    reaches its last grid time within its end, so ``field`` then sees the
+    (N + 1, rows', n) states of the rows still integrated, always a prefix of the
+    batch, and a row's states past its end are NaN. ``stats`` receives the
+    oracle's error estimate, the largest last correction (``"correction"``), and
+    ``"field_calls"``. Raises :class:`ConvergenceError` on a non-finite iterate or
+    past the iteration cap.
     """
     if not step > 0.0:
         raise ValueError(f"ODE step must be positive, got {step}")
-    x, T = np.array(x0, dtype=float), float(duration)
+    x, ends = np.array(x0, dtype=float), np.array(duration, dtype=float)
+    if ends.ndim and not (record and x.ndim == 2 and ends.shape == x.shape[:1] and ends.size):
+        raise ValueError("per-row end times need record=True and one end time per row of (rows, n) states")
+    T = float(ends.flat[0])
+    if ends.ndim and not (np.isfinite(ends).all() and (ends * T >= 0.0).all() and (np.diff(np.abs(ends)) <= 0.0).all()):
+        raise ValueError("per-row end times must be finite, of one sign and non-increasing in size")
     stats = {} if stats is None else stats
     stats.update(correction=0.0, field_calls=0)
     if T == 0.0:
         return (np.zeros(1), x[None]) if record else x
     segments = max(1, math.ceil(abs(T) / PICARD_SEGMENT - 1e-9))
     rows = x.reshape(-1, x.shape[-1])
+    batch, reach = len(rows), np.full(len(rows), segments)  # reach: the segments each row is carried through
+    if record:
+        # grid point j lies in segment k = ceil(j segments / count) - 1 at r = j segments - k count
+        count = max(1, math.ceil(abs(T) / step - 1e-9))
+        j = np.arange(count + 1)
+        k = np.maximum(j * segments - 1, 0) // count
+        last = np.broadcast_to(np.minimum(np.floor(np.abs(ends) * (count / abs(T)) + 1e-9), count).astype(int), batch)
+        reach = k[last] + 1
     slope, nodes = np.zeros_like(rows), []
-    for _ in range(segments):
-        values, slope = _picard_segment(field, rows, slope, T / segments, x.shape, stats)
+    for seg in range(segments):
+        alive = np.count_nonzero(reach > seg)
+        shape = x.shape if alive == batch else (alive,) + x.shape[1:]
+        values, slope = _picard_segment(field, rows[:alive], slope[:alive], T / segments, shape, stats)
         nodes.append(values)
         rows = values[-1]
     if not record:
         return rows.reshape(x.shape)
-    # grid point j lies in segment k = j segments // count at r = j segments - k count
-    count = max(1, math.ceil(abs(T) / step - 1e-9))
-    j = np.arange(count + 1)
-    k = np.minimum(j * segments // count, segments - 1)
-    states = np.concatenate([_rowwise(_interpolation(tuple((j[k == seg] * segments - seg * count).tolist()), count),
-                                      values) for seg, values in enumerate(nodes)])
+    states = np.full((count + 1, batch, x.shape[-1]), np.nan)
+    for seg, values in enumerate(nodes):
+        at = np.flatnonzero(k == seg)
+        states[at, : values.shape[1]] = _rowwise(_interpolation(tuple((at * segments - seg * count).tolist()), count),
+                                                  values)
+    states[j[:, None] > last] = np.nan
     return np.linspace(0.0, T, count + 1), states.reshape((count + 1,) + x.shape)
 
 

@@ -325,12 +325,14 @@ class PairFlow:
     moves b1 up and b2 down at rate 1/2 each and is defined wherever the
     fields differ. kind="sum": Y = (grad b1 + grad b2) / |grad b1 + grad b2|^2,
     defined off the set D where the gradients cancel, raising both values at
-    rate 1/2.
+    rate 1/2. ``config`` is the pair's :class:`PairConfig` when the caller has
+    built it; otherwise the closed forms build their own at first use.
     """
 
     f1: BusemannField
     f2: BusemannField
     kind: str
+    config: PairConfig | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _same_model(self.f1, self.f2)
@@ -350,8 +352,8 @@ class PairFlow:
 
     @functools.cached_property
     def _config(self) -> PairConfig:
-        """The pair normalized to (origin, infinity); half-space only."""
-        return make_pair_config(self.f1, self.f2)
+        """The pair normalized to (origin, infinity), ``config`` when given; half-space only."""
+        return make_pair_config(self.f1, self.f2) if self.config is None else self.config
 
     def flow(self, coords, duration: float) -> np.ndarray:
         """Closed-form time-``duration`` flow map on chart points.
@@ -415,36 +417,49 @@ def flow_stencil(model: ModelSpace, coords) -> np.ndarray:
 
 class FlowRun:
     """Chebyshev-Picard trajectories of the pair flows of (f1, f2), independent of
-    :meth:`PairFlow.flow`, of ``blocks``: name -> (kind, (N, n) starts or one point).
-    All rows integrate, in order, as one recorded :func:`ode_integrate` batch of
-    :func:`_pair_vector`, each with its kind's sign. Rows do not interact, so a
-    block's states are bitwise those of a separate run of its kind's flow, and one
-    run serves every duration on its step grid; a sum row on D raises. ``flows``
-    maps each kind to its :class:`PairFlow`; ``kind`` and ``starts`` map each name
-    to its kind and (N, n) starts; ``correction`` is the oracle's error estimate,
-    its largest last Picard correction, and ``field_calls`` its field evaluations."""
+    :meth:`PairFlow.flow`, of ``blocks``: name -> (kind, (N, n) starts or one point,
+    horizon), the last time a reader needs the block's states. All rows integrate as
+    one recorded :func:`ode_integrate` batch of :func:`_pair_vector`, each with its
+    kind's sign and its block's horizon as its end time, in blocks of non-increasing
+    horizon. Rows do not interact, so a block's states up to its horizon are bitwise
+    those of a separate run of its kind's flow, and one run serves every duration on
+    its step grid up to each block's horizon; a sum row on D raises. ``flows`` maps
+    each kind to its :class:`PairFlow` with the given ``config``; ``kind``, ``starts``
+    and ``horizon`` map each name to its kind, (N, n) starts and horizon;
+    ``correction`` is the oracle's error estimate, its largest last Picard correction
+    while rows are integrated, and ``field_calls`` its field evaluations."""
 
-    def __init__(self, f1: BusemannField, f2: BusemannField, blocks: dict, duration: float):
-        if not duration > 0.0:
-            raise ValueError(f"a flow run needs a positive duration, got {duration}")
-        self.kind = {name: kind for name, (kind, _) in blocks.items()}
-        self.starts = {name: np.asarray(s, dtype=float).reshape(-1, f1.model.dim) for name, (_, s) in blocks.items()}
-        self.flows = {kind: PairFlow(f1, f2, kind) for kind in self.kind.values()}
-        lengths = [len(s) for s in self.starts.values()]
-        sign, stats = np.repeat([SIGN[kind] for kind in self.kind.values()], lengths), {}
-        times, states = ode_integrate(lambda c: _pair_vector(f1, f2, f1.model.check_coords(c), sign),
-                                      np.concatenate(list(self.starts.values())), duration, record=True, stats=stats)
+    def __init__(self, f1: BusemannField, f2: BusemannField, blocks: dict, config: PairConfig | None = None):
+        self.kind = {name: kind for name, (kind, _, _) in blocks.items()}
+        self.starts = {name: np.asarray(s, dtype=float).reshape(-1, f1.model.dim) for name, (_, s, _) in blocks.items()}
+        self.horizon = {name: float(horizon) for name, (_, _, horizon) in blocks.items()}
+        if not all(0.0 < horizon < math.inf for horizon in self.horizon.values()):
+            raise ValueError(f"a flow-run block needs a positive finite horizon, got {self.horizon}")
+        self.flows = {kind: PairFlow(f1, f2, kind, config) for kind in self.kind.values()}
+        order = sorted(blocks, key=self.horizon.get, reverse=True)  # stable: ties keep the block order
+        lengths = [len(self.starts[name]) for name in order]
+        sign, stats = np.repeat([SIGN[self.kind[name]] for name in order], lengths), {}
+        # the rows still integrated are a prefix of the batch, and so are their signs
+        times, states = ode_integrate(lambda c: _pair_vector(f1, f2, f1.model.check_coords(c), sign[: c.shape[1]]),
+                                      np.concatenate([self.starts[name] for name in order]),
+                                      np.repeat([self.horizon[name] for name in order], lengths),
+                                      record=True, stats=stats)
         self.correction, self.field_calls = stats["correction"], stats["field_calls"]
-        self.step = duration / (len(times) - 1)
-        self._states = dict(zip(self.starts, np.split(states, np.cumsum(lengths)[:-1], axis=1)))
+        self.step = times[-1] / (len(times) - 1)
+        # each block's recorded states up to its horizon, where its NaN rows begin
+        self._states = {name: block[: np.count_nonzero(~np.isnan(block[:, 0, 0]))]
+                        for name, block in zip(order, np.split(states, np.cumsum(lengths)[:-1], axis=1))}
 
     def trajectories(self, name: str, duration: float) -> np.ndarray:
         """The (k + 1, N, n) states of the block ``name`` at 0, step, ..., duration
-        = k steps; k must be within 1e-9 of a whole number, as in :func:`ode_integrate`."""
+        = k steps; k must be within 1e-9 of a whole number, as in :func:`ode_integrate`,
+        and duration at most the block's horizon."""
         states, k = self._states[name], float(duration) / self.step
         whole = np.rint(k)
-        if not (abs(k - whole) <= 1e-9 and 0 <= whole < len(states)):
+        if not (abs(k - whole) <= 1e-9 and 0 <= whole):
             raise ValueError(f"duration {duration} is not a whole number of the run's steps of {self.step}")
+        if whole >= len(states):
+            raise ValueError(f"duration {duration} is past the horizon {self.horizon[name]} of block {name!r}")
         return states[: int(whole) + 1]
 
     def flow_map(self, name: str, duration: float):

@@ -134,9 +134,9 @@ class VerifyContext:
     The pair, its configuration, the map F and the one Chebyshev-Picard run of both
     pair flows that serves the flows suite (:func:`_flow_run`) are built once, by
     the first check that reads them; a build that raises is not kept, so every
-    check that reads it records the error. :func:`run_suite` sets ``rng`` to
-    :meth:`rng_for` of each check before it runs; a check called directly draws
-    from ``default_rng(seed)``.
+    check that reads it records the error. ``rng`` is ``default_rng(seed)`` for a
+    check called directly; under :func:`run_suite` it is :meth:`rng_for` of the
+    running check, built at its first draw.
     """
 
     model: ModelSpace
@@ -145,7 +145,8 @@ class VerifyContext:
     t_grid: tuple = (-3.0, -1.0, 0.0, 1.0, 3.0)
     t0: float = 1.0
     probe_outside_image: bool = False
-    rng: np.random.Generator = dc_field(init=False)
+    _rng: np.random.Generator | None = dc_field(default=None, init=False, repr=False)
+    _drawer: object = dc_field(default=None, init=False, repr=False)  # the check run_suite runs
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
@@ -162,12 +163,18 @@ class VerifyContext:
         self.t0 = float(self.t0)
         if not isinstance(self.probe_outside_image, bool):
             raise ConfigError("probe_outside_image must be true or false")
-        self.rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(self.seed)
 
     def rng_for(self, check) -> np.random.Generator:
         """A generator keyed by the check's name, so a check reports the same
         numbers in every suite that runs it."""
         return np.random.default_rng([self.seed, zlib.crc32(check.__name__.encode())])
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = self.rng_for(self._drawer)
+        return self._rng
 
     @property
     def h(self) -> float:
@@ -455,29 +462,39 @@ def check_map_out_of_image(ctx, tol):
 # --------------------------------------------------------------------------
 
 
+# the times at which the flows checks read the shared run: each of its blocks is
+# integrated to its time here and no further
+TRACKING_TIME, TRANSPORT_TIME, DENSITY_TIME, BETA_TIME = 2.0, 0.8, 0.9, 1.5
+
+
 def _flow_run(ctx: VerifyContext) -> tr.FlowRun:
     """The one Chebyshev-Picard run of both pair flows (the difference flow alone in
-    E^n) to t = 2 that :attr:`VerifyContext.flows` keeps, of the blocks "<kind>-tracking",
+    E^n) that :attr:`VerifyContext.flows` keeps, of the blocks "<kind>-tracking",
     "<kind>-transport" and "<kind>-densities" (starts, and the stencils about a random and
-    a locus point) and "beta-monotone", whose random points each check draws from its
-    generator :meth:`VerifyContext.rng_for`. A run that raises is not kept, so every reader
-    of either kind records the error: a sum row on D is an error in the difference-flow checks too."""
+    a locus point) and "beta-monotone", each to the time its check reads, whose random
+    points each check draws from its generator :meth:`VerifyContext.rng_for`. Its pair
+    flows share the context's pair configuration. A run that raises is not kept, so every
+    reader of either kind records the error: a sum row on D is an error in the
+    difference-flow checks too."""
     m = ctx.model
     cfg = ctx.pair_config if m.is_hyperbolic else None
     tracking = _off_axis_points(m, ctx.rng_for(check_difference_flow_tracking), None, 20, 0.05)
     transport = tr.flow_stencil(m, _off_axis_points(m, ctx.rng_for(check_gradient_transport), cfg, 1, 0.1)[0])
-    blocks = {"difference-tracking": (tr.DIFFERENCE, tracking), "difference-transport": (tr.DIFFERENCE, transport)}
+    blocks = {"difference-tracking": (tr.DIFFERENCE, tracking, TRACKING_TIME),
+              "difference-transport": (tr.DIFFERENCE, transport, TRANSPORT_TIME)}
     if cfg is not None:
         densities = tr.flow_stencil(m, cfg.point_on_locus(0.7, 0.2).coords)
         # keep sum-flow starts off the axis
         tracking = _off_axis_points(m, ctx.rng_for(check_sum_flow_tracking), cfg, 20, 0.05)
-        blocks.update({"difference-densities": (tr.DIFFERENCE, densities), "sum-tracking": (tr.SUM, tracking),
-                       "sum-transport": (tr.SUM, transport), "sum-densities": (tr.SUM, densities),
-                       "beta-monotone": (tr.SUM, cfg.point_on_locus(0.2, 0.3).coords)})
-    return tr.FlowRun(*ctx.field_pair, blocks, 2.0)
+        blocks.update({"difference-densities": (tr.DIFFERENCE, densities, DENSITY_TIME),
+                       "sum-tracking": (tr.SUM, tracking, TRACKING_TIME),
+                       "sum-transport": (tr.SUM, transport, TRANSPORT_TIME),
+                       "sum-densities": (tr.SUM, densities, DENSITY_TIME),
+                       "beta-monotone": (tr.SUM, cfg.point_on_locus(0.2, 0.3).coords, BETA_TIME)})
+    return tr.FlowRun(*ctx.field_pair, blocks, cfg)
 
 
-def _tracking_check(ctx, kind: str, tol: float, duration: float = 2.0):
+def _tracking_check(ctx, kind: str, tol: float, duration: float = TRACKING_TIME):
     """Chebyshev-Picard trajectories of the pair flow: how far they miss the Busemann
     level changes (duration/2, sign*duration/2) and the closed-form flow map, with
     the shared run's error estimate and field calls."""
@@ -555,7 +572,7 @@ def check_divergence_identities(ctx, tol):
        0.0, "cross-check", tol=1e-5, skip=NO_AXIS, suite="flows")
 def check_flow_densities(ctx, tol):
     cfg = ctx.pair_config
-    run, dur = ctx.flows, 0.9
+    run, dur = ctx.flows, DENSITY_TIME
     x = Point(ctx.model, run.starts["difference-densities"][0])
     dens_x, dens_y = (tr.flow_density(run.flows[kind], x, dur) for kind in (tr.DIFFERENCE, tr.SUM))
     fd_x, fd_y = (tr.flow_density_fd(run, f"{kind}-densities", dur) for kind in (tr.DIFFERENCE, tr.SUM))
@@ -578,12 +595,12 @@ def check_flow_densities(ctx, tol):
         "both flows pull the level 1-forms back to themselves"),
        0.0, "cross-check", tol=1e-6, suite="flows")
 def check_gradient_transport(ctx, tol):
-    push_x, form_x = tr.transport_gaps(ctx.flows, "difference-transport", 0.8)
+    push_x, form_x = tr.transport_gaps(ctx.flows, "difference-transport", TRANSPORT_TIME)
     quantities = {"difference_gradient_gap": push_x, "difference_form_gap": form_x}
     ok = push_x <= tol and form_x <= tol
     if ctx.model.is_hyperbolic:
         # the sum flow carries the 1-forms but not the gradients
-        _, form_y = tr.transport_gaps(ctx.flows, "sum-transport", 0.8)
+        _, form_y = tr.transport_gaps(ctx.flows, "sum-transport", TRANSPORT_TIME)
         quantities["sum_form_gap"] = form_y
         ok = ok and form_y <= tol
     return quantities, ok
@@ -609,7 +626,7 @@ def check_beta_monotone_along_sum_flow(ctx, tol):
         start = cfg.point_on_locus(eps, 0.0)
         b_start = float(bu.beta(cfg.f1, cfg.f2, start))
         eps_rows.append({"epsilon": eps, "beta_at_start": b_start, "gap_to_minus_one": b_start + 1.0})
-    states = ctx.flows.trajectories("beta-monotone", 1.5)[:, 0]
+    states = ctx.flows.trajectories("beta-monotone", BETA_TIME)[:, 0]
     bs = np.asarray(bu.beta(cfg.f1, cfg.f2, states))
     worst = float(np.min(np.diff(bs)))
     ok = worst >= -1e-12 and all(row["gap_to_minus_one"] <= 3.0 * row["epsilon"] for row in eps_rows)
@@ -858,7 +875,8 @@ def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
     A check that raises :class:`GeometryError` or :class:`ConvergenceError`
     becomes a record with status ``error`` that carries the message; the checks after it still run. With
     ``ctx.probe_outside_image``, a run that includes the map-f checks ends
-    with the out-of-image probe. Each check draws from ``ctx.rng_for(check)``.
+    with the out-of-image probe. Each check draws from ``ctx.rng_for(check)``,
+    built only if it draws.
     """
     if suite not in SUITES:
         raise GeometryError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
@@ -867,6 +885,6 @@ def run_suite(suite: str, ctx: VerifyContext) -> list[CheckReport]:
         checks.append(check_map_out_of_image)
     reports = []
     for fn in checks:
-        ctx.rng = ctx.rng_for(fn)
+        ctx._drawer, ctx._rng = fn, None
         reports.append(fn(ctx))
     return reports

@@ -12,7 +12,10 @@ With ``--diff`` it writes nothing and prints a ledger instead: for each case
 and check whose quantities hold a float that differs bitwise from the files,
 how many do and the largest move as a fraction of the gate's slack,
 max(1e-12 relative, 1e-3 x the check's tolerance), that ``tests/test_golden.py``
-allows; then the total over all cases.
+allows; each other quantity that moved (an integer, string, boolean or null, or
+a key, list length or type that differs), with its old and new value; each check
+that only the files or only the run holds; then the total of moved floats over
+all cases.
 """
 
 from __future__ import annotations
@@ -61,16 +64,26 @@ def write_all() -> None:
         path(name).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _float_pairs(got, want):
-    """The (got, want) pairs of floats at the same place of two quantity trees."""
-    if isinstance(want, float) and isinstance(got, float):
-        yield got, want
-    elif isinstance(want, dict) and isinstance(got, dict):
-        for key in want.keys() & got.keys():
-            yield from _float_pairs(got[key], want[key])
-    elif isinstance(want, list) and isinstance(got, list):
-        for g, w in zip(got, want):
-            yield from _float_pairs(g, w)
+MISSING = object()  # a key one quantity tree lacks
+
+
+def _leaf_pairs(got, want, where=""):
+    """(path, got, want) for the leaves at the same place of two quantity trees;
+    where their shapes differ (a key on one side only, lists of two lengths, a
+    dict against a list) the subtrees are one pair, a missing side MISSING."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in list(want) + [key for key in got if key not in want]:
+            yield from _leaf_pairs(got.get(key, MISSING), want.get(key, MISSING), f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from _leaf_pairs(g, w, f"{where}[{i}]")
+    else:
+        yield where, got, want
+
+
+def _show(value) -> str:
+    text = "missing" if value is MISSING else json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def diff_ledger() -> list[str]:
@@ -80,14 +93,25 @@ def diff_ledger() -> list[str]:
         want = json.loads(path(name).read_text())
         got = {c["name"]: c for c in run_case(name)["checks"]}
         for check in want["checks"]:
-            pairs = list(_float_pairs(got.get(check["name"], {}).get("quantities"), check["quantities"]))
-            moves = [(g, w) for g, w in pairs if struct.pack("<d", g) != struct.pack("<d", w)]
-            floats_total, moved_total = floats_total + len(pairs), moved_total + len(moves)
+            if check["name"] not in got:
+                lines.append(f"{name} {check['name']}: only in the files")
+                continue
+            pairs = list(_leaf_pairs(got[check["name"]]["quantities"], check["quantities"]))
+            floats = [(g, w) for _, g, w in pairs if isinstance(g, float) and isinstance(w, float)]
+            others = [(where, g, w) for where, g, w in pairs
+                      if not (isinstance(g, float) and isinstance(w, float)) and (type(g) is not type(w) or g != w)]
+            moves = [(g, w) for g, w in floats if struct.pack("<d", g) != struct.pack("<d", w)]
+            floats_total, moved_total = floats_total + len(floats), moved_total + len(moves)
             if moves:
                 slack = [max(1e-12 * abs(w), 1e-3 * check["tolerance"]) for _, w in moves]
                 worst = max(abs(g - w) / s if s > 0.0 else math.inf for (g, w), s in zip(moves, slack))
-                lines.append(f"{name} {check['name']}: {len(moves)} of {len(pairs)} floats moved, "
+                lines.append(f"{name} {check['name']}: {len(moves)} of {len(floats)} floats moved, "
                              f"largest move {worst:.3g} of the slack")
+            if others:
+                lines.append(f"{name} {check['name']}: {len(others)} other quantities moved: "
+                             + "; ".join(f"{where[1:]} {_show(w)} -> {_show(g)}" for where, g, w in others))
+        filed = {check["name"] for check in want["checks"]}
+        lines += [f"{name} {extra}: only in this run" for extra in got if extra not in filed]
     lines.append(f"total: {moved_total} of {floats_total} quantity floats moved bitwise")
     return lines
 
@@ -95,7 +119,7 @@ def diff_ledger() -> list[str]:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Rewrite the golden reports, or with --diff list their moves.")
     parser.add_argument("--diff", action="store_true",
-                        help="write nothing; print per case and check the floats that moved")
+                        help="write nothing; print per case and check the quantities that moved")
     if parser.parse_args().diff:
         print("\n".join(diff_ledger()))
     else:

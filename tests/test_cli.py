@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horoflow import cli, verify
+from horoflow import cli, transport, verify
 from horoflow import locus as lc
 from horoflow.cli import main, parse_grid, parse_model
 from horoflow.manifold import EUCLIDEAN, HYPERBOLIC, GeometryError
@@ -119,6 +119,44 @@ class TestVerifyCommand:
         for suite in suites:
             alone = records(suite)
             assert alone == [by_name[r["name"]] for r in alone], suite
+
+    @pytest.mark.parametrize("model, drawers", [("h3", 9), ("e3", 8)])
+    def test_only_checks_that_draw_build_a_generator(self, monkeypatch, model, drawers):
+        # each drawing check builds its generator rng_for(check) at its first draw,
+        # the shared flow run one per block of random starts, and no check more
+        drawn, exact = [], verify.VerifyContext.rng_for
+
+        def counted(ctx, check):
+            drawn.append(check.__name__)
+            return exact(ctx, check)
+
+        monkeypatch.setattr(verify.VerifyContext, "rng_for", counted)
+        verify.run_suite("all", verify.VerifyContext(model=parse_model(model), seed=7))
+        flow_blocks = {"check_difference_flow_tracking", "check_gradient_transport"}
+        if model[0] == "h":
+            flow_blocks.add("check_sum_flow_tracking")
+        assert len(drawn) == len(set(drawn)) == drawers + len(flow_blocks) and flow_blocks <= set(drawn)
+        # outside run_suite the context draws from default_rng(seed)
+        m = parse_model(model)
+        assert np.array_equal(verify.VerifyContext(model=m, seed=7).random_points(5),
+                              m.random_points(np.random.default_rng(7), 5, 0.8))
+
+    def test_a_run_builds_the_canonical_pair_configuration_once(self, monkeypatch):
+        # the context's build serves the flow run's pair flows; the isometry check
+        # builds its own pair's
+        builds, exact = [], lc.make_pair_config
+
+        def counted(f1, f2):
+            builds.append((f1, f2))
+            return exact(f1, f2)
+
+        monkeypatch.setattr(lc, "make_pair_config", counted)
+        monkeypatch.setattr(transport, "make_pair_config", counted)
+        ctx = verify.VerifyContext(model=parse_model("h3"))
+        assert {r.status for r in verify.run_suite("all", ctx)} == {"pass"}
+        assert len(builds) == 2 and all(f is g for f, g in zip(builds[0], ctx.field_pair))
+        assert not any(f is g for f, g in zip(builds[1], ctx.field_pair))
+        assert all(pf._config is ctx.pair_config for pf in ctx.flows.flows.values())
 
     @pytest.mark.parametrize("model", ["h6", "h7", "h8"])
     def test_intersections_pass_in_high_hyperbolic_dimensions(self, model, tmp_path):

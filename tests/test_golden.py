@@ -76,3 +76,25 @@ def test_diff_ledger_counts_bitwise_moves_against_the_slack(monkeypatch, tmp_pat
     assert head == "example-poincare example-circle-length: 2 of 3 floats moved, "
     assert float(worst.split()[0]) == pytest.approx(0.5, rel=1e-3)
     assert [p.name for p in tmp_path.iterdir()] == ["example-poincare.json"]
+
+
+def test_diff_ledger_lists_other_moves_and_one_sided_checks(monkeypatch, tmp_path):
+    # a copy of the poincare file with a moved boolean, a key the run lacks, a
+    # dropped key, and a check renamed, so each side holds one the other lacks
+    payload = json.loads(golden.path("example-poincare").read_text())
+    spheres, circle, length = payload["checks"]
+    length["quantities"]["below_3pi"] = False
+    length["quantities"]["extra"] = [1, 2]
+    del circle["quantities"]["s"]
+    spheres_name, spheres["name"] = spheres["name"], "example-old-name"
+    (tmp_path / "example-poincare.json").write_text(json.dumps(payload))
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(golden, "CASES", {"example-poincare": golden.CASES["example-poincare"]})
+    assert golden.diff_ledger() == [
+        "example-poincare example-old-name: only in the files",
+        "example-poincare example-intersection-circle: 1 other quantities moved: s missing -> 0.4462871026284192",
+        "example-poincare example-circle-length: 2 other quantities moved: below_3pi false -> true; "
+        "extra [1, 2] -> missing",
+        f"example-poincare {spheres_name}: only in this run",
+        "total: 0 of 4 quantity floats moved bitwise",
+    ]

@@ -288,6 +288,43 @@ class TestODE:
             _, alone = ode_integrate(field, start, 2.0, record=True)
             assert np.array_equal(together[:, i], alone)
 
+    def test_rows_leave_after_their_end_times(self):
+        # each row's states are bitwise those of its own run over the whole span up to
+        # its end time, NaN after it, and the field sees only the rows still integrated
+        starts, ends = np.array([[0.1], [1.5], [-0.7], [1.0]]), np.array([2.0, 1.5, 0.8, 0.8])
+        seen = []
+
+        def field(x):
+            seen.append(x.shape[1])
+            return -x ** 3
+
+        ts, together = ode_integrate(field, starts, ends, record=True)
+        assert len(ts) == 201 and ts[-1] == 2.0
+        assert [rows for rows, _ in itertools.groupby(seen)] == [4, 2, 1]
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            _, alone = ode_integrate(lambda x: -x ** 3, start, 2.0, record=True)
+            k = round(end * 100)
+            assert np.array_equal(together[: k + 1, i], alone[: k + 1])
+            assert np.isnan(together[k + 1:, i]).all()
+
+    def test_negative_end_times(self):
+        starts = np.array([[1.0], [2.0]])
+        ts, states = ode_integrate(lambda x: -x, starts, np.array([-1.0, -0.5]), record=True)
+        assert ts[-1] == -1.0 and np.isnan(states[51:, 1]).all()
+        assert states[100, 0, 0] == pytest.approx(math.e, rel=1e-14)
+        assert states[50, 1, 0] == pytest.approx(2.0 * math.exp(0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("ends, record, match", [
+        ([0.8, 2.0], True, "non-increasing"),
+        ([1.0, -0.5], True, "one sign"),
+        ([1.0, math.nan], True, "finite"),
+        ([2.0, 1.0], False, "record=True"),
+        ([2.0, 1.0, 0.5], True, "one end time per row"),
+    ])
+    def test_bad_end_times_raise(self, ends, record, match):
+        with pytest.raises(ValueError, match=match):
+            ode_integrate(lambda x: -x, np.array([[1.0], [2.0]]), np.array(ends), record=record)
+
     def test_negative_duration(self):
         end = ode_integrate(lambda x: -x, np.array([1.0]), -1.0)
         assert end[0] == pytest.approx(math.e, rel=1e-14)

@@ -440,8 +440,8 @@ class TestDivergence:
 
 
 def _stencil_run(pf, x, duration):
-    """A run of pf's kind whose block "stencil" is the flow-Jacobian stencil about x."""
-    return FlowRun(pf.f1, pf.f2, {"stencil": (pf.kind, flow_stencil(pf.model, x.coords))}, duration)
+    """A run of pf's kind whose block "stencil" is the flow-Jacobian stencil about x, to duration."""
+    return FlowRun(pf.f1, pf.f2, {"stencil": (pf.kind, flow_stencil(pf.model, x.coords), duration)})
 
 
 MODELS_H3_H8_E5 = pytest.mark.parametrize("model_name", ["h3", "h8", "e5"])
@@ -452,18 +452,23 @@ def _model(name):
 
 
 def _assert_rows_equal_separate_integrations(run, blocks):
-    """At 80, 90, 150 and 200 steps, every block of ``blocks`` (name -> (kind,
-    starts)) in ``run`` is bitwise the states of its own recorded integration by
-    its kind's pair flow over the run's duration; at 150 and 200 steps, ends of
-    the run's segments, it is also bitwise the end of its own integration to that
-    duration."""
-    for name, (kind, block) in blocks.items():
+    """Every block of ``blocks`` (name -> (kind, starts, horizon)) in ``run`` is, up
+    to its horizon, bitwise the states of its own recorded integration by its kind's
+    pair flow to t = 2, at 80, 90, 150 and 200 steps as far as its horizon reaches;
+    at 150 and 200 steps, ends of the run's segments, it is also bitwise the end of
+    its own integration to that duration. A duration past the horizon raises."""
+    for name, (kind, block, horizon) in blocks.items():
         pf = run.flows[kind]
         assert run.kind[name] == kind and np.array_equal(run.starts[name], np.atleast_2d(block))
+        assert run.horizon[name] == horizon
         vector = PairFlow(pf.f1, pf.f2, kind).vector
         _, separate = ode_integrate(vector, block, 2.0, record=True)
         separate = separate.reshape(len(separate), -1, pf.model.dim)
         for steps, duration in ((80, 0.8), (90, 0.9), (150, 1.5), (200, 2.0)):
+            if duration > horizon:
+                with pytest.raises(ValueError, match="past the horizon"):
+                    run.trajectories(name, duration)
+                continue
             path = run.trajectories(name, duration)
             assert path.shape == (steps + 1, len(np.atleast_2d(block)), pf.model.dim)
             assert np.array_equal(path, separate[: steps + 1])
@@ -472,7 +477,7 @@ def _assert_rows_equal_separate_integrations(run, blocks):
 
 
 class TestFlowRun:
-    """One recorded batch serves every duration on its step grid."""
+    """One recorded batch serves every duration on its step grid up to each block's horizon."""
 
     @MODELS_H3_H8_E5
     @pytest.mark.parametrize("kind", [DIFFERENCE, SUM])
@@ -482,8 +487,8 @@ class TestFlowRun:
         starts = _off_axis_starts(model, f1, f2, count=5)
         stencil = flow_stencil(model, starts[0])
         single = starts[1]
-        blocks = {"starts": (kind, starts), "stencil": (kind, stencil), "single": (kind, single)}
-        run = FlowRun(f1, f2, blocks, 2.0)
+        blocks = {"starts": (kind, starts, 2.0), "stencil": (kind, stencil, 0.8), "single": (kind, single, 1.5)}
+        run = FlowRun(f1, f2, blocks)
         assert run.step == 0.01 and list(run.flows) == [kind]
         _assert_rows_equal_separate_integrations(run, blocks)
         _, recorded = ode_integrate(run.flows[kind].vector, single, 1.5, record=True)
@@ -502,41 +507,83 @@ class TestFlowRun:
             return ode_integrate(*args, **kwargs)
 
         monkeypatch.setattr(transport, "ode_integrate", counted)
-        blocks = {"difference-starts": (DIFFERENCE, starts[:3]), "difference-shared": (DIFFERENCE, shared),
-                  "sum-shared": (SUM, shared), "sum-starts": (SUM, starts[3:]), "single": (SUM, starts[5])}
-        run = FlowRun(f1, f2, blocks, 2.0)
-        assert calls == [2.0]
+        # blocks out of horizon order: the run sorts its rows by horizon
+        blocks = {"difference-starts": (DIFFERENCE, starts[:3], 0.9),
+                  "difference-shared": (DIFFERENCE, shared, 2.0),
+                  "sum-shared": (SUM, shared, 1.5), "sum-starts": (SUM, starts[3:], 0.8),
+                  "single": (SUM, starts[5], 2.0)}
+        run = FlowRun(f1, f2, blocks)
+        # rows by non-increasing horizon, ties in block order
+        ends = [2.0] * (len(shared) + 1) + [1.5] * len(shared) + [0.9] * 3 + [0.8] * 3
+        assert len(calls) == 1 and calls[0].tolist() == ends
         monkeypatch.undo()
         _assert_rows_equal_separate_integrations(run, blocks)
         # the same starts in two blocks of two kinds follow each kind's own flow
         assert not np.array_equal(run.trajectories("difference-shared", 1.0), run.trajectories("sum-shared", 1.0))
         with pytest.raises(ValueError, match="did not integrate"):
-            run.flow_map("sum-starts", 1.0)(starts[:3])
+            run.flow_map("sum-starts", 0.8)(starts[:3])
+
+    def test_rows_leave_the_field_calls_after_their_horizon(self, monkeypatch):
+        # on h3 the 40 tracking rows run to t = 2, the beta-monotone row to 1.5 and
+        # the 52 stencil rows to 0.8 and 0.9, so they leave after the second segment
+        from horoflow import verify
+
+        segments, field_rows = [], []
+        exact_segment, exact_vector = numerics._picard_segment, transport._pair_vector
+
+        def segment(field, x0, *args):
+            segments.append(len(x0))
+            return exact_segment(field, x0, *args)
+
+        def vector(f1, f2, coords, sign):
+            field_rows.append((len(segments), coords.shape[1], len(sign)))
+            return exact_vector(f1, f2, coords, sign)
+
+        monkeypatch.setattr(numerics, "_picard_segment", segment)
+        monkeypatch.setattr(transport, "_pair_vector", vector)
+        verify.VerifyContext(model=ModelSpace(HYPERBOLIC, 3)).flows
+        assert segments == [93, 93, 41, 40]
+        assert {(seg, rows, signs) for seg, rows, signs in field_rows} == {
+            (seg + 1, rows, rows) for seg, rows in enumerate(segments)}
 
     def test_every_duration_on_the_step_grid_is_accepted(self, pair_x):
         start = np.array([0.2, 0.1, 1.0])
-        run = FlowRun(pair_x.f1, pair_x.f2, {"start": (DIFFERENCE, start)}, 2.0)
+        run = FlowRun(pair_x.f1, pair_x.f2, {"start": (DIFFERENCE, start, 2.0)})
         # 0.29 / 0.01 is 28.999999999999996 in float64
         for k in range(201):
             assert run.trajectories("start", k * 0.01).shape == (k + 1, 1, 3)
 
-    @pytest.mark.parametrize("duration", [0.805, 1.0 / 3.0, 2.01, -0.1])
+    @pytest.mark.parametrize("duration", [0.805, 1.0 / 3.0, -0.1])
     def test_duration_off_the_step_grid_raises(self, h3, pair_x, duration):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
-        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, starts)}, 2.0)
+        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, starts, 2.0)})
         with pytest.raises(ValueError, match="whole number"):
             run.trajectories("starts", duration)
         with pytest.raises(ValueError, match="whole number"):
             run.flow_map("starts", duration)
 
-    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
-    def test_a_run_needs_a_positive_duration(self, pair_x, duration):
-        with pytest.raises(ValueError, match="positive duration"):
-            FlowRun(pair_x.f1, pair_x.f2, {"start": (DIFFERENCE, np.array([0.2, 0.1, 1.0]))}, duration)
+    @pytest.mark.parametrize("duration", [0.81, 0.9, 2.01])
+    def test_duration_past_the_horizon_raises(self, pair_x, duration):
+        blocks = {"long": (DIFFERENCE, np.array([0.2, 0.1, 1.0]), 2.0),
+                  "short": (DIFFERENCE, np.array([0.4, -0.3, 0.7]), 0.8)}
+        run = FlowRun(pair_x.f1, pair_x.f2, blocks)
+        assert len(run.trajectories("short", 0.8)) == 81
+        for name in ("short",) if duration <= 2.0 else ("short", "long"):
+            with pytest.raises(ValueError, match="past the horizon"):
+                run.trajectories(name, duration)
+            with pytest.raises(ValueError, match="past the horizon"):
+                run.flow_map(name, duration)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_a_block_needs_a_positive_finite_horizon(self, pair_x, horizon):
+        blocks = {"start": (DIFFERENCE, np.array([0.2, 0.1, 1.0]), 1.0),
+                  "other": (DIFFERENCE, np.array([0.4, -0.3, 0.7]), horizon)}
+        with pytest.raises(ValueError, match="positive finite horizon"):
+            FlowRun(pair_x.f1, pair_x.f2, blocks)
 
     def test_starts_the_run_did_not_integrate_raise(self, h3, pair_x):
         starts = np.array([[0.2, 0.1, 1.0], [0.4, -0.3, 0.7]])
-        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, starts)}, 1.0)
+        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, starts, 1.0)})
         flow_map = run.flow_map("starts", 0.5)
         assert np.array_equal(flow_map(starts.copy()), run.trajectories("starts", 0.5)[-1])
         for other in (starts[:1], starts[::-1], starts + 1e-12):
@@ -544,17 +591,40 @@ class TestFlowRun:
                 flow_map(other)
 
     def test_an_unknown_block_name_raises(self, h3, pair_x):
-        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, np.array([0.2, 0.1, 1.0]))}, 1.0)
+        run = FlowRun(pair_x.f1, pair_x.f2, {"starts": (DIFFERENCE, np.array([0.2, 0.1, 1.0]), 1.0)})
         for read in (run.trajectories, run.flow_map, lambda *a: flow_density_fd(run, *a),
                      lambda *a: transport_gaps(run, *a)):
             with pytest.raises(KeyError):
                 read("tracking", 0.5)
 
     def test_sum_run_through_the_axis_raises(self, h3, pair_x):
-        blocks = {"off the axis": (DIFFERENCE, np.array([0.2, 0.1, 1.0])),
-                  "on the axis": (SUM, np.array([0.0, 0.0, 1.3]))}
+        blocks = {"off the axis": (DIFFERENCE, np.array([0.2, 0.1, 1.0]), 0.5),
+                  "on the axis": (SUM, np.array([0.0, 0.0, 1.3]), 0.5)}
         with pytest.raises(SingularFlowError, match="sum flow evaluated on the singular set D"):
-            FlowRun(pair_x.f1, pair_x.f2, blocks, 0.5)
+            FlowRun(pair_x.f1, pair_x.f2, blocks)
+
+    def test_the_flows_share_a_given_pair_configuration(self, pair_x):
+        cfg = make_pair_config(pair_x.f1, pair_x.f2)
+        blocks = {"x": (DIFFERENCE, np.array([0.2, 0.1, 1.0]), 0.5), "y": (SUM, np.array([0.4, -0.3, 0.7]), 0.5)}
+        run = FlowRun(pair_x.f1, pair_x.f2, blocks, cfg)
+        assert all(pf._config is cfg for pf in run.flows.values())
+        assert FlowRun(pair_x.f1, pair_x.f2, blocks).flows[SUM]._config is not cfg
+
+
+@pytest.mark.parametrize("model_name", ["h3", "h6", "h8", "e5"])
+@pytest.mark.parametrize("seed", [0, 49, 76])
+def test_verify_flow_run_blocks_equal_their_solo_integrations(model_name, seed):
+    # each block of the flows suite's shared run, up to its horizon, is bitwise the
+    # recorded integration of that block alone to t = 2; past its horizon it raises
+    from horoflow import verify
+
+    run = verify.VerifyContext(model=_model(model_name), seed=seed).flows
+    for name, starts in run.starts.items():
+        _, alone = ode_integrate(run.flows[run.kind[name]].vector, starts, 2.0, record=True)
+        k = round(run.horizon[name] / run.step)
+        assert np.array_equal(run.trajectories(name, run.horizon[name]), alone[: k + 1])
+        with pytest.raises(ValueError, match="past the horizon"):
+            run.trajectories(name, run.horizon[name] + run.step)
 
 
 class TestFlowDensities:
@@ -775,7 +845,7 @@ class TestPairFlowOracle:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(float(np.max(args[2])))  # the run's span, its largest horizon
             return ode_integrate(*args, **kwargs)
 
         monkeypatch.setattr(transport, "ode_integrate", counted)
